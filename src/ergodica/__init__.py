@@ -76,7 +76,6 @@ from .torus import (
     assemble_torus_diffusion,
     gradient_matrices,
     solve_cell,
-    solve_cell_with_rhs,
     solve_nonlinear_cell,
 )
 

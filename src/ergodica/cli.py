@@ -33,7 +33,7 @@ from .domain import DomainGrid, assemble_effective, assemble_oscillatory
 from .effective import build_corrector_set, effective_linear, effective_nonlinear
 from .eigen import principal_eigenpair, principal_eigenpair_bellman
 from .errors import ConfigError, ErgodicaError, SolverError
-from .torus import GridFunction, PeriodicGrid
+from .torus import FactoredOperator, GridFunction, PeriodicGrid
 
 ALL_MEASUREMENTS = ("lambda_rate", "eigfun_rate", "z_rate", "v_norm",
                     "residual_slope")
@@ -265,6 +265,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         psi1_bundle = derivative_bundle(psi1, 2)
     else:
         bundle = psi1 = psi1_bundle = None
+    needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
         t0 = time.perf_counter()
@@ -277,8 +278,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol)
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
-        if config.mode == "linear" and (meas & {"eigfun_rate", "z_rate"}):
-            w = pivot_problem(spec, eps, grid, u, lam_bar, op=op)
+        # one factorization of L_eps serves the pivot, z2 and z3 solves
+        lu = FactoredOperator(op.matrix) if needs_pivot or bundle is not None else None
+        if needs_pivot:
+            w = pivot_problem(spec, eps, grid, u, lam_bar, op=op, lu=lu)
             t_eps, z = align_eigenfunctions(w, pair)
             row["t_eps"] = t_eps
             diff = (1 + t_eps) * pair.phi.values - u.values
@@ -290,7 +293,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         if bundle is not None:
             w2 = second_corrector(correctors, bundle, eps)
             w3 = third_corrector(correctors, bundle, psi1_bundle, eps)
-            z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op)
+            z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op, lu=lu)
             exp = full_corrector(psi1, w2, z2, w3, z3, eps)
             row["v_norm"] = exp.sup_norm_v
             if "residual_slope" in meas:
@@ -300,7 +303,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 core = np.abs(res)[(x_int >= 0.1) & (x_int <= 0.9)]
                 row["residual"] = float(core.max())
         if config.mode == "bellman" and "residual_slope" in meas:
-            _, rep = nonlinear_expansion(spec, pair, eps, grid, tg, lam_bar)
+            _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, tg, lam_bar)
             row["residual"] = rep["expansion_residual_interior"]
             row["w2F_residual"] = rep["w2F_residual"]
         if config.timing:

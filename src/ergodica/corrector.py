@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .domain import (
@@ -20,18 +18,18 @@ from .domain import (
     assemble_effective,
     assemble_linear,
     assemble_oscillatory,
-    bellman_operators,
     dirichlet_solve,
 )
 from .effective import CorrectorSet, EffectiveLinear, linearize_effective
 from .eigen import EigenPair
-from .errors import InputError, SolverError
-from .stencils import TorusInterpolant, bounded_diff_matrix
+from .errors import InputError
+from .stencils import TorusInterpolant, bounded_diff_matrix, periodic_diff_matrix
 from .torus import (
+    FactoredOperator,
     GridFunction,
     PeriodicGrid,
     _diffusion_from_samples,
-    _policy_operator,
+    factor_cell,
     solve_nonlinear_cell,
 )
 
@@ -160,19 +158,25 @@ def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
 def boundary_correctors(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
                         w2_trace: GridFunction,
                         w3_trace: Optional[GridFunction] = None,
-                        op: Optional[DiscreteOperator] = None):
+                        op: Optional[DiscreteOperator] = None,
+                        lu: Optional[FactoredOperator] = None):
     """Solve L^eps z_k = 0 with boundary data -w_k(x, x/eps); returns (z2, z3).
 
     z3 is None when no third-order trace is supplied (the 2D pipeline).
+    `lu` is a factorization of op.matrix to reuse; without it one is made
+    here and shared by both solves.
     """
     if op is None:
         op = assemble_oscillatory(spec, eps, grid)
+    if lu is None:
+        lu = FactoredOperator(op.matrix)
     bidx = grid.boundary_index()
     zero = np.zeros(len(grid.interior_index()))
-    z2 = dirichlet_solve(op, zero, boundary_values=-w2_trace.flat[bidx])
+    z2 = dirichlet_solve(op, zero, boundary_values=-w2_trace.flat[bidx], lu=lu)
     z3 = None
     if w3_trace is not None:
-        z3 = dirichlet_solve(op, zero, boundary_values=-w3_trace.flat[bidx])
+        z3 = dirichlet_solve(op, zero, boundary_values=-w3_trace.flat[bidx],
+                             lu=lu)
     return z2, z3
 
 
@@ -207,13 +211,15 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction, z2: GridFunction,
 
 def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
                   u: GridFunction, lambda_bar: float,
-                  op: Optional[DiscreteOperator] = None) -> GridFunction:
+                  op: Optional[DiscreteOperator] = None,
+                  lu: Optional[FactoredOperator] = None) -> GridFunction:
     """Solve the auxiliary problem L^eps w^eps = -lambda_bar * u, w^eps = 0 on
-    the boundary; w^eps is the pivot between u^eps and u."""
+    the boundary; w^eps is the pivot between u^eps and u. `lu` is a
+    factorization of op.matrix to reuse."""
     if op is None:
         op = assemble_oscillatory(spec, eps, grid)
     rhs = -lambda_bar * grid.restrict(u.values)
-    return dirichlet_solve(op, rhs)
+    return dirichlet_solve(op, rhs, lu=lu)
 
 
 def align_eigenfunctions(w_eps: GridFunction, u_eps: EigenPair):
@@ -240,9 +246,15 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     """Second-order expansion of the convex Bellman eigenproblem (1D).
 
     Builds w_2(x, y) = w(y; u''(x)) via the nonlinear cell problem (one
-    solve per Hessian direction, scaled by positive 1-homogeneity), the
+    solve per Hessian sign, scaled by positive 1-homogeneity), the
     linearized coefficients, the slow corrector w_1 = psi, and returns
     (w^eps = u + eps w_1 + eps^2 w_2-trace, report).
+
+    Psi_1(x) is the ergodic constant of the frozen-policy cell problem with
+    data 2 a(y) d_x d_y w_2(x, y). An ergodic constant is the average of the
+    data against the invariant measure of the cell operator, so one
+    transposed solve per Hessian sign (the factored augmented cell matrix
+    against the last unit vector) replaces a cell solve per domain node.
     """
     if grid.dim != 1:
         raise InputError("the nonlinear expansion is implemented in 1D only")
@@ -253,57 +265,51 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
 
     sgn = np.where(M < 0, -1, 1)
     sgn[np.abs(M) < 1e-12] = -1  # degenerate Hessian: follow the interior sign
-    cell, policy, a_pol, gamma = {}, {}, {}, {}
-    pts = torus_grid.points()
-    avals_ctl = [ctl.field.sample(pts)[0] for ctl in spec.controls]
+    N = torus_grid.npoints
+    avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0]
+                          for ctl in spec.controls])
+    e_last = np.zeros(N + 1)
+    e_last[N] = 1.0
+    cell, weight = {}, {}
     for s in np.unique(sgn):
         sol, pol = solve_nonlinear_cell(spec, np.array([[float(s)]]), torus_grid,
                                         tol=tol)
         cell[s] = sol
-        policy[s] = pol
-        gamma[s] = sol.gamma
-        stacked = np.stack([av[:, 0, 0] for av in avals_ctl])
-        a_pol[s] = stacked[pol, np.arange(torus_grid.npoints)]
-
-    # w_2 rows by homogeneity: w(y; M) = |M| w(y; sign M)
-    W2 = np.abs(M)[:, None] * np.array([cell[s].chi.flat for s in sgn])
+        avals = avals_ctl[pol, np.arange(N)]
+        # g = -mu, the invariant measure of the frozen-policy cell operator:
+        # the cell problem with data f has ergodic constant -g . f
+        g = factor_cell(_diffusion_from_samples(avals, torus_grid)).solve(
+            e_last, trans="T")[:N]
+        weight[s] = 2.0 * avals[:, 0, 0] * g
 
     # consistency of the frozen cell problems with the effective eigenproblem
-    c_of_x = np.abs(M) * np.array([gamma[s] for s in sgn])
+    c_of_x = np.abs(M) * np.array([cell[s].gamma for s in sgn])
     interior = grid.interior_index()
     w2F_residual = float(np.max(np.abs(
         c_of_x[interior] + lambda_bar * u.flat[interior])))
 
+    # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
     y_diag = _fast_coordinates(grid, eps)[:, 0]
     traces = {s: TorusInterpolant(cell[s].chi.values)(y_diag) for s in cell}
     w2_trace = np.abs(M) * np.array(
         [traces[s][i] for i, s in enumerate(sgn)]
     )
 
-    # Psi_1(x): ergodic constant of a(x, y) v'' + 2 a(x, y) d_x d_y w_2 = Psi
-    m = grid.shape[0]
-    Dx = bounded_diff_matrix(m, grid.h[0], m=1)
-    Wx = Dx @ W2
-    from .stencils import periodic_diff_matrix
+    # Psi_1(x) = -g . (2 a_pol d_x d_y w_2(x, .)), g and a_pol of the sign
+    # of M(x); moving Dy onto the weight gives
+    # Psi_1 = -Dx(|M| (chi_sgn . Dy^T(2 a_pol g))). In 1D this is zero in
+    # exact arithmetic: A^T mu = 0 for A = diag(a) D^2 makes a_pol * g
+    # constant, and the circulant Dy has zero column sums.
+    Dx = bounded_diff_matrix(grid.shape[0], grid.h[0], m=1)
     Dy = periodic_diff_matrix(torus_grid.n, torus_grid.h, m=1)
-    Wxy = Wx @ Dy.T
     psi1_rhs = np.zeros(npts)
     for s in cell:
-        rows = np.flatnonzero(sgn == s)
-        if len(rows) == 0:
-            continue
-        avals = np.stack(avals_ctl)[policy[s], np.arange(torus_grid.npoints)]
-        A_pol = _diffusion_from_samples(avals, torus_grid)
-        N = torus_grid.npoints
-        aug = sparse.bmat(
-            [[A_pol, -np.ones((N, 1))], [np.full((1, N), 1.0 / N), None]],
-            format="csc",
-        )
-        lu = splu(aug)
-        rhs_block = 2.0 * a_pol[s][None, :] * Wxy[rows]
-        for r, rhs in zip(rows, rhs_block):
-            sol = lu.solve(np.concatenate([-rhs, [0.0]]))
-            psi1_rhs[r] = sol[-1]
+        h = Dy.T @ weight[s]
+        q = np.zeros(npts)
+        for t in cell:
+            q[sgn == t] = cell[t].chi.flat @ h
+        rows = sgn == s
+        psi1_rhs[rows] = -(Dx @ (np.abs(M) * q))[rows]
 
     # linearized effective diffusion, 0-homogeneous in the Hessian direction
     abar = {s: linearize_effective(spec, np.array([[float(s)]]), torus_grid)[0, 0]

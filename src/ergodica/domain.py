@@ -7,7 +7,6 @@ inhomogeneous Dirichlet data can be moved to the right-hand side.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -15,7 +14,7 @@ from scipy import sparse
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
 from .errors import AssemblyError, InputError
-from .torus import GridFunction
+from .torus import FactoredOperator, GridFunction
 
 _OFFDIAG_TOL = 1e-12
 
@@ -312,19 +311,18 @@ def properness_shift(op: DiscreteOperator) -> float:
     return max(0.0, op.c_max) + 1.0
 
 
-def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None) -> GridFunction:
+def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None,
+                    lu=None) -> GridFunction:
     """Solve  L_h u = rhs  at interior nodes with the given Dirichlet data.
 
     `rhs` is a flat interior vector or full-node array; boundary data (full
-    boundary-node vector) defaults to zero.
+    boundary-node vector) defaults to zero. Pass `lu=FactoredOperator(
+    op.matrix)` to reuse one factorization across solves.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == op.grid.shape:
         rhs = op.grid.restrict(rhs)
     if boundary_values is not None:
         rhs = rhs - op.boundary @ np.asarray(boundary_values, dtype=float)
-    sol = sparse.linalg.spsolve(op.matrix.tocsc(), rhs)
-    if not np.all(np.isfinite(sol)):
-        from .errors import SolverError
-        raise SolverError("Dirichlet solve produced nonfinite values")
+    sol = (lu or FactoredOperator(op.matrix)).solve(rhs)
     return GridFunction(op.grid, op.grid.embed(sol, boundary_values))

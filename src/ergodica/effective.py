@@ -18,9 +18,9 @@ from .torus import (
     ErgodicSolution,
     PeriodicGrid,
     assemble_torus_diffusion,
+    factor_cell,
     gradient_matrices,
     solve_cell,
-    solve_cell_with_rhs,
     solve_nonlinear_cell,
 )
 
@@ -71,8 +71,10 @@ class EffectiveLinear:
 def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> CorrectorSet:
     """Solve the full hierarchy of cell problems for a linear operator.
 
-    Order matters: the second-round right-hand sides consume gradients of
-    the first-round correctors (centered 4th-order differences).
+    One factorization of the augmented cell matrix serves two block solves,
+    one per round. Order matters: the second-round right-hand sides
+    consume gradients of the first-round correctors (centered 4th-order
+    differences).
     """
     d = spec.dim
     if grid.dim != d:
@@ -80,20 +82,26 @@ def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> Correct
     pts = grid.points()
     avals, bvals, cvals = spec.field.sample(pts)
     A = assemble_torus_diffusion(spec.field, grid)
+    lu = factor_cell(A)
     D = gradient_matrices(grid)
 
-    def solve(f, label):
+    def solve(rhs):
+        """One block solve for a round of cell problems."""
         try:
-            return solve_cell(A, f, normalization=ANCHOR, grid=grid)
+            sols = solve_cell(A, np.column_stack(list(rhs.values())),
+                              normalization=ANCHOR, grid=grid, lu=lu)
         except SolverError as exc:
-            raise SolverError(f"cell problem {label} failed: {exc}") from exc
+            raise SolverError(
+                f"cell problems {', '.join(rhs)} failed: {exc}") from exc
+        return dict(zip(rhs, sols))
 
-    chi = {
-        (k, l): solve(avals[:, k, l], f"chi[{k}{l}]")
-        for k in range(d) for l in range(d)
-    }
-    eta = [solve(bvals[:, k], f"eta[{k}]") for k in range(d)]
-    nu = solve(cvals, "nu")
+    pairs = [(k, l) for k in range(d) for l in range(d)]
+    first = solve({**{f"chi[{k}{l}]": avals[:, k, l] for k, l in pairs},
+                   **{f"eta[{k}]": bvals[:, k] for k in range(d)},
+                   "nu": cvals})
+    chi = {(k, l): first[f"chi[{k}{l}]"] for k, l in pairs}
+    eta = [first[f"eta[{k}]"] for k in range(d)]
+    nu = first["nu"]
 
     grad = lambda sol: [Dk @ sol.chi.flat for Dk in D]
     grad_chi = {kl: grad(sol) for kl, sol in chi.items()}
@@ -107,20 +115,19 @@ def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> Correct
     def b_dot(g):
         return sum(bvals[:, i] * g[i] for i in range(d))
 
-    chi3 = {
-        (k, l, m): solve(2.0 * col_dot(m, grad_chi[(k, l)]), f"chi[{k}{l}{m}]")
-        for k in range(d) for l in range(d) for m in range(d)
-    }
-    eta2 = {
-        (k, l): solve(2.0 * col_dot(k, grad_eta[l]) + b_dot(grad_chi[(k, l)]),
-                      f"eta[{k}{l}]")
-        for k in range(d) for l in range(d)
-    }
-    nu1 = [
-        solve(2.0 * col_dot(k, grad_nu) + b_dot(grad_eta[k]), f"nu[{k}]")
-        for k in range(d)
-    ]
-    xi = solve(b_dot(grad_nu), "xi")
+    second = solve({
+        **{f"chi[{k}{l}{m}]": 2.0 * col_dot(m, grad_chi[(k, l)])
+           for k, l in pairs for m in range(d)},
+        **{f"eta[{k}{l}]": 2.0 * col_dot(k, grad_eta[l]) + b_dot(grad_chi[(k, l)])
+           for k, l in pairs},
+        **{f"nu[{k}]": 2.0 * col_dot(k, grad_nu) + b_dot(grad_eta[k])
+           for k in range(d)},
+        "xi": b_dot(grad_nu),
+    })
+    chi3 = {(k, l, m): second[f"chi[{k}{l}{m}]"] for k, l in pairs for m in range(d)}
+    eta2 = {(k, l): second[f"eta[{k}{l}]"] for k, l in pairs}
+    nu1 = [second[f"nu[{k}]"] for k in range(d)]
+    xi = second["xi"]
     return CorrectorSet(grid, chi, eta, nu, chi3, eta2, nu1, xi)
 
 

@@ -8,11 +8,9 @@ problems wrap the linear solver in Howard policy iteration.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .coeff import BellmanSpec
 from .domain import (
@@ -23,7 +21,7 @@ from .domain import (
     properness_shift,
 )
 from .errors import InputError, IterationError, SolverError
-from .torus import GridFunction
+from .torus import FactoredOperator, GridFunction
 
 
 @dataclass
@@ -62,15 +60,16 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
     """Positive principal eigenpair of a monotone discrete operator.
 
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
-    `tol`; lambda is reported as the bracket midpoint.
+    `tol`; lambda is reported as the bracket midpoint. B = s*I - L_h is
+    factored once (FactoredOperator, minimum-degree ordering on B^T + B)
+    and every iteration is one pair of triangular solves against it.
     """
     s = properness_shift(op)
     ok, info = is_monotone(op, s)
     if not ok:
         raise SolverError(f"operator is not monotone under shift {s:g}: {info}")
     n = op.matrix.shape[0]
-    B = (sparse.identity(n) * s - op.matrix).tocsc()
-    lu = splu(B)
+    lu = FactoredOperator(sparse.identity(n) * s - op.matrix)
     v = np.ones(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if v.min() <= 0:
         raise InputError("starting vector must be positive")

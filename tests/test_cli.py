@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import ergodica as eg
 from ergodica.cli import CSV_COLUMNS, SweepReport, build_problem, main
@@ -127,6 +128,17 @@ class TestRunSweep:
         with pytest.raises(eg.ConfigError):
             eg.run_sweep(cfg)
 
+    def test_bellman_residual_decays_linearly(self):
+        # the expansion is built on the effective eigenpair, not the
+        # oscillatory one; with the latter the residual stalls near 10
+        cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
+                             eps_list=[1 / 8, 1 / 16, 1 / 32, 1 / 64], q=64,
+                             n_torus=256,
+                             measurements=("lambda_rate", "residual_slope"))
+        rep = eg.run_sweep(cfg)
+        assert rep.failures == []
+        assert rep.fits["residual"]["slope"] >= 0.9
+
     def test_thread_count_does_not_change_rows(self, monkeypatch):
         cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",),
@@ -240,6 +252,17 @@ class TestCli:
             "problem": "sin-a", "eps_list": [0.5], "q": 16, "n_torus": 16,
             "tol": 1e-18}))
         assert main(["eigen", "--config", str(cfg), "--eps", "0.5"]) == 3
+
+    def test_singular_factor_exit_3(self, cfg_path, capsys, monkeypatch):
+        # a zero cell operator makes the augmented matrix exactly singular
+        import ergodica.effective as eff_mod
+        monkeypatch.setattr(eff_mod, "assemble_torus_diffusion",
+                            lambda field, grid: sparse.csr_matrix(
+                                (grid.npoints, grid.npoints)))
+        assert main(["effective", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: sparse LU factorization failed")
+        assert "Traceback" not in err
 
     def test_sweep_records_per_eps_failures(self, monkeypatch):
         # a failure at one eps is recorded as a reasoned row; the rest survive

@@ -307,6 +307,30 @@ class TestNonlinearExpansion:
         assert np.max(np.abs(rep["psi1"].values)) < 1e-8
         assert np.max(np.abs(exp.values - pair.phi.values)) < 1e-8
 
+    def test_psi1_vanishes_to_round_off_in_1d(self):
+        # Psi_1 averages d_y of its data against the invariant measure mu:
+        # in 1D a_pol * mu is constant and the circulant D_y has zero column
+        # sums, so Psi_1 is zero up to round-off in the size of that data
+        from ergodica.stencils import bounded_diff_matrix, periodic_diff_matrix
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),
+            eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
+        ])
+        tg = eg.PeriodicGrid(1, 128)
+        grid = eg.DomainGrid.unit(1, 512)
+        pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
+        _, rep = eg.nonlinear_expansion(bs, pair, 1 / 8, grid, tg, pair.lam)
+        M = eg.derivative_bundle(pair.phi, 2).d2[(0, 0)].flat
+        chi = {s: eg.solve_nonlinear_cell(bs, np.array([[s]]), tg)[0].chi.flat
+               for s in (1.0, -1.0)}
+        w2 = np.abs(M)[:, None] * np.array([chi[-1.0 if m < 0 else 1.0]
+                                            for m in M])
+        Dx = bounded_diff_matrix(grid.shape[0], grid.h[0], m=1)
+        Dy = periodic_diff_matrix(tg.n, tg.h, m=1)
+        data = 2.0 * bs.Lambda_ell * np.abs(Dy @ (Dx @ w2).T).max()
+        assert data > 1.0
+        assert np.max(np.abs(rep["Psi1"])) <= 1e-12 * data
+
     def test_residual_decays_linearly(self):
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),

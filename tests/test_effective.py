@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import ergodica as eg
+from ergodica.torus import ANCHOR, assemble_torus_diffusion, gradient_matrices
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,59 @@ class TestDegenerate:
             assert np.max(np.abs(sol.chi.flat)) < 1e-12
         assert np.max(np.abs(eff.a_bar_klm)) < 1e-12
         assert np.max(np.abs(eff.b_bar_kl)) < 1e-12
+
+
+def per_column_corrector_set(spec, grid):
+    """Reference hierarchy: one solve_cell call per cell problem."""
+    d = spec.dim
+    avals, bvals, cvals = spec.field.sample(grid.points())
+    A = assemble_torus_diffusion(spec.field, grid)
+    D = gradient_matrices(grid)
+    solve = lambda f: eg.solve_cell(A, f, normalization=ANCHOR, grid=grid)
+    grad = lambda sol: [Dk @ sol.chi.flat for Dk in D]
+    col_dot = lambda m, g: sum(avals[:, i, m] * g[i] for i in range(d))
+    b_dot = lambda g: sum(bvals[:, i] * g[i] for i in range(d))
+    pairs = [(k, l) for k in range(d) for l in range(d)]
+    chi = {kl: solve(avals[:, kl[0], kl[1]]) for kl in pairs}
+    eta = [solve(bvals[:, k]) for k in range(d)]
+    nu = solve(cvals)
+    g_chi = {kl: grad(sol) for kl, sol in chi.items()}
+    g_eta = [grad(sol) for sol in eta]
+    g_nu = grad(nu)
+    return eg.CorrectorSet(
+        grid, chi, eta, nu,
+        {(k, l, m): solve(2.0 * col_dot(m, g_chi[(k, l)]))
+         for k, l in pairs for m in range(d)},
+        {(k, l): solve(2.0 * col_dot(k, g_eta[l]) + b_dot(g_chi[(k, l)]))
+         for k, l in pairs},
+        [solve(2.0 * col_dot(k, g_nu) + b_dot(g_eta[k])) for k in range(d)],
+        solve(b_dot(g_nu)),
+    )
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+def test_block_solves_match_per_column_solves(dim, n):
+    field = eg.sin_field_1d(delta=0.5, b_amp=0.3, c0=0.2, c_amp=0.4) \
+        if dim == 1 else eg.separable_sin_field_2d(delta=0.5)
+    spec = eg.LinearOperatorSpec(field, 0.5, 1.5, c1=0.6)
+    grid = eg.PeriodicGrid(dim, n)
+    got = solutions(eg.build_corrector_set(spec, grid))
+    ref = solutions(per_column_corrector_set(spec, grid))
+    assert got.keys() == ref.keys() and len(got) == {1: 7, 2: 22}[dim]
+    for key, sol in got.items():
+        assert sol.gamma == pytest.approx(ref[key].gamma, abs=1e-10), key
+        assert np.max(np.abs(sol.chi.flat - ref[key].chi.flat)) < 1e-10, key
+
+
+def solutions(cs):
+    """Every ErgodicSolution of a CorrectorSet, keyed by (family, index)."""
+    out = {}
+    for name in ("chi", "eta", "nu", "chi3", "eta2", "nu1", "xi"):
+        family = getattr(cs, name)
+        items = family.items() if isinstance(family, dict) else \
+            enumerate(family) if isinstance(family, list) else [(None, family)]
+        out.update({(name, key): sol for key, sol in items})
+    return out
 
 
 class TestEffective2D:

@@ -5,7 +5,13 @@ from scipy.integrate import quad
 from scipy.linalg import null_space
 
 import ergodica as eg
-from ergodica.torus import ANCHOR, MEAN_ZERO, assemble_torus_diffusion
+from ergodica.torus import (
+    ANCHOR,
+    MEAN_ZERO,
+    FactoredOperator,
+    assemble_torus_diffusion,
+    factor_cell,
+)
 
 
 def harmonic_mean(a, lo=0.0, hi=1.0):
@@ -121,6 +127,58 @@ class TestCellSolve2D:
         sol = eg.solve_cell(A, np.full(32 * 32, 0.5), grid=grid)
         assert sol.gamma == pytest.approx(0.5, abs=1e-11)
         assert np.max(np.abs(sol.chi.flat)) < 1e-10
+
+
+class TestFactoredOperator:
+    @pytest.fixture()
+    def system(self):
+        rng = np.random.default_rng(3)
+        field = eg.separable_sin_field_2d(delta=0.5)
+        grid = eg.PeriodicGrid(2, 16)
+        A = assemble_torus_diffusion(field, grid)
+        # nonsymmetric and nonsingular: shift the torus operator, add drift
+        M = sparse.identity(grid.npoints) - A + sparse.random(
+            grid.npoints, grid.npoints, density=0.01, random_state=rng)
+        return M.tocsc(), rng.standard_normal((grid.npoints, 5))
+
+    def test_batched_solve_equals_column_solves(self, system):
+        M, B = system
+        lu = FactoredOperator(M)
+        X = lu.solve(B)
+        for j in range(B.shape[1]):
+            assert np.max(np.abs(X[:, j] - lu.solve(B[:, j]))) < 1e-13
+        assert np.max(np.abs(M @ X - B)) < 1e-10
+
+    def test_transposed_solve(self, system):
+        M, B = system
+        X = FactoredOperator(M).solve(B, trans="T")
+        ref = FactoredOperator(M.T).solve(B)
+        assert np.max(np.abs(X - ref)) < 1e-10
+        assert np.max(np.abs(M.T @ X - B)) < 1e-10
+
+    def test_singular_matrix_raises_solver_error(self):
+        singular = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(eg.SolverError):
+            FactoredOperator(singular)
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+    def test_gamma_is_invariant_measure_average(self, dim, n):
+        # aug^T g = e_N gives g = -mu, so the ergodic constant is -g . f
+        field = eg.sin_field_1d(delta=0.5) if dim == 1 else \
+            eg.separable_sin_field_2d(delta=0.5)
+        grid = eg.PeriodicGrid(dim, n)
+        A = assemble_torus_diffusion(field, grid)
+        N = grid.npoints
+        e_last = np.zeros(N + 1)
+        e_last[N] = 1.0
+        g = factor_cell(A).solve(e_last, trans="T")[:N]
+        F = np.random.default_rng(7).standard_normal((N, 4))
+        sols = eg.solve_cell(A, F, grid=grid)
+        for j, sol in enumerate(sols):
+            assert sol.gamma == pytest.approx(-g @ F[:, j], abs=1e-12)
+            single = eg.solve_cell(A, F[:, j], grid=grid)
+            assert sol.gamma == pytest.approx(single.gamma, abs=1e-13)
+            assert np.max(np.abs(sol.chi.flat - single.chi.flat)) < 1e-12
 
 
 class TestNonlinearCell:
