@@ -8,6 +8,7 @@ effective eigenvalues are compared on the same mesh.
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -45,22 +46,15 @@ CSV_COLUMNS = ("eps", "lambda_eps", "lambda_bar", "abs_err_lambda",
 # ---------------------------------------------------------------------------
 # problem catalog
 
-def _linear(spec):
-    return {"mode": "linear", "spec": spec, "dim": spec.dim}
-
-
-def _bellman(bspec):
-    return {"mode": "bellman", "spec": bspec, "dim": bspec.dim}
-
-
 def build_problem(name, params=None):
-    """Instantiate a catalog problem by name."""
+    """Instantiate a catalog problem by name; unknown `params` are an error."""
     params = dict(params or {})
-    delta = params.pop("delta", 0.5)
+    if name in ("sin-a", "sin-abc", "sep-2d", "bellman-2ctl-1d"):
+        delta = params.pop("delta", 0.5)
+        lam, Lam = 1 - abs(delta), 1 + abs(delta)
     if name == "sin-a":
-        field = cf.sin_field_1d(delta=delta)
-        return _linear(cf.LinearOperatorSpec(field, 1 - abs(delta), 1 + abs(delta)))
-    if name == "sin-abc":
+        spec = cf.LinearOperatorSpec(cf.sin_field_1d(delta=delta), lam, Lam)
+    elif name == "sin-abc":
         # default drift amplitude is large enough that the first-order term
         # of lambda_eps - lambda_bar dominates the sweep window (it vanishes
         # identically when b = 0)
@@ -69,37 +63,43 @@ def build_problem(name, params=None):
         c_amp = params.pop("c_amp", 0.4)
         field = cf.sin_field_1d(delta=delta, b_amp=b_amp, c0=c0, c_amp=c_amp)
         c1 = max(abs(b_amp), abs(c0) + abs(c_amp))
-        return _linear(cf.LinearOperatorSpec(field, 1 - abs(delta), 1 + abs(delta),
-                                             c1=c1))
-    if name == "sep-2d":
-        field = cf.separable_sin_field_2d(delta=delta)
-        return _linear(cf.LinearOperatorSpec(field, 1 - abs(delta), 1 + abs(delta)))
-    if name == "pucci-1d":
+        spec = cf.LinearOperatorSpec(field, lam, Lam, c1=c1)
+    elif name == "sep-2d":
+        spec = cf.LinearOperatorSpec(cf.separable_sin_field_2d(delta=delta), lam, Lam)
+    elif name == "pucci-1d":
         lam = params.pop("lambda_ell", 1.0)
         Lam = params.pop("Lambda_ell", 2.0)
-        return _bellman(cf.pucci_controls_1d(cf.PucciSpec(lam, Lam, "plus")))
-    if name == "bellman-2ctl-1d":
+        spec = cf.pucci_controls_1d(cf.PucciSpec(lam, Lam, "plus"))
+    elif name == "bellman-2ctl-1d":
         a2 = params.pop("a2", 1.2)
         f1 = cf.sin_field_1d(delta=delta)
         f2 = cf.constant_field(1, a2, name="const")
-        lam = min(1 - abs(delta), a2)
-        Lam = max(1 + abs(delta), a2)
-        return _bellman(cf.BellmanSpec([
+        lam, Lam = min(lam, a2), max(Lam, a2)
+        spec = cf.BellmanSpec([
             cf.LinearOperatorSpec(f1, lam, Lam),
             cf.LinearOperatorSpec(f2, lam, Lam),
-        ]))
-    if name == "constant":
+        ])
+    elif name == "constant":
         dim = int(params.pop("dim", 1))
         field = cf.constant_field(dim, params.pop("a0", 1.0),
                                   params.pop("b0", None), params.pop("c0", 0.0))
         a0 = field.a(np.zeros((1, dim)))[0]
         eigs = np.linalg.eigvalsh(a0)
-        return _linear(cf.LinearOperatorSpec(field, eigs.min(), eigs.max()))
-    raise ConfigError(f"unknown catalog problem {name!r}")
+        spec = cf.LinearOperatorSpec(field, eigs.min(), eigs.max())
+    else:
+        raise ConfigError(f"unknown catalog problem {name!r}")
+    if params:
+        raise ConfigError(f"unknown params for {name!r}: {sorted(params)}")
+    mode = "bellman" if isinstance(spec, cf.BellmanSpec) else "linear"
+    return {"mode": mode, "spec": spec, "dim": spec.dim}
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+def _is_number(x, kind=numbers.Real):
+    return isinstance(x, kind) and not isinstance(x, bool)
+
 
 @dataclass
 class SweepConfig:
@@ -115,20 +115,24 @@ class SweepConfig:
     format: str = "csv"
     # wall-clock timing breaks byte-identical reruns; disable to compare runs
     timing: bool = True
-    seed: int = 0  # reserved; the pipeline itself is deterministic
 
     def __post_init__(self):
-        eps = list(self.eps_list)
-        if not eps or any(not (0 < e < 1) for e in eps):
-            raise ConfigError("eps_list must be nonempty with entries in (0, 1)")
+        eps = self.eps_list
+        if not isinstance(eps, (list, tuple)) or not eps or \
+                not all(_is_number(e) and 0 < e < 1 for e in eps):
+            raise ConfigError("eps_list must be a nonempty list of numbers in (0, 1)")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
         for e in eps:
             frac = Fraction(e).limit_denominator(10 ** 6)
             if frac.numerator != 1 or abs(float(frac) - e) > 1e-12:
                 raise ConfigError(f"eps={e} is not the reciprocal of an integer")
-        if self.q < 16:
-            raise ConfigError("oversampling q must be >= 16")
+        if not _is_number(self.q, numbers.Integral) or self.q < 16:
+            raise ConfigError("oversampling q must be an integer >= 16")
+        if not _is_number(self.n_torus, numbers.Integral) or self.n_torus < 4:
+            raise ConfigError("n_torus must be an integer >= 4")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be a JSON object")
         if self.mode not in ("linear", "bellman"):
             raise ConfigError("mode must be 'linear' or 'bellman'")
         bad = set(self.measurements) - set(ALL_MEASUREMENTS)
@@ -224,6 +228,9 @@ def _fit_column(report, name, eps, values):
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full per-epsilon study described by the configuration."""
+    threads = os.environ.get("ERGODICA_THREADS", "1")
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ConfigError(f"ERGODICA_THREADS must be an integer >= 1, got {threads!r}")
     problem = build_problem(config.problem, config.params)
     if problem["mode"] != config.mode:
         raise ConfigError(
@@ -310,24 +317,20 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["seconds"] = time.perf_counter() - t0
         return row
 
-    rows, failures = [], []
-    workers = int(os.environ.get("ERGODICA_THREADS", "1"))
-    results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(one_row, e) for e in config.eps_list]
-            for e, f in zip(config.eps_list, futs):
-                try:
-                    results.append(f.result())
-                except ErgodicaError as exc:
-                    failures.append({"eps": e, "reason": str(exc)})
-    else:
-        for e in config.eps_list:
-            try:
-                results.append(one_row(e))
-            except ErgodicaError as exc:
-                failures.append({"eps": e, "reason": str(exc)})
-    rows = results
+    def attempt(eps):
+        try:
+            return one_row(eps), None
+        except ErgodicaError as exc:
+            return None, {"eps": eps, "reason": str(exc)}
+
+    workers = int(threads)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # one worker runs the rows in this thread: a pool thread gets its own
+        # malloc arena, which raised peak RSS by 15% on a 1D sweep
+        mapper = pool.map if workers > 1 else map
+        outcomes = list(mapper(attempt, config.eps_list))
+    rows = [row for row, _ in outcomes if row is not None]
+    failures = [fail for _, fail in outcomes if fail is not None]
 
     report = SweepReport(
         problem=config.problem, mode=config.mode, lambda_bar=lam_bar,

@@ -78,13 +78,12 @@ class LinearOperatorSpec:
     lambda_ell: float
     Lambda_ell: float
     c1: float = 0.0
-    c2: float = 0.0  # slow-variable Lipschitz constant; retained but unused
 
     def __post_init__(self):
         if not (0 < self.lambda_ell <= self.Lambda_ell):
             raise ConfigError("need 0 < lambda_ell <= Lambda_ell")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ConfigError("c1, c2 must be nonnegative")
+        if self.c1 < 0:
+            raise ConfigError("c1 must be nonnegative")
 
     @property
     def dim(self):
@@ -373,7 +372,6 @@ def tabulated_field(path, dim=None, name="tabulated"):
 _CATALOG = {
     "constant": constant_field,
     "one_plus_delta_sin": sin_field_1d,
-    "sin_1d": sin_field_1d,
     "sep_sin_2d": separable_sin_field_2d,
     "tabulated": tabulated_field,
 }

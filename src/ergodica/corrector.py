@@ -28,8 +28,9 @@ from .torus import (
     FactoredOperator,
     GridFunction,
     PeriodicGrid,
-    _diffusion_from_samples,
+    assemble_torus_diffusion,
     factor_cell,
+    select_rows,
     solve_nonlinear_cell,
 )
 
@@ -268,6 +269,8 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     N = torus_grid.npoints
     avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0]
                           for ctl in spec.controls])
+    ops_ctl = [assemble_torus_diffusion(ctl.field, torus_grid)
+               for ctl in spec.controls]
     e_last = np.zeros(N + 1)
     e_last[N] = 1.0
     cell, weight = {}, {}
@@ -275,12 +278,10 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
         sol, pol = solve_nonlinear_cell(spec, np.array([[float(s)]]), torus_grid,
                                         tol=tol)
         cell[s] = sol
-        avals = avals_ctl[pol, np.arange(N)]
         # g = -mu, the invariant measure of the frozen-policy cell operator:
         # the cell problem with data f has ergodic constant -g . f
-        g = factor_cell(_diffusion_from_samples(avals, torus_grid)).solve(
-            e_last, trans="T")[:N]
-        weight[s] = 2.0 * avals[:, 0, 0] * g
+        g = factor_cell(select_rows(ops_ctl, pol)).solve(e_last, trans="T")[:N]
+        weight[s] = 2.0 * avals_ctl[pol, np.arange(N), 0, 0] * g
 
     # consistency of the frozen cell problems with the effective eigenproblem
     c_of_x = np.abs(M) * np.array([cell[s].gamma for s in sgn])

@@ -21,7 +21,7 @@ from .domain import (
     properness_shift,
 )
 from .errors import InputError, IterationError, SolverError
-from .torus import FactoredOperator, GridFunction
+from .torus import FactoredOperator, GridFunction, policy_iteration, select_rows
 
 
 @dataclass
@@ -117,56 +117,31 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     """
     if ops is None:
         ops = bellman_operators(spec, eps, grid)
-    nb = len(ops)
-    ni = ops[0].matrix.shape[0]
-    policy = np.zeros(ni, dtype=int)
-    lam_prev = None
-    pair = None
-    seen = {}
-    for outer in range(max_outer):
-        frozen = _freeze_policy(ops, policy, grid, eps)
-        pair = principal_eigenpair(frozen, tol=tol,
-                                   x0=None if pair is None
-                                   else pair.phi.flat[grid.interior_index()])
-        if lam_prev is not None and pair.lam > lam_prev + 10 * tol:
+    interior = grid.interior_index()
+    prev = None
+
+    def evaluate(policy):
+        nonlocal prev
+        pair = principal_eigenpair(
+            _freeze_policy(ops, policy, grid, eps), tol=tol,
+            x0=None if prev is None else prev.phi.flat[interior])
+        if prev is not None and pair.lam > prev.lam + 10 * tol:
             raise IterationError(
-                f"policy oscillation: eigenvalue rose from {lam_prev:.12g} to "
-                f"{pair.lam:.12g} at outer sweep {outer}"
+                f"policy oscillation: eigenvalue rose from {prev.lam:.12g} to "
+                f"{pair.lam:.12g} at eps={eps:g}"
             )
-        lam_prev = pair.lam
-        vec = pair.phi.flat[grid.interior_index()]
-        values = np.array([op.matrix @ vec for op in ops])
-        best = values.max(axis=0)
-        current = values[policy, np.arange(ni)]
-        scale = 1.0 + np.max(np.abs(best))
-        improved = best - current > 1e-11 * scale
-        if not improved.any():
-            return pair, policy
-        new_policy = np.where(improved, np.argmax(values, axis=0), policy)
-        key = new_policy.tobytes()
-        if key in seen:
-            raise IterationError(
-                f"policy cycle between sweeps {seen[key]} and {outer}"
-            )
-        seen[key] = outer
-        policy = new_policy
-    raise IterationError(f"Howard eigen iteration did not settle in {max_outer} sweeps")
+        prev = pair
+        vec = pair.phi.flat[interior]
+        return pair, np.array([op.matrix @ vec for op in ops])
+
+    policy = np.zeros(ops[0].matrix.shape[0], dtype=int)
+    return policy_iteration(evaluate, policy, max_outer)
 
 
 def _freeze_policy(ops, policy, grid, eps):
-    ni = ops[0].matrix.shape[0]
-    matrix = None
-    bmat = None
-    c_max = -np.inf
-    for beta, op in enumerate(ops):
-        mask = (policy == beta).astype(float)
-        if not mask.any():
-            continue
-        D = sparse.diags(mask)
-        matrix = D @ op.matrix if matrix is None else matrix + D @ op.matrix
-        bmat = D @ op.boundary if bmat is None else bmat + D @ op.boundary
-        c_max = max(c_max, op.c_max)
     return DiscreteOperator(
-        matrix=matrix.tocsr(), boundary=bmat.tocsr(), grid=grid, eps=eps,
-        c_max=c_max, scheme={"policy": "frozen"},
+        matrix=select_rows([op.matrix for op in ops], policy),
+        boundary=select_rows([op.boundary for op in ops], policy),
+        grid=grid, eps=eps, scheme={"policy": "frozen"},
+        c_max=max(ops[beta].c_max for beta in np.unique(policy)),
     )

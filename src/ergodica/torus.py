@@ -19,6 +19,12 @@ so gamma = mu . f is a linear functional of the data.
 ordering on A^T + A, which on the 2D grids here roughly halves the fill of
 the default COLAMD ordering. A factor lives only as long as the function
 that solves with it.
+
+`policy_iteration` is the package's one Howard loop, for the Bellman cell
+problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`);
+`select_rows` builds their frozen-policy operators. Each caller keeps its
+own check: a Bellman residual below tolerance once the policy settles
+(cell), an eigenvalue that does not rise between sweeps (eigen).
 """
 
 from dataclasses import dataclass
@@ -33,6 +39,8 @@ from .stencils import periodic_diff_matrix
 
 MEAN_ZERO = "mean_zero"
 ANCHOR = "anchor_at_y0"
+# a control switch must gain more than this, relative to the largest value
+HOWARD_RTOL = 1e-11
 
 
 class FactoredOperator:
@@ -268,16 +276,42 @@ def gradient_matrices(grid: PeriodicGrid):
     return [sparse.kron(D, eye, format="csr"), sparse.kron(eye, D, format="csr")]
 
 
-def _policy_operator(ops, policy):
-    """Row-select frozen-policy operator from per-control operators."""
-    N = ops[0].shape[0]
+def select_rows(mats, policy):
+    """Frozen-policy matrix whose row i is row i of mats[policy[i]]."""
     out = None
-    for beta, op in enumerate(ops):
+    for beta, op in enumerate(mats):
         mask = (policy == beta).astype(float)
         if mask.any():
             piece = sparse.diags(mask) @ op
             out = piece if out is None else out + piece
     return out.tocsr()
+
+
+def policy_iteration(evaluate, policy, max_iter):
+    """Howard policy iteration on a nodewise control field.
+
+    `evaluate(policy)` solves the problem frozen at `policy` and returns
+    (result, values), values[beta, i] being control beta's value at node i
+    at that solution. A node switches to its best control only when it
+    beats the incumbent by more than HOWARD_RTOL * (1 + max|best|). Returns
+    (result, policy) once no node switches; raises IterationError when a
+    policy repeats (a cycle) or `max_iter` evaluations do not settle.
+    """
+    nodes = np.arange(len(policy))
+    seen = set()
+    for sweep in range(max_iter):
+        result, values = evaluate(policy)
+        best = values.max(axis=0)
+        improved = best - values[policy, nodes] > \
+            HOWARD_RTOL * (1.0 + np.max(np.abs(best)))
+        if not improved.any():
+            return result, policy
+        seen.add(policy.tobytes())
+        policy = np.where(improved, np.argmax(values, axis=0), policy)
+        if policy.tobytes() in seen:
+            raise IterationError(f"policy cycle at sweep {sweep}: "
+                                 f"{int(improved.sum())} switches repeat a policy")
+    raise IterationError(f"policy iteration did not settle in {max_iter} sweeps")
 
 
 def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10,
@@ -298,33 +332,20 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10,
         ops.append(_diffusion_from_samples(avals, grid))
         fs.append(np.einsum("nij,ji->n", avals, M))
     fs = np.array(fs)  # (n_controls, N)
+    nodes = np.arange(grid.npoints)
 
-    policy = np.argmax(fs, axis=0)
-    scale = 1.0 + np.max(np.abs(fs))
-    seen = {}
-    last = None
-    for it in range(max_iter):
-        a_pol = _policy_operator(ops, policy)
-        f_pol = fs[policy, np.arange(grid.npoints)]
-        sol = solve_cell(a_pol, f_pol, normalization=normalization, grid=grid)
-        w = sol.chi.flat
-        values = np.array([op @ w for op in ops]) + fs
-        bellman = values.max(axis=0)
-        residual = float(np.max(np.abs(bellman - sol.gamma)))
-        current = values[policy, np.arange(grid.npoints)]
-        # keep the incumbent control unless the improvement is meaningful
-        improve = bellman - current
-        new_policy = np.where(improve > 1e-12 * scale, np.argmax(values, axis=0), policy)
-        if np.array_equal(new_policy, policy) and residual <= max(tol * scale, tol):
-            sol.residual = residual
-            return sol, policy
-        key = new_policy.tobytes()
-        if key in seen and last is not None and sol.gamma <= last + 1e-14 * scale:
-            raise IterationError(
-                f"policy cycle without progress at iteration {it}; "
-                f"gamma={sol.gamma:.12g}, residual={residual:.3e}"
-            )
-        seen[key] = it
-        last = sol.gamma
-        policy = new_policy
-    raise IterationError(f"Howard iteration did not converge in {max_iter} sweeps")
+    def evaluate(policy):
+        sol = solve_cell(select_rows(ops, policy), fs[policy, nodes],
+                         normalization=normalization, grid=grid)
+        values = np.array([op @ sol.chi.flat for op in ops]) + fs
+        sol.residual = float(np.max(np.abs(values.max(axis=0) - sol.gamma)))
+        return sol, values
+
+    sol, policy = policy_iteration(evaluate, np.argmax(fs, axis=0), max_iter)
+    bound = tol * (1.0 + np.max(np.abs(fs)))
+    if sol.residual > bound:
+        raise IterationError(
+            f"Howard iteration settled with Bellman residual {sol.residual:.3e} "
+            f"above {bound:.3e}; gamma={sol.gamma:.12g}"
+        )
+    return sol, policy

@@ -245,6 +245,28 @@ class TestCli:
         bad.write_text(json.dumps({"problem": "sin-a", "eps_list": [0.3]}))
         assert main(["sweep", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("overrides, threads", [
+        ({"eps_list": 0.5}, None),
+        ({"q": "64"}, None),
+        ({"n_torus": 2}, None),
+        ({"params": {"deltaa": 0.9}}, None),
+        ({"seed": 0}, None),
+        ({}, "two"),
+        ({}, "0"),
+    ], ids=["eps_list-scalar", "q-string", "n_torus-2", "params-typo",
+            "seed-removed", "threads-word", "threads-zero"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     overrides, threads):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "sin-a", "eps_list": [0.125], "q": 16, "n_torus": 64,
+            "measurements": ["lambda_rate"], "timing": False, **overrides}))
+        if threads is not None:
+            monkeypatch.setenv("ERGODICA_THREADS", threads)
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_solver_error_exit_3(self, tmp_path, capsys):
         # an impossible bracket tolerance makes the power iteration give up
         cfg = tmp_path / "cfg.json"

@@ -137,3 +137,28 @@ class TestBellmanEigen:
         g = eg.DomainGrid.unit(1, 512)
         pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, g, tol=1e-10)
         assert pair.lam == pytest.approx(np.pi ** 2, abs=1e-3)
+
+    def test_eigenvalue_rise_raises(self, monkeypatch):
+        # Howard's frozen-policy eigenvalues never rise; a rise beyond
+        # 10 * tol means the policy oscillates. The controls are ordered so
+        # that the first sweep (control 0, a = 2) must switch to a = 1.
+        import ergodica.eigen as eigen_mod
+        real = eigen_mod.principal_eigenpair
+        calls = []
+
+        def rising(op, **kwargs):
+            pair = real(op, **kwargs)
+            calls.append(pair.lam)
+            # the true drop from a = 2 to a = 1 is about pi^2 ~ 10
+            pair.lam += 100.0 * len(calls)
+            return pair
+
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair", rising)
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.constant_field(1, 2.0), 1, 2),
+            eg.LinearOperatorSpec(eg.constant_field(1, 1.0), 1, 2),
+        ])
+        g = eg.DomainGrid.unit(1, 64)
+        with pytest.raises(eg.IterationError, match="eigenvalue rose"):
+            eg.principal_eigenpair_bellman(bs, 1.0, g, tol=1e-10)
+        assert len(calls) == 2

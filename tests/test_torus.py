@@ -7,10 +7,13 @@ from scipy.linalg import null_space
 import ergodica as eg
 from ergodica.torus import (
     ANCHOR,
+    HOWARD_RTOL,
     MEAN_ZERO,
     FactoredOperator,
     assemble_torus_diffusion,
     factor_cell,
+    policy_iteration,
+    select_rows,
 )
 
 
@@ -229,6 +232,71 @@ class TestNonlinearCell:
         grid = eg.PeriodicGrid(1, 256)
         sol, _ = eg.solve_nonlinear_cell(bs, np.array([[1.0]]), grid, tol=1e-10)
         assert sol.residual <= 1e-10
+
+    def test_residual_above_tolerance_raises(self):
+        # the policy settles, but no discrete solve reaches a 1e-20 residual
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),
+            eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
+        ])
+        grid = eg.PeriodicGrid(1, 64)
+        with pytest.raises(eg.IterationError, match="Bellman residual"):
+            eg.solve_nonlinear_cell(bs, np.array([[1.0]]), grid, tol=1e-20)
+
+
+class TestPolicyIteration:
+    # synthetic problems on 3 nodes x 2 controls: evaluate returns fixed
+    # control values, so only the driver's policy logic is exercised
+
+    def test_ties_keep_incumbent(self):
+        # the switch threshold is HOWARD_RTOL * (1 + max|best|) ~ 2 HOWARD_RTOL;
+        # control 1 ties at node 0, is ahead by less than the threshold at
+        # node 1, and clearly ahead at node 2
+        values = np.array([[1.0, 1.0, 0.0],
+                           [1.0, 1.0 + HOWARD_RTOL, 1.0]])
+        seen = []
+
+        def evaluate(policy):
+            seen.append(policy.tolist())
+            return "solution", values
+
+        result, policy = policy_iteration(evaluate, np.zeros(3, dtype=int), 5)
+        assert result == "solution"
+        assert policy.tolist() == [0, 0, 1]
+        assert seen == [[0, 0, 0], [0, 0, 1]]
+
+    def test_two_cycle_raises(self):
+        def evaluate(policy):
+            # the control not in use always looks better
+            values = np.zeros((2, 3))
+            values[1 - policy, np.arange(3)] = 1.0
+            return None, values
+
+        with pytest.raises(eg.IterationError, match="cycle"):
+            policy_iteration(evaluate, np.zeros(3, dtype=int), 10)
+
+    def test_max_iter_exhausted_raises(self):
+        def evaluate(policy):
+            # only the first node still on control 0 gains by switching, so
+            # the policy walks 000 -> 100 -> 110 -> 111 and settles there
+            values = np.zeros((2, 3))
+            if (policy == 0).any():
+                values[1, np.argmin(policy)] = 1.0
+            return None, values
+
+        with pytest.raises(eg.IterationError, match="did not settle in 3"):
+            policy_iteration(evaluate, np.zeros(3, dtype=int), 3)
+        _, policy = policy_iteration(evaluate, np.zeros(3, dtype=int), 4)
+        assert policy.tolist() == [1, 1, 1]
+
+    def test_select_rows(self):
+        rng = np.random.default_rng(3)
+        mats = [sparse.random(3, 3, density=1.0, random_state=rng, format="csr")
+                for _ in range(2)]
+        policy = np.array([1, 0, 1])
+        frozen = select_rows(mats, policy).toarray()
+        for i, beta in enumerate(policy):
+            assert np.array_equal(frozen[i], mats[beta].toarray()[i])
 
 
 class TestGrids:
