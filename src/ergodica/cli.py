@@ -133,6 +133,11 @@ class SweepConfig:
             raise ConfigError("n_torus must be an integer >= 4")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a JSON object")
+        bad = sorted(k for k, v in self.params.items() if not _is_number(v))
+        if bad:
+            raise ConfigError(f"params {bad} must be real numbers")
+        if not (_is_number(self.tol) and 0 < self.tol < np.inf):
+            raise ConfigError("tol must be a positive real number")
         if self.mode not in ("linear", "bellman"):
             raise ConfigError("mode must be 'linear' or 'bellman'")
         bad = set(self.measurements) - set(ALL_MEASUREMENTS)
@@ -146,6 +151,8 @@ class SweepConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(raw) - known
         if extra:

@@ -61,8 +61,9 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
 
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
     `tol`; lambda is reported as the bracket midpoint. B = s*I - L_h is
-    factored once (FactoredOperator, minimum-degree ordering on B^T + B)
-    and every iteration is one pair of triangular solves against it.
+    factored once by FactoredOperator (LAPACK's tridiagonal LU in 1D,
+    SuperLU with the minimum-degree ordering on B^T + B in 2D) and every
+    iteration is one pair of triangular solves against it.
     """
     s = properness_shift(op)
     ok, info = is_monotone(op, s)

@@ -15,10 +15,13 @@ block of right-hand sides. Its transposed solve against the last unit
 vector gives -mu, where mu is the invariant measure (A^T mu = 0, sum 1),
 so gamma = mu . f is a linear functional of the data.
 
-`FactoredOperator` is that factorization: SuperLU with the minimum-degree
-ordering on A^T + A, which on the 2D grids here roughly halves the fill of
-the default COLAMD ordering. A factor lives only as long as the function
-that solves with it.
+`FactoredOperator` is that factorization, for these matrices and every
+other one in the package. A tridiagonal matrix (every 1D Dirichlet,
+frozen-policy and shifted eigen matrix) is factored by LAPACK's gttrf in
+O(n). Any other matrix (2D operators, periodic and augmented torus
+matrices) goes to SuperLU with the minimum-degree ordering on A^T + A,
+which on the 2D grids here roughly halves the fill of the default COLAMD
+ordering. A factor lives only as long as the function that solves with it.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
 problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`);
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .coeff import BellmanSpec, CoefficientField
@@ -44,13 +48,28 @@ HOWARD_RTOL = 1e-11
 
 
 class FactoredOperator:
-    """Sparse LU factorization of a square matrix, reused for every solve.
+    """LU factorization of a square sparse matrix, reused for every solve.
 
-    Raises SolverError when SuperLU cannot factor the matrix (it is exactly
-    singular) or a solve produces nonfinite values.
+    A tridiagonal matrix of order n >= 3 is factored by LAPACK's dgttrf
+    (partial pivoting) and solved by dgttrs; any other by SuperLU with the
+    MMD_AT_PLUS_A ordering. The choice reads only the sparsity pattern.
+    Raises SolverError when the matrix is exactly singular or a solve
+    produces nonfinite values.
     """
 
     def __init__(self, matrix):
+        if getattr(matrix, "format", None) not in ("csr", "csc"):
+            matrix = sparse.csc_matrix(matrix)
+        self._tri = None
+        if _is_tridiagonal(matrix):
+            *self._tri, info = dgttrf(matrix.diagonal(-1), matrix.diagonal(),
+                                      matrix.diagonal(1), overwrite_dl=1,
+                                      overwrite_d=1, overwrite_du=1)
+            if info > 0:
+                raise SolverError(
+                    f"sparse LU factorization failed: tridiagonal factor is "
+                    f"exactly singular (zero pivot in row {info})")
+            return
         # the matrix goes in positionally: profilers that wrap splu read it
         try:
             self._lu = splu(sparse.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
@@ -62,10 +81,29 @@ class FactoredOperator:
 
         B is a vector or an (n, k) block of right-hand sides.
         """
-        X = self._lu.solve(np.asarray(B, dtype=float), trans=trans)
+        B = np.asarray(B, dtype=float)
+        if self._tri is None:
+            X = self._lu.solve(B, trans=trans)
+        else:
+            X, _ = dgttrs(*self._tri, B, trans=trans)
         if not np.all(np.isfinite(X)):
             raise SolverError("sparse LU solve produced nonfinite values")
         return X
+
+
+def _is_tridiagonal(matrix):
+    """Whether a square CSR or CSC matrix stores entries only on its three
+    central diagonals, and has order >= 3 (SciPy's gttrf rejects order 2).
+
+    Rejects most other matrices on the entry count per row (or column),
+    without building a copy of the matrix.
+    """
+    n = matrix.shape[0]
+    counts = np.diff(matrix.indptr)
+    if n < 3 or matrix.shape[1] != n or counts.max() > 3:
+        return False
+    major = np.repeat(np.arange(n), counts)
+    return bool(np.all(np.abs(matrix.indices - major) <= 1))
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,20 @@ class TestRunSweep:
         assert rep.failures == []
         assert rep.fits["residual"]["slope"] >= 0.9
 
+    def test_1d_lambda_eps_matches_dense_eigenvalues(self):
+        cfg = eg.SweepConfig(problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16],
+                             q=16, n_torus=64, measurements=("lambda_rate",))
+        rep = eg.run_sweep(cfg)
+        spec = build_problem("sin-abc")["spec"]
+        grid = eg.DomainGrid.unit(1, rep.grid["n_cells"])
+        assert [row["eps"] for row in rep.rows] == cfg.eps_list
+        for row in rep.rows:
+            L = eg.assemble_oscillatory(spec, row["eps"], grid).matrix.toarray()
+            # L phi = -lambda phi: lambda is the eigenvalue of -L of least real part
+            ref = np.min(np.linalg.eigvals(-L).real)
+            rounding = 16 * np.finfo(float).eps * np.max(np.abs(L).sum(axis=1))
+            assert abs(row["lambda_eps"] - ref) <= cfg.tol + rounding
+
     def test_thread_count_does_not_change_rows(self, monkeypatch):
         cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",),
@@ -263,6 +277,25 @@ class TestCli:
             "measurements": ["lambda_rate"], "timing": False, **overrides}))
         if threads is not None:
             monkeypatch.setenv("ERGODICA_THREADS", threads)
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("config", [
+        5,
+        {"params": {"delta": "0.5"}},
+        {"params": {"delta": False}},
+        {"tol": "1e-9"},
+        {"tol": -1},
+    ], ids=["config-scalar", "params-string", "params-bool", "tol-string",
+            "tol-negative"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, config):
+        if isinstance(config, dict):
+            config = {"problem": "sin-a", "eps_list": [0.125], "q": 16,
+                      "n_torus": 64, "measurements": ["lambda_rate"],
+                      "timing": False, **config}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")

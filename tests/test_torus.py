@@ -3,8 +3,11 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import null_space
+from scipy.sparse.linalg import splu
 
 import ergodica as eg
+import ergodica.torus as torus_mod
+from ergodica.cli import build_problem
 from ergodica.torus import (
     ANCHOR,
     HOWARD_RTOL,
@@ -163,6 +166,55 @@ class TestFactoredOperator:
         singular = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(eg.SolverError):
             FactoredOperator(singular)
+
+    @pytest.fixture()
+    def splu_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(torus_mod, "splu", counted)
+        return calls
+
+    def test_tridiagonal_matches_superlu(self, splu_calls):
+        # 1D oscillatory Dirichlet operator with drift: tridiagonal, nonsymmetric
+        spec = build_problem("sin-abc")["spec"]
+        grid = eg.DomainGrid.unit(1, 384)
+        M = eg.assemble_oscillatory(spec, 1 / 8, grid).matrix
+        n = M.shape[0]
+        B = np.random.default_rng(5).standard_normal((n, 5))
+        lu = FactoredOperator(M)
+        ref = splu(M.tocsc())
+        assert splu_calls == []
+        norm = abs(M).sum(axis=1).max()
+        for rhs, trans, op in ((B[:, 0], "N", M), (B, "N", M), (B, "T", M.T)):
+            X = lu.solve(rhs, trans=trans)
+            X_ref = ref.solve(rhs, trans=trans)
+            assert X.shape == rhs.shape
+            scale = norm * np.max(np.abs(X))
+            assert np.max(np.abs(op @ X - rhs)) <= 64 * np.finfo(float).eps * scale
+            assert np.max(np.abs(X - X_ref)) <= 1e-9 * np.max(np.abs(X_ref))
+
+    def test_singular_tridiagonal_raises_solver_error(self, splu_calls):
+        # a zero column leaves an exactly zero pivot under partial pivoting
+        M = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6)).tolil()
+        M[:, 2] = 0.0
+        M = M.tocsr()
+        M.eliminate_zeros()
+        with pytest.raises(eg.SolverError, match="factorization failed"):
+            FactoredOperator(M)
+        assert splu_calls == []
+
+    def test_periodic_and_augmented_matrices_use_superlu(self, splu_calls):
+        grid = eg.PeriodicGrid(1, 64)
+        A = assemble_torus_diffusion(eg.sin_field_1d(delta=0.5), grid)
+        b = np.ones(grid.npoints)
+        x = FactoredOperator(sparse.identity(grid.npoints) - A).solve(b)
+        assert np.max(np.abs(x - A @ x - b)) < 1e-10
+        factor_cell(A)
+        assert splu_calls == [(64, 64), (65, 65)]
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
     def test_gamma_is_invariant_measure_average(self, dim, n):
