@@ -22,12 +22,14 @@ from .coeff import (
 from .corrector import (
     DerivativeBundle,
     ExpansionResult,
+    PreparedExpansion,
     align_eigenfunctions,
     boundary_correctors,
     derivative_bundle,
     full_corrector,
     nonlinear_expansion,
     pivot_problem,
+    prepare_expansion,
     second_corrector,
     solve_psi1,
     third_corrector,

@@ -26,11 +26,17 @@ from .corrector import (
     full_corrector,
     nonlinear_expansion,
     pivot_problem,
+    prepare_expansion,
     second_corrector,
     solve_psi1,
     third_corrector,
 )
-from .domain import DomainGrid, assemble_effective, assemble_oscillatory
+from .domain import (
+    DomainGrid,
+    assemble_effective,
+    assemble_oscillatory,
+    bellman_operators,
+)
 from .effective import build_corrector_set, effective_linear, effective_nonlinear
 from .eigen import principal_eigenpair, principal_eigenpair_bellman
 from .errors import ConfigError, ErgodicaError, SolverError
@@ -279,6 +285,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         psi1_bundle = derivative_bundle(psi1, 2)
     else:
         bundle = psi1 = psi1_bundle = None
+    # the eps-independent part of the Bellman expansion; rows only read it
+    if config.mode == "bellman" and "residual_slope" in meas:
+        prepared = prepare_expansion(spec, eff_pair, grid, tg, lam_bar)
+    else:
+        prepared = None
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
@@ -289,7 +300,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             pair = principal_eigenpair(op, tol=config.tol)
         else:
             op = None
-            pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol)
+            # the frozen operators serve the eigensolve and the expansion
+            ops = bellman_operators(spec, eps, grid)
+            pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol,
+                                                  ops=ops)
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         # one factorization of L_eps serves the pivot, z2 and z3 solves
@@ -316,8 +330,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 x_int = grid.interior_points()[:, 0]
                 core = np.abs(res)[(x_int >= 0.1) & (x_int <= 0.9)]
                 row["residual"] = float(core.max())
-        if config.mode == "bellman" and "residual_slope" in meas:
-            _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, tg, lam_bar)
+        if prepared is not None:
+            _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, tg, lam_bar,
+                                         prepared=prepared, ops=ops)
             row["residual"] = rep["expansion_residual_interior"]
             row["w2F_residual"] = rep["w2F_residual"]
         if config.timing:

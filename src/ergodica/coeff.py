@@ -239,11 +239,18 @@ def validate_structure(spec: LinearOperatorSpec, sample_count: int, seed=0,
 
 
 def constant_field(dim, a0, b0=None, c0=0.0, name="constant"):
-    """Constant-coefficient field; a0 may be a scalar (isotropic) or a matrix."""
+    """Constant-coefficient field; a0 may be a scalar (isotropic) or a (dim, dim)
+    matrix, b0 a scalar (the same drift on every axis) or a (dim,) vector."""
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim == 0:
         a0 = a0 * np.eye(dim)
-    b0 = np.zeros(dim) if b0 is None else np.asarray(b0, dtype=float).reshape(dim)
+    b0 = np.zeros(dim) if b0 is None else np.asarray(b0, dtype=float)
+    if b0.ndim == 0:
+        b0 = np.full(dim, float(b0))
+    if a0.shape != (dim, dim) or b0.shape != (dim,):
+        raise ConfigError(
+            f"constant field in {dim}D needs a0 of shape ({dim}, {dim}) and b0 of "
+            f"shape ({dim},), got {a0.shape} and {b0.shape}")
     c0 = float(c0)
 
     def a(pts):

@@ -2,7 +2,14 @@
 the pivot problem, eigenfunction alignment, and the nonlinear expansion.
 
 Torus profiles are evaluated along the diagonal y = x/eps by periodic cubic
-interpolation; x-derivatives of the slow factors use 4th-order stencils.
+interpolation, once per distinct fast coordinate: y takes about n * eps
+distinct values on n nodes per axis, and the values are scattered back to
+the nodes. x-derivatives of the slow factors use 4th-order stencils.
+
+The Bellman expansion splits into an eps-independent part
+(`prepare_expansion`: cell solves, invariant measures, linearized
+coefficients and the slow corrector), built once per sweep, and the per-eps
+evaluation in `nonlinear_expansion`.
 """
 
 from dataclasses import dataclass
@@ -88,11 +95,21 @@ def derivative_bundle(u: GridFunction, order: int) -> DerivativeBundle:
 
 
 def _fast_coordinates(grid: DomainGrid, eps: float):
-    return (grid.points() / eps) % 1.0
+    """Distinct rows of y = x/eps mod 1 over the grid nodes, and the index
+    that scatters values at those rows back to the nodes."""
+    y = (grid.points() / eps) % 1.0
+    if grid.dim == 1:
+        keys, inverse = np.unique(y[:, 0], return_inverse=True)
+        return keys[:, None], inverse
+    # one complex key per node: np.unique orders complex numbers by
+    # (real, imag), so distinct keys are distinct rows, bit for bit
+    keys, inverse = np.unique(y.view(np.complex128)[:, 0], return_inverse=True)
+    return np.stack([keys.real, keys.imag], axis=1), inverse
 
 
-def _interp(sol, pts):
-    return TorusInterpolant(sol.chi.values)(pts)
+def _interp(sol, fast):
+    rows, inverse = fast
+    return TorusInterpolant(sol.chi.values)(rows)[inverse]
 
 
 def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
@@ -103,13 +120,13 @@ def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
     """
     grid = bundle.u.grid
     d = grid.dim
-    y = _fast_coordinates(grid, eps)
+    fast = _fast_coordinates(grid, eps)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
-            out += _interp(correctors.chi[(k, l)], y) * bundle.d2[(k, l)].flat
-        out += _interp(correctors.eta[k], y) * bundle.d1[(k,)].flat
-    out += _interp(correctors.nu, y) * bundle.u.flat
+            out += _interp(correctors.chi[(k, l)], fast) * bundle.d2[(k, l)].flat
+        out += _interp(correctors.eta[k], fast) * bundle.d1[(k,)].flat
+    out += _interp(correctors.nu, fast) * bundle.u.flat
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -140,19 +157,19 @@ def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
     d = grid.dim
     if bundle.order < 3:
         raise InputError("w_3 needs third derivatives of u")
-    y = _fast_coordinates(grid, eps)
+    fast = _fast_coordinates(grid, eps)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
             for m in range(d):
-                out += _interp(correctors.chi3[(k, l, m)], y) * \
+                out += _interp(correctors.chi3[(k, l, m)], fast) * \
                     bundle.d3[(k, l, m)].flat
-            out += _interp(correctors.eta2[(k, l)], y) * bundle.d2[(k, l)].flat
-            out += _interp(correctors.chi[(k, l)], y) * psi1_bundle.d2[(k, l)].flat
-        out += _interp(correctors.nu1[k], y) * bundle.d1[(k,)].flat
-        out += _interp(correctors.eta[k], y) * psi1_bundle.d1[(k,)].flat
-    out += _interp(correctors.xi, y) * bundle.u.flat
-    out += _interp(correctors.nu, y) * psi1_bundle.u.flat
+            out += _interp(correctors.eta2[(k, l)], fast) * bundle.d2[(k, l)].flat
+            out += _interp(correctors.chi[(k, l)], fast) * psi1_bundle.d2[(k, l)].flat
+        out += _interp(correctors.nu1[k], fast) * bundle.d1[(k,)].flat
+        out += _interp(correctors.eta[k], fast) * psi1_bundle.d1[(k,)].flat
+    out += _interp(correctors.xi, fast) * bundle.u.flat
+    out += _interp(correctors.nu, fast) * psi1_bundle.u.flat
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -241,15 +258,31 @@ def align_eigenfunctions(w_eps: GridFunction, u_eps: EigenPair):
     return t_eps, z
 
 
-def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
-                        grid: DomainGrid, torus_grid: PeriodicGrid,
-                        lambda_bar: float, tol=1e-10):
-    """Second-order expansion of the convex Bellman eigenproblem (1D).
+@dataclass(frozen=True)
+class PreparedExpansion:
+    """The eps-independent part of the Bellman expansion.
 
-    Builds w_2(x, y) = w(y; u''(x)) via the nonlinear cell problem (one
-    solve per Hessian sign, scaled by positive 1-homogeneity), the
-    linearized coefficients, the slow corrector w_1 = psi, and returns
-    (w^eps = u + eps w_1 + eps^2 w_2-trace, report).
+    Built once by `prepare_expansion` and only read afterwards, so threaded
+    sweep rows may share it.
+    """
+
+    abs_hessian: np.ndarray      # |u''| per domain node
+    sign_index: np.ndarray       # per node, the position of sign(u'') in cells
+    cells: tuple                 # TorusInterpolant of chi per Hessian sign
+    w2F_residual: float
+    Psi1: np.ndarray
+    psi: GridFunction
+
+
+def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
+                      torus_grid: PeriodicGrid, lambda_bar: float,
+                      tol=1e-10) -> PreparedExpansion:
+    """Everything in the 1D Bellman expansion that does not depend on eps.
+
+    One nonlinear cell solve per Hessian sign of u (w_2(x, y) = w(y; u''(x))
+    by positive 1-homogeneity), the invariant-measure weights, the
+    consistency residual w2F_residual, the ergodic constant Psi_1, the
+    linearized coefficients and the slow corrector w_1 = psi.
 
     Psi_1(x) is the ergodic constant of the frozen-policy cell problem with
     data 2 a(y) d_x d_y w_2(x, y). An ergodic constant is the average of the
@@ -289,13 +322,6 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     w2F_residual = float(np.max(np.abs(
         c_of_x[interior] + lambda_bar * u.flat[interior])))
 
-    # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
-    y_diag = _fast_coordinates(grid, eps)[:, 0]
-    traces = {s: TorusInterpolant(cell[s].chi.values)(y_diag) for s in cell}
-    w2_trace = np.abs(M) * np.array(
-        [traces[s][i] for i, s in enumerate(sgn)]
-    )
-
     # Psi_1(x) = -g . (2 a_pol d_x d_y w_2(x, .)), g and a_pol of the sign
     # of M(x); moving Dy onto the weight gives
     # Psi_1 = -Dx(|M| (chi_sgn . Dy^T(2 a_pol g))). In 1D this is zero in
@@ -320,20 +346,57 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
         grid, abar_x[:, None, None], np.zeros((npts, 1)), np.zeros(npts))
     psi = dirichlet_solve(op_lin, -psi1_rhs[interior])
 
-    w_eps_vals = u.values + eps * psi.values + \
+    signs = sorted(cell)
+    return PreparedExpansion(
+        abs_hessian=np.abs(M),
+        sign_index=np.searchsorted(signs, sgn),
+        cells=tuple(TorusInterpolant(cell[s].chi.values) for s in signs),
+        w2F_residual=w2F_residual, Psi1=psi1_rhs, psi=psi,
+    )
+
+
+def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
+                        grid: DomainGrid, torus_grid: PeriodicGrid,
+                        lambda_bar: float, tol=1e-10,
+                        prepared: Optional[PreparedExpansion] = None,
+                        ops=None):
+    """Second-order expansion of the convex Bellman eigenproblem (1D).
+
+    Returns (w^eps = u + eps w_1 + eps^2 w_2-trace, report), with the
+    residual of the Bellman operator at w^eps against -lambda_bar u.
+
+    Only the w_2 trace x -> |u''(x)| chi_sign(x/eps), w^eps and the Bellman
+    operator applied to it depend on eps. The rest (cell solves, invariant
+    measures, Psi_1, linearized coefficients, psi; see `prepare_expansion`)
+    does not: pass it as `prepared`, built from the same spec, u_pair,
+    grids, lambda_bar and tol, to skip it. `ops` are the frozen operators
+    `bellman_operators(spec, eps, grid)`, built here when not given.
+    """
+    if prepared is None:
+        prepared = prepare_expansion(spec, u_pair, grid, torus_grid,
+                                     lambda_bar, tol=tol)
+    u = u_pair.phi
+
+    # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
+    rows, inverse = _fast_coordinates(grid, eps)
+    traces = np.stack([chi(rows) for chi in prepared.cells])
+    w2_trace = prepared.abs_hessian * traces[prepared.sign_index, inverse]
+
+    w_eps_vals = u.values + eps * prepared.psi.values + \
         eps ** 2 * w2_trace.reshape(grid.shape)
     w_eps = GridFunction(grid, w_eps_vals)
 
-    bell = apply_bellman(spec, eps, grid, w_eps)
+    bell = apply_bellman(spec, eps, grid, w_eps, ops=ops)
+    interior = grid.interior_index()
     res = bell.flat[interior] + lambda_bar * u.flat[interior]
     x_int = grid.interior_points()[:, 0]
     core = np.abs(res)[(x_int > 0.1) & (x_int < 0.9)]
     report = {
-        "w2F_residual": w2F_residual,
+        "w2F_residual": prepared.w2F_residual,
         "expansion_residual_sup": float(np.max(np.abs(res))),
         "expansion_residual_interior": float(core.max()) if core.size else 0.0,
-        "psi1": psi,
+        "psi1": prepared.psi,
         "w2_trace": GridFunction(grid, w2_trace.reshape(grid.shape)),
-        "Psi1": psi1_rhs,
+        "Psi1": prepared.Psi1,
     }
     return w_eps, report

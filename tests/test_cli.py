@@ -163,6 +163,53 @@ class TestRunSweep:
         assert rep1.rows == rep2.rows
 
 
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_bellman_rows_identical_with_threads(self, monkeypatch, threads):
+        # threaded rows share the eps-independent expansion and only read it;
+        # a short switch interval makes the threads interleave finely
+        cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
+                             eps_list=[1 / 4, 1 / 8, 1 / 16, 1 / 32], q=16,
+                             n_torus=32,
+                             measurements=("lambda_rate", "residual_slope"),
+                             timing=False)
+        rep1 = eg.run_sweep(cfg)
+        monkeypatch.setenv("ERGODICA_THREADS", threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep2 = eg.run_sweep(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rep1.failures == [] and rep2.failures == []
+        assert all("residual" in row for row in rep1.rows)
+        assert rep1.rows == rep2.rows
+
+    def test_bellman_cell_solves_do_not_grow_with_eps(self, monkeypatch):
+        # the nonlinear cell solves of the expansion are eps-independent:
+        # a sweep makes them once, however many rows it has
+        import ergodica.corrector as corr_mod
+        import ergodica.effective as eff_mod
+        real = eff_mod.solve_nonlinear_cell
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(corr_mod, "solve_nonlinear_cell", counted)
+        monkeypatch.setattr(eff_mod, "solve_nonlinear_cell", counted)
+        counts = []
+        for eps_list in ([1 / 4, 1 / 8], [1 / 4, 1 / 8, 1 / 16, 1 / 32]):
+            calls.clear()
+            cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
+                                 eps_list=eps_list, q=16, n_torus=32,
+                                 measurements=("residual_slope",))
+            rep = eg.run_sweep(cfg)
+            assert len(rep.rows) == len(eps_list)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
 class TestEmitReport:
     @pytest.fixture()
     def small_report(self):
@@ -226,6 +273,17 @@ class TestCli:
         assert main(["effective", "--config", cfg_path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["a_bar"][0][0] == pytest.approx(np.sqrt(3) / 2, abs=1e-6)
+
+    def test_effective_constant_2d_scalar_drift(self, tmp_path, capsys):
+        # a scalar b0 is the same drift on every axis (it used to crash
+        # with a reshape ValueError)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "constant", "params": {"dim": 2, "b0": 1.0},
+            "eps_list": [0.25], "q": 16, "n_torus": 16}))
+        assert main(["effective", "--config", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["b_bar"] == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_eigen_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "eig")

@@ -124,6 +124,24 @@ class TestCatalog:
         assert a.shape == (5, 2, 2) and b.shape == (5, 2) and c.shape == (5,)
         assert np.allclose(a[0], np.diag([1.0, 2.0]))
 
+    def test_constant_field_scalar_drift_broadcasts(self):
+        # a scalar b0 is the same drift on every axis, as a scalar a0 is
+        # the same diffusion
+        f = eg.constant_field(2, 1.5, b0=0.7)
+        a, b, _ = f.sample(np.zeros((3, 2)))
+        assert np.array_equal(a[0], 1.5 * np.eye(2))
+        assert np.array_equal(b, np.full((3, 2), 0.7))
+
+    @pytest.mark.parametrize("a0, b0", [
+        (np.eye(3), None),
+        (np.ones(2), None),
+        (1.0, [0.1, 0.2, 0.3]),
+        (1.0, np.ones((2, 2))),
+    ], ids=["a0-3x3", "a0-vector", "b0-length-3", "b0-matrix"])
+    def test_constant_field_wrong_shape_is_config_error(self, a0, b0):
+        with pytest.raises(eg.ConfigError):
+            eg.constant_field(2, a0, b0=b0)
+
     def test_separable_field_diag(self):
         f = eg.separable_sin_field_2d(delta=0.5)
         pts = np.array([[0.25, 0.0]])

@@ -173,6 +173,80 @@ class TestThirdCorrector:
         assert np.max(np.abs(w3.values)) < 100
 
 
+def _node_by_node(sol, y):
+    """Torus profile evaluated at the fast coordinates y, one node a call."""
+    from ergodica.stencils import TorusInterpolant
+    interp = TorusInterpolant(sol.chi.values)
+    return np.array([interp(p)[0] for p in y])
+
+
+def _reference_w2(cs, bundle, eps):
+    grid = bundle.u.grid
+    d = grid.dim
+    y = (grid.points() / eps) % 1.0
+    out = np.zeros(np.prod(grid.shape))
+    for k in range(d):
+        for l in range(d):
+            out += _node_by_node(cs.chi[(k, l)], y) * bundle.d2[(k, l)].flat
+        out += _node_by_node(cs.eta[k], y) * bundle.d1[(k,)].flat
+    out += _node_by_node(cs.nu, y) * bundle.u.flat
+    return out.reshape(grid.shape)
+
+
+def _reference_w3(cs, bundle, psi1_bundle, eps):
+    grid = bundle.u.grid
+    d = grid.dim
+    y = (grid.points() / eps) % 1.0
+    out = np.zeros(np.prod(grid.shape))
+    for k in range(d):
+        for l in range(d):
+            for m in range(d):
+                out += _node_by_node(cs.chi3[(k, l, m)], y) * \
+                    bundle.d3[(k, l, m)].flat
+            out += _node_by_node(cs.eta2[(k, l)], y) * bundle.d2[(k, l)].flat
+            out += _node_by_node(cs.chi[(k, l)], y) * psi1_bundle.d2[(k, l)].flat
+        out += _node_by_node(cs.nu1[k], y) * bundle.d1[(k,)].flat
+        out += _node_by_node(cs.eta[k], y) * psi1_bundle.d1[(k,)].flat
+    out += _node_by_node(cs.xi, y) * bundle.u.flat
+    out += _node_by_node(cs.nu, y) * psi1_bundle.u.flat
+    return out.reshape(grid.shape)
+
+
+class TestDistinctFastCoordinates:
+    """The traces evaluate each profile once per distinct y = x/eps mod 1 and
+    scatter back; that must equal evaluation at every node, bit for bit."""
+
+    @pytest.mark.parametrize("dim, n_cells, eps", [
+        (1, 64, 1 / 8),
+        (1, 24, 1 / 5),  # y = 5i/24 mod 1 does not repeat within the grid
+        (2, 12, 1 / 4),
+        (2, 10, 1 / 3),
+    ], ids=["1d-eps-8", "1d-n24-eps-5", "2d-eps-4", "2d-n10-eps-3"])
+    def test_traces_match_node_by_node_reference(self, dim, n_cells, eps):
+        if dim == 1:
+            spec = eg.LinearOperatorSpec(
+                eg.sin_field_1d(delta=0.5, b_amp=0.3, c0=0.2, c_amp=0.4),
+                0.5, 1.5, c1=0.6)
+        else:
+            spec = eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5),
+                                         0.5, 1.5)
+        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(dim, 16))
+        grid = eg.DomainGrid.unit(dim, n_cells)
+        pts = grid.points()
+        u = eg.GridFunction(grid, np.prod(np.sin(np.pi * pts), axis=1)
+                            .reshape(grid.shape))
+        psi = eg.GridFunction(grid, np.prod(np.sin(2 * np.pi * pts), axis=1)
+                              .reshape(grid.shape))
+        bundle = eg.derivative_bundle(u, 3)
+        psi1_bundle = eg.derivative_bundle(psi, 2)
+        w2 = eg.second_corrector(cs, bundle, eps)
+        w3 = eg.third_corrector(cs, bundle, psi1_bundle, eps)
+        np.testing.assert_array_equal(w2.values, _reference_w2(cs, bundle, eps))
+        np.testing.assert_array_equal(
+            w3.values, _reference_w3(cs, bundle, psi1_bundle, eps))
+        assert np.max(np.abs(w2.values)) > 0 and np.max(np.abs(w3.values)) > 0
+
+
 class TestBoundaryCorrectors:
     def test_boundary_exactness(self, linear_1d):
         spec, cs, eff, grid, eff_op, pair = linear_1d
@@ -362,6 +436,32 @@ class TestNonlinearExpansion:
         for s in (1.0, -1.0):
             sol, _ = eg.solve_nonlinear_cell(bs, np.array([[s]]), tg, tol=1e-10)
             assert sol.residual <= 1e-10
+
+    def test_prepared_path_matches_one_shot(self):
+        # the eps-independent part built once must give, per eps, exactly
+        # what a one-shot call builds for itself
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),
+            eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
+        ])
+        tg = eg.PeriodicGrid(1, 64)
+        grid = eg.DomainGrid.unit(1, 256)
+        pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
+        prepared = eg.prepare_expansion(bs, pair, grid, tg, pair.lam)
+        for eps in (1 / 4, 1 / 8, 1 / 16):
+            w_one, rep_one = eg.nonlinear_expansion(bs, pair, eps, grid, tg,
+                                                    pair.lam)
+            ops = eg.bellman_operators(bs, eps, grid)
+            w_pre, rep_pre = eg.nonlinear_expansion(bs, pair, eps, grid, tg,
+                                                    pair.lam, prepared=prepared,
+                                                    ops=ops)
+            np.testing.assert_array_equal(w_pre.values, w_one.values)
+            np.testing.assert_array_equal(rep_pre["w2_trace"].values,
+                                          rep_one["w2_trace"].values)
+            for key in ("w2F_residual", "expansion_residual_sup",
+                        "expansion_residual_interior"):
+                assert rep_pre[key] == rep_one[key]
+            assert np.max(np.abs(rep_pre["w2_trace"].values)) > 0
 
     def test_2d_rejected(self):
         bs = eg.BellmanSpec([
