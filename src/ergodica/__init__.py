@@ -26,6 +26,7 @@ from .corrector import (
     align_eigenfunctions,
     boundary_correctors,
     derivative_bundle,
+    fast_coordinates,
     full_corrector,
     nonlinear_expansion,
     pivot_problem,
@@ -57,6 +58,7 @@ from .effective import (
 from .eigen import (
     EigenPair,
     collatz_wielandt,
+    effective_eigenpair,
     principal_eigenpair,
     principal_eigenpair_bellman,
 )

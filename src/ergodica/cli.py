@@ -23,6 +23,7 @@ from .corrector import (
     align_eigenfunctions,
     boundary_correctors,
     derivative_bundle,
+    fast_coordinates,
     full_corrector,
     nonlinear_expansion,
     pivot_problem,
@@ -31,14 +32,10 @@ from .corrector import (
     solve_psi1,
     third_corrector,
 )
-from .domain import (
-    DomainGrid,
-    assemble_effective,
-    assemble_oscillatory,
-    bellman_operators,
-)
+from .domain import DomainGrid, assemble_oscillatory, bellman_operators
 from .effective import build_corrector_set, effective_linear, effective_nonlinear
-from .eigen import principal_eigenpair, principal_eigenpair_bellman
+from .eigen import (effective_eigenpair, principal_eigenpair,
+                    principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
 from .torus import FactoredOperator, GridFunction, PeriodicGrid
 
@@ -146,6 +143,14 @@ class SweepConfig:
             raise ConfigError("tol must be a positive real number")
         if self.mode not in ("linear", "bellman"):
             raise ConfigError("mode must be 'linear' or 'bellman'")
+        if self.format not in ("csv", "json"):
+            raise ConfigError("format must be 'csv' or 'json'")
+        if not isinstance(self.timing, bool):
+            raise ConfigError("timing must be true or false")
+        if not isinstance(self.measurements, (list, tuple)) or \
+                not all(isinstance(m, str) for m in self.measurements):
+            raise ConfigError("measurements must be a list of names")
+        self.measurements = tuple(self.measurements)
         bad = set(self.measurements) - set(ALL_MEASUREMENTS)
         if bad:
             raise ConfigError(f"unknown measurements {sorted(bad)}")
@@ -163,8 +168,6 @@ class SweepConfig:
         extra = set(raw) - known
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
-        if "measurements" in raw:
-            raw["measurements"] = tuple(raw["measurements"])
         return cls(**raw)
 
     def denominators(self):
@@ -260,8 +263,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if config.mode == "linear":
         correctors = build_corrector_set(spec, tg)
         eff = effective_linear(spec, correctors)
-        eff_op = assemble_effective(eff, grid)
-        eff_pair = principal_eigenpair(eff_op, tol=config.tol)
+        eff_pair = effective_eigenpair(eff, grid, tol=config.tol)
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
@@ -273,7 +275,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             cf.LinearOperatorSpec(cf.constant_field(1, m_minus),
                                   spec.lambda_ell, spec.Lambda_ell),
         ])
-        correctors = eff = eff_op = None
+        correctors = eff = None
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
     lam_bar = eff_pair.lam
@@ -281,7 +283,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     if config.mode == "linear" and dim == 1 and (meas & {"v_norm", "residual_slope"}):
         bundle = derivative_bundle(u, 3)
-        psi1 = solve_psi1(eff, bundle, grid, op=eff_op)
+        psi1 = solve_psi1(eff, bundle, grid)
         psi1_bundle = derivative_bundle(psi1, 2)
     else:
         bundle = psi1 = psi1_bundle = None
@@ -319,8 +321,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["z_norm"] = float(np.max(np.abs(z.values)))
             row["w_minus_u"] = float(np.max(np.abs(w.values - u.values)))
         if bundle is not None:
-            w2 = second_corrector(correctors, bundle, eps)
-            w3 = third_corrector(correctors, bundle, psi1_bundle, eps)
+            fast = fast_coordinates(grid, eps)
+            w2 = second_corrector(correctors, bundle, eps, fast=fast)
+            w3 = third_corrector(correctors, bundle, psi1_bundle, eps, fast=fast)
             z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op, lu=lu)
             exp = full_corrector(psi1, w2, z2, w3, z3, eps)
             row["v_norm"] = exp.sup_norm_v
@@ -394,23 +397,19 @@ def _fmt(x):
 
 def emit_report(report: SweepReport, format="csv", out_dir="."):
     """Write the sweep report; returns the list of files written."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
     if format not in ("csv", "json"):
         raise ConfigError(f"unknown report format {format!r}")
+    os.makedirs(out_dir, exist_ok=True)
     if format == "csv":
-        path = os.path.join(out_dir, "sweep.csv")
-        lines = [",".join(CSV_COLUMNS)]
-        for row in report.rows:
-            lines.append(",".join(_fmt(row.get(k, np.nan)) for k in CSV_COLUMNS))
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+        lines = [",".join(CSV_COLUMNS)] + [
+            ",".join(_fmt(row.get(k, np.nan)) for k in CSV_COLUMNS)
+            for row in report.rows]
+        text = "\n".join(lines) + "\n"
     else:
-        path = os.path.join(out_dir, "sweep.json")
-        _write_text(path, json.dumps(report.as_dict(), indent=2, sort_keys=True)
-                    + "\n")
-        written.append(path)
-    return written
+        text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    path = os.path.join(out_dir, f"sweep.{format}")
+    _write_text(path, text)
+    return [path]
 
 
 def _write_text(path, text):
@@ -421,12 +420,9 @@ def _write_text(path, text):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _phi_csv(pair, grid, path):
-    pts = grid.points()
-    vals = pair.phi.flat
-    header = ("x1,value" if grid.dim == 1 else "x1,x2,value")
-    lines = [header]
-    for p, v in zip(pts, vals):
+def _grid_csv(fn: GridFunction, path):
+    lines = ["x1,value" if fn.grid.dim == 1 else "x1,x2,value"]
+    for p, v in zip(fn.grid.points(), fn.flat):
         coords = ",".join(f"{c:.12e}" for c in p)
         lines.append(f"{coords},{v:.12e}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -457,7 +453,7 @@ def _cmd_eigen(config, args):
         tg = PeriodicGrid(dim, config.n_torus)
         eff = effective_linear(problem["spec"],
                                build_corrector_set(problem["spec"], tg))
-        pair = principal_eigenpair(assemble_effective(eff, grid), tol=config.tol)
+        pair = effective_eigenpair(eff, grid, tol=config.tol)
     else:
         eps = args.eps if args.eps is not None else config.eps_list[0]
         if problem["mode"] == "linear":
@@ -475,7 +471,7 @@ def _cmd_eigen(config, args):
     }, indent=2, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _phi_csv(pair, grid, os.path.join(args.out, "phi.csv"))
+        _grid_csv(pair.phi, os.path.join(args.out, "phi.csv"))
     return 0
 
 
@@ -490,12 +486,13 @@ def _cmd_corrector(config, args):
     grid = DomainGrid.unit(1, n_cells)
     correctors = build_corrector_set(spec, tg)
     eff = effective_linear(spec, correctors)
-    eff_op = assemble_effective(eff, grid)
-    pair = principal_eigenpair(eff_op, tol=config.tol)
+    pair = effective_eigenpair(eff, grid, tol=config.tol)
     bundle = derivative_bundle(pair.phi, 3)
-    psi1 = solve_psi1(eff, bundle, grid, op=eff_op)
-    w2 = second_corrector(correctors, bundle, eps)
-    w3 = third_corrector(correctors, bundle, derivative_bundle(psi1, 2), eps)
+    psi1 = solve_psi1(eff, bundle, grid)
+    fast = fast_coordinates(grid, eps)
+    w2 = second_corrector(correctors, bundle, eps, fast=fast)
+    w3 = third_corrector(correctors, bundle, derivative_bundle(psi1, 2), eps,
+                         fast=fast)
     op = assemble_oscillatory(spec, eps, grid)
     z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op)
     exp = full_corrector(psi1, w2, z2, w3, z3, eps)
@@ -511,12 +508,7 @@ def _cmd_corrector(config, args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, fn in (("psi1", psi1), ("w2_trace", w2), ("v_eps", exp.v_eps)):
-            pts = grid.points()[:, 0]
-            lines = ["x1,value"] + [
-                f"{x:.12e},{v:.12e}" for x, v in zip(pts, fn.flat)
-            ]
-            _write_text(os.path.join(args.out, f"{name}.csv"),
-                        "\n".join(lines) + "\n")
+            _grid_csv(fn, os.path.join(args.out, f"{name}.csv"))
     return 0
 
 
@@ -527,8 +519,7 @@ def _cmd_sweep(config, args):
     written = emit_report(report, format=fmt, out_dir=out)
     for path in written:
         print(path)
-    summary = {name: fit for name, fit in report.fits.items()}
-    print(json.dumps({"lambda_bar": report.lambda_bar, "fits": summary},
+    print(json.dumps({"lambda_bar": report.lambda_bar, "fits": report.fits},
                      indent=2, sort_keys=True))
     return 0
 

@@ -94,7 +94,7 @@ def derivative_bundle(u: GridFunction, order: int) -> DerivativeBundle:
     return DerivativeBundle(u=u, d1=wrap(d1), d2=wrap(d2), d3=wrap(d3), order=order)
 
 
-def _fast_coordinates(grid: DomainGrid, eps: float):
+def fast_coordinates(grid: DomainGrid, eps: float):
     """Distinct rows of y = x/eps mod 1 over the grid nodes, and the index
     that scatters values at those rows back to the nodes."""
     y = (grid.points() / eps) % 1.0
@@ -113,14 +113,15 @@ def _interp(sol, fast):
 
 
 def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
-                     eps: float) -> GridFunction:
+                     eps: float, fast=None) -> GridFunction:
     """Trace x -> w_2(x, x/eps) of the second-order interior corrector.
 
     w_2(x, y) = chi^{kl}(y) d2_kl u(x) + eta^k(y) d1_k u(x) + nu(y) u(x).
+    `fast` is `fast_coordinates(grid, eps)`, computed here when not given.
     """
     grid = bundle.u.grid
     d = grid.dim
-    fast = _fast_coordinates(grid, eps)
+    fast = fast_coordinates(grid, eps) if fast is None else fast
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
@@ -151,13 +152,14 @@ def solve_psi1(eff: EffectiveLinear, bundle: DerivativeBundle,
 
 
 def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
-                    psi1_bundle: DerivativeBundle, eps: float) -> GridFunction:
+                    psi1_bundle: DerivativeBundle, eps: float,
+                    fast=None) -> GridFunction:
     """Trace x -> w_3(x, x/eps), including the psi_1 block."""
     grid = bundle.u.grid
     d = grid.dim
     if bundle.order < 3:
         raise InputError("w_3 needs third derivatives of u")
-    fast = _fast_coordinates(grid, eps)
+    fast = fast_coordinates(grid, eps) if fast is None else fast
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
@@ -378,7 +380,7 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     u = u_pair.phi
 
     # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
-    rows, inverse = _fast_coordinates(grid, eps)
+    rows, inverse = fast_coordinates(grid, eps)
     traces = np.stack([chi(rows) for chi in prepared.cells])
     w2_trace = prepared.abs_hessian * traces[prepared.sign_index, inverse]
 

@@ -358,6 +358,33 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"format": "xml"}, "format must be"),
+        ({"timing": "false"}, "timing must be"),
+        ({"timing": 0}, "timing must be"),
+        ({"measurements": "lambda_rate"}, "measurements must be a list"),
+        ({"measurements": 5}, "measurements must be a list"),
+    ], ids=["format-xml", "timing-string", "timing-int", "measurements-string",
+            "measurements-scalar"])
+    def test_output_options_rejected_before_sweep(self, tmp_path, capsys,
+                                                  monkeypatch, overrides,
+                                                  message):
+        # a bad report option must fail before any sweep work, not after
+        import ergodica.cli as cli_mod
+
+        def no_sweep(config):
+            raise AssertionError("the sweep ran on an invalid config")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "sin-a", "eps_list": [0.125], "q": 16, "n_torus": 64,
+            "measurements": ["lambda_rate"], "timing": False, **overrides}))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     def test_solver_error_exit_3(self, tmp_path, capsys):
         # an impossible bracket tolerance makes the power iteration give up
         cfg = tmp_path / "cfg.json"

@@ -162,3 +162,121 @@ class TestBellmanEigen:
         with pytest.raises(eg.IterationError, match="eigenvalue rose"):
             eg.principal_eigenpair_bellman(bs, 1.0, g, tol=1e-10)
         assert len(calls) == 2
+
+
+def _roundoff_tol(op, tol):
+    """tol plus the eigenvalue shift that LU round-off can cause:
+    16 u ||L||_inf / sqrt(N)."""
+    norm = np.max(np.abs(op.matrix).sum(axis=1))
+    return tol + 16 * np.finfo(float).eps * norm / np.sqrt(op.matrix.shape[0])
+
+
+def _effective(a_bar, b_bar=(0.0, 0.0), c_bar=0.0):
+    d = len(b_bar)
+    return eg.EffectiveLinear(
+        a_bar=np.array(a_bar, dtype=float), b_bar=np.array(b_bar, dtype=float),
+        c_bar=c_bar, a_bar_klm=np.zeros((d, d, d)), b_bar_kl=np.zeros((d, d)),
+        c_bar_k=np.zeros(d), d_bar=0.0)
+
+
+class TestEffectiveEigenpair:
+    """A 2D effective operator without cross diffusion is solved as the
+    Kronecker sum of its two axis operators; it must agree with the
+    assembled 2D solve."""
+
+    @pytest.fixture(scope="class")
+    def sep_2d(self):
+        spec = eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5),
+                                     0.5, 1.5)
+        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(2, 32))
+        return eg.effective_linear(spec, cs)
+
+    def _compare(self, eff, grid, tol):
+        kron = eg.effective_eigenpair(eff, grid, tol=tol)
+        op = eg.assemble_effective(eff, grid)
+        sparse_pair = eg.principal_eigenpair(op, tol=tol)
+        assert abs(kron.lam - sparse_pair.lam) <= _roundoff_tol(op, tol)
+        assert kron.cw_lower <= sparse_pair.lam <= kron.cw_upper
+        assert sparse_pair.cw_lower <= kron.lam <= sparse_pair.cw_upper
+        assert kron.cw_upper - kron.cw_lower <= tol
+        np.testing.assert_allclose(kron.phi.values, sparse_pair.phi.values,
+                                   rtol=0, atol=1e-10)
+        assert kron.phi.values.max() == 1.0
+        assert np.all(kron.phi.flat[grid.boundary_index()] == 0.0)
+        v = kron.phi.flat[grid.interior_index()]
+        direct = np.max(np.abs(op.matrix @ v + kron.lam * v))
+        norm = np.max(np.abs(op.matrix).sum(axis=1))
+        assert kron.residual == pytest.approx(
+            direct, abs=16 * np.finfo(float).eps * norm)
+        # far from convergence the residual is well above round-off
+        loose = eg.effective_eigenpair(eff, grid, tol=1e-2)
+        v = loose.phi.flat[grid.interior_index()]
+        direct = np.max(np.abs(op.matrix @ v + loose.lam * v))
+        assert direct > 1e3 * np.finfo(float).eps * norm
+        assert loose.residual == pytest.approx(direct, rel=1e-9)
+        return kron
+
+    def test_sep_2d_matches_sparse_path(self, sep_2d):
+        assert sep_2d.a_bar[0, 1] == 0.0
+        kron = self._compare(sep_2d, eg.DomainGrid.unit(2, 96), 1e-9)
+        # two axis solves: the longer one sets the history length
+        steps = len(kron.bracket_history)
+        assert steps < kron.iterations <= 2 * steps
+        assert kron.bracket_history[-1] <= 1e-9
+
+    def test_drift_and_zeroth_order_on_rectangle(self):
+        # unequal axes, a drift that upwinds on axis 1, and c_bar: the
+        # identity must still hold stencil for stencil
+        eff = _effective([[0.8, 0.0], [0.0, 0.3]], b_bar=(0.5, 5.0),
+                         c_bar=1.5)
+        grid = eg.DomainGrid(2, ((0.0, 1.0), (0.0, 2.0)), (48, 16))
+        self._compare(eff, grid, 1e-10)
+
+    def test_cross_diffusion_takes_sparse_path(self, monkeypatch):
+        import ergodica.eigen as eigen_mod
+        calls = []
+        real = eigen_mod.assemble_effective
+
+        def counting(eff, grid):
+            calls.append(eff)
+            return real(eff, grid)
+
+        monkeypatch.setattr(eigen_mod, "assemble_effective", counting)
+        grid = eg.DomainGrid.unit(2, 32)
+        eg.effective_eigenpair(_effective([[1.0, 0.0], [0.0, 1.2]]), grid)
+        assert calls == []
+        cross = _effective([[1.0, 0.2], [0.2, 1.0]])
+        pair = eg.effective_eigenpair(cross, grid)
+        assert calls == [cross]
+        ref = eg.principal_eigenpair(real(cross, grid))
+        assert pair.lam == ref.lam
+
+    def test_1d_is_the_assembled_solve(self):
+        eff = _effective([[0.9]], b_bar=(0.4,), c_bar=0.3)
+        grid = eg.DomainGrid.unit(1, 512)
+        pair = eg.effective_eigenpair(eff, grid, tol=1e-10)
+        ref = eg.principal_eigenpair(eg.assemble_effective(eff, grid), tol=1e-10)
+        assert pair.lam == ref.lam and pair.residual == ref.residual
+        np.testing.assert_array_equal(pair.phi.values, ref.phi.values)
+
+
+def test_separable_oscillatory_oracle():
+    """The sep-2d oscillatory stencil is exactly L_1 (x) I + I (x) L_2, so
+    the 2D SuperLU eigensolve must return the sum of the 1D axis
+    eigenvalues up to tol and round-off."""
+    spec = eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5), 0.5, 1.5)
+    eps, n, tol = 1 / 4, 64, 1e-9
+    grid = eg.DomainGrid.unit(2, n)
+    op = eg.assemble_oscillatory(spec, eps, grid)
+    pair = eg.principal_eigenpair(op, tol=tol)
+    axis = eg.DomainGrid.unit(1, n)
+    x = axis.points()[:, 0]
+    a = 1.0 + 0.5 * np.sin(2 * np.pi * ((x / eps) % 1.0))
+    axis_pair = eg.principal_eigenpair(
+        assemble_linear(axis, a, np.zeros_like(a), np.zeros_like(a)),
+        tol=tol / 2)
+    slack = _roundoff_tol(op, tol)
+    assert pair.lam == pytest.approx(2 * axis_pair.lam, abs=slack)
+    # the two certified brackets overlap up to round-off
+    assert pair.cw_lower <= 2 * axis_pair.cw_upper + slack - tol
+    assert 2 * axis_pair.cw_lower <= pair.cw_upper + slack - tol
