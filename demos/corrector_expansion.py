@@ -23,9 +23,8 @@ eff_op = eg.assemble_effective(eff, grid)
 pair = eg.principal_eigenpair(eff_op, tol=1e-10)
 print(f"effective eigenvalue lambda_bar = {pair.lam:.9f}")
 
-bundle = eg.derivative_bundle(pair.phi, 3)
-psi1 = eg.solve_psi1(eff, bundle, grid, op=eff_op)
-psi1_bundle = eg.derivative_bundle(psi1, 2)
+slow = eg.slow_corrector(eff, pair.phi)
+_, psi1, _ = slow
 print(f"slow corrector psi_1: sup = {np.max(np.abs(psi1.values)):.4e}")
 
 print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'||z2||':>10} "
@@ -33,18 +32,12 @@ print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'||z2||':>10} "
 for m in (8, 16, 32):
     eps = 1 / m
     op = eg.assemble_oscillatory(spec, eps, grid)
-    w2 = eg.second_corrector(correctors, bundle, eps)
-    w3 = eg.third_corrector(correctors, bundle, psi1_bundle, eps)
-    z2, z3 = eg.boundary_correctors(spec, eps, grid, w2, w3, op=op)
-    exp = eg.full_corrector(psi1, w2, z2, w3, z3, eps)
-
-    corrected = eg.GridFunction(grid, pair.phi.values + exp.v_eps.values)
-    res = op.apply(corrected) + pair.lam * grid.restrict(pair.phi.values)
+    exp, res = eg.linear_expansion(spec, correctors, pair, slow, eps, op)
     x = grid.interior_points()[:, 0]
     interior = np.abs(res)[(x >= 0.1) & (x <= 0.9)]
     print(f"{eps:8.5f} {exp.sup_norm_v:11.4e} "
           f"{exp.sup_norm_v / eps:10.4f} "
-          f"{np.max(np.abs(z2.values)):10.2e} {interior.max():10.2e}")
+          f"{np.max(np.abs(exp.z2.values)):10.2e} {interior.max():10.2e}")
 
 print("\nboundary exactness: w_k(x, x/eps) + z_k vanishes on the boundary "
       "ring by construction;")

@@ -12,11 +12,9 @@ from .coeff import (
     constant_field,
     eval_bellman,
     eval_pucci,
-    make_field,
     pucci_controls_1d,
     separable_sin_field_2d,
     sin_field_1d,
-    tabulated_field,
     validate_structure,
 )
 from .corrector import (
@@ -28,10 +26,12 @@ from .corrector import (
     derivative_bundle,
     fast_coordinates,
     full_corrector,
+    linear_expansion,
     nonlinear_expansion,
     pivot_problem,
     prepare_expansion,
     second_corrector,
+    slow_corrector,
     solve_psi1,
     third_corrector,
 )

@@ -21,16 +21,11 @@ import numpy as np
 from . import coeff as cf
 from .corrector import (
     align_eigenfunctions,
-    boundary_correctors,
-    derivative_bundle,
-    fast_coordinates,
-    full_corrector,
+    linear_expansion,
     nonlinear_expansion,
     pivot_problem,
     prepare_expansion,
-    second_corrector,
-    solve_psi1,
-    third_corrector,
+    slow_corrector,
 )
 from .domain import DomainGrid, assemble_oscillatory, bellman_operators
 from .effective import build_corrector_set, effective_linear, effective_nonlinear
@@ -76,7 +71,7 @@ def build_problem(name, params=None):
     elif name == "bellman-2ctl-1d":
         a2 = params.pop("a2", 1.2)
         f1 = cf.sin_field_1d(delta=delta)
-        f2 = cf.constant_field(1, a2, name="const")
+        f2 = cf.constant_field(1, a2)
         lam, Lam = min(lam, a2), max(Lam, a2)
         spec = cf.BellmanSpec([
             cf.LinearOperatorSpec(f1, lam, Lam),
@@ -282,11 +277,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     u = eff_pair.phi
 
     if config.mode == "linear" and dim == 1 and (meas & {"v_norm", "residual_slope"}):
-        bundle = derivative_bundle(u, 3)
-        psi1 = solve_psi1(eff, bundle, grid)
-        psi1_bundle = derivative_bundle(psi1, 2)
+        slow = slow_corrector(eff, u)
     else:
-        bundle = psi1 = psi1_bundle = None
+        slow = None
     # the eps-independent part of the Bellman expansion; rows only read it
     if config.mode == "bellman" and "residual_slope" in meas:
         prepared = prepare_expansion(spec, eff_pair, grid, tg, lam_bar)
@@ -309,7 +302,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         # one factorization of L_eps serves the pivot, z2 and z3 solves
-        lu = FactoredOperator(op.matrix) if needs_pivot or bundle is not None else None
+        lu = FactoredOperator(op.matrix) if needs_pivot or slow is not None else None
         if needs_pivot:
             w = pivot_problem(spec, eps, grid, u, lam_bar, op=op, lu=lu)
             t_eps, z = align_eigenfunctions(w, pair)
@@ -320,16 +313,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 np.sqrt(np.sum(grid.inner_weights() * diff ** 2)))
             row["z_norm"] = float(np.max(np.abs(z.values)))
             row["w_minus_u"] = float(np.max(np.abs(w.values - u.values)))
-        if bundle is not None:
-            fast = fast_coordinates(grid, eps)
-            w2 = second_corrector(correctors, bundle, eps, fast=fast)
-            w3 = third_corrector(correctors, bundle, psi1_bundle, eps, fast=fast)
-            z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op, lu=lu)
-            exp = full_corrector(psi1, w2, z2, w3, z3, eps)
+        if slow is not None:
+            exp, res = linear_expansion(spec, correctors, eff_pair, slow, eps, op,
+                                        lu=lu)
             row["v_norm"] = exp.sup_norm_v
             if "residual_slope" in meas:
-                corrected = GridFunction(grid, u.values + exp.v_eps.values)
-                res = op.apply(corrected) + lam_bar * grid.restrict(u.values)
                 x_int = grid.interior_points()[:, 0]
                 core = np.abs(res)[(x_int >= 0.1) & (x_int <= 0.9)]
                 row["residual"] = float(core.max())
@@ -375,7 +363,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         _fit_column(report, "w_minus_u", eps, column("w_minus_u"))
     if "z_rate" in meas and config.mode == "linear":
         _fit_column(report, "z", eps, column("z_norm"))
-    if "v_norm" in meas and bundle is not None:
+    if "v_norm" in meas and slow is not None:
         _fit_column(report, "v", eps, column("v_norm"))
         vn = column("v_norm")
         report.fits["v_over_eps"] = {
@@ -399,7 +387,6 @@ def emit_report(report: SweepReport, format="csv", out_dir="."):
     """Write the sweep report; returns the list of files written."""
     if format not in ("csv", "json"):
         raise ConfigError(f"unknown report format {format!r}")
-    os.makedirs(out_dir, exist_ok=True)
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)] + [
             ",".join(_fmt(row.get(k, np.nan)) for k in CSV_COLUMNS)
@@ -413,7 +400,10 @@ def emit_report(report: SweepReport, format="csv", out_dir="."):
 
 
 def _write_text(path, text):
+    """Write `text` to `path`, creating its directory; any OSError is a
+    ConfigError, since the output location comes from the config or --out."""
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
@@ -470,7 +460,6 @@ def _cmd_eigen(config, args):
         "iterations": pair.iterations,
     }, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _grid_csv(pair.phi, os.path.join(args.out, "phi.csv"))
     return 0
 
@@ -487,17 +476,9 @@ def _cmd_corrector(config, args):
     correctors = build_corrector_set(spec, tg)
     eff = effective_linear(spec, correctors)
     pair = effective_eigenpair(eff, grid, tol=config.tol)
-    bundle = derivative_bundle(pair.phi, 3)
-    psi1 = solve_psi1(eff, bundle, grid)
-    fast = fast_coordinates(grid, eps)
-    w2 = second_corrector(correctors, bundle, eps, fast=fast)
-    w3 = third_corrector(correctors, bundle, derivative_bundle(psi1, 2), eps,
-                         fast=fast)
     op = assemble_oscillatory(spec, eps, grid)
-    z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op)
-    exp = full_corrector(psi1, w2, z2, w3, z3, eps)
-    corrected = GridFunction(grid, pair.phi.values + exp.v_eps.values)
-    res = op.apply(corrected) + pair.lam * grid.restrict(pair.phi.values)
+    exp, res = linear_expansion(spec, correctors, pair,
+                                slow_corrector(eff, pair.phi), eps, op)
     print(json.dumps({
         "sup_norm_v": exp.sup_norm_v,
         "residual_slope_inputs": {
@@ -506,8 +487,8 @@ def _cmd_corrector(config, args):
         },
     }, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, fn in (("psi1", psi1), ("w2_trace", w2), ("v_eps", exp.v_eps)):
+        for name, fn in (("psi1", exp.psi1), ("w2_trace", exp.w2_trace),
+                         ("v_eps", exp.v_eps)):
             _grid_csv(fn, os.path.join(args.out, f"{name}.csv"))
     return 0
 
@@ -548,6 +529,9 @@ def main(argv=None):
         "sweep": _cmd_sweep,
     }
     try:
+        eps = getattr(args, "eps", None)
+        if eps is not None and not 0 < eps < 1:
+            raise ConfigError(f"--eps must be a number in (0, 1), got {eps}")
         config = SweepConfig.from_file(args.config)
         return handlers[args.command](config, args)
     except ConfigError as exc:

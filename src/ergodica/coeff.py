@@ -1,9 +1,9 @@
 """Periodic coefficient fields and operator specifications.
 
 A coefficient field is a triple of 1-periodic maps y -> (a(y), b(y), c(y))
-with a(y) symmetric positive definite. Fields are supplied either from a
-small closed-form catalog (constants and trigonometric polynomials, which
-are C^infinity on the torus) or tabulated from CSV.
+with a(y) symmetric positive definite. Fields are built in closed form
+(constants and trigonometric polynomials, which are C^infinity on the
+torus); `cli.build_problem` names the problems assembled from them.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -29,7 +29,6 @@ class CoefficientField:
     a: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
     c: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -235,10 +234,10 @@ def validate_structure(spec: LinearOperatorSpec, sample_count: int, seed=0,
 
 
 # ---------------------------------------------------------------------------
-# field catalog
+# closed-form fields
 
 
-def constant_field(dim, a0, b0=None, c0=0.0, name="constant"):
+def constant_field(dim, a0, b0=None, c0=0.0):
     """Constant-coefficient field; a0 may be a scalar (isotropic) or a (dim, dim)
     matrix, b0 a scalar (the same drift on every axis) or a (dim,) vector."""
     a0 = np.asarray(a0, dtype=float)
@@ -262,11 +261,10 @@ def constant_field(dim, a0, b0=None, c0=0.0, name="constant"):
     def c(pts):
         return np.full(len(pts), c0)
 
-    return CoefficientField(dim, a, b, c, name=name)
+    return CoefficientField(dim, a, b, c)
 
 
-def sin_field_1d(a0=1.0, delta=0.5, b_amp=0.0, c0=0.0, c_amp=0.0,
-                 name="one_plus_delta_sin"):
+def sin_field_1d(a0=1.0, delta=0.5, b_amp=0.0, c0=0.0, c_amp=0.0):
     """1D trigonometric field: a = a0 + delta*sin(2 pi y), b = b_amp*cos(2 pi y),
     c = c0 + c_amp*sin(2 pi y)."""
     if a0 - abs(delta) <= 0:
@@ -284,10 +282,10 @@ def sin_field_1d(a0=1.0, delta=0.5, b_amp=0.0, c0=0.0, c_amp=0.0,
         y = pts[:, 0]
         return c0 + c_amp * np.sin(2 * np.pi * y)
 
-    return CoefficientField(1, a, b, c, name=name)
+    return CoefficientField(1, a, b, c)
 
 
-def separable_sin_field_2d(a0=1.0, delta=0.5, name="sep_sin_2d"):
+def separable_sin_field_2d(a0=1.0, delta=0.5):
     """2D diagonal field a = diag(a0 + delta sin(2 pi y1), a0 + delta sin(2 pi y2))."""
     if a0 - abs(delta) <= 0:
         raise ConfigError("a0 - |delta| must stay positive")
@@ -304,98 +302,7 @@ def separable_sin_field_2d(a0=1.0, delta=0.5, name="sep_sin_2d"):
     def c(pts):
         return np.zeros(len(pts))
 
-    return CoefficientField(2, a, b, c, name=name)
-
-
-def tabulated_field(path, dim=None, name="tabulated"):
-    """Field interpolated from CSV samples on a uniform torus grid.
-
-    Columns: y1[,y2], a11[,a12,a22], b1[,b2], c. Samples must cover a full
-    uniform grid with spacing 1/n per axis; values in between come from
-    periodic cubic interpolation.
-    """
-    from .stencils import TorusInterpolant
-
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    cols = data.dtype.names
-    if dim is None:
-        dim = 2 if "y2" in cols else 1
-    if dim == 1:
-        needed = ("y1", "a11", "b1", "c")
-    else:
-        needed = ("y1", "y2", "a11", "a12", "a22", "b1", "b2", "c")
-    missing = [k for k in needed if k not in cols]
-    if missing:
-        raise ConfigError(f"tabulated field at {path} lacks columns {missing}")
-
-    if dim == 1:
-        order = np.argsort(data["y1"])
-        y = data["y1"][order]
-        n = len(y)
-        if np.max(np.abs(y - np.arange(n) / n)) > 1e-9:
-            raise ConfigError("tabulated 1D field must sample y1 = k/n")
-        interps = {k: TorusInterpolant(data[k][order]) for k in ("a11", "b1", "c")}
-
-        def a(pts):
-            return interps["a11"](pts[:, 0])[:, None, None]
-
-        def b(pts):
-            return interps["b1"](pts[:, 0])[:, None]
-
-        def c(pts):
-            return interps["c"](pts[:, 0])
-
-        return CoefficientField(1, a, b, c, name=name)
-
-    n = int(round(np.sqrt(len(data))))
-    if n * n != len(data):
-        raise ConfigError("tabulated 2D field must sample a full n x n grid")
-    order = np.lexsort((data["y2"], data["y1"]))
-    grids = {}
-    for k in ("a11", "a12", "a22", "b1", "b2", "c"):
-        grids[k] = TorusInterpolant(data[k][order].reshape(n, n))
-    y1 = data["y1"][order].reshape(n, n)
-    y2 = data["y2"][order].reshape(n, n)
-    if (np.max(np.abs(y1 - (np.arange(n) / n)[:, None])) > 1e-9
-            or np.max(np.abs(y2 - (np.arange(n) / n)[None, :])) > 1e-9):
-        raise ConfigError("tabulated 2D field must sample y = (j/n, k/n)")
-
-    def a(pts):
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = grids["a11"](pts)
-        out[:, 0, 1] = out[:, 1, 0] = grids["a12"](pts)
-        out[:, 1, 1] = grids["a22"](pts)
-        return out
-
-    def b(pts):
-        return np.stack([grids["b1"](pts), grids["b2"](pts)], axis=1)
-
-    def c(pts):
-        return grids["c"](pts)
-
-    return CoefficientField(2, a, b, c, name=name)
-
-
-_CATALOG = {
-    "constant": constant_field,
-    "one_plus_delta_sin": sin_field_1d,
-    "sep_sin_2d": separable_sin_field_2d,
-    "tabulated": tabulated_field,
-}
-
-
-def make_field(kind, **params) -> CoefficientField:
-    """Instantiate a catalog field by name, e.g. make_field('one_plus_delta_sin', delta=0.5)."""
-    if kind not in _CATALOG:
-        raise ConfigError(f"unknown field kind {kind!r}; known: {sorted(_CATALOG)}")
-    if kind == "constant" and "dim" not in params and "a0" in params:
-        a0 = np.asarray(params["a0"], dtype=float)
-        params["dim"] = 1 if a0.ndim == 0 else a0.shape[0]
-        params["a0"] = a0
-    try:
-        return _CATALOG[kind](**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for field kind {kind!r}: {exc}") from exc
+    return CoefficientField(2, a, b, c)
 
 
 def pucci_controls_1d(spec: PucciSpec, c1=0.0):
@@ -407,6 +314,5 @@ def pucci_controls_1d(spec: PucciSpec, c1=0.0):
     if spec.sign != "plus":
         raise ConfigError("only M^+ has a sup (Bellman) representation")
     mk = lambda kappa: LinearOperatorSpec(
-        constant_field(1, kappa, name=f"pucci_{kappa:g}"),
-        spec.lambda_ell, spec.Lambda_ell, c1)
+        constant_field(1, kappa), spec.lambda_ell, spec.Lambda_ell, c1)
     return BellmanSpec([mk(spec.lambda_ell), mk(spec.Lambda_ell)])

@@ -1,15 +1,17 @@
 """Two-scale expansion machinery: interior correctors, boundary correctors,
-the pivot problem, eigenfunction alignment, and the nonlinear expansion.
+the linear expansion, the pivot problem, eigenfunction alignment, and the
+nonlinear expansion.
 
 Torus profiles are evaluated along the diagonal y = x/eps by periodic cubic
 interpolation, once per distinct fast coordinate: y takes about n * eps
 distinct values on n nodes per axis, and the values are scattered back to
 the nodes. x-derivatives of the slow factors use 4th-order stencils.
 
-The Bellman expansion splits into an eps-independent part
-(`prepare_expansion`: cell solves, invariant measures, linearized
-coefficients and the slow corrector), built once per sweep, and the per-eps
-evaluation in `nonlinear_expansion`.
+Both expansions split into an eps-independent part, built once per sweep,
+and a per-eps evaluation: `slow_corrector` (derivatives of u and psi_1)
+and `linear_expansion` for linear problems; `prepare_expansion` (cell
+solves, invariant measures, linearized coefficients and the slow
+corrector) and `nonlinear_expansion` for Bellman problems.
 """
 
 from dataclasses import dataclass
@@ -227,6 +229,39 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction, z2: GridFunction,
         psi1=psi1, w2_trace=w2_trace, z2=z2, w3_trace=w3_trace, z3=z3,
         v_eps=v_fn, sup_norm_v=float(np.max(np.abs(v))),
     )
+
+
+def slow_corrector(eff: EffectiveLinear, u: GridFunction):
+    """The eps-independent part of the linear expansion around u.
+
+    Returns (bundle of u to order 3, psi_1, bundle of psi_1 to order 2),
+    the `slow` argument of `linear_expansion`.
+    """
+    bundle = derivative_bundle(u, 3)
+    psi1 = solve_psi1(eff, bundle, u.grid)
+    return bundle, psi1, derivative_bundle(psi1, 2)
+
+
+def linear_expansion(spec: LinearOperatorSpec, correctors: CorrectorSet,
+                     u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
+                     lu: Optional[FactoredOperator] = None):
+    """Full corrector v^eps around the effective eigenpair at one eps.
+
+    `slow` is `slow_corrector(eff, u_pair.phi)`, `op` is L^eps on the grid
+    of u and `lu` a factorization of op.matrix to reuse. Returns the
+    ExpansionResult and the residual L^eps(u + v^eps) + lambda_bar u at the
+    interior nodes.
+    """
+    bundle, psi1, psi1_bundle = slow
+    grid = psi1.grid
+    fast = fast_coordinates(grid, eps)
+    w2 = second_corrector(correctors, bundle, eps, fast=fast)
+    w3 = third_corrector(correctors, bundle, psi1_bundle, eps, fast=fast)
+    z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op, lu=lu)
+    exp = full_corrector(psi1, w2, z2, w3, z3, eps)
+    u = u_pair.phi
+    corrected = GridFunction(grid, u.values + exp.v_eps.values)
+    return exp, op.apply(corrected) + u_pair.lam * grid.restrict(u.values)
 
 
 def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,

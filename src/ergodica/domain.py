@@ -6,7 +6,7 @@ on interior unknowns, with the boundary coupling kept as a separate block so
 inhomogeneous Dirichlet data can be moved to the right-hand side.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -122,7 +122,6 @@ class DiscreteOperator:
     grid: DomainGrid
     eps: float = 0.0            # 0 marks an effective (non-oscillatory) operator
     c_max: float = 0.0
-    scheme: dict = dc_field(default_factory=dict)
 
     def apply(self, phi: GridFunction):
         """Operator value at interior nodes, honoring the boundary values of phi."""
@@ -177,7 +176,6 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals, eps=0.0) -> DiscreteO
 
     multi = np.array(np.unravel_index(interior, shape)).T  # (ni, d)
     diag = np.zeros(ni)
-    upwind_nodes = 0
 
     for ax in range(d):
         hk = h[ax]
@@ -188,7 +186,6 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals, eps=0.0) -> DiscreteO
         b_ax = bvals[interior, ax]
         # drift scheme per node: centered when h|b| < 2 * a_eff
         centered = np.abs(b_ax) * hk < 2.0 * a_ax
-        upwind_nodes += int(np.sum(~centered))
 
         step = np.zeros((1, d), dtype=int)
         step[0, ax] = 1
@@ -239,7 +236,6 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals, eps=0.0) -> DiscreteO
         grid=grid,
         eps=eps,
         c_max=float(cvals[interior].max()),
-        scheme={"upwind_nodes": upwind_nodes, "interior_nodes": ni},
     )
 
 

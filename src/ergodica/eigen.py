@@ -188,6 +188,6 @@ def _freeze_policy(ops, policy, grid, eps):
     return DiscreteOperator(
         matrix=select_rows([op.matrix for op in ops], policy),
         boundary=select_rows([op.boundary for op in ops], policy),
-        grid=grid, eps=eps, scheme={"policy": "frozen"},
+        grid=grid, eps=eps,
         c_max=max(ops[beta].c_max for beta in np.unique(policy)),
     )

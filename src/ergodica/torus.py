@@ -160,9 +160,6 @@ class GridFunction:
     def flat(self):
         return self.values.ravel()
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
 
 @dataclass
 class ErgodicSolution:

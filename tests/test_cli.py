@@ -304,6 +304,39 @@ class TestCli:
         for name in ("psi1", "w2_trace", "v_eps"):
             assert os.path.exists(os.path.join(out_dir, name + ".csv"))
 
+    def test_corrector_command_matches_sweep_row(self, tmp_path, capsys):
+        # the corrector command and the sweep row share one expansion path,
+        # so sup |v_eps| agrees bit for bit
+        raw = {"problem": "sin-abc", "eps_list": [0.25, 0.125, 0.0625],
+               "q": 16, "n_torus": 32, "measurements": ["v_norm"],
+               "timing": False}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["corrector", "--config", str(path), "--eps", "0.125"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        rows = eg.run_sweep(eg.SweepConfig(**raw)).rows
+        row = next(r for r in rows if r["eps"] == 0.125)
+        assert out["sup_norm_v"] == row["v_norm"]
+
+    @pytest.mark.parametrize("argv, out_name", [
+        (["sweep"], "file"),
+        (["eigen", "--effective"], "file/x"),
+        (["corrector", "--eps", "0.125"], "file/x"),
+    ], ids=["sweep", "eigen", "corrector"])
+    def test_out_not_a_directory_exit_2(self, cfg_path, capsys, tmp_path,
+                                        argv, out_name):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / out_name)
+        assert main(argv + ["--config", cfg_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write ")
+
+    @pytest.mark.parametrize("command", ["eigen", "corrector"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "2"])
+    def test_bad_eps_exit_2(self, cfg_path, capsys, command, eps):
+        assert main([command, "--config", cfg_path, "--eps", eps]) == 2
+        assert capsys.readouterr().err.startswith("config error: --eps ")
+
     def test_sweep_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "sweep")
         assert main(["sweep", "--config", cfg_path, "--out", out_dir,

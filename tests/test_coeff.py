@@ -109,15 +109,6 @@ class TestStructure:
 
 
 class TestCatalog:
-    def test_make_field_dispatch(self):
-        f = eg.make_field("one_plus_delta_sin", delta=0.25)
-        pts = np.array([[0.25]])
-        assert f.a(pts)[0, 0, 0] == pytest.approx(1.25)
-        with pytest.raises(eg.ConfigError):
-            eg.make_field("no_such_kind")
-        with pytest.raises(eg.ConfigError):
-            eg.make_field("one_plus_delta_sin", bogus=1)
-
     def test_constant_field_shapes(self):
         f = eg.constant_field(2, np.diag([1.0, 2.0]), b0=[0.1, 0.2], c0=0.3)
         a, b, c = f.sample(np.zeros((5, 2)))
@@ -154,28 +145,3 @@ class TestCatalog:
         f = eg.sin_field_1d(delta=0.5)
         assert f.check(0.4, 1.6) == []
         assert f.check(0.8, 1.6)  # interval too tight -> violations reported
-
-    def test_tabulated_round_trip(self, tmp_path):
-        n = 64
-        y = np.arange(n) / n
-        a = 1 + 0.5 * np.sin(2 * np.pi * y)
-        b = 0.3 * np.cos(2 * np.pi * y)
-        c = 0.2 + 0.4 * np.sin(2 * np.pi * y)
-        path = tmp_path / "field.csv"
-        lines = ["y1,a11,b1,c"] + [
-            f"{y[i]:.16e},{a[i]:.16e},{b[i]:.16e},{c[i]:.16e}" for i in range(n)
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        f = eg.tabulated_field(str(path))
-        pts = y.reshape(-1, 1)
-        av, bv, cv = f.sample(pts)
-        assert np.allclose(av[:, 0, 0], a, atol=1e-12)
-        assert np.allclose(bv[:, 0], b, atol=1e-12)
-        assert np.allclose(cv, c, atol=1e-12)
-
-    def test_tabulated_rejects_nonuniform(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y1,a11,b1,c\n0.0,1.0,0.0,0.0\n0.3,1.0,0.0,0.0\n"
-                        "0.7,1.0,0.0,0.0\n")
-        with pytest.raises(eg.ErgodicaError):
-            eg.tabulated_field(str(path))
