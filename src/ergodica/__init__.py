@@ -23,6 +23,7 @@ from .corrector import (
     PreparedExpansion,
     align_eigenfunctions,
     boundary_correctors,
+    core_residual,
     derivative_bundle,
     fast_coordinates,
     full_corrector,

@@ -21,6 +21,7 @@ import numpy as np
 from . import coeff as cf
 from .corrector import (
     align_eigenfunctions,
+    core_residual,
     linear_expansion,
     nonlinear_expansion,
     pivot_problem,
@@ -99,6 +100,17 @@ def _is_number(x, kind=numbers.Real):
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def eps_denominator(eps, name="eps"):
+    """The integer m of eps = 1/m; any other eps is a ConfigError, since a
+    sweep grid resolves only such eps (`name` labels the message)."""
+    if not (_is_number(eps) and 0 < eps < 1):
+        raise ConfigError(f"{name} must be a number in (0, 1), got {eps!r}")
+    frac = Fraction(eps).limit_denominator(10 ** 6)
+    if frac.numerator != 1 or abs(float(frac) - eps) > 1e-12:
+        raise ConfigError(f"{name}={eps} is not the reciprocal of an integer")
+    return frac.denominator
+
+
 @dataclass
 class SweepConfig:
     problem: str
@@ -116,15 +128,11 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = self.eps_list
-        if not isinstance(eps, (list, tuple)) or not eps or \
-                not all(_is_number(e) and 0 < e < 1 for e in eps):
+        if not isinstance(eps, (list, tuple)) or not eps:
             raise ConfigError("eps_list must be a nonempty list of numbers in (0, 1)")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
+        dens = self.denominators()
+        if any(b <= a for a, b in zip(dens, dens[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
-        for e in eps:
-            frac = Fraction(e).limit_denominator(10 ** 6)
-            if frac.numerator != 1 or abs(float(frac) - e) > 1e-12:
-                raise ConfigError(f"eps={e} is not the reciprocal of an integer")
         if not _is_number(self.q, numbers.Integral) or self.q < 16:
             raise ConfigError("oversampling q must be an integer >= 16")
         if not _is_number(self.n_torus, numbers.Integral) or self.n_torus < 4:
@@ -166,8 +174,7 @@ class SweepConfig:
         return cls(**raw)
 
     def denominators(self):
-        return [Fraction(e).limit_denominator(10 ** 6).denominator
-                for e in self.eps_list]
+        return [eps_denominator(e) for e in self.eps_list]
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +325,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                                         lu=lu)
             row["v_norm"] = exp.sup_norm_v
             if "residual_slope" in meas:
-                x_int = grid.interior_points()[:, 0]
-                core = np.abs(res)[(x_int >= 0.1) & (x_int <= 0.9)]
-                row["residual"] = float(core.max())
+                row["residual"] = core_residual(grid, res)
         if prepared is not None:
             _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, tg, lam_bar,
                                          prepared=prepared, ops=ops)
@@ -399,11 +404,18 @@ def emit_report(report: SweepReport, format="csv", out_dir="."):
     return [path]
 
 
-def _write_text(path, text):
-    """Write `text` to `path`, creating its directory; any OSError is a
-    ConfigError, since the output location comes from the config or --out."""
+def _make_dir(path):
+    """Create directory `path`; an OSError is a ConfigError (bad output path)."""
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path, text):
+    """Write `text` to `path`, creating its directory (see `_make_dir`)."""
+    _make_dir(os.path.dirname(path))
+    try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
@@ -494,8 +506,9 @@ def _cmd_corrector(config, args):
 
 
 def _cmd_sweep(config, args):
-    report = run_sweep(config)
     out = args.out or config.out
+    _make_dir(out)  # before the sweep, not after all its rows
+    report = run_sweep(config)
     fmt = args.format or config.format
     written = emit_report(report, format=fmt, out_dir=out)
     for path in written:
@@ -529,10 +542,12 @@ def main(argv=None):
         "sweep": _cmd_sweep,
     }
     try:
-        eps = getattr(args, "eps", None)
-        if eps is not None and not 0 < eps < 1:
-            raise ConfigError(f"--eps must be a number in (0, 1), got {eps}")
         config = SweepConfig.from_file(args.config)
+        eps = getattr(args, "eps", None)
+        # a finer eps than eps_list's would get < q grid cells per period
+        if eps is not None and \
+                eps_denominator(eps, "--eps") > max(config.denominators()):
+            raise ConfigError(f"--eps {eps} is below min(eps_list)")
         return handlers[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -264,6 +264,13 @@ def linear_expansion(spec: LinearOperatorSpec, correctors: CorrectorSet,
     return exp, op.apply(corrected) + u_pair.lam * grid.restrict(u.values)
 
 
+def core_residual(grid: DomainGrid, res):
+    """Max |res| over the interior nodes with x_1 in the closed window
+    [0.1, 0.9], away from the boundary layers of an expansion residual."""
+    x = grid.interior_points()[:, 0]
+    return float(np.max(np.abs(res)[(x >= 0.1) & (x <= 0.9)]))
+
+
 def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
                   u: GridFunction, lambda_bar: float,
                   op: Optional[DiscreteOperator] = None,
@@ -426,12 +433,10 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     bell = apply_bellman(spec, eps, grid, w_eps, ops=ops)
     interior = grid.interior_index()
     res = bell.flat[interior] + lambda_bar * u.flat[interior]
-    x_int = grid.interior_points()[:, 0]
-    core = np.abs(res)[(x_int > 0.1) & (x_int < 0.9)]
     report = {
         "w2F_residual": prepared.w2F_residual,
         "expansion_residual_sup": float(np.max(np.abs(res))),
-        "expansion_residual_interior": float(core.max()) if core.size else 0.0,
+        "expansion_residual_interior": core_residual(grid, res),
         "psi1": prepared.psi,
         "w2_trace": GridFunction(grid, w2_trace.reshape(grid.shape)),
         "Psi1": prepared.Psi1,

@@ -3,7 +3,8 @@ on an interval or rectangle, as monotone sparse operators.
 
 Grid functions live on the full node set (boundary included); operators act
 on interior unknowns, with the boundary coupling kept as a separate block so
-inhomogeneous Dirichlet data can be moved to the right-hand side.
+inhomogeneous Dirichlet data can be moved to the right-hand side. Rows come
+from `stencils.monotone_stencil`, which builds the torus cell matrices too.
 """
 
 from dataclasses import dataclass
@@ -13,10 +14,9 @@ from scipy import sparse
 
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
-from .errors import AssemblyError, InputError
+from .errors import InputError
+from .stencils import monotone_stencil
 from .torus import FactoredOperator, GridFunction
-
-_OFFDIAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,6 @@ class DiscreteOperator:
     matrix: sparse.csr_matrix
     boundary: sparse.csr_matrix
     grid: DomainGrid
-    eps: float = 0.0            # 0 marks an effective (non-oscillatory) operator
     c_max: float = 0.0
 
     def apply(self, phi: GridFunction):
@@ -131,111 +130,23 @@ class DiscreteOperator:
         return vals
 
 
-def assemble_linear(grid: DomainGrid, avals, bvals, cvals, eps=0.0) -> DiscreteOperator:
-    """Monotone assembly from nodal coefficient samples on the full node set.
-
-    Second derivatives are centered; the drift term is centered where the
-    mesh-Peclet number allows and first-order upwind at the remaining nodes;
-    2D cross terms use the diagonal-shift 7-point stencil.
-    """
+def assemble_linear(grid: DomainGrid, avals, bvals, cvals) -> DiscreteOperator:
+    """Monotone assembly (`stencils.monotone_stencil`) from nodal coefficient
+    samples on the full node set: interior rows, with the boundary columns
+    split off."""
     d = grid.dim
-    shape = grid.shape
-    N_full = int(np.prod(shape))
-    avals = np.asarray(avals, dtype=float).reshape(N_full, d, d)
-    bvals = np.asarray(bvals, dtype=float).reshape(N_full, d)
-    cvals = np.asarray(cvals, dtype=float).reshape(N_full)
-    h = grid.h
-
+    N_full = int(np.prod(grid.shape))
     interior = grid.interior_index()
-    ni = len(interior)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    row_ids = np.arange(ni)
-    if d == 1:
-        a = avals[interior, 0, 0]
-        cross = np.zeros(ni)
-    else:
-        a11 = avals[interior, 0, 0]
-        a22 = avals[interior, 1, 1]
-        a12 = 0.5 * (avals[interior, 0, 1] + avals[interior, 1, 0])
-        if np.any(np.abs(a12) > _OFFDIAG_TOL) and abs(h[0] - h[1]) > 1e-14:
-            raise AssemblyError("cross terms require equal spacing per axis")
-        slack = np.minimum(a11, a22) - np.abs(a12)
-        if slack.min() < 0:
-            worst = interior[int(np.argmin(slack))]
-            raise AssemblyError(
-                f"|a12| exceeds min(a11, a22) by {-slack.min():.3e} at node "
-                f"{np.unravel_index(worst, shape)}"
-            )
-        cross = np.abs(a12)
-
-    multi = np.array(np.unravel_index(interior, shape)).T  # (ni, d)
-    diag = np.zeros(ni)
-
-    for ax in range(d):
-        hk = h[ax]
-        if d == 1:
-            a_ax = a
-        else:
-            a_ax = (a11 if ax == 0 else a22) - cross
-        b_ax = bvals[interior, ax]
-        # drift scheme per node: centered when h|b| < 2 * a_eff
-        centered = np.abs(b_ax) * hk < 2.0 * a_ax
-
-        step = np.zeros((1, d), dtype=int)
-        step[0, ax] = 1
-        east = np.ravel_multi_index((multi + step).T, shape)
-        west = np.ravel_multi_index((multi - step).T, shape)
-
-        ce = a_ax / hk ** 2 + np.where(
-            centered, b_ax / (2 * hk), np.maximum(b_ax, 0.0) / hk)
-        cw = a_ax / hk ** 2 - np.where(
-            centered, b_ax / (2 * hk), -np.minimum(b_ax, 0.0) / hk)
-        diag += -2 * a_ax / hk ** 2 - np.where(centered, 0.0, np.abs(b_ax) / hk)
-        add(row_ids, east, ce)
-        add(row_ids, west, cw)
-
-    if d == 2 and np.any(cross > 0):
-        hk = h[0]
-        ap = np.maximum(a12, 0.0)
-        am = np.maximum(-a12, 0.0)
-        for (di, dj), coeff in (((1, 1), ap), ((-1, -1), ap),
-                                ((1, -1), am), ((-1, 1), am)):
-            nb = np.ravel_multi_index(
-                (multi[:, 0] + di, multi[:, 1] + dj), shape)
-            add(row_ids, nb, coeff / hk ** 2)
-        diag += -2 * cross / hk ** 2
-
-    diag += cvals[interior]
-    add(row_ids, interior, diag)
-
-    A_full = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ni, N_full),
-    )
-    boundary_ids = grid.boundary_index()
-    matrix = A_full[:, interior].tocsr()
-    bmat = A_full[:, boundary_ids].tocsr()
-
-    off = matrix - sparse.diags(matrix.diagonal())
-    if off.nnz and off.data.min() < -_OFFDIAG_TOL:
-        k = int(np.argmin(off.data))
-        r = np.searchsorted(off.indptr, k, side="right") - 1
-        raise AssemblyError(
-            f"negative off-diagonal {off.data.min():.3e} in row of interior node "
-            f"{np.unravel_index(interior[r], shape)}"
-        )
+    avals = np.asarray(avals, dtype=float).reshape(N_full, d, d)[interior]
+    bvals = np.asarray(bvals, dtype=float).reshape(N_full, d)[interior]
+    cvals = np.asarray(cvals, dtype=float).reshape(N_full)[interior]
+    rows = monotone_stencil(avals, bvals, cvals, grid.h, grid.shape, interior,
+                            wrap=False)
     return DiscreteOperator(
-        matrix=matrix,
-        boundary=bmat,
+        matrix=rows[:, interior].tocsr(),
+        boundary=rows[:, grid.boundary_index()].tocsr(),
         grid=grid,
-        eps=eps,
-        c_max=float(cvals[interior].max()),
+        c_max=float(cvals.max()),
     )
 
 
@@ -248,7 +159,7 @@ def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
         raise InputError("operator and grid dimensions differ")
     y = (grid.points() / eps) % 1.0
     avals, bvals, cvals = spec.field.sample(y)
-    return assemble_linear(grid, avals, bvals, cvals, eps=eps)
+    return assemble_linear(grid, avals, bvals, cvals)
 
 
 def assemble_effective(eff: EffectiveLinear, grid: DomainGrid) -> DiscreteOperator:
@@ -259,7 +170,7 @@ def assemble_effective(eff: EffectiveLinear, grid: DomainGrid) -> DiscreteOperat
     avals = np.broadcast_to(eff.a_bar, (N, eff.dim, eff.dim))
     bvals = np.broadcast_to(eff.b_bar, (N, eff.dim))
     cvals = np.full(N, eff.c_bar)
-    return assemble_linear(grid, avals, bvals, cvals, eps=0.0)
+    return assemble_linear(grid, avals, bvals, cvals)
 
 
 def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid):

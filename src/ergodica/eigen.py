@@ -169,7 +169,7 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     def evaluate(policy):
         nonlocal prev
         pair = principal_eigenpair(
-            _freeze_policy(ops, policy, grid, eps), tol=tol,
+            _freeze_policy(ops, policy, grid), tol=tol,
             x0=None if prev is None else prev.phi.flat[interior])
         if prev is not None and pair.lam > prev.lam + 10 * tol:
             raise IterationError(
@@ -184,10 +184,10 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     return policy_iteration(evaluate, policy, max_outer)
 
 
-def _freeze_policy(ops, policy, grid, eps):
+def _freeze_policy(ops, policy, grid):
     return DiscreteOperator(
         matrix=select_rows([op.matrix for op in ops], policy),
         boundary=select_rows([op.boundary for op in ops], policy),
-        grid=grid, eps=eps,
+        grid=grid,
         c_max=max(ops[beta].c_max for beta in np.unique(policy)),
     )

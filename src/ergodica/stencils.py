@@ -1,5 +1,8 @@
-"""Finite-difference weights and periodic interpolation utilities.
+"""Finite-difference weights, the monotone stencil, and periodic
+interpolation utilities.
 
+`monotone_stencil` is the one discretization of a D^2 + b . D + c: the torus
+cell matrices (`torus`) and the Dirichlet operators (`domain`) share it.
 Differentiation matrices come in two flavors: circulant ones for the torus
 (wraparound indexing) and banded ones for bounded intervals, where rows near
 the edge fall back to one-sided stencils of the same order.
@@ -8,6 +11,10 @@ the edge fall back to one-sided stencils of the same order.
 import numpy as np
 from scipy import sparse
 from scipy.ndimage import map_coordinates, spline_filter
+
+from .errors import AssemblyError
+
+_OFFDIAG_TOL = 1e-12
 
 
 def fd_weights(nodes, x0, m):
@@ -37,6 +44,82 @@ def fd_weights(nodes, x0, m):
             C[j, 0] = c4 * C[j, 0] / c3
         c1 = c2
     return C[:, m]
+
+
+def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
+    """CSR rows (len(rows), prod(shape)) of  a D^2 + b . D + c  at the flat
+    node indices `rows` of a grid of `shape` and spacing `h`, from the
+    coefficients at those nodes: avals (k, d, d), bvals (k, d), cvals (k,).
+    Neighbours wrap around when `wrap` (torus) and must exist otherwise.
+
+    Second differences are centered; the drift is centered where h|b| <
+    2 a_eff and first-order upwind elsewhere; 2D cross terms use the
+    diagonal-shift 7-point stencil, monotone when |a12| <= min(a11, a22).
+    Raises AssemblyError when that bound fails, when a cross term meets
+    unequal spacing, or when an off-diagonal entry comes out negative.
+    """
+    d = len(shape)
+    mode = "wrap" if wrap else "raise"
+    index = np.unravel_index(rows, shape)
+
+    def neighbour(offset):
+        return np.ravel_multi_index(
+            tuple(i + o for i, o in zip(index, offset)), shape, mode=mode)
+
+    cross = np.zeros(len(rows))
+    if d == 2:
+        a12 = 0.5 * (avals[:, 0, 1] + avals[:, 1, 0])
+        if np.any(np.abs(a12) > _OFFDIAG_TOL) and abs(h[0] - h[1]) > 1e-14:
+            raise AssemblyError("cross terms require equal spacing per axis")
+        slack = np.minimum(avals[:, 0, 0], avals[:, 1, 1]) - np.abs(a12)
+        if slack.min() < 0:
+            raise AssemblyError(
+                f"|a12| exceeds min(a11, a22) by {-slack.min():.3e} at node "
+                f"{np.unravel_index(rows[int(np.argmin(slack))], shape)}"
+            )
+        cross = np.abs(a12)
+
+    cols, vals = [], []
+    diag = np.zeros(len(rows))
+    for ax, hk in enumerate(h):
+        a_ax = avals[:, ax, ax] - cross
+        b_ax = bvals[:, ax]
+        centered = np.abs(b_ax) * hk < 2.0 * a_ax
+        step = np.eye(d, dtype=int)[ax]
+        cols += [neighbour(step), neighbour(-step)]
+        vals += [
+            a_ax / hk ** 2 + np.where(
+                centered, b_ax / (2 * hk), np.maximum(b_ax, 0.0) / hk),
+            a_ax / hk ** 2 - np.where(
+                centered, b_ax / (2 * hk), -np.minimum(b_ax, 0.0) / hk),
+        ]
+        diag += -2 * a_ax / hk ** 2 - np.where(centered, 0.0, np.abs(b_ax) / hk)
+
+    # diagonal neighbours are stored when a cross term exists, and always on
+    # the torus: with splu's MMD_AT_PLUS_A on 2 cores the 9-entry pattern
+    # factors the 128^2 sep-2d cell matrix in 0.11 s against 0.17 s, but the
+    # 383^2 shifted Dirichlet sep-2d operator in 1.13 s against 0.86 s
+    if d == 2 and (wrap or np.any(cross > 0)):
+        ap, am = np.maximum(a12, 0.0), np.maximum(-a12, 0.0)
+        for offset, coeff in (((1, 1), ap), ((-1, -1), ap),
+                              ((1, -1), am), ((-1, 1), am)):
+            cols.append(neighbour(offset))
+            vals.append(coeff / h[0] ** 2)
+        diag += -2 * cross / h[0] ** 2
+
+    off = np.concatenate(vals)
+    if off.min() < -_OFFDIAG_TOL:
+        worst = rows[int(np.argmin(off)) % len(rows)]
+        raise AssemblyError(
+            f"negative off-diagonal {off.min():.3e} in row of node "
+            f"{np.unravel_index(worst, shape)}"
+        )
+    cols.append(rows)
+    return sparse.csr_matrix(
+        (np.concatenate([off, diag + cvals]),
+         (np.tile(np.arange(len(rows)), len(cols)), np.concatenate(cols))),
+        shape=(len(rows), int(np.prod(shape))),
+    )
 
 
 def periodic_diff_matrix(n, h, m=1):

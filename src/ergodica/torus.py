@@ -7,13 +7,13 @@ torus; the pair (v, gamma) is computed from the augmented square system
     [ A   -1 ] [ v     ]   [ -f ]
     [ m^T  0 ] [ gamma ] = [  0 ],
 
-where A is the monotone discretization of a(y) D^2 and m the mean weights.
-The constraint row pins the additive constant; the requested normalization
-(mean zero or anchored at the grid origin) is applied afterwards. The
-augmented matrix is factored once per operator and solved against a whole
-block of right-hand sides. Its transposed solve against the last unit
-vector gives -mu, where mu is the invariant measure (A^T mu = 0, sum 1),
-so gamma = mu . f is a linear functional of the data.
+where A is `stencils.monotone_stencil` for a(y) D^2 with wrapped neighbours
+and m the mean weights. The constraint row pins the additive constant; the
+requested normalization (mean zero or anchored at the grid origin) is
+applied afterwards. The augmented matrix is factored once per operator and
+solved against a whole block of right-hand sides. Its transposed solve
+against the last unit vector gives -mu, where mu is the invariant measure
+(A^T mu = 0, sum 1), so gamma = mu . f is a linear functional of the data.
 
 `FactoredOperator` is that factorization, for these matrices and every
 other one in the package. A tridiagonal matrix (every 1D Dirichlet,
@@ -38,8 +38,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .coeff import BellmanSpec, CoefficientField
-from .errors import AssemblyError, InputError, IterationError, SolverError
-from .stencils import periodic_diff_matrix
+from .errors import InputError, IterationError, SolverError
+from .stencils import monotone_stencil, periodic_diff_matrix
 
 MEAN_ZERO = "mean_zero"
 ANCHOR = "anchor_at_y0"
@@ -163,72 +163,11 @@ class GridFunction:
 
 @dataclass
 class ErgodicSolution:
-    """Solution (chi, gamma) of a torus cell problem, with its normalization tag."""
+    """Solution (chi, gamma) of a torus cell problem and its residual."""
 
     chi: GridFunction
     gamma: float
-    normalization: str
     residual: float
-
-
-def _diffusion_from_samples(avals, grid: PeriodicGrid):
-    """Monotone sparse discretization of a(y) D^2 from nodal samples of a.
-
-    Cross terms in 2D use the 7-point stencil that shifts mass onto diagonal
-    neighbors, which keeps all off-diagonal entries nonnegative provided
-    |a12| <= min(a11, a22) at every node.
-    """
-    n, h = grid.n, grid.h
-    inv_h2 = 1.0 / h ** 2
-    if grid.dim == 1:
-        a = avals[:, 0, 0]
-        idx = np.arange(n)
-        rows = np.concatenate([idx, idx, idx])
-        cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-        vals = np.concatenate([-2 * a, a, a]) * inv_h2
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    a11 = avals[:, 0, 0]
-    a22 = avals[:, 1, 1]
-    a12 = 0.5 * (avals[:, 0, 1] + avals[:, 1, 0])
-    slack = np.minimum(a11, a22) - np.abs(a12)
-    if slack.min() < 0:
-        worst = int(np.argmin(slack))
-        raise AssemblyError(
-            f"monotone cross stencil needs |a12| <= min(a11, a22); violated by "
-            f"{-slack.min():.3e} at node {np.unravel_index(worst, grid.shape)}"
-        )
-    N = grid.npoints
-    idx = np.arange(N)
-    i, j = np.unravel_index(idx, grid.shape)
-
-    def nb(di, dj):
-        return np.ravel_multi_index(((i + di) % n, (j + dj) % n), grid.shape)
-
-    ap = np.maximum(a12, 0.0)
-    am = np.maximum(-a12, 0.0)
-    entries = [
-        (nb(1, 0), a11 - np.abs(a12)),
-        (nb(-1, 0), a11 - np.abs(a12)),
-        (nb(0, 1), a22 - np.abs(a12)),
-        (nb(0, -1), a22 - np.abs(a12)),
-        (nb(1, 1), ap),
-        (nb(-1, -1), ap),
-        (nb(1, -1), am),
-        (nb(-1, 1), am),
-    ]
-    diag = -2 * (a11 + a22 - np.abs(a12))
-    rows = [idx]
-    cols = [idx]
-    vals = [diag * inv_h2]
-    for cc, vv in entries:
-        rows.append(idx)
-        cols.append(cc)
-        vals.append(vv * inv_h2)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
 
 
 def assemble_torus_diffusion(field: CoefficientField, grid: PeriodicGrid):
@@ -236,7 +175,10 @@ def assemble_torus_diffusion(field: CoefficientField, grid: PeriodicGrid):
     if field.dim != grid.dim:
         raise InputError(f"field dim {field.dim} != grid dim {grid.dim}")
     avals, _, _ = field.sample(grid.points())
-    return _diffusion_from_samples(avals, grid)
+    N = grid.npoints
+    return monotone_stencil(avals, np.zeros((N, grid.dim)), np.zeros(N),
+                            (grid.h,) * grid.dim, grid.shape, np.arange(N),
+                            wrap=True)
 
 
 def _normalize(chi, normalization):
@@ -295,7 +237,7 @@ def solve_cell(a_op, f, normalization=MEAN_ZERO, tol=1e-11, grid=None, lu=None):
         ErgodicSolution(
             GridFunction(grid, _normalize(chis[:, j], normalization)
                          .reshape(grid.shape)),
-            float(gammas[j]), normalization, float(res[j]),
+            float(gammas[j]), float(res[j]),
         )
         for j in range(F.shape[1])
     ]
@@ -361,13 +303,15 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10,
     M = np.asarray(M, dtype=float).reshape(spec.dim, spec.dim)
     M = 0.5 * (M + M.T)
     pts = grid.points()
+    nodes = np.arange(grid.npoints)
     ops, fs = [], []
     for ctl in spec.controls:
         avals, _, _ = ctl.field.sample(pts)
-        ops.append(_diffusion_from_samples(avals, grid))
+        ops.append(monotone_stencil(
+            avals, np.zeros((grid.npoints, grid.dim)), np.zeros(grid.npoints),
+            (grid.h,) * grid.dim, grid.shape, nodes, wrap=True))
         fs.append(np.einsum("nij,ji->n", avals, M))
     fs = np.array(fs)  # (n_controls, N)
-    nodes = np.arange(grid.npoints)
 
     def evaluate(policy):
         sol = solve_cell(select_rows(ops, policy), fs[policy, nodes],

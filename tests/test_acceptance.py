@@ -21,9 +21,9 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def linear_op(field, grid, eps=0.0):
+def linear_op(field, grid):
     avals, bvals, cvals = field.sample(grid.points())
-    return assemble_linear(grid, avals, bvals, cvals, eps=eps)
+    return assemble_linear(grid, avals, bvals, cvals)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ def test_criterion_07_nonlinear_pipeline():
     pair, _ = eg.principal_eigenpair_bellman(bs, 0.5, g8, tol=1e-12)
     ni = ops[0].matrix.shape[0]
     enum = min(
-        eg.principal_eigenpair(_freeze_policy(ops, np.array(bits), g8, 0.5),
+        eg.principal_eigenpair(_freeze_policy(ops, np.array(bits), g8),
                                tol=1e-12).lam
         for bits in itertools.product(range(2), repeat=ni))
     enum_err = abs(pair.lam - enum)

@@ -337,6 +337,28 @@ class TestCli:
         assert main([command, "--config", cfg_path, "--eps", eps]) == 2
         assert capsys.readouterr().err.startswith("config error: --eps ")
 
+    @pytest.mark.parametrize("command", ["eigen", "corrector"])
+    @pytest.mark.parametrize("eps", ["0.3", "0.001"])
+    def test_eps_outside_sweep_rule_exit_2(self, cfg_path, capsys, command,
+                                           eps):
+        # --eps obeys the eps_list rule: 0.3 is not 1/m, and 0.001 is finer
+        # than eps_list, so the grid would hold < q cells per period
+        assert main([command, "--config", cfg_path, "--eps", eps]) == 2
+        assert capsys.readouterr().err.startswith("config error: --eps")
+
+    def test_sweep_out_checked_before_sweep(self, cfg_path, capsys, tmp_path,
+                                            monkeypatch):
+        import ergodica.cli as cli_mod
+
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", no_sweep)
+        (tmp_path / "file").write_text("")
+        assert main(["sweep", "--config", cfg_path,
+                     "--out", str(tmp_path / "file")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write ")
+
     def test_sweep_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "sweep")
         assert main(["sweep", "--config", cfg_path, "--out", out_dir,

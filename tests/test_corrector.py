@@ -472,3 +472,17 @@ class TestNonlinearExpansion:
         pair = eg.principal_eigenpair(op, tol=1e-9)
         with pytest.raises(eg.InputError):
             eg.nonlinear_expansion(bs, pair, 1 / 4, grid, tg, pair.lam)
+
+
+class TestCoreResidual:
+    def test_closed_window_keeps_end_nodes(self):
+        # n = 160 puts nodes at exactly x = 0.1 and x = 0.9; the sweep's
+        # linear and Bellman residuals both take the closed window
+        g = eg.DomainGrid.unit(1, 160)
+        x = g.interior_points()[:, 0]
+        for edge in (0.1, 0.9):
+            res = np.where(x == edge, 1.0, 0.0)
+            assert res.sum() == 1.0
+            assert eg.core_residual(g, res) == 1.0
+        assert eg.core_residual(g, np.where((x < 0.1) | (x > 0.9), 1.0, 0.0)) \
+            == 0.0

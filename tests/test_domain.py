@@ -6,9 +6,9 @@ import ergodica as eg
 from ergodica.domain import assemble_linear
 
 
-def linear_op(field, grid, eps=0.0):
+def linear_op(field, grid):
     avals, bvals, cvals = field.sample(grid.points())
-    return assemble_linear(grid, avals, bvals, cvals, eps=eps)
+    return assemble_linear(grid, avals, bvals, cvals)
 
 
 class TestGrid:
@@ -77,7 +77,6 @@ class TestAssembly:
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5)
         g = eg.DomainGrid.unit(1, 64)
         op = eg.assemble_oscillatory(spec, 0.25, g)
-        assert op.eps == 0.25
         # apply to a quadratic: L u = a(x/eps) * 2 exactly (interior)
         x = g.points()[:, 0]
         u = eg.GridFunction(g, x * (1 - x))

@@ -9,9 +9,9 @@ from ergodica.domain import assemble_linear
 from ergodica.eigen import _freeze_policy
 
 
-def linear_op(field, grid, eps=0.0):
+def linear_op(field, grid):
     avals, bvals, cvals = field.sample(grid.points())
-    return assemble_linear(grid, avals, bvals, cvals, eps=eps)
+    return assemble_linear(grid, avals, bvals, cvals)
 
 
 class TestLinearEigen:
@@ -34,7 +34,7 @@ class TestLinearEigen:
     def test_dense_oracle_small_grid(self):
         field = eg.sin_field_1d(delta=0.5, b_amp=0.5, c0=0.2, c_amp=0.4)
         g = eg.DomainGrid.unit(1, 48)
-        op = linear_op(field, g, eps=0.5)
+        op = linear_op(field, g)
         pair = eg.principal_eigenpair(op, tol=1e-11)
         eigs = sla.eig(op.matrix.toarray())[0]
         lam_dense = -np.max(eigs.real)
@@ -42,7 +42,7 @@ class TestLinearEigen:
 
     def test_collatz_wielandt_bracket(self):
         g = eg.DomainGrid.unit(1, 256)
-        op = linear_op(eg.sin_field_1d(delta=0.5), g, eps=0.125)
+        op = linear_op(eg.sin_field_1d(delta=0.5), g)
         pair = eg.principal_eigenpair(op, tol=1e-9)
         assert pair.cw_lower <= pair.lam <= pair.cw_upper
         assert pair.cw_upper - pair.cw_lower <= 1e-9
@@ -51,7 +51,7 @@ class TestLinearEigen:
 
     def test_bracket_history_shrinks(self):
         g = eg.DomainGrid.unit(1, 128)
-        op = linear_op(eg.sin_field_1d(delta=0.5), g, eps=0.25)
+        op = linear_op(eg.sin_field_1d(delta=0.5), g)
         pair = eg.principal_eigenpair(op, tol=1e-10)
         widths = pair.bracket_history
         assert widths[-1] <= 1e-10
@@ -59,7 +59,7 @@ class TestLinearEigen:
 
     def test_random_restarts_agree(self):
         g = eg.DomainGrid.unit(1, 256)
-        op = linear_op(eg.sin_field_1d(delta=0.5), g, eps=0.125)
+        op = linear_op(eg.sin_field_1d(delta=0.5), g)
         base = eg.principal_eigenpair(op, tol=1e-11)
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -114,7 +114,7 @@ class TestBellmanEigen:
         ni = ops[0].matrix.shape[0]
         lams = []
         for bits in itertools.product(range(2), repeat=ni):
-            frozen = _freeze_policy(ops, np.array(bits), g, eps)
+            frozen = _freeze_policy(ops, np.array(bits), g)
             lams.append(eg.principal_eigenpair(frozen, tol=1e-12).lam)
         assert pair.lam == pytest.approx(min(lams), abs=1e-9)
 

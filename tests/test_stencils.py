@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+import ergodica as eg
+from ergodica.domain import assemble_linear
 from ergodica.stencils import (
     TorusInterpolant,
     bounded_diff_matrix,
     fd_weights,
+    monotone_stencil,
     periodic_diff_matrix,
 )
 
@@ -116,3 +120,60 @@ class TestTorusInterpolant:
         q = rng.random((200, 2))
         exact = np.sin(2 * np.pi * q[:, 0]) * np.cos(2 * np.pi * q[:, 1])
         assert np.max(np.abs(interp(q) - exact)) < 1e-6
+
+
+def _stencil(row, nodes, center, shape):
+    """{neighbour offset: value} of a one-row CSR matrix whose column j is
+    grid node nodes[j]; offsets are taken mod shape, so wrapped ones read
+    as -1 or 1."""
+    out = {}
+    for j, v in zip(row.indices, row.data):
+        diff = np.array(np.unravel_index(nodes[j], shape)) - center
+        out[tuple((diff + 1) % np.array(shape) - 1)] = v
+    return out
+
+
+class TestMonotoneStencil:
+    @pytest.mark.parametrize("field", [
+        eg.sin_field_1d(delta=0.5),
+        eg.constant_field(2, np.array([[2.0, 0.5], [0.5, 1.0]])),
+    ], ids=["sin-1d", "cross-2d"])
+    def test_torus_and_dirichlet_rows_agree(self, field):
+        # both assemblers go through one stencil: with b = c = 0 and the
+        # same h, every interior Dirichlet row is the torus row at that node
+        n, dim = 16, field.dim
+        tg = eg.PeriodicGrid(dim, n)
+        A = eg.assemble_torus_diffusion(field, tg)
+        g = eg.DomainGrid.unit(dim, n)
+        N = int(np.prod(g.shape))
+        op = assemble_linear(g, field.sample(g.points())[0],
+                             np.zeros((N, dim)), np.zeros(N))
+        full = sparse.hstack([op.matrix, op.boundary]).tocsr()
+        nodes = np.concatenate([g.interior_index(), g.boundary_index()])
+        for r, node in enumerate(g.interior_index()):
+            center = np.array(np.unravel_index(node, g.shape))
+            dirichlet = _stencil(full[r], nodes, center, g.shape)
+            torus = _stencil(A[np.ravel_multi_index(center, tg.shape)],
+                             np.arange(tg.npoints), center, tg.shape)
+            assert dirichlet.keys() == torus.keys()
+            for off, v in torus.items():
+                assert dirichlet[off] == pytest.approx(v, rel=1e-12, abs=1e-9)
+
+    def test_pattern_rule_2d(self):
+        # the torus keeps the diagonal neighbours as explicit zeros when
+        # a12 = 0; the Dirichlet operator stores only the 5-point stencil
+        field = eg.separable_sin_field_2d(delta=0.5)
+        A = eg.assemble_torus_diffusion(field, eg.PeriodicGrid(2, 16))
+        assert np.all(np.diff(A.indptr) == 9)
+        spec = eg.LinearOperatorSpec(field, 0.5, 1.5)
+        op = eg.assemble_oscillatory(spec, 0.25, eg.DomainGrid.unit(2, 16))
+        per_row = np.diff(op.matrix.indptr) + np.diff(op.boundary.indptr)
+        assert np.all(per_row == 5)
+
+    def test_negative_diffusion_rejected_on_torus(self):
+        # the off-diagonal check covers wrapped rows too
+        n = 8
+        with pytest.raises(eg.AssemblyError, match="negative off-diagonal"):
+            monotone_stencil(np.full((n, 1, 1), -1.0), np.zeros((n, 1)),
+                             np.zeros(n), (1.0 / n,), (n,), np.arange(n),
+                             wrap=True)
