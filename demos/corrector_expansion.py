@@ -23,7 +23,7 @@ eff_op = eg.assemble_effective(eff, grid)
 pair = eg.principal_eigenpair(eff_op, tol=1e-10)
 print(f"effective eigenvalue lambda_bar = {pair.lam:.9f}")
 
-slow = eg.slow_corrector(eff, pair.phi)
+slow = eg.slow_corrector(eff, pair.phi, eff_op)
 _, psi1, _ = slow
 print(f"slow corrector psi_1: sup = {np.max(np.abs(psi1.values)):.4e}")
 

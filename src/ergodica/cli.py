@@ -28,7 +28,8 @@ from .corrector import (
     prepare_expansion,
     slow_corrector,
 )
-from .domain import DomainGrid, assemble_oscillatory, bellman_operators
+from .domain import (DomainGrid, assemble_effective, assemble_oscillatory,
+                     bellman_operators)
 from .effective import build_corrector_set, effective_linear, effective_nonlinear
 from .eigen import (effective_eigenpair, principal_eigenpair,
                     principal_eigenpair_bellman)
@@ -265,7 +266,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if config.mode == "linear":
         correctors = build_corrector_set(spec, tg)
         eff = effective_linear(spec, correctors)
-        eff_pair = effective_eigenpair(eff, grid, tol=config.tol)
+        if dim == 1 and meas & {"v_norm", "residual_slope"}:
+            # one assembly of the effective operator serves the eigensolve
+            # and the psi_1 solve of the expansion's eps-independent part
+            eff_op = assemble_effective(eff, grid)
+            eff_pair = principal_eigenpair(eff_op, tol=config.tol)
+            slow = slow_corrector(eff, eff_pair.phi, eff_op)
+        else:
+            eff_pair = effective_eigenpair(eff, grid, tol=config.tol)
+            slow = None
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
@@ -277,16 +286,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             cf.LinearOperatorSpec(cf.constant_field(1, m_minus),
                                   spec.lambda_ell, spec.Lambda_ell),
         ])
-        correctors = eff = None
+        correctors = slow = None
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
     lam_bar = eff_pair.lam
     u = eff_pair.phi
 
-    if config.mode == "linear" and dim == 1 and (meas & {"v_norm", "residual_slope"}):
-        slow = slow_corrector(eff, u)
-    else:
-        slow = None
     # the eps-independent part of the Bellman expansion; rows only read it
     if config.mode == "bellman" and "residual_slope" in meas:
         prepared = prepare_expansion(spec, eff_pair, grid, tg, lam_bar)
@@ -445,6 +450,8 @@ def _cmd_effective(config, args):
 
 
 def _cmd_eigen(config, args):
+    if args.out:
+        _make_dir(args.out)  # before the eigensolve, not after it
     problem = build_problem(config.problem, config.params)
     dim = problem["dim"]
     n_cells = config.q * max(config.denominators())
@@ -477,6 +484,8 @@ def _cmd_eigen(config, args):
 
 
 def _cmd_corrector(config, args):
+    if args.out:
+        _make_dir(args.out)  # before the expansion, not after it
     problem = build_problem(config.problem, config.params)
     if problem["mode"] != "linear" or problem["dim"] != 1:
         raise ConfigError("'corrector' supports 1D linear problems")
@@ -487,10 +496,11 @@ def _cmd_corrector(config, args):
     grid = DomainGrid.unit(1, n_cells)
     correctors = build_corrector_set(spec, tg)
     eff = effective_linear(spec, correctors)
-    pair = effective_eigenpair(eff, grid, tol=config.tol)
+    eff_op = assemble_effective(eff, grid)
+    pair = principal_eigenpair(eff_op, tol=config.tol)
     op = assemble_oscillatory(spec, eps, grid)
     exp, res = linear_expansion(spec, correctors, pair,
-                                slow_corrector(eff, pair.phi), eps, op)
+                                slow_corrector(eff, pair.phi, eff_op), eps, op)
     print(json.dumps({
         "sup_norm_v": exp.sup_norm_v,
         "residual_slope_inputs": {

@@ -24,7 +24,6 @@ from .domain import (
     DiscreteOperator,
     DomainGrid,
     apply_bellman,
-    assemble_effective,
     assemble_linear,
     assemble_oscillatory,
     dirichlet_solve,
@@ -134,9 +133,10 @@ def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
 
 
 def solve_psi1(eff: EffectiveLinear, bundle: DerivativeBundle,
-               grid: DomainGrid, op: Optional[DiscreteOperator] = None) -> GridFunction:
+               grid: DomainGrid, op: DiscreteOperator) -> GridFunction:
     """First-order slow corrector: L_bar psi_1 = -(a_klm d3 u + b_kl d2 u
-    + c_k d1 u + d u), psi_1 = 0 on the boundary."""
+    + c_k d1 u + d u), psi_1 = 0 on the boundary; `op` is L_bar on `grid`
+    (`assemble_effective(eff, grid)`)."""
     d = grid.dim
     if bundle.order < 3:
         raise InputError("psi_1 needs third derivatives of u")
@@ -148,8 +148,6 @@ def solve_psi1(eff: EffectiveLinear, bundle: DerivativeBundle,
             rhs += eff.b_bar_kl[k, l] * bundle.d2[(k, l)].flat
         rhs += eff.c_bar_k[k] * bundle.d1[(k,)].flat
     rhs += eff.d_bar * bundle.u.flat
-    if op is None:
-        op = assemble_effective(eff, grid)
     return dirichlet_solve(op, -grid.restrict(rhs.reshape(grid.shape)))
 
 
@@ -231,14 +229,16 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction, z2: GridFunction,
     )
 
 
-def slow_corrector(eff: EffectiveLinear, u: GridFunction):
+def slow_corrector(eff: EffectiveLinear, u: GridFunction, op: DiscreteOperator):
     """The eps-independent part of the linear expansion around u.
 
-    Returns (bundle of u to order 3, psi_1, bundle of psi_1 to order 2),
-    the `slow` argument of `linear_expansion`.
+    `op` is L_bar on u's grid, the operator whose eigenfunction u is; the
+    caller assembles it once for both solves. Returns (bundle of u to order
+    3, psi_1, bundle of psi_1 to order 2), the `slow` argument of
+    `linear_expansion`.
     """
     bundle = derivative_bundle(u, 3)
-    psi1 = solve_psi1(eff, bundle, u.grid)
+    psi1 = solve_psi1(eff, bundle, u.grid, op)
     return bundle, psi1, derivative_bundle(psi1, 2)
 
 
@@ -247,7 +247,7 @@ def linear_expansion(spec: LinearOperatorSpec, correctors: CorrectorSet,
                      lu: Optional[FactoredOperator] = None):
     """Full corrector v^eps around the effective eigenpair at one eps.
 
-    `slow` is `slow_corrector(eff, u_pair.phi)`, `op` is L^eps on the grid
+    `slow` is `slow_corrector(eff, u_pair.phi, L_bar)`, `op` is L^eps on the grid
     of u and `lu` a factorization of op.matrix to reuse. Returns the
     ExpansionResult and the residual L^eps(u + v^eps) + lambda_bar u at the
     interior nodes.

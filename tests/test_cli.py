@@ -359,6 +359,22 @@ class TestCli:
                      "--out", str(tmp_path / "file")]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot write ")
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen"], ["eigen", "--effective"], ["corrector", "--eps", "0.125"],
+    ], ids=["eigen", "eigen-effective", "corrector"])
+    def test_out_checked_before_solving(self, cfg_path, capsys, tmp_path,
+                                        monkeypatch, argv):
+        import ergodica.cli as cli_mod
+
+        def no_problem(name, params=None):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "build_problem", no_problem)
+        (tmp_path / "file").write_text("")
+        assert main(argv + ["--config", cfg_path,
+                            "--out", str(tmp_path / "file" / "x")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write ")
+
     def test_sweep_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "sweep")
         assert main(["sweep", "--config", cfg_path, "--out", out_dir,

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import ergodica as eg
@@ -120,6 +125,49 @@ class TestTorusInterpolant:
         q = rng.random((200, 2))
         exact = np.sin(2 * np.pi * q[:, 0]) * np.cos(2 * np.pi * q[:, 1])
         assert np.max(np.abs(interp(q) - exact)) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(512,), (48, 64), (5,)],
+                             ids=["1d-512", "2d-48x64", "1d-5"])
+    def test_matches_ndimage_spline(self, shape):
+        # the reference: ndimage's periodic cubic spline, with its own wrap
+        # of the unreduced coordinates y * n (scipy.ndimage is not a
+        # dependency of the package, only of this test)
+        from scipy.ndimage import map_coordinates, spline_filter
+
+        rng = np.random.default_rng(11)
+        vals = rng.standard_normal(shape)
+        q = rng.uniform(-1.0, 2.0, (700, len(shape)))
+        coef = spline_filter(vals, order=3, mode="grid-wrap")
+        ref = map_coordinates(coef, (q * shape).T, order=3, mode="grid-wrap",
+                              prefilter=False)
+        got = TorusInterpolant(vals)(q[:, 0] if len(shape) == 1 else q)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
+
+    @given(st.integers(4, 40), st.integers(0, 2 ** 32 - 1),
+           st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_values_and_integer_shifts(self, n, seed, shift):
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(n)
+        interp = TorusInterpolant(vals)
+        scale = np.max(np.abs(vals))
+        y = np.arange(n) / n
+        assert np.max(np.abs(interp(y) - vals)) <= 1e-12 * scale
+        q = rng.random(50)
+        assert np.max(np.abs(interp(q + shift) - interp(q))) <= 1e-12 * scale
+
+
+def test_import_loads_no_ndimage_or_special():
+    # every ergodica invocation pays for what `import ergodica` loads
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ergodica; print(sorted(m for m in sys.modules "
+         "if m.split('.')[:2] in (['scipy', 'ndimage'], ['scipy', 'special'])))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _stencil(row, nodes, center, shape):
