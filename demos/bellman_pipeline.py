@@ -18,8 +18,11 @@ bs = eg.BellmanSpec([
 ])
 tg = eg.PeriodicGrid(1, 512)
 
-m_plus = eg.effective_nonlinear(bs, np.array([[1.0]]), tg)
-kappa = -eg.effective_nonlinear(bs, np.array([[-1.0]]), tg)
+# the sign cells at M = +1 and M = -1 give F_bar, the effective operator
+# and its linearization
+eff_bs, cells = eg.effective_bellman_1d(bs, tg)
+m_plus = cells[1][0].gamma
+kappa = -cells[-1][0].gamma
 print(f"F_bar(+1) = {m_plus:.9f}   (upper envelope: >= max(sqrt(3)/2, 1.2))")
 print(f"F_bar(-1) = {-kappa:.9f}   -> kappa = {kappa:.9f}")
 f3 = eg.effective_nonlinear(bs, np.array([[2.5]]), tg)
@@ -28,19 +31,19 @@ print(f"1-homogeneity: F_bar(2.5) = {f3:.9f} vs 2.5 F_bar(1) = "
 
 # effective eigenvalue from the two-constant-control effective operator
 grid = eg.DomainGrid.unit(1, 2048)
-eff_bs = eg.BellmanSpec([
-    eg.LinearOperatorSpec(eg.constant_field(1, m_plus), 0.5, 1.5),
-    eg.LinearOperatorSpec(eg.constant_field(1, kappa), 0.5, 1.5),
-])
 eff_pair, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid)
 print(f"\nlambda_bar = {eff_pair.lam:.9f}   (kappa pi^2 = "
       f"{kappa * np.pi ** 2:.9f})")
 
+# the eps-independent part of the expansion, built once for all eps
+prepared = eg.prepare_expansion(bs, eff_pair, grid, eff_pair.lam, cells)
 print(f"\n{'eps':>8} {'lambda_eps':>14} {'|err|':>10} {'residual':>10}")
 for m in (8, 16, 32):
     eps = 1 / m
-    pair, policy = eg.principal_eigenpair_bellman(bs, eps, grid)
-    _, rep = eg.nonlinear_expansion(bs, eff_pair, eps, grid, tg, eff_pair.lam)
+    ops = eg.bellman_operators(bs, eps, grid)
+    pair, _ = eg.principal_eigenpair_bellman(bs, eps, grid, ops=ops)
+    _, rep = eg.nonlinear_expansion(bs, eff_pair, eps, grid, eff_pair.lam,
+                                    prepared, ops)
     print(f"{eps:8.5f} {pair.lam:14.9f} "
           f"{abs(pair.lam - eff_pair.lam):10.2e} "
           f"{rep['expansion_residual_interior']:10.2e}")

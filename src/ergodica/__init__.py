@@ -52,6 +52,7 @@ from .effective import (
     CorrectorSet,
     EffectiveLinear,
     build_corrector_set,
+    effective_bellman_1d,
     effective_linear,
     effective_nonlinear,
     linearize_effective,
@@ -73,8 +74,6 @@ from .errors import (
 )
 from .cli import SweepConfig, SweepReport, emit_report, fit_rate, run_sweep
 from .torus import (
-    ANCHOR,
-    MEAN_ZERO,
     ErgodicSolution,
     GridFunction,
     PeriodicGrid,

@@ -1,0 +1,8 @@
+"""`python -m ergodica <command>`: the `ergodica` console script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

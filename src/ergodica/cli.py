@@ -30,7 +30,7 @@ from .corrector import (
 )
 from .domain import (DomainGrid, assemble_effective, assemble_oscillatory,
                      bellman_operators)
-from .effective import build_corrector_set, effective_linear, effective_nonlinear
+from .effective import build_corrector_set, effective_bellman_1d, effective_linear
 from .eigen import (effective_eigenpair, principal_eigenpair,
                     principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
@@ -278,14 +278,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
-        m_plus = effective_nonlinear(spec, np.array([[1.0]]), tg)
-        m_minus = -effective_nonlinear(spec, np.array([[-1.0]]), tg)
-        eff_spec = cf.BellmanSpec([
-            cf.LinearOperatorSpec(cf.constant_field(1, m_plus),
-                                  spec.lambda_ell, spec.Lambda_ell),
-            cf.LinearOperatorSpec(cf.constant_field(1, m_minus),
-                                  spec.lambda_ell, spec.Lambda_ell),
-        ])
+        eff_spec, cells = effective_bellman_1d(spec, tg)
         correctors = slow = None
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
@@ -294,7 +287,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     # the eps-independent part of the Bellman expansion; rows only read it
     if config.mode == "bellman" and "residual_slope" in meas:
-        prepared = prepare_expansion(spec, eff_pair, grid, tg, lam_bar)
+        prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells)
     else:
         prepared = None
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
@@ -332,8 +325,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             if "residual_slope" in meas:
                 row["residual"] = core_residual(grid, res)
         if prepared is not None:
-            _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, tg, lam_bar,
-                                         prepared=prepared, ops=ops)
+            _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, lam_bar,
+                                         prepared, ops)
             row["residual"] = rep["expansion_residual_interior"]
             row["w2F_residual"] = rep["w2F_residual"]
         if config.timing:

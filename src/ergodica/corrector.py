@@ -9,9 +9,10 @@ the nodes. x-derivatives of the slow factors use 4th-order stencils.
 
 Both expansions split into an eps-independent part, built once per sweep,
 and a per-eps evaluation: `slow_corrector` (derivatives of u and psi_1)
-and `linear_expansion` for linear problems; `prepare_expansion` (cell
-solves, invariant measures, linearized coefficients and the slow
-corrector) and `nonlinear_expansion` for Bellman problems.
+and `linear_expansion` for linear problems; `prepare_expansion`
+(invariant measures, linearized coefficients and the slow corrector, from
+the two sign cells of `effective.effective_bellman_1d`) and
+`nonlinear_expansion` for Bellman problems.
 """
 
 from dataclasses import dataclass
@@ -28,18 +29,16 @@ from .domain import (
     assemble_oscillatory,
     dirichlet_solve,
 )
-from .effective import CorrectorSet, EffectiveLinear, linearize_effective
+from .effective import CorrectorSet, EffectiveLinear
 from .eigen import EigenPair
 from .errors import InputError
 from .stencils import TorusInterpolant, bounded_diff_matrix, periodic_diff_matrix
 from .torus import (
     FactoredOperator,
     GridFunction,
-    PeriodicGrid,
     assemble_torus_diffusion,
     factor_cell,
     select_rows,
-    solve_nonlinear_cell,
 )
 
 
@@ -176,13 +175,11 @@ def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
 
 
 def boundary_correctors(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
-                        w2_trace: GridFunction,
-                        w3_trace: Optional[GridFunction] = None,
+                        w2_trace: GridFunction, w3_trace: GridFunction,
                         op: Optional[DiscreteOperator] = None,
                         lu: Optional[FactoredOperator] = None):
     """Solve L^eps z_k = 0 with boundary data -w_k(x, x/eps); returns (z2, z3).
 
-    z3 is None when no third-order trace is supplied (the 2D pipeline).
     `lu` is a factorization of op.matrix to reuse; without it one is made
     here and shared by both solves.
     """
@@ -193,10 +190,7 @@ def boundary_correctors(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
     bidx = grid.boundary_index()
     zero = np.zeros(len(grid.interior_index()))
     z2 = dirichlet_solve(op, zero, boundary_values=-w2_trace.flat[bidx], lu=lu)
-    z3 = None
-    if w3_trace is not None:
-        z3 = dirichlet_solve(op, zero, boundary_values=-w3_trace.flat[bidx],
-                             lu=lu)
+    z3 = dirichlet_solve(op, zero, boundary_values=-w3_trace.flat[bidx], lu=lu)
     return z2, z3
 
 
@@ -207,21 +201,18 @@ class ExpansionResult:
     psi1: GridFunction
     w2_trace: GridFunction
     z2: GridFunction
-    w3_trace: Optional[GridFunction]
-    z3: Optional[GridFunction]
+    w3_trace: GridFunction
+    z3: GridFunction
     v_eps: GridFunction
     sup_norm_v: float
 
 
 def full_corrector(psi1: GridFunction, w2_trace: GridFunction, z2: GridFunction,
-                   w3_trace: Optional[GridFunction],
-                   z3: Optional[GridFunction], eps: float) -> ExpansionResult:
-    """v^eps = eps psi_1 + eps^2 (w_2 + z_2) [+ eps^3 (w_3 + z_3)]."""
+                   w3_trace: GridFunction, z3: GridFunction,
+                   eps: float) -> ExpansionResult:
+    """v^eps = eps psi_1 + eps^2 (w_2 + z_2) + eps^3 (w_3 + z_3)."""
     v = eps * psi1.values + eps ** 2 * (w2_trace.values + z2.values)
-    if w3_trace is not None:
-        if z3 is None:
-            raise InputError("w3 trace given without its boundary corrector")
-        v = v + eps ** 3 * (w3_trace.values + z3.values)
+    v = v + eps ** 3 * (w3_trace.values + z3.values)
     v_fn = GridFunction(psi1.grid, v)
     return ExpansionResult(
         psi1=psi1, w2_trace=w2_trace, z2=z2, w3_trace=w3_trace, z3=z3,
@@ -319,14 +310,14 @@ class PreparedExpansion:
 
 
 def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
-                      torus_grid: PeriodicGrid, lambda_bar: float,
-                      tol=1e-10) -> PreparedExpansion:
+                      lambda_bar: float, cells) -> PreparedExpansion:
     """Everything in the 1D Bellman expansion that does not depend on eps.
 
-    One nonlinear cell solve per Hessian sign of u (w_2(x, y) = w(y; u''(x))
-    by positive 1-homogeneity), the invariant-measure weights, the
-    consistency residual w2F_residual, the ergodic constant Psi_1, the
-    linearized coefficients and the slow corrector w_1 = psi.
+    `cells` are the sign cells of `effective_bellman_1d(spec, torus_grid)`:
+    w_2(x, y) = |u''(x)| w(y; sign u''(x)) by positive 1-homogeneity.
+    From them come the invariant-measure weights, the consistency residual
+    w2F_residual, the ergodic constant Psi_1, the linearized coefficients
+    and the slow corrector w_1 = psi.
 
     Psi_1(x) is the ergodic constant of the frozen-policy cell problem with
     data 2 a(y) d_x d_y w_2(x, y). An ergodic constant is the average of the
@@ -343,6 +334,9 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
 
     sgn = np.where(M < 0, -1, 1)
     sgn[np.abs(M) < 1e-12] = -1  # degenerate Hessian: follow the interior sign
+    signs = np.unique(sgn)
+    sign_index = np.searchsorted(signs, sgn)
+    torus_grid = cells[1][0].chi.grid
     N = torus_grid.npoints
     avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0]
                           for ctl in spec.controls])
@@ -351,17 +345,16 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     e_last = np.zeros(N + 1)
     e_last[N] = 1.0
     cell, weight = {}, {}
-    for s in np.unique(sgn):
-        sol, pol = solve_nonlinear_cell(spec, np.array([[float(s)]]), torus_grid,
-                                        tol=tol)
-        cell[s] = sol
+    for s in signs:
+        cell[s], pol = cells[s]
         # g = -mu, the invariant measure of the frozen-policy cell operator:
         # the cell problem with data f has ergodic constant -g . f
         g = factor_cell(select_rows(ops_ctl, pol)).solve(e_last, trans="T")[:N]
         weight[s] = 2.0 * avals_ctl[pol, np.arange(N), 0, 0] * g
 
     # consistency of the frozen cell problems with the effective eigenproblem
-    c_of_x = np.abs(M) * np.array([cell[s].gamma for s in sgn])
+    gamma_x = np.array([cell[s].gamma for s in signs])[sign_index]
+    c_of_x = np.abs(M) * gamma_x
     interior = grid.interior_index()
     w2F_residual = float(np.max(np.abs(
         c_of_x[interior] + lambda_bar * u.flat[interior])))
@@ -374,51 +367,42 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     Dx = bounded_diff_matrix(grid.shape[0], grid.h[0], m=1)
     Dy = periodic_diff_matrix(torus_grid.n, torus_grid.h, m=1)
     psi1_rhs = np.zeros(npts)
-    for s in cell:
+    for s in signs:
         h = Dy.T @ weight[s]
         q = np.zeros(npts)
-        for t in cell:
+        for t in signs:
             q[sgn == t] = cell[t].chi.flat @ h
         rows = sgn == s
         psi1_rhs[rows] = -(Dx @ (np.abs(M) * q))[rows]
 
-    # linearized effective diffusion, 0-homogeneous in the Hessian direction
-    abar = {s: linearize_effective(spec, np.array([[float(s)]]), torus_grid)[0, 0]
-            for s in cell}
-    abar_x = np.array([abar[s] for s in sgn])
+    # linearized effective diffusion, 0-homogeneous in the Hessian direction:
+    # F_bar(M) = |M| F_bar(sign M) has derivative s * gamma_s in sign s
+    abar_x = sgn * gamma_x
     op_lin = assemble_linear(
         grid, abar_x[:, None, None], np.zeros((npts, 1)), np.zeros(npts))
     psi = dirichlet_solve(op_lin, -psi1_rhs[interior])
 
-    signs = sorted(cell)
     return PreparedExpansion(
         abs_hessian=np.abs(M),
-        sign_index=np.searchsorted(signs, sgn),
+        sign_index=sign_index,
         cells=tuple(TorusInterpolant(cell[s].chi.values) for s in signs),
         w2F_residual=w2F_residual, Psi1=psi1_rhs, psi=psi,
     )
 
 
 def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
-                        grid: DomainGrid, torus_grid: PeriodicGrid,
-                        lambda_bar: float, tol=1e-10,
-                        prepared: Optional[PreparedExpansion] = None,
-                        ops=None):
+                        grid: DomainGrid, lambda_bar: float,
+                        prepared: PreparedExpansion, ops):
     """Second-order expansion of the convex Bellman eigenproblem (1D).
 
     Returns (w^eps = u + eps w_1 + eps^2 w_2-trace, report), with the
     residual of the Bellman operator at w^eps against -lambda_bar u.
 
     Only the w_2 trace x -> |u''(x)| chi_sign(x/eps), w^eps and the Bellman
-    operator applied to it depend on eps. The rest (cell solves, invariant
-    measures, Psi_1, linearized coefficients, psi; see `prepare_expansion`)
-    does not: pass it as `prepared`, built from the same spec, u_pair,
-    grids, lambda_bar and tol, to skip it. `ops` are the frozen operators
-    `bellman_operators(spec, eps, grid)`, built here when not given.
+    operator applied to it depend on eps; the rest is `prepared`, built by
+    `prepare_expansion` from the same spec, u_pair, grid and lambda_bar.
+    `ops` are the frozen operators `bellman_operators(spec, eps, grid)`.
     """
-    if prepared is None:
-        prepared = prepare_expansion(spec, u_pair, grid, torus_grid,
-                                     lambda_bar, tol=tol)
     u = u_pair.phi
 
     # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)

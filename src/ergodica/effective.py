@@ -4,6 +4,11 @@ homogenized nonlinear map with its derivative matrix.
 Each effective constant is the ergodic constant of one torus cell problem.
 The first round (chi^kl, eta^k, nu) uses the raw coefficients as data; the
 second round feeds on 4th-order gradients of the first-round correctors.
+
+The homogenized Bellman map F_bar is convex and positively 1-homogeneous.
+In 1D `effective_bellman_1d` reads all of it, its linearization included,
+from the two sign cells at M = +1 and M = -1; `effective_nonlinear` and
+`linearize_effective` evaluate F_bar and its derivative at any M.
 """
 
 from dataclasses import dataclass
@@ -11,10 +16,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from .coeff import BellmanSpec, LinearOperatorSpec
+from .coeff import BellmanSpec, LinearOperatorSpec, constant_field
 from .errors import InputError, SolverError
 from .torus import (
-    ANCHOR,
     ErgodicSolution,
     PeriodicGrid,
     assemble_torus_diffusion,
@@ -88,8 +92,8 @@ def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> Correct
     def solve(rhs):
         """One block solve for a round of cell problems."""
         try:
-            sols = solve_cell(A, np.column_stack(list(rhs.values())),
-                              normalization=ANCHOR, grid=grid, lu=lu)
+            sols = solve_cell(A, np.column_stack(list(rhs.values())), grid,
+                              lu=lu)
         except SolverError as exc:
             raise SolverError(
                 f"cell problems {', '.join(rhs)} failed: {exc}") from exc
@@ -166,6 +170,33 @@ def effective_nonlinear(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10) -> 
     """F_bar(M): the ergodic constant of the nonlinear cell problem at M."""
     sol, _ = solve_nonlinear_cell(spec, M, grid, tol=tol)
     return sol.gamma
+
+
+def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid, tol=1e-10):
+    """The effective operator of a 1D Bellman problem, from its two sign cells.
+
+    F_bar is positively 1-homogeneous, so in 1D the ergodic constants
+    m_plus = F_bar(1) and m_minus = -F_bar(-1) fix it on all of R:
+    F_bar(M) = max(m_plus M, m_minus M), with m_plus >= m_minus by
+    convexity. That is a Bellman operator with the two constant controls
+    m_plus and m_minus, and its derivative at M != 0 is s * F_bar(s) for
+    s = sign(M): the linearized coefficient of the cell of sign s is
+    s * gamma_s.
+
+    Returns (effective BellmanSpec, cells), cells mapping each sign s in
+    (+1, -1) to the (ErgodicSolution, policy) of the nonlinear cell problem
+    at M = s; these are the only nonlinear cell solves a sweep makes.
+    """
+    if spec.dim != 1:
+        raise InputError("the effective Bellman operator is implemented in 1D only")
+    cells = {s: solve_nonlinear_cell(spec, np.array([[float(s)]]), grid, tol=tol)
+             for s in (1, -1)}
+    eff_spec = BellmanSpec([
+        LinearOperatorSpec(constant_field(1, s * cells[s][0].gamma),
+                           spec.lambda_ell, spec.Lambda_ell)
+        for s in (1, -1)
+    ])
+    return eff_spec, cells
 
 
 def linearize_effective(spec: BellmanSpec, M, grid: PeriodicGrid, step=None,

@@ -263,9 +263,9 @@ class TestBoundaryCorrectors:
     def test_zero_trace_gives_zero(self, linear_1d):
         spec, cs, eff, grid, eff_op, pair = linear_1d
         zero = eg.GridFunction(grid, np.zeros(grid.shape))
-        z2, z3 = eg.boundary_correctors(spec, 1 / 8, grid, zero)
+        z2, z3 = eg.boundary_correctors(spec, 1 / 8, grid, zero, zero)
         assert np.max(np.abs(z2.values)) < 1e-13
-        assert z3 is None
+        assert np.max(np.abs(z3.values)) < 1e-13
 
     def test_maximum_principle_bound(self, linear_1d):
         # anchored correctors vanish at y = 0, so for eps = 1/m the raw trace
@@ -279,7 +279,8 @@ class TestBoundaryCorrectors:
         eps = 1 / 8
         w2 = eg.second_corrector(cs, bundle, eps)
         shifted = eg.GridFunction(grid, w2.values + 0.3)
-        z2, _ = eg.boundary_correctors(spec, eps, grid, shifted)
+        zero = eg.GridFunction(grid, np.zeros(grid.shape))
+        z2, _ = eg.boundary_correctors(spec, eps, grid, shifted, zero)
         bidx = grid.boundary_index()
         bound = np.max(np.abs(shifted.flat[bidx]))
         assert bound > 0.1
@@ -299,14 +300,8 @@ class TestFullCorrector:
     def test_all_zero(self):
         g = eg.DomainGrid.unit(1, 16)
         zero = eg.GridFunction(g, np.zeros(17))
-        exp = eg.full_corrector(zero, zero, zero, None, None, 0.1)
+        exp = eg.full_corrector(zero, zero, zero, zero, zero, 0.1)
         assert exp.sup_norm_v == 0.0
-
-    def test_w3_without_z3_rejected(self):
-        g = eg.DomainGrid.unit(1, 16)
-        zero = eg.GridFunction(g, np.zeros(17))
-        with pytest.raises(eg.InputError):
-            eg.full_corrector(zero, zero, zero, zero, None, 0.1)
 
 
 class TestPivotAndAlignment:
@@ -351,6 +346,14 @@ class TestPivotAndAlignment:
             eg.align_eigenfunctions(pair.phi, zero_pair)
 
 
+def bellman_expansion(bs, pair, eps, grid, tg):
+    """The Bellman expansion around `pair` at one eps, as a sweep row makes it."""
+    _, cells = eg.effective_bellman_1d(bs, tg)
+    prepared = eg.prepare_expansion(bs, pair, grid, pair.lam, cells)
+    ops = eg.bellman_operators(bs, eps, grid)
+    return eg.nonlinear_expansion(bs, pair, eps, grid, pair.lam, prepared, ops)
+
+
 class TestNonlinearExpansion:
     def test_singleton_matches_linear_pipeline(self):
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5)
@@ -363,8 +366,8 @@ class TestNonlinearExpansion:
         bundle = eg.derivative_bundle(pair.phi, 3)
         psi1 = eg.solve_psi1(eff, bundle, grid, op=eff_op)
         w2 = eg.second_corrector(cs, bundle, 1 / 8)
-        exp, rep = eg.nonlinear_expansion(eg.BellmanSpec([spec]), pair, 1 / 8,
-                                          grid, tg, pair.lam)
+        exp, rep = bellman_expansion(eg.BellmanSpec([spec]), pair, 1 / 8,
+                                     grid, tg)
         assert np.max(np.abs(rep["w2_trace"].values - w2.values)) < 1e-8
         assert np.max(np.abs(rep["psi1"].values - psi1.values)) < 1e-8
 
@@ -376,7 +379,7 @@ class TestNonlinearExpansion:
         tg = eg.PeriodicGrid(1, 128)
         grid = eg.DomainGrid.unit(1, 512)
         pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
-        exp, rep = eg.nonlinear_expansion(bs, pair, 1 / 8, grid, tg, pair.lam)
+        exp, rep = bellman_expansion(bs, pair, 1 / 8, grid, tg)
         assert np.max(np.abs(rep["w2_trace"].values)) < 1e-9
         assert np.max(np.abs(rep["psi1"].values)) < 1e-8
         assert np.max(np.abs(exp.values - pair.phi.values)) < 1e-8
@@ -393,7 +396,7 @@ class TestNonlinearExpansion:
         tg = eg.PeriodicGrid(1, 128)
         grid = eg.DomainGrid.unit(1, 512)
         pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
-        _, rep = eg.nonlinear_expansion(bs, pair, 1 / 8, grid, tg, pair.lam)
+        _, rep = bellman_expansion(bs, pair, 1 / 8, grid, tg)
         M = eg.derivative_bundle(pair.phi, 2).d2[(0, 0)].flat
         chi = {s: eg.solve_nonlinear_cell(bs, np.array([[s]]), tg)[0].chi.flat
                for s in (1.0, -1.0)}
@@ -412,16 +415,14 @@ class TestNonlinearExpansion:
         ])
         tg = eg.PeriodicGrid(1, 256)
         grid = eg.DomainGrid.unit(1, 2048)
-        fp = eg.effective_nonlinear(bs, np.array([[1.0]]), tg)
-        fm = -eg.effective_nonlinear(bs, np.array([[-1.0]]), tg)
-        eff_bs = eg.BellmanSpec([
-            eg.LinearOperatorSpec(eg.constant_field(1, fp), 0.5, 1.5),
-            eg.LinearOperatorSpec(eg.constant_field(1, fm), 0.5, 1.5),
-        ])
+        eff_bs, cells = eg.effective_bellman_1d(bs, tg)
         pe, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid, tol=1e-10)
+        prepared = eg.prepare_expansion(bs, pe, grid, pe.lam, cells)
         eps_list, resid = [], []
         for m in (8, 16, 32):
-            _, rep = eg.nonlinear_expansion(bs, pe, 1 / m, grid, tg, pe.lam)
+            ops = eg.bellman_operators(bs, 1 / m, grid)
+            _, rep = eg.nonlinear_expansion(bs, pe, 1 / m, grid, pe.lam,
+                                            prepared, ops)
             eps_list.append(1 / m)
             resid.append(rep["expansion_residual_interior"])
         slope, _, _ = eg.fit_rate(eps_list, resid)
@@ -437,41 +438,14 @@ class TestNonlinearExpansion:
             sol, _ = eg.solve_nonlinear_cell(bs, np.array([[s]]), tg, tol=1e-10)
             assert sol.residual <= 1e-10
 
-    def test_prepared_path_matches_one_shot(self):
-        # the eps-independent part built once must give, per eps, exactly
-        # what a one-shot call builds for itself
-        bs = eg.BellmanSpec([
-            eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),
-            eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
-        ])
-        tg = eg.PeriodicGrid(1, 64)
-        grid = eg.DomainGrid.unit(1, 256)
-        pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
-        prepared = eg.prepare_expansion(bs, pair, grid, tg, pair.lam)
-        for eps in (1 / 4, 1 / 8, 1 / 16):
-            w_one, rep_one = eg.nonlinear_expansion(bs, pair, eps, grid, tg,
-                                                    pair.lam)
-            ops = eg.bellman_operators(bs, eps, grid)
-            w_pre, rep_pre = eg.nonlinear_expansion(bs, pair, eps, grid, tg,
-                                                    pair.lam, prepared=prepared,
-                                                    ops=ops)
-            np.testing.assert_array_equal(w_pre.values, w_one.values)
-            np.testing.assert_array_equal(rep_pre["w2_trace"].values,
-                                          rep_one["w2_trace"].values)
-            for key in ("w2F_residual", "expansion_residual_sup",
-                        "expansion_residual_interior"):
-                assert rep_pre[key] == rep_one[key]
-            assert np.max(np.abs(rep_pre["w2_trace"].values)) > 0
-
     def test_2d_rejected(self):
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.constant_field(2, np.eye(2)), 1, 1)])
         grid = eg.DomainGrid.unit(2, 16)
-        tg = eg.PeriodicGrid(2, 16)
         op = eg.assemble_oscillatory(bs.controls[0], 1.0, grid)
         pair = eg.principal_eigenpair(op, tol=1e-9)
         with pytest.raises(eg.InputError):
-            eg.nonlinear_expansion(bs, pair, 1 / 4, grid, tg, pair.lam)
+            eg.prepare_expansion(bs, pair, grid, pair.lam, {})
 
 
 class TestCoreResidual:

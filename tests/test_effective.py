@@ -3,7 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 import ergodica as eg
-from ergodica.torus import ANCHOR, assemble_torus_diffusion, gradient_matrices
+from ergodica.cli import build_problem
+from ergodica.torus import assemble_torus_diffusion, gradient_matrices
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ def per_column_corrector_set(spec, grid):
     avals, bvals, cvals = spec.field.sample(grid.points())
     A = assemble_torus_diffusion(spec.field, grid)
     D = gradient_matrices(grid)
-    solve = lambda f: eg.solve_cell(A, f, normalization=ANCHOR, grid=grid)
+    solve = lambda f: eg.solve_cell(A, f, grid=grid)
     grad = lambda sol: [Dk @ sol.chi.flat for Dk in D]
     col_dot = lambda m, g: sum(avals[:, i, m] * g[i] for i in range(d))
     b_dot = lambda g: sum(bvals[:, i] * g[i] for i in range(d))
@@ -224,3 +225,32 @@ class TestEffectiveNonlinear:
         for m in (-1.5, 1.0, 2.0):
             fbar = eg.effective_nonlinear(bspec, np.array([[m]]), grid)
             assert fbar == pytest.approx(eg.eval_pucci(pspec, [[m]]), abs=1e-10)
+
+
+class TestEffectiveBellman1D:
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_sign_cell_is_the_linearization(self, s):
+        # F_bar is positively 1-homogeneous: in 1D its derivative at M = s is
+        # s * F_bar(s), which is also the effective operator's control of sign s
+        spec = build_problem("bellman-2ctl-1d")["spec"]
+        grid = eg.PeriodicGrid(1, 128)
+        eff_spec, cells = eg.effective_bellman_1d(spec, grid)
+        slope = s * cells[s][0].gamma
+        oracle = eg.linearize_effective(spec, np.array([[float(s)]]), grid)
+        assert slope == pytest.approx(oracle[0, 0], abs=1e-9)
+        ctl = eff_spec.controls[0 if s == 1 else 1]
+        assert ctl.field.a(np.zeros((1, 1)))[0, 0, 0] == slope
+        assert (ctl.lambda_ell, ctl.Lambda_ell) == \
+            (spec.lambda_ell, spec.Lambda_ell)
+
+    def test_convexity_orders_the_controls(self, bspec):
+        # F_bar(1) + F_bar(-1) >= 2 F_bar(0) = 0, so m_plus >= m_minus
+        _, cells = eg.effective_bellman_1d(bspec, eg.PeriodicGrid(1, 64))
+        assert cells[1][0].gamma + cells[-1][0].gamma >= 0.0
+        assert set(cells) == {1, -1}
+
+    def test_2d_rejected(self):
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.constant_field(2, np.eye(2)), 1, 1)])
+        with pytest.raises(eg.InputError):
+            eg.effective_bellman_1d(bs, eg.PeriodicGrid(2, 16))

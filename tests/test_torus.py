@@ -9,9 +9,7 @@ import ergodica as eg
 import ergodica.torus as torus_mod
 from ergodica.cli import build_problem
 from ergodica.torus import (
-    ANCHOR,
     HOWARD_RTOL,
-    MEAN_ZERO,
     FactoredOperator,
     assemble_torus_diffusion,
     factor_cell,
@@ -64,14 +62,8 @@ class TestCellSolve1D:
         grid = eg.PeriodicGrid(1, 256)
         A = assemble_torus_diffusion(field, grid)
         f = field.a(grid.points())[:, 0, 0]
-        anchored = eg.solve_cell(A, f, normalization=ANCHOR, grid=grid)
-        mean0 = eg.solve_cell(A, f, normalization=MEAN_ZERO, grid=grid)
+        anchored = eg.solve_cell(A, f, grid=grid)
         assert anchored.chi.flat[0] == pytest.approx(0.0, abs=1e-14)
-        assert np.mean(mean0.chi.flat) == pytest.approx(0.0, abs=1e-13)
-        # same gamma, solutions differ by a constant
-        assert anchored.gamma == pytest.approx(mean0.gamma, abs=1e-13)
-        diff = anchored.chi.flat - mean0.chi.flat
-        assert np.ptp(diff) < 1e-12
         assert anchored.residual < 1e-10
 
     def test_constant_coefficient_zero_corrector(self):
