@@ -188,29 +188,42 @@ def apply_bellman(spec: BellmanSpec, eps: float, grid: DomainGrid,
 
 
 def is_monotone(op: DiscreteOperator, shift: float, tol=1e-9):
-    """Check that shift*I - matrix is an M-matrix candidate.
+    """Diagnostic check that shift*I - matrix is an M-matrix candidate.
 
-    Returns (ok, info); info carries the worst off-diagonal entry of the
-    shifted matrix and the minimal diagonal-dominance excess.
+    No solver calls it: the eigensolver runs the same test
+    (`shifted_m_matrix`) on the matrix it factors. Returns (ok, info); info
+    carries the worst off-diagonal entry of the shifted matrix and the
+    minimal diagonal-dominance excess.
     """
-    M = (sparse.identity(op.matrix.shape[0]) * shift - op.matrix).tocsr()
-    diag = M.diagonal()
-    off = M - sparse.diags(diag)
-    worst_off = float(off.data.max()) if off.nnz else 0.0
-    worst_idx = None
-    if off.nnz:
-        k = int(np.argmax(off.data))
-        r = np.searchsorted(off.indptr, k, side="right") - 1
-        worst_idx = (int(r), int(off.indices[k]))
-    row_excess = diag - np.asarray(np.abs(off).sum(axis=1)).ravel()
+    return shifted_m_matrix(op, shift, tol)[1:]
+
+
+def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
+    """(B, ok, info): B = shift*I - L_h from L_h's CSR arrays, entry for entry
+    `sparse.identity(n) * shift - op.matrix`, and `is_monotone`'s verdict on it
+    (diagonal > 0, off-diagonal <= tol, row excess B_ii - sum_{j != i} |B_ij|
+    > -tol), read from B's arrays without building another sparse matrix.
+    """
+    B = -op.matrix.tocsr()
+    B.sum_duplicates()
+    diag = B.diagonal() + shift
+    B.setdiag(diag)
+    B.eliminate_zeros()
+    rows = np.repeat(np.arange(len(diag)), np.diff(B.indptr))
+    off = B.indices != rows
+    k = int(np.argmax(np.where(off, B.data, -np.inf))) if off.any() else None
+    worst_off = 0.0 if k is None else float(B.data[k])
+    w = np.where(off, B.data, 0.0)
+    row_excess = diag - np.bincount(rows, np.abs(w, out=w), len(diag))
     ok = bool(diag.min() > 0 and worst_off <= tol and row_excess.min() > -tol)
     info = {
         "worst_offdiag": worst_off,
-        "worst_offdiag_at": worst_idx,
+        "worst_offdiag_at": None if k is None else (int(rows[k]),
+                                                    int(B.indices[k])),
         "min_diag": float(diag.min()),
         "min_row_excess": float(row_excess.min()),
     }
-    return ok, info
+    return B, ok, info
 
 
 def properness_shift(op: DiscreteOperator) -> float:

@@ -13,7 +13,6 @@ ones, whose Perron roots and brackets add (`effective_eigenpair`).
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import sparse
 
 from .coeff import BellmanSpec
 from .domain import (
@@ -22,8 +21,8 @@ from .domain import (
     assemble_effective,
     assemble_linear,
     bellman_operators,
-    is_monotone,
     properness_shift,
+    shifted_m_matrix,
 )
 from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
@@ -66,17 +65,18 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
     """Positive principal eigenpair of a monotone discrete operator.
 
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
-    `tol`; lambda is reported as the bracket midpoint. B = s*I - L_h is
-    factored once by FactoredOperator (LAPACK's tridiagonal LU in 1D,
-    SuperLU with the minimum-degree ordering on B^T + B in 2D) and every
-    iteration is one pair of triangular solves against it.
+    `tol`; lambda is reported as the bracket midpoint. B = s*I - L_h, from
+    `shifted_m_matrix`, is factored once by FactoredOperator (LAPACK's
+    tridiagonal LU in 1D, SuperLU with the minimum-degree ordering on B^T +
+    B in 2D) and every iteration is one pair of triangular solves against it.
     """
     s = properness_shift(op)
-    ok, info = is_monotone(op, s)
+    shifted, ok, info = shifted_m_matrix(op, s)
     if not ok:
         raise SolverError(f"operator is not monotone under shift {s:g}: {info}")
+    lu = FactoredOperator(shifted)
+    del shifted  # the power loop needs only the factor
     n = op.matrix.shape[0]
-    lu = FactoredOperator(sparse.identity(n) * s - op.matrix)
     v = np.ones(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if v.min() <= 0:
         raise InputError("starting vector must be positive")

@@ -49,9 +49,12 @@ HOWARD_RTOL = 1e-11
 class FactoredOperator:
     """LU factorization of a square sparse matrix, reused for every solve.
 
-    A tridiagonal matrix of order n >= 3 is factored by LAPACK's dgttrf
-    (partial pivoting) and solved by dgttrs; any other by SuperLU with the
-    MMD_AT_PLUS_A ordering. The choice reads only the sparsity pattern.
+    A matrix of order n >= 3 (SciPy's gttrf rejects order 2) whose nonzero
+    entries all lie on the three diagonals dgttrf takes is factored by
+    LAPACK's dgttrf (partial pivoting) and solved by dgttrs; any other by
+    SuperLU with the MMD_AT_PLUS_A ordering. The choice counts the nonzeros
+    of those diagonals against those of the stored entries; more than 3n
+    (every 2D operator) rules it out before any diagonal is extracted.
     Raises SolverError when the matrix is exactly singular or a solve
     produces nonfinite values.
     """
@@ -60,10 +63,13 @@ class FactoredOperator:
         if getattr(matrix, "format", None) not in ("csr", "csc"):
             matrix = sparse.csc_matrix(matrix)
         self._tri = None
-        if _is_tridiagonal(matrix):
-            *self._tri, info = dgttrf(matrix.diagonal(-1), matrix.diagonal(),
-                                      matrix.diagonal(1), overwrite_dl=1,
-                                      overwrite_d=1, overwrite_du=1)
+        n, nnz = matrix.shape[0], np.count_nonzero(matrix.data)
+        bands = []
+        if 3 <= n == matrix.shape[1] and nnz <= 3 * n:
+            bands = [matrix.diagonal(k) for k in (-1, 0, 1)]
+        if bands and sum(map(np.count_nonzero, bands)) == nnz:
+            *self._tri, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
+                                      overwrite_du=1)
             if info > 0:
                 raise SolverError(
                     f"sparse LU factorization failed: tridiagonal factor is "
@@ -88,21 +94,6 @@ class FactoredOperator:
         if not np.all(np.isfinite(X)):
             raise SolverError("sparse LU solve produced nonfinite values")
         return X
-
-
-def _is_tridiagonal(matrix):
-    """Whether a square CSR or CSC matrix stores entries only on its three
-    central diagonals, and has order >= 3 (SciPy's gttrf rejects order 2).
-
-    Rejects most other matrices on the entry count per row (or column),
-    without building a copy of the matrix.
-    """
-    n = matrix.shape[0]
-    counts = np.diff(matrix.indptr)
-    if n < 3 or matrix.shape[1] != n or counts.max() > 3:
-        return False
-    major = np.repeat(np.arange(n), counts)
-    return bool(np.all(np.abs(matrix.indices - major) <= 1))
 
 
 @dataclass(frozen=True)
@@ -237,14 +228,10 @@ def gradient_matrices(grid: PeriodicGrid):
 
 
 def select_rows(mats, policy):
-    """Frozen-policy matrix whose row i is row i of mats[policy[i]]."""
-    out = None
-    for beta, op in enumerate(mats):
-        mask = (policy == beta).astype(float)
-        if mask.any():
-            piece = sparse.diags(mask) @ op
-            out = piece if out is None else out + piece
-    return out.tocsr()
+    """Frozen-policy CSR matrix whose row i is row i of mats[policy[i]],
+    indexed out of the stacked control matrices."""
+    n = mats[0].shape[0]
+    return sparse.vstack(mats, format="csr")[policy * n + np.arange(n)]
 
 
 def policy_iteration(evaluate, policy, max_iter):

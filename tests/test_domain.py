@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 import ergodica as eg
-from ergodica.domain import assemble_linear
+from ergodica.cli import build_problem
+from ergodica.domain import assemble_linear, shifted_m_matrix
 
 
 def linear_op(field, grid):
@@ -57,6 +58,38 @@ class TestAssembly:
         op = linear_op(field, g)
         ok, info = eg.is_monotone(op, eg.properness_shift(op))
         assert ok, info
+
+    @pytest.mark.parametrize("problem,dim", [("sin-abc", 1), ("sep-2d", 2)])
+    @pytest.mark.parametrize("defect", [None, "negative_offdiag"])
+    def test_shifted_matrix_is_the_sparse_difference(self, problem, dim,
+                                                     defect):
+        spec = build_problem(problem)["spec"]
+        g = eg.DomainGrid.unit(dim, 64 if dim == 1 else 24)
+        op = eg.assemble_oscillatory(spec, 1 / 8, g)
+        s = eg.properness_shift(op)
+        if defect:
+            matrix = op.matrix.tolil()
+            matrix[3, 4] = -1.0
+            op = eg.DiscreteOperator(matrix.tocsr(), op.boundary, g)
+        B, ok, info = shifted_m_matrix(op, s)
+        # the reference: the shifted matrix and the test through sparse
+        # matrix arithmetic
+        M = (sparse.identity(op.matrix.shape[0]) * s - op.matrix).tocsr()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(B, name), getattr(M, name))
+        diag = M.diagonal()
+        off = M - sparse.diags(diag)
+        k = int(np.argmax(off.data))
+        row = np.searchsorted(off.indptr, k, side="right") - 1
+        excess = info.pop("min_row_excess")
+        assert info == {"worst_offdiag": off.data.max(),
+                        "worst_offdiag_at": (row, off.indices[k]),
+                        "min_diag": diag.min()}
+        # the row sums may add in another order
+        assert excess == pytest.approx(
+            (diag - abs(off).sum(axis=1).A1).min(),
+            abs=64 * np.finfo(float).eps * diag.max())
+        assert ok == (defect is None)
 
     def test_upwinding_handles_strong_drift(self):
         # mesh Peclet >> 1 on a coarse grid: centered differencing would

@@ -74,6 +74,25 @@ class TestLinearEigen:
         pair = eg.principal_eigenpair(linear_op(field, g), tol=1e-9)
         assert pair.lam == pytest.approx(np.pi ** 2 - 5.0, abs=1e-3)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("defect", ["c_max_understated", "negative_offdiag"])
+    def test_non_monotone_operator_raises(self, dim, defect):
+        g = eg.DomainGrid.unit(dim, 8)
+        N = int(np.prod(g.shape))
+        cvals = np.zeros(N)
+        cvals[N // 2] = 5.0  # the centre node, interior in 1D and 2D
+        op = assemble_linear(g, np.broadcast_to(np.eye(dim), (N, dim, dim)),
+                             np.zeros((N, dim)), cvals)
+        matrix, c_max = op.matrix.tolil(), op.c_max
+        if defect == "c_max_understated":
+            # shift 1 against c = 5: the centre row excess of B is 1 - 5 < 0
+            c_max = 0.0
+        else:
+            matrix[0, 1] = -1.0  # interior nodes 0 and 1 are neighbours
+        bad = eg.DiscreteOperator(matrix.tocsr(), op.boundary, g, c_max)
+        with pytest.raises(eg.SolverError, match="not monotone"):
+            eg.principal_eigenpair(bad)
+
     def test_rejects_nonpositive_start(self):
         g = eg.DomainGrid.unit(1, 64)
         op = linear_op(eg.constant_field(1, 1.0), g)

@@ -170,11 +170,12 @@ class TestFactoredOperator:
         monkeypatch.setattr(torus_mod, "splu", counted)
         return calls
 
-    def test_tridiagonal_matches_superlu(self, splu_calls):
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_tridiagonal_matches_superlu(self, splu_calls, fmt):
         # 1D oscillatory Dirichlet operator with drift: tridiagonal, nonsymmetric
         spec = build_problem("sin-abc")["spec"]
         grid = eg.DomainGrid.unit(1, 384)
-        M = eg.assemble_oscillatory(spec, 1 / 8, grid).matrix
+        M = eg.assemble_oscillatory(spec, 1 / 8, grid).matrix.asformat(fmt)
         n = M.shape[0]
         B = np.random.default_rng(5).standard_normal((n, 5))
         lu = FactoredOperator(M)
@@ -333,14 +334,40 @@ class TestPolicyIteration:
         _, policy = policy_iteration(evaluate, np.zeros(3, dtype=int), 4)
         assert policy.tolist() == [1, 1, 1]
 
-    def test_select_rows(self):
-        rng = np.random.default_rng(3)
-        mats = [sparse.random(3, 3, density=1.0, random_state=rng, format="csr")
-                for _ in range(2)]
-        policy = np.array([1, 0, 1])
-        frozen = select_rows(mats, policy).toarray()
-        for i, beta in enumerate(policy):
-            assert np.array_equal(frozen[i], mats[beta].toarray()[i])
+    @pytest.mark.parametrize("case", ["random", "dirichlet"])
+    def test_select_rows(self, case):
+        if case == "random":
+            rng = np.random.default_rng(3)
+            blocks = [[sparse.random(3, 3, density=1.0, random_state=rng,
+                                     format="csr") for _ in range(2)]]
+            policy = np.array([1, 0, 1])
+        else:
+            # the interior and boundary blocks of three Dirichlet controls;
+            # the policy never picks control 1
+            spec = eg.BellmanSpec([
+                eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5, b_amp=1.0),
+                                      0.5, 1.5),
+                eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
+                eg.LinearOperatorSpec(eg.constant_field(1, 0.8, b0=-2.0),
+                                      0.5, 1.5),
+            ])
+            ops = eg.bellman_operators(spec, 1 / 4, eg.DomainGrid.unit(1, 16))
+            blocks = [[op.matrix for op in ops], [op.boundary for op in ops]]
+            policy = np.array([0, 2] * 7 + [2])
+        for mats in blocks:
+            frozen = select_rows(mats, policy)
+            # the reference, row by row: the stored entries of row i of
+            # mats[policy[i]], in order
+            data, indices, counts = [], [], [0]
+            for i, beta in enumerate(policy):
+                m = mats[beta]
+                row = slice(m.indptr[i], m.indptr[i + 1])
+                data.append(m.data[row])
+                indices.append(m.indices[row])
+                counts.append(row.stop - row.start)
+            assert np.array_equal(frozen.data, np.concatenate(data))
+            assert np.array_equal(frozen.indices, np.concatenate(indices))
+            assert np.array_equal(frozen.indptr, np.cumsum(counts))
 
 
 class TestGrids:
