@@ -28,10 +28,10 @@ from .corrector import (
     prepare_expansion,
     slow_corrector,
 )
-from .domain import (DomainGrid, assemble_effective, assemble_oscillatory,
-                     bellman_operators)
+from .domain import (DomainGrid, assemble_linear, assemble_oscillatory,
+                     bellman_operators, effective_samples, oscillatory_samples)
 from .effective import build_corrector_set, effective_bellman_1d, effective_linear
-from .eigen import (effective_eigenpair, principal_eigenpair,
+from .eigen import (effective_eigenpair, linear_eigenpair,
                     principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
 from .torus import FactoredOperator, GridFunction, PeriodicGrid
@@ -92,6 +92,15 @@ def build_problem(name, params=None):
         raise ConfigError(f"unknown params for {name!r}: {sorted(params)}")
     mode = "bellman" if isinstance(spec, cf.BellmanSpec) else "linear"
     return {"mode": mode, "spec": spec, "dim": spec.dim}
+
+
+def config_problem(config):
+    """`build_problem` for the config, whose `mode` must be the problem's."""
+    problem = build_problem(config.problem, config.params)
+    if problem["mode"] != config.mode:
+        raise ConfigError(f"problem {config.problem!r} is {problem['mode']!r}, "
+                          f"config says {config.mode!r}")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +259,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     threads = os.environ.get("ERGODICA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"ERGODICA_THREADS must be an integer >= 1, got {threads!r}")
-    problem = build_problem(config.problem, config.params)
-    if problem["mode"] != config.mode:
-        raise ConfigError(
-            f"problem {config.problem!r} is {problem['mode']!r}, config says "
-            f"{config.mode!r}"
-        )
+    problem = config_problem(config)
     dim = problem["dim"]
     spec = problem["spec"]
     tg = PeriodicGrid(dim, config.n_torus)
@@ -266,15 +270,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if config.mode == "linear":
         correctors = build_corrector_set(spec, tg)
         eff = effective_linear(spec, correctors)
-        if dim == 1 and meas & {"v_norm", "residual_slope"}:
-            # one assembly of the effective operator serves the eigensolve
-            # and the psi_1 solve of the expansion's eps-independent part
-            eff_op = assemble_effective(eff, grid)
-            eff_pair = principal_eigenpair(eff_op, tol=config.tol)
-            slow = slow_corrector(eff, eff_pair.phi, eff_op)
-        else:
-            eff_pair = effective_eigenpair(eff, grid, tol=config.tol)
-            slow = None
+        # in 1D the assembled eff_op serves the psi_1 solve as well
+        eff_pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
+                                            tol=config.tol)
+        slow = slow_corrector(eff, eff_pair.phi, eff_op) \
+            if dim == 1 and meas & {"v_norm", "residual_slope"} else None
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
@@ -291,13 +291,17 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     else:
         prepared = None
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
+    needs_op = needs_pivot or slow is not None
 
     def one_row(eps):
         t0 = time.perf_counter()
         row = {"eps": eps, "lambda_bar": lam_bar}
         if config.mode == "linear":
-            op = assemble_oscillatory(spec, eps, grid)
-            pair = principal_eigenpair(op, tol=config.tol)
+            # a separable 2D L_eps is formed only if the row solves with it
+            samples = oscillatory_samples(spec, eps, grid)
+            pair, op = linear_eigenpair(grid, *samples, tol=config.tol)
+            if op is None and needs_op:
+                op = assemble_linear(grid, *samples)
         else:
             op = None
             # the frozen operators serve the eigensolve and the expansion
@@ -307,7 +311,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         # one factorization of L_eps serves the pivot, z2 and z3 solves
-        lu = FactoredOperator(op.matrix) if needs_pivot or slow is not None else None
+        lu = FactoredOperator(op.matrix) if needs_op else None
         if needs_pivot:
             w = pivot_problem(spec, eps, grid, u, lam_bar, op=op, lu=lu)
             t_eps, z = align_eigenfunctions(w, pair)
@@ -432,7 +436,7 @@ def _grid_csv(fn: GridFunction, path):
 # CLI commands
 
 def _cmd_effective(config, args):
-    problem = build_problem(config.problem, config.params)
+    problem = config_problem(config)
     tg = PeriodicGrid(problem["dim"], config.n_torus)
     if problem["mode"] != "linear":
         raise ConfigError("'effective' applies to linear problems")
@@ -445,7 +449,7 @@ def _cmd_effective(config, args):
 def _cmd_eigen(config, args):
     if args.out:
         _make_dir(args.out)  # before the eigensolve, not after it
-    problem = build_problem(config.problem, config.params)
+    problem = config_problem(config)
     dim = problem["dim"]
     n_cells = config.q * max(config.denominators())
     grid = DomainGrid.unit(dim, n_cells)
@@ -459,8 +463,8 @@ def _cmd_eigen(config, args):
     else:
         eps = args.eps if args.eps is not None else config.eps_list[0]
         if problem["mode"] == "linear":
-            op = assemble_oscillatory(problem["spec"], eps, grid)
-            pair = principal_eigenpair(op, tol=config.tol)
+            samples = oscillatory_samples(problem["spec"], eps, grid)
+            pair, _ = linear_eigenpair(grid, *samples, tol=config.tol)
         else:
             pair, _ = principal_eigenpair_bellman(problem["spec"], eps, grid,
                                                   tol=config.tol)
@@ -479,7 +483,7 @@ def _cmd_eigen(config, args):
 def _cmd_corrector(config, args):
     if args.out:
         _make_dir(args.out)  # before the expansion, not after it
-    problem = build_problem(config.problem, config.params)
+    problem = config_problem(config)
     if problem["mode"] != "linear" or problem["dim"] != 1:
         raise ConfigError("'corrector' supports 1D linear problems")
     spec = problem["spec"]
@@ -489,8 +493,8 @@ def _cmd_corrector(config, args):
     grid = DomainGrid.unit(1, n_cells)
     correctors = build_corrector_set(spec, tg)
     eff = effective_linear(spec, correctors)
-    eff_op = assemble_effective(eff, grid)
-    pair = principal_eigenpair(eff_op, tol=config.tol)
+    pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
+                                    tol=config.tol)
     op = assemble_oscillatory(spec, eps, grid)
     exp, res = linear_expansion(spec, correctors, pair,
                                 slow_corrector(eff, pair.phi, eff_op), eps, op)

@@ -150,6 +150,15 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals) -> DiscreteOperator:
     )
 
 
+def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
+    """Samples (a, b, c) of a(x/eps), b(x/eps), c(x/eps) on the full node set."""
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    if spec.dim != grid.dim:
+        raise InputError("operator and grid dimensions differ")
+    return spec.field.sample((grid.points() / eps) % 1.0)
+
+
 def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
                          grid: DomainGrid) -> DiscreteOperator:
     """Discretize a(x/eps) D^2 + b(x/eps) . D + c(x/eps) with Dirichlet data."""
@@ -157,20 +166,24 @@ def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
         raise InputError("eps must be positive")
     if spec.dim != grid.dim:
         raise InputError("operator and grid dimensions differ")
+    # y lives until assembled: freeing it first slowed bellman-1d (ROADMAP 7)
     y = (grid.points() / eps) % 1.0
     avals, bvals, cvals = spec.field.sample(y)
     return assemble_linear(grid, avals, bvals, cvals)
 
 
-def assemble_effective(eff: EffectiveLinear, grid: DomainGrid) -> DiscreteOperator:
-    """Constant-coefficient effective operator on the same layout."""
+def effective_samples(eff: EffectiveLinear, grid: DomainGrid):
+    """The effective constants (a_bar, b_bar, c_bar) broadcast to every node."""
     if eff.dim != grid.dim:
         raise InputError("effective operator and grid dimensions differ")
     N = int(np.prod(grid.shape))
-    avals = np.broadcast_to(eff.a_bar, (N, eff.dim, eff.dim))
-    bvals = np.broadcast_to(eff.b_bar, (N, eff.dim))
-    cvals = np.full(N, eff.c_bar)
-    return assemble_linear(grid, avals, bvals, cvals)
+    return (np.broadcast_to(eff.a_bar, (N, eff.dim, eff.dim)),
+            np.broadcast_to(eff.b_bar, (N, eff.dim)), np.full(N, eff.c_bar))
+
+
+def assemble_effective(eff: EffectiveLinear, grid: DomainGrid) -> DiscreteOperator:
+    """Constant-coefficient effective operator on the same layout."""
+    return assemble_linear(grid, *effective_samples(eff, grid))
 
 
 def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid):

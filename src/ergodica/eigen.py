@@ -6,8 +6,8 @@ entrywise nonnegative, so the iterates stay positive and the Collatz-
 Wielandt ratios bracket the Perron value rigorously at every step. Bellman
 problems wrap the linear solver in Howard policy iteration.
 
-A 2D effective operator without cross diffusion is a Kronecker sum of 1D
-ones, whose Perron roots and brackets add (`effective_eigenpair`).
+A 2D operator whose samples separate by axis (sep-2d, a 2D effective one)
+is a Kronecker sum of two 1D ones, whose Perron roots and brackets add.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -18,9 +18,9 @@ from .coeff import BellmanSpec
 from .domain import (
     DiscreteOperator,
     DomainGrid,
-    assemble_effective,
     assemble_linear,
     bellman_operators,
+    effective_samples,
     properness_shift,
     shifted_m_matrix,
 )
@@ -113,28 +113,35 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
     )
 
 
-def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid,
-                        tol=1e-9) -> EigenPair:
-    """Principal eigenpair of the effective operator assembled on `grid`.
+def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9):
+    """(pair, op): the principal eigenpair of `assemble_linear(grid, avals,
+    bvals, cvals)` (samples on the full node set) and that operator, or None.
 
-    A 2D stencil with a_bar[0, 1] = a_bar[1, 0] = 0 exactly is L_1 (x) I +
-    I (x) L_2 (axis k carries a_bar[k, k], b_bar[k], and c_bar if k = 0),
-    so each axis is solved with tol/2 and no 2D matrix is formed: lam is the
-    midpoint of the certified [l_1 + l_2, u_1 + u_2], phi = phi_1 (x) phi_2,
-    residual = max |L phi + lam phi| = max |r_1 (x) phi_2 + phi_1 (x) r_2 +
-    (lam - lam_1 - lam_2) phi| with r_k = L_k phi_k + lam_k phi_k, and
-    iterations and bracket widths add (the shorter history held at its last
-    width). Any other operator is assembled and solved directly.
+    2D samples that separate by exact equality (a12 = a21 = 0; a11, b1 and c
+    constant along axis 1; a22 and b2 along axis 0) give L_1 (x) I + I (x)
+    L_2 (Lynch-Rice-Thomas 1964): each axis is solved with tol/2, op is None,
+    lam is the midpoint of the certified [l_1 + l_2, u_1 + u_2], phi = phi_1
+    (x) phi_2, residual = max |L phi + lam phi| = max |r_1 (x) phi_2 + phi_1
+    (x) r_2 + (lam - lam_1 - lam_2) phi| with r_k = L_k phi_k + lam_k phi_k,
+    and iterations and bracket widths add. Anything else is assembled.
     """
-    a = eff.a_bar
-    if grid.dim != 2 or eff.dim != 2 or a[0, 1] != 0.0 or a[1, 0] != 0.0:
-        return principal_eigenpair(assemble_effective(eff, grid), tol=tol)
+    separable = grid.dim == 2
+    if separable:
+        a = np.asarray(avals, dtype=float).reshape(grid.shape + (2, 2))
+        b = np.asarray(bvals, dtype=float).reshape(grid.shape + (2,))
+        ax0 = (a[..., 0, 0], b[..., 0], np.reshape(cvals, grid.shape))
+        ax1 = (a[..., 1, 1], b[..., 1])
+        separable = not (a[..., 0, 1].any() or a[..., 1, 0].any()) \
+            and all((x == x[:, :1]).all() for x in ax0) \
+            and all((x == x[:1]).all() for x in ax1)
+    if not separable:
+        op = assemble_linear(grid, avals, bvals, cvals)
+        return principal_eigenpair(op, tol=tol), op
     axes = []
-    for k in range(2):
-        axis = DomainGrid(1, (grid.bounds[k],), (grid.n[k],))
-        m = axis.shape[0]
-        op = assemble_linear(axis, np.full(m, a[k, k]), np.full(m, eff.b_bar[k]),
-                             np.full(m, eff.c_bar if k == 0 else 0.0))
+    for k, samples in enumerate(([x[:, 0] for x in ax0],
+                                 [x[0] for x in ax1] + [np.zeros(grid.shape[1])])):
+        op = assemble_linear(DomainGrid(1, (grid.bounds[k],), (grid.n[k],)),
+                             *samples)
         pair = principal_eigenpair(op, tol=tol / 2)
         v = pair.phi.values[1:-1]
         axes.append((pair, v, op.matrix @ v + pair.lam * v))
@@ -149,7 +156,13 @@ def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid,
     phi = GridFunction(grid, np.outer(p1.phi.values, p2.phi.values))
     return EigenPair(float(lam), phi, float(np.max(np.abs(residual))),
                      float(lower), float(upper),
-                     p1.iterations + p2.iterations, history)
+                     p1.iterations + p2.iterations, history), None
+
+
+def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid,
+                        tol=1e-9) -> EigenPair:
+    """`linear_eigenpair` of the effective constants broadcast to `grid`."""
+    return linear_eigenpair(grid, *effective_samples(eff, grid), tol=tol)[0]
 
 
 def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,

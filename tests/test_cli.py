@@ -204,6 +204,51 @@ class TestRunSweep:
             rep = eg.run_sweep(cfg)
             assert len(rep.rows) == len(eps_list)
             assert len(calls) == 2
+    def test_separable_2d_rows_factor_only_the_torus_cell(self, monkeypatch):
+        # criterion 10's sweep: each sep-2d row is a Kronecker sum of two
+        # tridiagonal eigensolves, so SuperLU sees only the augmented cell
+        import ergodica.torus as torus_mod
+        real = torus_mod.splu
+        orders = []
+
+        def counted(matrix, *args, **kwargs):
+            orders.append(matrix.shape[0])
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(torus_mod, "splu", counted)
+        cfg = eg.SweepConfig(problem="sep-2d", eps_list=[1 / 4, 1 / 8, 1 / 16],
+                             q=16, n_torus=64, measurements=("lambda_rate",))
+        rep = eg.run_sweep(cfg)
+        assert len(rep.rows) == 3 and rep.failures == []
+        assert orders and set(orders) == {64 * 64 + 1}
+
+    def test_separable_2d_pivot_rows_assemble_once(self, monkeypatch):
+        # a row that solves with L_eps assembles it once, after the
+        # eigensolve; a row that does not never forms it
+        import ergodica.cli as cli_mod
+        import ergodica.eigen as eigen_mod
+        calls = []
+
+        def counting(module):
+            real = module.assemble_linear
+
+            def assemble(grid, *samples):
+                calls.append((module.__name__, grid.dim))
+                return real(grid, *samples)
+            monkeypatch.setattr(module, "assemble_linear", assemble)
+
+        counting(cli_mod)
+        counting(eigen_mod)
+        for meas, per_row in ((("lambda_rate",), 0), (("eigfun_rate",), 1)):
+            calls.clear()
+            cfg = eg.SweepConfig(problem="sep-2d", eps_list=[1 / 4, 1 / 8],
+                                 q=16, n_torus=32, measurements=meas)
+            rep = eg.run_sweep(cfg)
+            assert rep.failures == []
+            assert calls.count(("ergodica.cli", 2)) == 2 * per_row
+            assert ("ergodica.eigen", 2) not in calls
+        assert all(np.isfinite(row["eigfun_err"]) for row in rep.rows)
+
 
 class TestEmitReport:
     @pytest.fixture()
@@ -470,17 +515,34 @@ class TestCli:
         assert err.startswith("solver error: sparse LU factorization failed")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eigen", "effective", "corrector",
+                                         "sweep"])
+    def test_mode_contradicting_problem_exit_2(self, tmp_path, capsys,
+                                               command):
+        # pucci-1d is a Bellman problem and mode defaults to linear: every
+        # command refuses it the way `sweep` does ('eigen' used to run the
+        # Bellman eigensolve and exit 0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "pucci-1d", "eps_list": [0.25, 0.125], "q": 16,
+            "n_torus": 32}))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: problem 'pucci-1d' is 'bellman', config says "
+            "'linear'\n")
+
     def test_sweep_records_per_eps_failures(self, monkeypatch):
         # a failure at one eps is recorded as a reasoned row; the rest survive
         import ergodica.cli as cli_mod
-        real = cli_mod.assemble_oscillatory
+        real = cli_mod.oscillatory_samples
 
         def flaky(spec, eps, grid):
             if eps == 1 / 8:
                 raise eg.SolverError("synthetic failure")
             return real(spec, eps, grid)
 
-        monkeypatch.setattr(cli_mod, "assemble_oscillatory", flaky)
+        monkeypatch.setattr(cli_mod, "oscillatory_samples", flaky)
         cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",))
         rep = eg.run_sweep(cfg)

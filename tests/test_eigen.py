@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 import ergodica as eg
-from ergodica.domain import assemble_linear
-from ergodica.eigen import _freeze_policy
+from ergodica.domain import assemble_linear, oscillatory_samples
+from ergodica.eigen import _freeze_policy, linear_eigenpair
 
 
 def linear_op(field, grid):
@@ -254,20 +254,21 @@ class TestEffectiveEigenpair:
     def test_cross_diffusion_takes_sparse_path(self, monkeypatch):
         import ergodica.eigen as eigen_mod
         calls = []
-        real = eigen_mod.assemble_effective
+        real = eigen_mod.assemble_linear
 
-        def counting(eff, grid):
-            calls.append(eff)
-            return real(eff, grid)
+        def counting(grid, *samples):
+            if grid.dim == 2:
+                calls.append(grid)
+            return real(grid, *samples)
 
-        monkeypatch.setattr(eigen_mod, "assemble_effective", counting)
+        monkeypatch.setattr(eigen_mod, "assemble_linear", counting)
         grid = eg.DomainGrid.unit(2, 32)
         eg.effective_eigenpair(_effective([[1.0, 0.0], [0.0, 1.2]]), grid)
         assert calls == []
         cross = _effective([[1.0, 0.2], [0.2, 1.0]])
         pair = eg.effective_eigenpair(cross, grid)
-        assert calls == [cross]
-        ref = eg.principal_eigenpair(real(cross, grid))
+        assert calls == [grid]
+        ref = eg.principal_eigenpair(eg.assemble_effective(cross, grid))
         assert pair.lam == ref.lam
 
     def test_1d_is_the_assembled_solve(self):
@@ -299,3 +300,65 @@ def test_separable_oscillatory_oracle():
     # the two certified brackets overlap up to round-off
     assert pair.cw_lower <= 2 * axis_pair.cw_upper + slack - tol
     assert 2 * axis_pair.cw_lower <= pair.cw_upper + slack - tol
+
+
+def test_separable_oscillatory_row_is_a_kronecker_sum():
+    """The sep-2d oscillatory operator goes through the two axis solves and
+    agrees with the assembled 2D SuperLU eigensolve."""
+    spec = eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5), 0.5, 1.5)
+    eps, tol = 1 / 4, 1e-9
+    grid = eg.DomainGrid.unit(2, 64)
+    kron, formed = linear_eigenpair(grid, *oscillatory_samples(spec, eps, grid),
+                                    tol=tol)
+    assert formed is None
+    op = eg.assemble_oscillatory(spec, eps, grid)
+    ref = eg.principal_eigenpair(op, tol=tol)
+    assert abs(kron.lam - ref.lam) <= _roundoff_tol(op, tol)
+    assert kron.cw_lower <= ref.lam <= kron.cw_upper
+    assert ref.cw_lower <= kron.lam <= ref.cw_upper
+    np.testing.assert_allclose(kron.phi.values, ref.phi.values,
+                               rtol=0, atol=1e-10)
+    v = kron.phi.flat[grid.interior_index()]
+    direct = np.max(np.abs(op.matrix @ v + kron.lam * v))
+    norm = np.max(np.abs(op.matrix).sum(axis=1))
+    assert kron.residual == pytest.approx(
+        direct, abs=16 * np.finfo(float).eps * norm)
+
+
+def _y2(pts):
+    return np.sin(2 * np.pi * pts[:, 1])
+
+
+@pytest.mark.parametrize("change", ["cross", "a11_on_y2", "c_on_y2"])
+def test_non_separable_samples_take_the_assembled_path(monkeypatch, change):
+    """One coupling between the axes rules out the Kronecker split: the
+    operator is assembled once and solved as assembled, bit for bit."""
+    import ergodica.eigen as eigen_mod
+    base = eg.separable_sin_field_2d(delta=0.5)
+
+    def a(pts):
+        out = base.a(pts)
+        if change == "cross":
+            out[:, 0, 1] = out[:, 1, 0] = 0.1
+        elif change == "a11_on_y2":
+            out[:, 0, 0] += 0.1 * _y2(pts)
+        return out
+
+    def c(pts):
+        return 0.3 * _y2(pts) if change == "c_on_y2" else base.c(pts)
+
+    spec = eg.LinearOperatorSpec(eg.CoefficientField(2, a, base.b, c), 0.3, 1.7)
+    grid = eg.DomainGrid.unit(2, 32)
+    samples = oscillatory_samples(spec, 1 / 4, grid)
+    calls = []
+    real = eigen_mod.assemble_linear
+
+    def counting(g, *args):
+        calls.append(g.dim)
+        return real(g, *args)
+
+    monkeypatch.setattr(eigen_mod, "assemble_linear", counting)
+    pair, op = linear_eigenpair(grid, *samples)
+    assert calls == [2] and op is not None
+    ref = eg.principal_eigenpair(eg.assemble_oscillatory(spec, 1 / 4, grid))
+    assert pair.lam == ref.lam
