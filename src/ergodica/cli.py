@@ -34,7 +34,7 @@ from .effective import build_corrector_set, effective_bellman_1d, effective_line
 from .eigen import (effective_eigenpair, linear_eigenpair,
                     principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
-from .torus import FactoredOperator, GridFunction, PeriodicGrid
+from .torus import GridFunction, PeriodicGrid
 
 ALL_MEASUREMENTS = ("lambda_rate", "eigfun_rate", "z_rate", "v_norm",
                     "residual_slope")
@@ -311,7 +311,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         # one factorization of L_eps serves the pivot, z2 and z3 solves
-        lu = FactoredOperator(op.matrix) if needs_op else None
+        lu = op.factor() if needs_op else None
         if needs_pivot:
             w = pivot_problem(spec, eps, grid, u, lam_bar, op=op, lu=lu)
             t_eps, z = align_eigenfunctions(w, pair)

@@ -180,13 +180,13 @@ def boundary_correctors(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
                         lu: Optional[FactoredOperator] = None):
     """Solve L^eps z_k = 0 with boundary data -w_k(x, x/eps); returns (z2, z3).
 
-    `lu` is a factorization of op.matrix to reuse; without it one is made
-    here and shared by both solves.
+    `lu` is `op.factor()` to reuse; without it one is made here and shared
+    by both solves.
     """
     if op is None:
         op = assemble_oscillatory(spec, eps, grid)
     if lu is None:
-        lu = FactoredOperator(op.matrix)
+        lu = op.factor()
     bidx = grid.boundary_index()
     zero = np.zeros(len(grid.interior_index()))
     z2 = dirichlet_solve(op, zero, boundary_values=-w2_trace.flat[bidx], lu=lu)
@@ -239,7 +239,7 @@ def linear_expansion(spec: LinearOperatorSpec, correctors: CorrectorSet,
     """Full corrector v^eps around the effective eigenpair at one eps.
 
     `slow` is `slow_corrector(eff, u_pair.phi, L_bar)`, `op` is L^eps on the grid
-    of u and `lu` a factorization of op.matrix to reuse. Returns the
+    of u and `lu` its factorization `op.factor()` to reuse. Returns the
     ExpansionResult and the residual L^eps(u + v^eps) + lambda_bar u at the
     interior nodes.
     """
@@ -268,7 +268,7 @@ def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
                   lu: Optional[FactoredOperator] = None) -> GridFunction:
     """Solve the auxiliary problem L^eps w^eps = -lambda_bar * u, w^eps = 0 on
     the boundary; w^eps is the pivot between u^eps and u. `lu` is a
-    factorization of op.matrix to reuse."""
+    factorization of op (`op.factor()`) to reuse."""
     if op is None:
         op = assemble_oscillatory(spec, eps, grid)
     rhs = -lambda_bar * grid.restrict(u.values)

@@ -3,11 +3,18 @@ on an interval or rectangle, as monotone sparse operators.
 
 Grid functions live on the full node set (boundary included); operators act
 on interior unknowns, with the boundary coupling kept as a separate block so
-inhomogeneous Dirichlet data can be moved to the right-hand side. Rows come
-from `stencils.monotone_stencil`, which builds the torus cell matrices too.
+inhomogeneous Dirichlet data can be moved to the right-hand side. The
+weights come from `stencils.stencil_weights`, which the torus cell matrices
+use too. A 1D operator keeps its three bands, aligned by row, and writes its
+CSR blocks straight from them; the shifted matrix B = s*I - L_h, its
+M-matrix test, its tridiagonal factorization and the frozen-policy
+operators of `eigen` then work on the bands, without sparse round trips.
+2D operators are CSR alone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -15,7 +22,7 @@ from scipy import sparse
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
 from .errors import InputError
-from .stencils import monotone_stencil
+from .stencils import monotone_stencil, stencil_weights
 from .torus import FactoredOperator, GridFunction
 
 
@@ -77,10 +84,20 @@ class DomainGrid:
         return mask
 
     def interior_index(self):
-        return np.flatnonzero(self.interior_mask().ravel())
+        """Flat indices of the interior nodes (cached, read-only)."""
+        return self._split[0]
 
     def boundary_index(self):
-        return np.flatnonzero(~self.interior_mask().ravel())
+        """Flat indices of the boundary nodes (cached, read-only)."""
+        return self._split[1]
+
+    @cached_property
+    def _split(self):
+        mask = self.interior_mask().ravel()
+        split = np.flatnonzero(mask), np.flatnonzero(~mask)
+        for index in split:
+            index.flags.writeable = False
+        return split
 
     def interior_points(self):
         return self.points()[self.interior_index()]
@@ -115,12 +132,45 @@ class DiscreteOperator:
 
     Sign convention: (matrix @ phi_interior + boundary @ phi_boundary)
     approximates  a D^2 phi + b . D phi + c phi  at interior nodes.
+
+    `bands` (1D only, else None) are the stencil weights (lower, diag,
+    upper) aligned by row: row i of L_h is lower[i] phi_{i-1} + diag[i]
+    phi_i + upper[i] phi_{i+1} over the full node set, so lower[0] and
+    upper[-1] are the two boundary couplings.
     """
 
     matrix: sparse.csr_matrix
     boundary: sparse.csr_matrix
     grid: DomainGrid
     c_max: float = 0.0
+    bands: Optional[tuple] = None
+
+    @classmethod
+    def from_bands(cls, grid: DomainGrid, bands, c_max: float):
+        """The 1D operator with these row-aligned bands; its CSR `matrix`
+        and two-entry `boundary` are written from them directly. The
+        operator keeps its bands as the columns of one (n, 3) array whose
+        flat entries, less the first and last, are the matrix's stored
+        entries (row order lower, diag, upper): one copy serves both."""
+        lower, diag, upper = bands
+        n = len(diag)
+        rows = np.stack(bands, axis=1)
+        index = np.arange(n, dtype=np.int32)
+        matrix = sparse.csr_matrix(
+            (rows.ravel()[1:-1],
+             (index[:, None] + np.array([-1, 0, 1], dtype=np.int32)).ravel()[1:-1],
+             np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)),
+            shape=(n, n))
+        indptr = np.ones(n + 1, dtype=np.int32)
+        indptr[0], indptr[-1] = 0, 2
+        boundary = sparse.csr_matrix(
+            (np.array([lower[0], upper[-1]]), np.array([0, 1], dtype=np.int32),
+             indptr), shape=(n, 2))
+        return cls(matrix, boundary, grid, c_max, tuple(rows.T))
+
+    def factor(self) -> FactoredOperator:
+        """FactoredOperator of L_h, from its bands when it carries them."""
+        return FactoredOperator(self.matrix if self.bands is None else self.bands)
 
     def apply(self, phi: GridFunction):
         """Operator value at interior nodes, honoring the boundary values of phi."""
@@ -131,22 +181,29 @@ class DiscreteOperator:
 
 
 def assemble_linear(grid: DomainGrid, avals, bvals, cvals) -> DiscreteOperator:
-    """Monotone assembly (`stencils.monotone_stencil`) from nodal coefficient
+    """Monotone assembly (`stencils.stencil_weights`) from nodal coefficient
     samples on the full node set: interior rows, with the boundary columns
-    split off."""
+    split off. In 1D the weights are the operator's bands; in 2D the rows of
+    `stencils.monotone_stencil` are sliced into the two blocks."""
     d = grid.dim
     N_full = int(np.prod(grid.shape))
     interior = grid.interior_index()
     avals = np.asarray(avals, dtype=float).reshape(N_full, d, d)[interior]
     bvals = np.asarray(bvals, dtype=float).reshape(N_full, d)[interior]
     cvals = np.asarray(cvals, dtype=float).reshape(N_full)[interior]
+    c_max = float(cvals.max())
+    if d == 1:
+        neighbours, diag = stencil_weights(avals, bvals, cvals, grid.h,
+                                           grid.shape, interior, wrap=False)
+        return DiscreteOperator.from_bands(
+            grid, (neighbours[(-1,)], diag, neighbours[(1,)]), c_max)
     rows = monotone_stencil(avals, bvals, cvals, grid.h, grid.shape, interior,
                             wrap=False)
     return DiscreteOperator(
         matrix=rows[:, interior].tocsr(),
         boundary=rows[:, grid.boundary_index()].tocsr(),
         grid=grid,
-        c_max=float(cvals.max()),
+        c_max=c_max,
     )
 
 
@@ -212,11 +269,28 @@ def is_monotone(op: DiscreteOperator, shift: float, tol=1e-9):
 
 
 def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
-    """(B, ok, info): B = shift*I - L_h from L_h's CSR arrays, entry for entry
-    `sparse.identity(n) * shift - op.matrix`, and `is_monotone`'s verdict on it
+    """(B, ok, info): B = shift*I - L_h and `is_monotone`'s verdict on it
     (diagonal > 0, off-diagonal <= tol, row excess B_ii - sum_{j != i} |B_ij|
     > -tol), read from B's arrays without building another sparse matrix.
+
+    With bands, B is the band triple (-lower, shift - diag, -upper), which
+    FactoredOperator takes as it is; its first and last entries, outside B,
+    are left out of the test. Otherwise B is built from L_h's CSR arrays,
+    entry for entry `sparse.identity(n) * shift - op.matrix`.
     """
+    if op.bands is not None:
+        lower, diag, upper = op.bands
+        B = (-lower, shift - diag, -upper)
+        # B's off-diagonal entries in CSR order: (i, i-1), then (i, i+1)
+        off = np.stack([B[0], B[2]], axis=1)
+        off[0, 0] = off[-1, 1] = 0.0
+        size = np.abs(off)
+        excess = B[1] - (size[:, 0] + size[:, 1])
+        off = off.ravel()
+        k = int(np.argmax(np.where(off != 0.0, off, -np.inf))) \
+            if off.any() else None
+        at = None if k is None else (k // 2, k // 2 - 1 + 2 * (k % 2))
+        return B, *_m_matrix_verdict(B[1], off, k, at, excess, tol)
     B = -op.matrix.tocsr()
     B.sum_duplicates()
     diag = B.diagonal() + shift
@@ -225,18 +299,23 @@ def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
     rows = np.repeat(np.arange(len(diag)), np.diff(B.indptr))
     off = B.indices != rows
     k = int(np.argmax(np.where(off, B.data, -np.inf))) if off.any() else None
-    worst_off = 0.0 if k is None else float(B.data[k])
+    at = None if k is None else (int(rows[k]), int(B.indices[k]))
     w = np.where(off, B.data, 0.0)
-    row_excess = diag - np.bincount(rows, np.abs(w, out=w), len(diag))
-    ok = bool(diag.min() > 0 and worst_off <= tol and row_excess.min() > -tol)
-    info = {
+    excess = diag - np.bincount(rows, np.abs(w, out=w), len(diag))
+    return B, *_m_matrix_verdict(diag, B.data, k, at, excess, tol)
+
+
+def _m_matrix_verdict(diag, entries, k, at, excess, tol):
+    """(ok, info) of `shifted_m_matrix`: k indexes the largest off-diagonal
+    entry of B in `entries` (None when there is none), at its (row, col)."""
+    worst_off = 0.0 if k is None else float(entries[k])
+    ok = bool(diag.min() > 0 and worst_off <= tol and excess.min() > -tol)
+    return ok, {
         "worst_offdiag": worst_off,
-        "worst_offdiag_at": None if k is None else (int(rows[k]),
-                                                    int(B.indices[k])),
+        "worst_offdiag_at": at,
         "min_diag": float(diag.min()),
-        "min_row_excess": float(row_excess.min()),
+        "min_row_excess": float(excess.min()),
     }
-    return B, ok, info
 
 
 def properness_shift(op: DiscreteOperator) -> float:
@@ -249,13 +328,13 @@ def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None,
     """Solve  L_h u = rhs  at interior nodes with the given Dirichlet data.
 
     `rhs` is a flat interior vector or full-node array; boundary data (full
-    boundary-node vector) defaults to zero. Pass `lu=FactoredOperator(
-    op.matrix)` to reuse one factorization across solves.
+    boundary-node vector) defaults to zero. Pass `lu=op.factor()` to reuse
+    one factorization across solves.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == op.grid.shape:
         rhs = op.grid.restrict(rhs)
     if boundary_values is not None:
         rhs = rhs - op.boundary @ np.asarray(boundary_values, dtype=float)
-    sol = (lu or FactoredOperator(op.matrix)).solve(rhs)
+    sol = (lu or op.factor()).solve(rhs)
     return GridFunction(op.grid, op.grid.embed(sol, boundary_values))

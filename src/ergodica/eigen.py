@@ -67,8 +67,9 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
     `tol`; lambda is reported as the bracket midpoint. B = s*I - L_h, from
     `shifted_m_matrix`, is factored once by FactoredOperator (LAPACK's
-    tridiagonal LU in 1D, SuperLU with the minimum-degree ordering on B^T +
-    B in 2D) and every iteration is one pair of triangular solves against it.
+    tridiagonal LU of B's bands in 1D, SuperLU with the minimum-degree
+    ordering on B^T + B in 2D) and every iteration is one pair of triangular
+    solves against it.
     """
     s = properness_shift(op)
     shifted, ok, info = shifted_m_matrix(op, s)
@@ -198,9 +199,17 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
 
 
 def _freeze_policy(ops, policy, grid):
+    """The operator whose row i is row i of ops[policy[i]]: taken from the
+    stacked bands when the operators carry bands, else by `select_rows`."""
+    c_max = max(ops[beta].c_max for beta in np.unique(policy))
+    if all(op.bands is not None for op in ops):
+        nodes = np.arange(len(policy))
+        bands = tuple(np.stack(band)[policy, nodes]
+                      for band in zip(*(op.bands for op in ops)))
+        return DiscreteOperator.from_bands(grid, bands, c_max)
     return DiscreteOperator(
         matrix=select_rows([op.matrix for op in ops], policy),
         boundary=select_rows([op.boundary for op in ops], policy),
         grid=grid,
-        c_max=max(ops[beta].c_max for beta in np.unique(policy)),
+        c_max=c_max,
     )

@@ -51,26 +51,20 @@ def fd_weights(nodes, x0, m):
     return C[:, m]
 
 
-def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
-    """CSR rows (len(rows), prod(shape)) of  a D^2 + b . D + c  at the flat
-    node indices `rows` of a grid of `shape` and spacing `h`, from the
-    coefficients at those nodes: avals (k, d, d), bvals (k, d), cvals (k,).
-    Neighbours wrap around when `wrap` (torus) and must exist otherwise.
+def stencil_weights(avals, bvals, cvals, h, shape, rows, wrap):
+    """The coefficients of  a D^2 + b . D + c  at the flat node indices `rows`
+    of a grid of `shape` and spacing `h`, from the coefficients at those
+    nodes: avals (k, d, d), bvals (k, d), cvals (k,). Returns (neighbours,
+    diag): neighbours maps each stored neighbour offset (one int per axis)
+    to its weights (k,), and diag (k,) holds the centre weights, c included.
 
     Second differences are centered; the drift is centered where h|b| <
     2 a_eff and first-order upwind elsewhere; 2D cross terms use the
     diagonal-shift 7-point stencil, monotone when |a12| <= min(a11, a22).
     Raises AssemblyError when that bound fails, when a cross term meets
-    unequal spacing, or when an off-diagonal entry comes out negative.
+    unequal spacing, or when an off-diagonal weight comes out negative.
     """
     d = len(shape)
-    mode = "wrap" if wrap else "raise"
-    index = np.unravel_index(rows, shape)
-
-    def neighbour(offset):
-        return np.ravel_multi_index(
-            tuple(i + o for i, o in zip(index, offset)), shape, mode=mode)
-
     cross = np.zeros(len(rows))
     if d == 2:
         a12 = 0.5 * (avals[:, 0, 1] + avals[:, 1, 0])
@@ -84,20 +78,17 @@ def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
             )
         cross = np.abs(a12)
 
-    cols, vals = [], []
+    neighbours = {}
     diag = np.zeros(len(rows))
     for ax, hk in enumerate(h):
         a_ax = avals[:, ax, ax] - cross
         b_ax = bvals[:, ax]
         centered = np.abs(b_ax) * hk < 2.0 * a_ax
-        step = np.eye(d, dtype=int)[ax]
-        cols += [neighbour(step), neighbour(-step)]
-        vals += [
-            a_ax / hk ** 2 + np.where(
-                centered, b_ax / (2 * hk), np.maximum(b_ax, 0.0) / hk),
-            a_ax / hk ** 2 - np.where(
-                centered, b_ax / (2 * hk), -np.minimum(b_ax, 0.0) / hk),
-        ]
+        step = tuple(int(k == ax) for k in range(d))
+        neighbours[step] = a_ax / hk ** 2 + np.where(
+            centered, b_ax / (2 * hk), np.maximum(b_ax, 0.0) / hk)
+        neighbours[tuple(-o for o in step)] = a_ax / hk ** 2 - np.where(
+            centered, b_ax / (2 * hk), np.minimum(b_ax, 0.0) / hk)
         diag += -2 * a_ax / hk ** 2 - np.where(centered, 0.0, np.abs(b_ax) / hk)
 
     # diagonal neighbours are stored when a cross term exists, and always on
@@ -108,21 +99,33 @@ def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
         ap, am = np.maximum(a12, 0.0), np.maximum(-a12, 0.0)
         for offset, coeff in (((1, 1), ap), ((-1, -1), ap),
                               ((1, -1), am), ((-1, 1), am)):
-            cols.append(neighbour(offset))
-            vals.append(coeff / h[0] ** 2)
+            neighbours[offset] = coeff / h[0] ** 2
         diag += -2 * cross / h[0] ** 2
 
-    off = np.concatenate(vals)
-    if off.min() < -_OFFDIAG_TOL:
-        worst = rows[int(np.argmin(off)) % len(rows)]
+    lowest = min(neighbours.values(), key=np.min)
+    if lowest.min() < -_OFFDIAG_TOL:
         raise AssemblyError(
-            f"negative off-diagonal {off.min():.3e} in row of node "
-            f"{np.unravel_index(worst, shape)}"
+            f"negative off-diagonal {lowest.min():.3e} in row of node "
+            f"{np.unravel_index(rows[int(np.argmin(lowest))], shape)}"
         )
-    cols.append(rows)
+    return neighbours, diag + cvals
+
+
+def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
+    """CSR rows (len(rows), prod(shape)) of  a D^2 + b . D + c  at the flat
+    node indices `rows`, with the weights of `stencil_weights` (same
+    arguments). Neighbours wrap around when `wrap` (torus) and must exist
+    otherwise.
+    """
+    neighbours, diag = stencil_weights(avals, bvals, cvals, h, shape, rows, wrap)
+    mode = "wrap" if wrap else "raise"
+    index = np.unravel_index(rows, shape)
+    cols = [np.ravel_multi_index(tuple(i + o for i, o in zip(index, offset)),
+                                 shape, mode=mode) for offset in neighbours]
     return sparse.csr_matrix(
-        (np.concatenate([off, diag + cvals]),
-         (np.tile(np.arange(len(rows)), len(cols)), np.concatenate(cols))),
+        (np.concatenate(list(neighbours.values()) + [diag]),
+         (np.tile(np.arange(len(rows)), len(cols) + 1),
+          np.concatenate(cols + [rows]))),
         shape=(len(rows), int(np.prod(shape))),
     )
 

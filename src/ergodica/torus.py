@@ -17,17 +17,19 @@ right-hand sides. Its transposed solve against the last unit vector gives
 gamma = mu . f is a linear functional of the data.
 
 `FactoredOperator` is that factorization, for these matrices and every
-other one in the package. A tridiagonal matrix (every 1D Dirichlet,
-frozen-policy and shifted eigen matrix) is factored by LAPACK's gttrf in
-O(n). Any other matrix (2D operators, periodic and augmented torus
-matrices) goes to SuperLU with the minimum-degree ordering on A^T + A,
-which on the 2D grids here roughly halves the fill of the default COLAMD
-ordering. A factor lives only as long as the function that solves with it.
+other one in the package. The three bands of a tridiagonal matrix (every
+1D Dirichlet, frozen-policy and shifted eigen matrix carries them) are
+factored by LAPACK's gttrf in O(n). A sparse matrix (2D operators,
+periodic and augmented torus matrices) goes to SuperLU with the
+minimum-degree ordering on A^T + A, which on the 2D grids here roughly
+halves the fill of the default COLAMD ordering. A factor lives only as long
+as the function that solves with it.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
 problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`);
-`select_rows` builds their frozen-policy operators. Each caller keeps its
-own check: a Bellman residual below tolerance once the policy settles
+`select_rows` builds their frozen-policy matrices, except for 1D Dirichlet
+operators, whose frozen rows are taken from their stacked bands. Each
+caller keeps its own check: a Bellman residual below tolerance once the policy settles
 (cell), an eigenvalue that does not rise between sweeps (eigen).
 """
 
@@ -47,29 +49,23 @@ HOWARD_RTOL = 1e-11
 
 
 class FactoredOperator:
-    """LU factorization of a square sparse matrix, reused for every solve.
+    """LU factorization of a square matrix, reused for every solve.
 
-    A matrix of order n >= 3 (SciPy's gttrf rejects order 2) whose nonzero
-    entries all lie on the three diagonals dgttrf takes is factored by
-    LAPACK's dgttrf (partial pivoting) and solved by dgttrs; any other by
-    SuperLU with the MMD_AT_PLUS_A ordering. The choice counts the nonzeros
-    of those diagonals against those of the stored entries; more than 3n
-    (every 2D operator) rules it out before any diagonal is extracted.
-    Raises SolverError when the matrix is exactly singular or a solve
-    produces nonfinite values.
+    `matrix` is the three bands (lower, diag, upper) of a tridiagonal matrix
+    of order n >= 3 (SciPy's gttrf rejects order 2), aligned by row as
+    `domain.DiscreteOperator.bands` (lower[0] and upper[-1] lie outside the
+    matrix and are ignored), or a sparse matrix. Bands go straight to
+    LAPACK's dgttrf (partial pivoting), are left unmodified, and are solved
+    by dgttrs; a sparse matrix goes to SuperLU with the MMD_AT_PLUS_A
+    ordering. Raises SolverError when the matrix is exactly singular or a
+    solve produces nonfinite values.
     """
 
     def __init__(self, matrix):
-        if getattr(matrix, "format", None) not in ("csr", "csc"):
-            matrix = sparse.csc_matrix(matrix)
         self._tri = None
-        n, nnz = matrix.shape[0], np.count_nonzero(matrix.data)
-        bands = []
-        if 3 <= n == matrix.shape[1] and nnz <= 3 * n:
-            bands = [matrix.diagonal(k) for k in (-1, 0, 1)]
-        if bands and sum(map(np.count_nonzero, bands)) == nnz:
-            *self._tri, info = dgttrf(*bands, overwrite_dl=1, overwrite_d=1,
-                                      overwrite_du=1)
+        if isinstance(matrix, tuple):
+            lower, diag, upper = matrix
+            *self._tri, info = dgttrf(lower[1:], diag, upper[:-1])
             if info > 0:
                 raise SolverError(
                     f"sparse LU factorization failed: tridiagonal factor is "

@@ -4,7 +4,10 @@ from scipy import sparse
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.domain import assemble_linear, shifted_m_matrix
+from ergodica.domain import assemble_linear, oscillatory_samples, shifted_m_matrix
+from ergodica.eigen import _freeze_policy
+from ergodica.stencils import monotone_stencil
+from ergodica.torus import select_rows
 
 
 def linear_op(field, grid):
@@ -59,24 +62,43 @@ class TestAssembly:
         ok, info = eg.is_monotone(op, eg.properness_shift(op))
         assert ok, info
 
-    @pytest.mark.parametrize("problem,dim", [("sin-abc", 1), ("sep-2d", 2)])
-    @pytest.mark.parametrize("defect", [None, "negative_offdiag"])
+    # ids as "<defect>-<problem>-<dim>"; the band defect exists in 1D only
+    @pytest.mark.parametrize("defect,problem,dim", [
+        (None, "sin-abc", 1), ("negative_offdiag", "sin-abc", 1),
+        ("negative_band", "sin-abc", 1), (None, "sep-2d", 2),
+        ("negative_offdiag", "sep-2d", 2)])
     def test_shifted_matrix_is_the_sparse_difference(self, problem, dim,
                                                      defect):
         spec = build_problem(problem)["spec"]
         g = eg.DomainGrid.unit(dim, 64 if dim == 1 else 24)
         op = eg.assemble_oscillatory(spec, 1 / 8, g)
+        assert (op.bands is None) == (dim == 2)
         s = eg.properness_shift(op)
-        if defect:
+        if defect == "negative_offdiag":
+            # a hand-built CSR operator, without bands
             matrix = op.matrix.tolil()
             matrix[3, 4] = -1.0
             op = eg.DiscreteOperator(matrix.tocsr(), op.boundary, g)
+        elif defect == "negative_band":
+            # the same entry, planted in the bands of a band-carrying operator
+            lower, diag, upper = op.bands
+            upper = upper.copy()
+            upper[3] = -1.0
+            op = eg.DiscreteOperator.from_bands(g, (lower, diag, upper), 0.0)
         B, ok, info = shifted_m_matrix(op, s)
         # the reference: the shifted matrix and the test through sparse
         # matrix arithmetic
         M = (sparse.identity(op.matrix.shape[0]) * s - op.matrix).tocsr()
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(B, name), getattr(M, name))
+        if op.bands is None:
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(B, name), getattr(M, name))
+        else:
+            lower, diag, upper = B
+            assert np.array_equal(lower[1:], M.diagonal(-1))
+            assert np.array_equal(diag, M.diagonal(0))
+            assert np.array_equal(upper[:-1], M.diagonal(1))
+            assert (lower[0], upper[-1]) == (-op.boundary[0, 0],
+                                            -op.boundary[-1, 1])
         diag = M.diagonal()
         off = M - sparse.diags(diag)
         k = int(np.argmax(off.data))
@@ -99,6 +121,19 @@ class TestAssembly:
         op = linear_op(field, g)
         ok, info = eg.is_monotone(op, eg.properness_shift(op))
         assert ok, info
+
+    @pytest.mark.parametrize("b0", [5.0, -5.0])
+    def test_upwind_rows_are_consistent(self, b0):
+        # h|b| = 0.3125 >= 2a upwinds in either direction: the neighbour the
+        # drift points to gets a/h^2 + |b|/h, the other a/h^2, and L 1 = c
+        g = eg.DomainGrid.unit(1, 16)
+        op = linear_op(eg.constant_field(1, 0.01, b0=[b0], c0=0.3), g)
+        lower, _, upper = op.bands
+        ahead, behind = (upper, lower) if b0 > 0 else (lower, upper)
+        assert np.allclose(ahead, 0.01 * 16 ** 2 + 5.0 * 16, rtol=1e-14)
+        assert np.allclose(behind, 0.01 * 16 ** 2, rtol=1e-14)
+        ones = eg.GridFunction(g, np.ones(g.shape))
+        assert np.allclose(op.apply(ones), 0.3, rtol=0, atol=1e-12)
 
     def test_cross_term_guard(self):
         bad = eg.constant_field(2, np.array([[1.0, 1.2], [1.2, 1.0]]))
@@ -127,6 +162,86 @@ class TestAssembly:
         x = g.points()[:, 0]
         u = eg.GridFunction(g, x * (1 - x))
         assert np.max(np.abs(op.apply(u) + 4.0)) < 1e-10
+
+
+def generic_blocks(grid, avals, bvals, cvals):
+    """The CSR blocks of a 1D operator the generic way: `monotone_stencil`
+    rows at the interior nodes, with the columns sliced."""
+    N, interior = int(np.prod(grid.shape)), grid.interior_index()
+    rows = monotone_stencil(
+        np.reshape(avals, (N, 1, 1))[interior], np.reshape(bvals, (N, 1))[interior],
+        np.reshape(cvals, N)[interior], grid.h, grid.shape, interior, wrap=False)
+    return rows[:, interior].tocsr(), rows[:, grid.boundary_index()].tocsr()
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+def assert_bands_are_the_diagonals(op):
+    lower, diag, upper = op.bands
+    n = len(diag)
+    assert np.array_equal(lower[1:], op.matrix.diagonal(-1))
+    assert np.array_equal(diag, op.matrix.diagonal(0))
+    assert np.array_equal(upper[:-1], op.matrix.diagonal(1))
+    assert op.boundary.toarray()[[0, n - 1], [0, 1]].tolist() == \
+        [lower[0], upper[-1]]
+
+
+BELLMAN_3CTL = eg.BellmanSpec([
+    eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5, b_amp=1.0), 0.5, 1.5),
+    eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
+    eg.LinearOperatorSpec(eg.constant_field(1, 0.8, b0=-2.0), 0.5, 1.5),
+])
+
+
+class TestBands:
+    """A 1D operator's CSR blocks are written from its bands; they must be
+    the generic path's, array for array."""
+
+    @pytest.mark.parametrize("case", ["sin-abc", "upwind"])
+    def test_band_assembly_matches_the_generic_path(self, case):
+        if case == "sin-abc":
+            # centered drift throughout
+            g = eg.DomainGrid.unit(1, 256)
+            samples = oscillatory_samples(build_problem("sin-abc")["spec"],
+                                          1 / 16, g)
+        else:
+            g = eg.DomainGrid.unit(1, 16)
+            samples = eg.constant_field(1, 0.01, b0=[5.0]).sample(g.points())
+        op = assemble_linear(g, *samples)
+        matrix, boundary = generic_blocks(g, *samples)
+        assert_same_csr(op.matrix, matrix)
+        assert_same_csr(op.boundary, boundary)
+        assert_bands_are_the_diagonals(op)
+
+    def test_frozen_policy_matches_select_rows(self):
+        g = eg.DomainGrid.unit(1, 16)
+        ops = eg.bellman_operators(BELLMAN_3CTL, 1 / 4, g)
+        policy = np.array([0, 2] * 7 + [2])  # control 1 never chosen
+        frozen = _freeze_policy(ops, policy, g)
+        blocks = [generic_blocks(g, *oscillatory_samples(ctl, 1 / 4, g))
+                  for ctl in BELLMAN_3CTL.controls]
+        for k, name in enumerate(("matrix", "boundary")):
+            ref = select_rows([b[k] for b in blocks], policy)
+            assert_same_csr(getattr(frozen, name), ref)
+        assert_bands_are_the_diagonals(frozen)
+        assert frozen.c_max == max(ops[0].c_max, ops[2].c_max)
+
+    def test_negative_coefficient_raises(self):
+        g = eg.DomainGrid.unit(1, 16)
+        N = int(np.prod(g.shape))
+        with pytest.raises(eg.AssemblyError, match="negative off-diagonal"):
+            assemble_linear(g, np.full(N, -1.0), np.zeros(N), np.zeros(N))
+
+    def test_grid_indices_are_cached_read_only(self):
+        g = eg.DomainGrid.unit(1, 16)
+        assert g.interior_index() is g.interior_index()
+        assert g.boundary_index() is g.boundary_index()
+        with pytest.raises(ValueError):
+            g.interior_index()[0] = 0
 
 
 class TestDirichletSolve:
