@@ -170,20 +170,23 @@ class TestFactoredOperator:
         monkeypatch.setattr(torus_mod, "splu", counted)
         return calls
 
-    def test_bands_match_superlu(self, splu_calls):
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_tridiagonal_matches_superlu(self, splu_calls, fmt):
         # 1D oscillatory Dirichlet operator with drift: tridiagonal,
         # nonsymmetric; its row-aligned bands hand lower[0] and upper[-1],
-        # the boundary couplings, over too, and FactoredOperator drops them
+        # the boundary couplings, over too, and FactoredOperator drops them.
+        # The same matrix in either sparse format goes to SuperLU instead.
         spec = build_problem("sin-abc")["spec"]
         L = eg.assemble_oscillatory(spec, 1 / 8, eg.DomainGrid.unit(1, 384))
-        M = L.matrix
+        M = L.matrix.asformat(fmt)
         n = M.shape[0]
         B = np.random.default_rng(5).standard_normal((n, 5))
         before = [band.copy() for band in L.bands]
         lu = FactoredOperator(L.bands)
-        ref = splu(M.tocsc())
         assert splu_calls == []
         assert all(map(np.array_equal, L.bands, before))
+        ref = FactoredOperator(M)
+        assert splu_calls == [(n, n)]
         norm = abs(M).sum(axis=1).max()
         for rhs, trans, op in ((B[:, 0], "N", M), (B, "N", M), (B, "T", M.T)):
             X = lu.solve(rhs, trans=trans)
