@@ -18,8 +18,10 @@ import numpy as np
 
 from .coeff import BellmanSpec, LinearOperatorSpec, constant_field
 from .errors import InputError, SolverError
+from .stencils import separable_by_axis
 from .torus import (
     ErgodicSolution,
+    KroneckerCellFactor,
     PeriodicGrid,
     assemble_torus_diffusion,
     factor_cell,
@@ -75,10 +77,10 @@ class EffectiveLinear:
 def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> CorrectorSet:
     """Solve the full hierarchy of cell problems for a linear operator.
 
-    One factorization of the augmented cell matrix serves two block solves,
-    one per round. Order matters: the second-round right-hand sides
-    consume gradients of the first-round correctors (centered 4th-order
-    differences).
+    One factor of the augmented cell matrix (`KroneckerCellFactor` when a
+    separates by axis, else `factor_cell`) serves two block solves, one per
+    round. Order matters: the second-round right-hand sides consume
+    gradients of the first-round correctors (centered 4th-order differences).
     """
     d = spec.dim
     if grid.dim != d:
@@ -86,7 +88,9 @@ def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> Correct
     pts = grid.points()
     avals, bvals, cvals = spec.field.sample(pts)
     A = assemble_torus_diffusion(spec.field, grid)
-    lu = factor_cell(A)
+    a = avals.reshape(grid.shape + (d, d))
+    lu = KroneckerCellFactor(a) if d == 2 and separable_by_axis(a) \
+        else factor_cell(A)
     D = gradient_matrices(grid)
 
     def solve(rhs):

@@ -26,6 +26,7 @@ from .domain import (
 )
 from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
+from .stencils import separable_by_axis
 from .torus import FactoredOperator, GridFunction, policy_iteration, select_rows
 
 
@@ -118,29 +119,24 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9):
     """(pair, op): the principal eigenpair of `assemble_linear(grid, avals,
     bvals, cvals)` (samples on the full node set) and that operator, or None.
 
-    2D samples that separate by exact equality (a12 = a21 = 0; a11, b1 and c
-    constant along axis 1; a22 and b2 along axis 0) give L_1 (x) I + I (x)
-    L_2 (Lynch-Rice-Thomas 1964): each axis is solved with tol/2, op is None,
-    lam is the midpoint of the certified [l_1 + l_2, u_1 + u_2], phi = phi_1
-    (x) phi_2, residual = max |L phi + lam phi| = max |r_1 (x) phi_2 + phi_1
-    (x) r_2 + (lam - lam_1 - lam_2) phi| with r_k = L_k phi_k + lam_k phi_k,
-    and iterations and bracket widths add. Anything else is assembled.
+    2D samples that pass `stencils.separable_by_axis` (b1 and c with a11, b2
+    with a22) give L_1 (x) I + I (x) L_2: each axis is solved with tol/2, op
+    is None, lam is the midpoint of the certified [l_1 + l_2, u_1 + u_2],
+    phi = phi_1 (x) phi_2, residual = max |L phi + lam phi| = max |r_1 (x)
+    phi_2 + phi_1 (x) r_2 + (lam - lam_1 - lam_2) phi| with r_k = L_k phi_k
+    + lam_k phi_k, and iterations and bracket widths add. Anything else is
+    assembled.
     """
-    separable = grid.dim == 2
-    if separable:
+    if grid.dim == 2:
         a = np.asarray(avals, dtype=float).reshape(grid.shape + (2, 2))
         b = np.asarray(bvals, dtype=float).reshape(grid.shape + (2,))
-        ax0 = (a[..., 0, 0], b[..., 0], np.reshape(cvals, grid.shape))
-        ax1 = (a[..., 1, 1], b[..., 1])
-        separable = not (a[..., 0, 1].any() or a[..., 1, 0].any()) \
-            and all((x == x[:, :1]).all() for x in ax0) \
-            and all((x == x[:1]).all() for x in ax1)
-    if not separable:
+        c = np.reshape(cvals, grid.shape)
+    if grid.dim != 2 or not separable_by_axis(a, (b[..., 0], c), (b[..., 1],)):
         op = assemble_linear(grid, avals, bvals, cvals)
         return principal_eigenpair(op, tol=tol), op
     axes = []
-    for k, samples in enumerate(([x[:, 0] for x in ax0],
-                                 [x[0] for x in ax1] + [np.zeros(grid.shape[1])])):
+    for k, samples in enumerate(((a[:, 0, 0, 0], b[:, 0, 0], c[:, 0]),
+                                 (a[0, :, 1, 1], b[0, :, 1], np.zeros(c.shape[1])))):
         op = assemble_linear(DomainGrid(1, (grid.bounds[k],), (grid.n[k],)),
                              *samples)
         pair = principal_eigenpair(op, tol=tol / 2)

@@ -93,8 +93,8 @@ def stencil_weights(avals, bvals, cvals, h, shape, rows, wrap):
 
     # diagonal neighbours are stored when a cross term exists, and always on
     # the torus: with splu's MMD_AT_PLUS_A on 2 cores the 9-entry pattern
-    # factors the 128^2 sep-2d cell matrix in 0.11 s against 0.17 s, but the
-    # 383^2 shifted Dirichlet sep-2d operator in 1.13 s against 0.86 s
+    # factors a 128^2 cell matrix in 0.11 s against 0.17 s, but a 383^2
+    # shifted Dirichlet operator in 1.13 s against 0.86 s (sep-2d samples)
     if d == 2 and (wrap or np.any(cross > 0)):
         ap, am = np.maximum(a12, 0.0), np.maximum(-a12, 0.0)
         for offset, coeff in (((1, 1), ap), ((-1, -1), ap),
@@ -109,6 +109,15 @@ def stencil_weights(avals, bvals, cvals, h, shape, rows, wrap):
             f"{np.unravel_index(rows[int(np.argmin(lowest))], shape)}"
         )
     return neighbours, diag + cvals
+
+
+def separable_by_axis(a, axis0=(), axis1=()):
+    """Whether 2D samples a (n0, n1, 2, 2) make a Kronecker sum of two 1D
+    stencils (Lynch-Rice-Thomas 1964): a12 = a21 = 0, a11 and `axis0` constant
+    along axis 1, a22 and `axis1` along axis 0, by exact equality."""
+    return not (a[..., 0, 1].any() or a[..., 1, 0].any()) \
+        and all((x == x[:, :1]).all() for x in (a[..., 0, 0], *axis0)) \
+        and all((x == x[:1]).all() for x in (a[..., 1, 1], *axis1))
 
 
 def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):

@@ -1,5 +1,5 @@
 """Periodic grids, monotone torus discretizations, ergodic (cell) solvers,
-and the one sparse factorization every solver in the package goes through.
+and the factorizations every solver in the package goes through.
 
 All cell problems share the shape  a(y) D^2 v + f(y) = gamma  on the flat
 torus; the pair (v, gamma) is computed from the augmented square system
@@ -17,13 +17,14 @@ right-hand sides. Its transposed solve against the last unit vector gives
 gamma = mu . f is a linear functional of the data.
 
 `FactoredOperator` is that factorization, for these matrices and every
-other one in the package. The three bands of a tridiagonal matrix (every
-1D Dirichlet, frozen-policy and shifted eigen matrix carries them) are
-factored by LAPACK's gttrf in O(n). A sparse matrix (2D operators,
-periodic and augmented torus matrices) goes to SuperLU with the
-minimum-degree ordering on A^T + A, which on the 2D grids here roughly
-halves the fill of the default COLAMD ordering. A factor lives only as long
-as the function that solves with it.
+other one in the package but one: the cell matrix of 2D samples that
+separate by axis, which `KroneckerCellFactor` diagonalizes axis by axis.
+The three bands of a tridiagonal matrix (every 1D Dirichlet, frozen-policy
+and shifted eigen matrix carries them) are factored by LAPACK's gttrf in
+O(n). A sparse matrix (2D operators, other periodic and augmented torus
+matrices) goes to SuperLU with the minimum-degree ordering on A^T + A,
+which on the 2D grids here roughly halves the fill of the default COLAMD
+ordering. A factor lives only as long as the function that solves with it.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
 problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`);
@@ -175,6 +176,43 @@ def factor_cell(a_op):
         format="csc",
     )
     return FactoredOperator(aug)
+
+
+class KroneckerCellFactor:
+    """`factor_cell` without LU for samples a (n, n, 2, 2) that pass
+    `stencils.separable_by_axis`: A = A_0 (x) I + I (x) A_1, A_k = diag(a_k)
+    D^2 = -V_k diag(lam_k) V_k^{-1} with V_k = diag(r_k) Q_k, r_k = sqrt(a_k)
+    and Q_k diag(lam_k) Q_k^T the eigh of the symmetric diag(r_k) (-D^2)
+    diag(r_k); the invariant measure is mu_0 (x) mu_1, mu_k ~ 1/a_k."""
+
+    def __init__(self, a):
+        eye = np.eye(len(a))
+        neg_d2 = (2 * eye - np.roll(eye, 1, 0) - np.roll(eye, -1, 0)) * len(a) ** 2
+        self._axes = []
+        for k, a_k in enumerate((a[:, 0, 0, 0], a[0, :, 1, 1])):
+            if not np.all((a_k > 0) & (a_k < np.inf)):
+                raise SolverError(
+                    f"separable cell: axis {k} coefficient outside (0, inf)")
+            r, mu = np.sqrt(a_k), 1 / a_k
+            lam, Q = np.linalg.eigh(r[:, None] * neg_d2 * r)
+            self._axes.append((lam, r[:, None] * Q, Q.T / r, mu / mu.sum()))
+        denom = np.add.outer(self._axes[0][0], self._axes[1][0])
+        denom[0, 0] = np.inf  # the constant mode, the zero eigenvalue of both axes
+        self._inv = -1.0 / denom
+
+    def solve(self, B, trans="N"):
+        """`FactoredOperator.solve` of the augmented matrix, trans="N" only."""
+        if trans != "N":
+            raise InputError("a separable cell factor serves no transposed solve")
+        (_, V0, W0, mu0), (_, V1, W1, mu1) = self._axes
+        F = -B[:-1].reshape(len(mu0), len(mu1), -1).transpose(2, 0, 1)
+        gamma = (F @ mu1) @ mu0  # axis by axis: a flat einsum drifts more
+        C = V0 @ ((W0 @ (gamma[:, None, None] - F) @ W1.T) * self._inv) @ V1.T
+        C += (B[-1] - C.mean(axis=(1, 2)))[:, None, None]  # mean(v) = B[-1]
+        X = np.vstack([C.reshape(len(gamma), -1).T, gamma]).reshape(B.shape)
+        if not np.all(np.isfinite(X)):
+            raise SolverError("separable cell solve produced nonfinite values")
+        return X
 
 
 def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):

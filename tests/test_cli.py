@@ -206,21 +206,29 @@ class TestRunSweep:
             assert len(calls) == 2
     def test_separable_2d_rows_factor_only_the_torus_cell(self, monkeypatch):
         # criterion 10's sweep: each sep-2d row is a Kronecker sum of two
-        # tridiagonal eigensolves, so SuperLU sees only the augmented cell
+        # tridiagonal eigensolves, and the torus cell is one fast
+        # diagonalization, so SuperLU sees no matrix at all
+        import ergodica.effective as effective_mod
         import ergodica.torus as torus_mod
         real = torus_mod.splu
-        orders = []
+        orders, cells = [], []
 
         def counted(matrix, *args, **kwargs):
             orders.append(matrix.shape[0])
             return real(matrix, *args, **kwargs)
 
+        class CountedCell(torus_mod.KroneckerCellFactor):
+            def __init__(self, a):
+                cells.append(a.shape)
+                super().__init__(a)
+
         monkeypatch.setattr(torus_mod, "splu", counted)
+        monkeypatch.setattr(effective_mod, "KroneckerCellFactor", CountedCell)
         cfg = eg.SweepConfig(problem="sep-2d", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",))
         rep = eg.run_sweep(cfg)
         assert len(rep.rows) == 3 and rep.failures == []
-        assert orders and set(orders) == {64 * 64 + 1}
+        assert orders == [] and cells == [(64, 64, 2, 2)]
 
     def test_separable_2d_pivot_rows_assemble_once(self, monkeypatch):
         # a row that solves with L_eps assembles it once, after the
@@ -324,6 +332,24 @@ class TestCli:
         assert main(["effective", "--config", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["b_bar"] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    def test_effective_degenerate_separable_cell_exit_3(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a22 = 0 separates but has no cell solution: a solver error, not a
+        # traceback and not a NaN a_bar
+        import ergodica.cli as cli_mod
+        spec = eg.LinearOperatorSpec(
+            eg.constant_field(2, np.diag([1.0, 0.0])), 0.5, 1.5)
+        monkeypatch.setattr(cli_mod, "build_problem", lambda name, params: {
+            "mode": "linear", "spec": spec, "dim": 2})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "constant", "eps_list": [0.25],
+                                    "q": 16, "n_torus": 16}))
+        assert main(["effective", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: separable cell: axis 1")
+        assert "Traceback" not in captured.err
 
     def test_eigen_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "eig")

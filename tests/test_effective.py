@@ -4,7 +4,9 @@ from scipy.integrate import quad
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.torus import assemble_torus_diffusion, gradient_matrices
+import ergodica.effective as effective_mod
+import ergodica.torus as torus_mod
+from ergodica.torus import assemble_torus_diffusion, factor_cell, gradient_matrices
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,81 @@ def solutions(cs):
             enumerate(family) if isinstance(family, list) else [(None, family)]
         out.update({(name, key): sol for key, sol in items})
     return out
+
+
+@pytest.fixture()
+def splu_orders(monkeypatch):
+    real = torus_mod.splu
+    orders = []
+
+    def counted(matrix, *args, **kwargs):
+        orders.append(matrix.shape[0])
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(torus_mod, "splu", counted)
+    return orders
+
+
+class TestSeparableCellHierarchy:
+    """A 2D cell whose a separates by axis is solved by KroneckerCellFactor;
+    SuperLU's factor_cell of the same A is the reference."""
+
+    @pytest.mark.parametrize("problem,params,n", [
+        ("sep-2d", {}, 32),
+        ("sep-2d", {}, 64),
+        ("constant", {"dim": 2, "a0": 1.3, "b0": [0.4, -0.2], "c0": 0.1}, 16),
+    ])
+    def test_matches_superlu(self, problem, params, n, splu_orders, monkeypatch):
+        spec = build_problem(problem, params)["spec"]
+        grid = eg.PeriodicGrid(2, n)
+        got = solutions(eg.build_corrector_set(spec, grid))
+        assert splu_orders == []
+        monkeypatch.setattr(effective_mod, "separable_by_axis", lambda a: False)
+        ref = solutions(eg.build_corrector_set(spec, grid))
+        assert splu_orders == [n * n + 1]
+        assert got.keys() == ref.keys() and len(got) == 22
+        for key, sol in got.items():
+            chi = ref[key].chi.flat
+            assert abs(sol.gamma - ref[key].gamma) <= 1e-13, key
+            assert np.max(np.abs(sol.chi.flat - chi)) <= \
+                1e-12 * (1 + np.max(np.abs(chi))), key
+
+    @pytest.mark.parametrize("n", [32, 128, 256])
+    def test_a_bar_closed_form(self, n):
+        # a11 depends on y1 alone, so gamma = mu_0 . a11 = n / sum(1 / a11)
+        spec = build_problem("sep-2d")["spec"]
+        grid = eg.PeriodicGrid(2, n)
+        eff = eg.effective_linear(spec, eg.build_corrector_set(spec, grid))
+        a11 = spec.field.a(grid.points())[::n, 0, 0]
+        closed = n / np.sum(1 / a11)
+        assert np.max(np.abs(np.diag(eff.a_bar) - closed)) <= 1e-14
+        assert eff.a_bar[0, 1] == eff.a_bar[1, 0] == 0.0
+
+    def test_non_separable_cell_keeps_superlu(self, splu_orders):
+        base = eg.separable_sin_field_2d(delta=0.5)
+
+        def a(pts):
+            out = base.a(pts)
+            out[:, 0, 0] += 0.2 * np.sin(2 * np.pi * (pts[:, 0] + pts[:, 1]))
+            return out
+
+        spec = eg.LinearOperatorSpec(eg.CoefficientField(2, a, base.b, base.c),
+                                     0.3, 1.7)
+        grid = eg.PeriodicGrid(2, 32)
+        cs = eg.build_corrector_set(spec, grid)
+        assert splu_orders == [grid.npoints + 1]
+        # the first round is one block solve against factor_cell, bit for bit
+        avals, bvals, cvals = spec.field.sample(grid.points())
+        A = assemble_torus_diffusion(spec.field, grid)
+        F = np.column_stack([avals[:, 0, 0], avals[:, 0, 1], avals[:, 1, 0],
+                             avals[:, 1, 1], bvals[:, 0], bvals[:, 1], cvals])
+        ref = eg.solve_cell(A, F, grid, lu=factor_cell(A))
+        for sol, r in zip(list(cs.chi.values()) + cs.eta + [cs.nu], ref):
+            assert sol.gamma == r.gamma
+            assert np.array_equal(sol.chi.values, r.chi.values)
+        per_column = solutions(per_column_corrector_set(spec, grid))
+        for key, sol in solutions(cs).items():
+            assert sol.gamma == pytest.approx(per_column[key].gamma, abs=1e-10)
 
 
 class TestEffective2D:

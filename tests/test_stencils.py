@@ -15,6 +15,7 @@ from ergodica.stencils import (
     fd_weights,
     monotone_stencil,
     periodic_diff_matrix,
+    separable_by_axis,
 )
 
 
@@ -179,6 +180,31 @@ def _stencil(row, nodes, center, shape):
         diff = np.array(np.unravel_index(nodes[j], shape)) - center
         out[tuple((diff + 1) % np.array(shape) - 1)] = v
     return out
+
+
+@pytest.mark.parametrize("case,verdict", [
+    ("sep-2d", True), ("constant-scalar", True), ("cross-term", False),
+    ("a11-on-y2", False), ("c-on-y2", False)])
+def test_separable_by_axis_verdicts(case, verdict):
+    # the one predicate behind both Kronecker paths: the Dirichlet
+    # eigenproblem (a, b and c) and the torus cell (a alone)
+    grid = eg.PeriodicGrid(2, 8)
+    pts = grid.points()
+    field = eg.constant_field(2, 1.3, b0=[0.4, -0.2], c0=0.1) \
+        if case == "constant-scalar" else eg.separable_sin_field_2d(delta=0.5)
+    av, bv, cv = field.sample(pts)
+    y2 = np.sin(2 * np.pi * pts[:, 1])
+    if case == "cross-term":
+        av[:, 0, 1] = av[:, 1, 0] = 0.2
+    elif case == "a11-on-y2":
+        av[:, 0, 0] += 0.1 * y2
+    elif case == "c-on-y2":
+        cv = cv + 0.3 * y2
+    a = av.reshape(grid.shape + (2, 2))
+    b = bv.reshape(grid.shape + (2,))
+    c = cv.reshape(grid.shape)
+    assert separable_by_axis(a, (b[..., 0], c), (b[..., 1],)) == verdict
+    assert separable_by_axis(a) == (verdict or case == "c-on-y2")
 
 
 class TestMonotoneStencil:

@@ -11,6 +11,7 @@ from ergodica.cli import build_problem
 from ergodica.torus import (
     HOWARD_RTOL,
     FactoredOperator,
+    KroneckerCellFactor,
     assemble_torus_diffusion,
     factor_cell,
     policy_iteration,
@@ -372,6 +373,56 @@ class TestPolicyIteration:
             assert np.array_equal(frozen.data, np.concatenate(data))
             assert np.array_equal(frozen.indices, np.concatenate(indices))
             assert np.array_equal(frozen.indptr, np.cumsum(counts))
+
+
+class TestKroneckerCellFactor:
+    @staticmethod
+    def samples(field, grid):
+        return field.sample(grid.points())[0].reshape(grid.shape + (2, 2))
+
+    @staticmethod
+    def diagonal(a0, a1):
+        a = np.zeros((len(a0), len(a1), 2, 2))
+        a[..., 0, 0], a[..., 1, 1] = a0[:, None], a1
+        return a
+
+    def test_augmented_solve_matches_superlu(self):
+        # the contract of FactoredOperator.solve on the augmented matrix,
+        # a nonzero constraint row (the mean of v) and a single vector included
+        field = eg.separable_sin_field_2d(delta=0.5)
+        grid = eg.PeriodicGrid(2, 16)
+        A = assemble_torus_diffusion(field, grid)
+        B = np.random.default_rng(11).standard_normal((grid.npoints + 1, 3))
+        fd = KroneckerCellFactor(self.samples(field, grid))
+        ref = factor_cell(A)
+        for rhs in (B, B[:, 0]):
+            X = fd.solve(rhs)
+            assert X.shape == rhs.shape
+            assert np.max(np.abs(X - ref.solve(rhs))) < 1e-12
+
+    def test_transposed_solve_refused(self):
+        grid = eg.PeriodicGrid(2, 8)
+        fd = KroneckerCellFactor(self.samples(eg.separable_sin_field_2d(), grid))
+        with pytest.raises(eg.InputError, match="transposed"):
+            fd.solve(np.zeros(grid.npoints + 1), trans="T")
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf])
+    def test_degenerate_axis_coefficient_raises(self, bad):
+        grid = eg.PeriodicGrid(2, 8)
+        a1 = np.ones(8)
+        a1[3] = bad
+        with pytest.raises(eg.SolverError, match="axis 1"):
+            KroneckerCellFactor(self.diagonal(np.ones(8), a1))
+
+    def test_nonfinite_solve_raises(self):
+        # solve_cell's residual test lets NaN through; the factor must not
+        grid = eg.PeriodicGrid(2, 8)
+        fd = KroneckerCellFactor(self.diagonal(np.ones(8), np.full(8, 2.0)))
+        rhs = np.zeros((grid.npoints + 1, 2))
+        rhs[5, 1] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(eg.SolverError, match="nonfinite"):
+            fd.solve(rhs)
 
 
 class TestGrids:
