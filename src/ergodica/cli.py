@@ -296,10 +296,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     def one_row(eps):
         t0 = time.perf_counter()
         row = {"eps": eps, "lambda_bar": lam_bar}
+        # (lambda_eps, phi_eps) -> (lambda_bar, u): u starts the eigensolve well
         if config.mode == "linear":
             # a separable 2D L_eps is formed only if the row solves with it
             samples = oscillatory_samples(spec, eps, grid)
-            pair, op = linear_eigenpair(grid, *samples, tol=config.tol)
+            pair, op = linear_eigenpair(grid, *samples, tol=config.tol, x0=u)
             if op is None and needs_op:
                 op = assemble_linear(grid, *samples)
         else:
@@ -307,7 +308,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             # the frozen operators serve the eigensolve and the expansion
             ops = bellman_operators(spec, eps, grid)
             pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol,
-                                                  ops=ops)
+                                                  ops=ops, x0=u)
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         # one factorization of L_eps serves the pivot, z2 and z3 solves

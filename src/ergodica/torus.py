@@ -27,11 +27,13 @@ which on the 2D grids here roughly halves the fill of the default COLAMD
 ordering. A factor lives only as long as the function that solves with it.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
-problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`);
-`select_rows` builds their frozen-policy matrices, except for 1D Dirichlet
-operators, whose frozen rows are taken from their stacked bands. Each
-caller keeps its own check: a Bellman residual below tolerance once the policy settles
-(cell), an eigenvalue that does not rise between sweeps (eigen).
+problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`),
+and `improve_policy` its one switching rule, which also seeds the
+eigenproblem's first policy from a start vector; `select_rows` builds their
+frozen-policy matrices, except for 1D Dirichlet operators, whose frozen
+rows are taken from their stacked bands. Each caller keeps its own check:
+a Bellman residual below tolerance once the policy settles (cell), an
+eigenvalue that does not rise between sweeps (eigen).
 """
 
 from dataclasses import dataclass
@@ -268,27 +270,34 @@ def select_rows(mats, policy):
     return sparse.vstack(mats, format="csr")[policy * n + np.arange(n)]
 
 
+def improve_policy(values, policy):
+    """(improved, new policy): one Howard improvement step of `policy`
+    against values[beta, i], control beta's value at node i. A node switches
+    to its best control only when it beats the incumbent by more than
+    HOWARD_RTOL * (1 + max|best|), so ties keep the incumbent."""
+    best = values.max(axis=0)
+    improved = best - values[policy, np.arange(len(policy))] > \
+        HOWARD_RTOL * (1.0 + np.max(np.abs(best)))
+    return improved, np.where(improved, np.argmax(values, axis=0), policy)
+
+
 def policy_iteration(evaluate, policy, max_iter):
     """Howard policy iteration on a nodewise control field.
 
     `evaluate(policy)` solves the problem frozen at `policy` and returns
     (result, values), values[beta, i] being control beta's value at node i
-    at that solution. A node switches to its best control only when it
-    beats the incumbent by more than HOWARD_RTOL * (1 + max|best|). Returns
+    at that solution; `improve_policy` switches the nodes. Returns
     (result, policy) once no node switches; raises IterationError when a
     policy repeats (a cycle) or `max_iter` evaluations do not settle.
     """
-    nodes = np.arange(len(policy))
     seen = set()
     for sweep in range(max_iter):
         result, values = evaluate(policy)
-        best = values.max(axis=0)
-        improved = best - values[policy, nodes] > \
-            HOWARD_RTOL * (1.0 + np.max(np.abs(best)))
+        improved, new_policy = improve_policy(values, policy)
         if not improved.any():
             return result, policy
         seen.add(policy.tobytes())
-        policy = np.where(improved, np.argmax(values, axis=0), policy)
+        policy = new_policy
         if policy.tobytes() in seen:
             raise IterationError(f"policy cycle at sweep {sweep}: "
                                  f"{int(improved.sum())} switches repeat a policy")

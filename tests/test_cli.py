@@ -204,6 +204,75 @@ class TestRunSweep:
             rep = eg.run_sweep(cfg)
             assert len(rep.rows) == len(eps_list)
             assert len(calls) == 2
+
+    def test_bellman_rows_make_one_eigensolve(self, monkeypatch):
+        # each row starts Howard at the policy that is optimal against the
+        # homogenized eigenfunction, which on bellman-2ctl-1d is the row's
+        # own optimal policy: one frozen-policy eigensolve per row
+        import ergodica.cli as cli_mod
+        import ergodica.eigen as eigen_mod
+        real_eig = eigen_mod.principal_eigenpair
+        real_bellman = cli_mod.principal_eigenpair_bellman
+        solves, calls = [], []
+
+        def eig(op, **kwargs):
+            solves.append(op)
+            return real_eig(op, **kwargs)
+
+        def bellman(*args, **kwargs):
+            solves.clear()
+            out = real_bellman(*args, **kwargs)
+            calls.append((kwargs.get("x0"), out[0], len(solves)))
+            return out
+
+        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
+        monkeypatch.setattr(cli_mod, "principal_eigenpair_bellman", bellman)
+        cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
+                             eps_list=[1 / 4, 1 / 8, 1 / 16], q=16, n_torus=32,
+                             timing=False)
+        rep = eg.run_sweep(cfg)
+        assert rep.failures == [] and len(calls) == 4
+        (x0, u_pair, _), rows = calls[0], calls[1:]
+        assert x0 is None
+        assert all(x0 is u_pair.phi and n == 1 for x0, _, n in rows)
+
+    @pytest.mark.parametrize("problem, starts", [
+        ("sin-abc", [False, True, True]),
+        # the effective and both row eigenpairs are two axis solves each
+        ("sep-2d", [False] * 6),
+    ], ids=["sin-abc", "sep-2d"])
+    def test_linear_rows_start_from_effective_eigenfunction(
+            self, monkeypatch, problem, starts):
+        # every row hands u to linear_eigenpair; an assembled row starts
+        # inverse iteration from it, the separable 2D axis solves do not
+        import ergodica.cli as cli_mod
+        import ergodica.eigen as eigen_mod
+        real_linear = cli_mod.linear_eigenpair
+        real_eig = eigen_mod.principal_eigenpair
+        calls, seeded = [], []
+
+        def linear(grid, *samples, **kwargs):
+            out = real_linear(grid, *samples, **kwargs)
+            calls.append((kwargs.get("x0"), out[0]))
+            return out
+
+        def eig(op, **kwargs):
+            seeded.append(kwargs.get("x0") is not None)
+            return real_eig(op, **kwargs)
+
+        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
+        monkeypatch.setattr(cli_mod, "linear_eigenpair", linear)
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
+        cfg = eg.SweepConfig(problem=problem, eps_list=[1 / 4, 1 / 8], q=16,
+                             n_torus=32, timing=False)
+        rep = eg.run_sweep(cfg)
+        assert rep.failures == [] and len(calls) == 3
+        (x0, u_pair), rows = calls[0], calls[1:]
+        assert x0 is None
+        assert all(x0 is u_pair.phi for x0, _ in rows)
+        assert seeded == starts
+
     def test_separable_2d_rows_factor_only_the_torus_cell(self, monkeypatch):
         # criterion 10's sweep: each sep-2d row is a Kronecker sum of two
         # tridiagonal eigensolves, and the torus cell is one fast

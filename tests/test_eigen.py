@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import ergodica as eg
+from ergodica.cli import build_problem
 from ergodica.domain import assemble_linear, oscillatory_samples
 from ergodica.eigen import _freeze_policy, linear_eigenpair
 
@@ -99,6 +101,44 @@ class TestLinearEigen:
         with pytest.raises(eg.InputError):
             eg.principal_eigenpair(op, x0=np.zeros(op.matrix.shape[0]))
 
+    @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
+    def test_bad_start_vector_raises(self, bad):
+        # a wrong shape or a nonfinite entry is an InputError before any
+        # solve, not LAPACK's ValueError or a nonfinite-solve SolverError
+        spec = eg.LinearOperatorSpec(eg.constant_field(1, 1.0), 1, 2)
+        g = eg.DomainGrid.unit(1, 64)
+        op = eg.assemble_oscillatory(spec, 0.5, g)
+        n = op.matrix.shape[0]
+        x0 = np.ones(n - 1 if bad == "short" else n)
+        if bad != "short":
+            x0[n // 2] = np.nan if bad == "nan" else np.inf
+        samples = oscillatory_samples(spec, 0.5, g)
+        solves = (
+            lambda: eg.principal_eigenpair(op, x0=x0),
+            lambda: linear_eigenpair(g, *samples, x0=x0),
+            lambda: eg.principal_eigenpair_bellman(eg.BellmanSpec([spec]), 0.5,
+                                                   g, x0=x0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in solves:
+                with pytest.raises(eg.InputError, match="starting vector"):
+                    solve()
+
+    def test_start_grid_function_is_its_interior(self):
+        g = eg.DomainGrid.unit(1, 128)
+        op = linear_op(eg.sin_field_1d(delta=0.5), g)
+        u = eg.principal_eigenpair(linear_op(eg.constant_field(1, 1.0), g)).phi
+        from_fn = eg.principal_eigenpair(op, x0=u)
+        from_vec = eg.principal_eigenpair(op, x0=u.flat[g.interior_index()])
+        assert from_fn.lam == from_vec.lam
+        assert from_fn.iterations == from_vec.iterations
+        coarse = eg.DomainGrid.unit(1, 64)
+        other = eg.principal_eigenpair(
+            linear_op(eg.constant_field(1, 1.0), coarse)).phi
+        with pytest.raises(eg.InputError, match="starting grid function"):
+            eg.principal_eigenpair(op, x0=other)
+
     def test_residual_reported(self):
         g = eg.DomainGrid.unit(1, 128)
         op = linear_op(eg.constant_field(1, 1.0), g)
@@ -181,6 +221,55 @@ class TestBellmanEigen:
         with pytest.raises(eg.IterationError, match="eigenvalue rose"):
             eg.principal_eigenpair_bellman(bs, 1.0, g, tol=1e-10)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 8, 1 / 16])
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("problem", ["bellman-2ctl-1d", "pucci-1d"])
+    def test_seeded_matches_cold(self, monkeypatch, effective_bellman_u,
+                                 problem, n, eps):
+        # seeded with the effective eigenfunction, Howard starts at the
+        # optimal policy: one frozen-policy eigensolve, the same policy and
+        # the same eigenvalue as the cold start from control 0 (optimal
+        # from the start on pucci-1d, whose control 0 is a = lambda)
+        cold_solves = {"bellman-2ctl-1d": 2, "pucci-1d": 1}[problem]
+        import ergodica.eigen as eigen_mod
+        spec, u = effective_bellman_u(problem, n)
+        real = eigen_mod.principal_eigenpair
+        calls = []
+
+        def counted(op, **kwargs):
+            calls.append(op)
+            return real(op, **kwargs)
+
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair", counted)
+        g, tol = eg.DomainGrid.unit(1, n), 1e-9
+        cold, cold_policy = eg.principal_eigenpair_bellman(spec, eps, g, tol=tol)
+        n_cold = len(calls)
+        calls.clear()
+        seeded, policy = eg.principal_eigenpair_bellman(spec, eps, g, tol=tol,
+                                                        x0=u)
+        assert (n_cold, len(calls)) == (cold_solves, 1)
+        np.testing.assert_array_equal(policy, cold_policy)
+        assert seeded.cw_lower <= cold.cw_upper
+        assert cold.cw_lower <= seeded.cw_upper
+        assert abs(seeded.lam - cold.lam) <= 10 * tol
+
+
+@pytest.fixture(scope="module")
+def effective_bellman_u():
+    """(problem, n) -> (the catalog problem's BellmanSpec, its effective
+    eigenfunction on [0, 1] with n cells), each computed once."""
+    cache = {}
+
+    def get(problem, n):
+        if (problem, n) not in cache:
+            spec = build_problem(problem)["spec"]
+            eff, _ = eg.effective_bellman_1d(spec, eg.PeriodicGrid(1, 64))
+            pair, _ = eg.principal_eigenpair_bellman(
+                eff, 1.0, eg.DomainGrid.unit(1, n))
+            cache[problem, n] = spec, pair.phi
+        return cache[problem, n]
+    return get
 
 
 def _roundoff_tol(op, tol):
