@@ -23,8 +23,8 @@ eff_op = eg.assemble_effective(eff, grid)
 pair = eg.principal_eigenpair(eff_op, tol=1e-10)
 print(f"effective eigenvalue lambda_bar = {pair.lam:.9f}")
 
-slow = eg.slow_corrector(eff, pair.phi, eff_op)
-_, psi1, _ = slow
+slow = eg.slow_corrector(eff, correctors, pair.phi, eff_op)
+_, psi1, _, _ = slow
 print(f"slow corrector psi_1: sup = {np.max(np.abs(psi1.values)):.4e}")
 
 print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'||z2||':>10} "
@@ -32,7 +32,7 @@ print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'||z2||':>10} "
 for m in (8, 16, 32):
     eps = 1 / m
     op = eg.assemble_oscillatory(spec, eps, grid)
-    exp, res = eg.linear_expansion(spec, correctors, pair, slow, eps, op)
+    exp, res = eg.linear_expansion(spec, pair, slow, eps, op)
     x = grid.interior_points()[:, 0]
     interior = np.abs(res)[(x >= 0.1) & (x <= 0.9)]
     print(f"{eps:8.5f} {exp.sup_norm_v:11.4e} "

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,7 @@ from .corrector import (
 from .domain import (DomainGrid, assemble_linear, assemble_oscillatory,
                      bellman_operators, effective_samples, oscillatory_samples)
 from .effective import build_corrector_set, effective_bellman_1d, effective_linear
-from .eigen import (effective_eigenpair, linear_eigenpair,
+from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
                     principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
 from .torus import GridFunction, PeriodicGrid
@@ -225,16 +225,7 @@ class SweepReport:
     failures: list
 
     def as_dict(self):
-        return {
-            "problem": self.problem,
-            "mode": self.mode,
-            "lambda_bar": self.lambda_bar,
-            "grid": self.grid,
-            "measurements": list(self.measurements),
-            "rows": self.rows,
-            "fits": self.fits,
-            "failures": self.failures,
-        }
+        return dict(asdict(self), measurements=list(self.measurements))
 
 
 def _fit_column(report, name, eps, values):
@@ -273,46 +264,52 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         # in 1D the assembled eff_op serves the psi_1 solve as well
         eff_pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
                                             tol=config.tol)
-        slow = slow_corrector(eff, eff_pair.phi, eff_op) \
+        slow = slow_corrector(eff, correctors, eff_pair.phi, eff_op) \
             if dim == 1 and meas & {"v_norm", "residual_slope"} else None
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
         eff_spec, cells = effective_bellman_1d(spec, tg)
-        correctors = slow = None
+        slow = None
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
     lam_bar = eff_pair.lam
     u = eff_pair.phi
 
     # the eps-independent part of the Bellman expansion; rows only read it
-    if config.mode == "bellman" and "residual_slope" in meas:
-        prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells)
-    else:
-        prepared = None
+    prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells) \
+        if config.mode == "bellman" and "residual_slope" in meas else None
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
-    needs_op = needs_pivot or slow is not None
 
     def one_row(eps):
         t0 = time.perf_counter()
         row = {"eps": eps, "lambda_bar": lam_bar}
         # (lambda_eps, phi_eps) -> (lambda_bar, u): u starts the eigensolve well
-        if config.mode == "linear":
+        if slow is not None:
+            # v_eps needs only u, so it comes first; max(u + v_eps, u/2) starts better
+            op = assemble_oscillatory(spec, eps, grid)
+            lu = op.factor()
+            exp, res = linear_expansion(spec, eff_pair, slow, eps, op, lu=lu)
+            row["v_norm"] = exp.sup_norm_v
+            if "residual_slope" in meas:
+                row["residual"] = core_residual(grid, res)
+            start = grid.restrict(np.maximum(u.values + exp.v_eps.values, u.values / 2))
+            del exp, res  # peak RSS of sin-abc-1d 90.7 -> 87.5 MB
+            pair = principal_eigenpair(op, tol=config.tol, x0=start)
+        elif config.mode == "linear":
             # a separable 2D L_eps is formed only if the row solves with it
             samples = oscillatory_samples(spec, eps, grid)
             pair, op = linear_eigenpair(grid, *samples, tol=config.tol, x0=u)
-            if op is None and needs_op:
+            if op is None and needs_pivot:
                 op = assemble_linear(grid, *samples)
+            lu = None  # pivot_problem factors L_eps for its one solve
         else:
-            op = None
             # the frozen operators serve the eigensolve and the expansion
             ops = bellman_operators(spec, eps, grid)
             pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol,
                                                   ops=ops, x0=u)
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
-        # one factorization of L_eps serves the pivot, z2 and z3 solves
-        lu = op.factor() if needs_op else None
         if needs_pivot:
             w = pivot_problem(spec, eps, grid, u, lam_bar, op=op, lu=lu)
             t_eps, z = align_eigenfunctions(w, pair)
@@ -323,12 +320,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 np.sqrt(np.sum(grid.inner_weights() * diff ** 2)))
             row["z_norm"] = float(np.max(np.abs(z.values)))
             row["w_minus_u"] = float(np.max(np.abs(w.values - u.values)))
-        if slow is not None:
-            exp, res = linear_expansion(spec, correctors, eff_pair, slow, eps, op,
-                                        lu=lu)
-            row["v_norm"] = exp.sup_norm_v
-            if "residual_slope" in meas:
-                row["residual"] = core_residual(grid, res)
         if prepared is not None:
             _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, lam_bar,
                                          prepared, ops)
@@ -497,8 +488,8 @@ def _cmd_corrector(config, args):
     pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
                                     tol=config.tol)
     op = assemble_oscillatory(spec, eps, grid)
-    exp, res = linear_expansion(spec, correctors, pair,
-                                slow_corrector(eff, pair.phi, eff_op), eps, op)
+    exp, res = linear_expansion(
+        spec, pair, slow_corrector(eff, correctors, pair.phi, eff_op), eps, op)
     print(json.dumps({
         "sup_norm_v": exp.sup_norm_v,
         "residual_slope_inputs": {

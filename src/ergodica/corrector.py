@@ -3,16 +3,16 @@ the linear expansion, the pivot problem, eigenfunction alignment, and the
 nonlinear expansion.
 
 Torus profiles are evaluated along the diagonal y = x/eps by periodic cubic
-interpolation, once per distinct fast coordinate: y takes about n * eps
-distinct values on n nodes per axis, and the values are scattered back to
-the nodes. x-derivatives of the slow factors use 4th-order stencils.
+interpolation, once per distinct fast coordinate: at eps = 1/m y takes
+n / gcd(m, n) values on n cells per axis, found in integers, and the values
+are scattered back to the nodes. x-derivatives use 4th-order stencils.
 
-Both expansions split into an eps-independent part, built once per sweep,
-and a per-eps evaluation: `slow_corrector` (derivatives of u and psi_1)
-and `linear_expansion` for linear problems; `prepare_expansion`
-(invariant measures, linearized coefficients and the slow corrector, from
-the two sign cells of `effective.effective_bellman_1d`) and
-`nonlinear_expansion` for Bellman problems.
+Both expansions split into an eps-independent part, built once per sweep and
+only read by the rows, and a per-eps evaluation: `slow_corrector` (derivatives
+of u and psi_1, corrector interpolants) and `linear_expansion` for linear
+problems; `prepare_expansion` (invariant measures, linearized coefficients and
+the slow corrector, from the two sign cells of `effective.effective_bellman_1d`)
+and `nonlinear_expansion` for Bellman problems.
 """
 
 from dataclasses import dataclass
@@ -51,32 +51,28 @@ class DerivativeBundle:
     d2: Dict[tuple, GridFunction]
     d3: Dict[tuple, GridFunction]
     order: int
+    mats: list  # the first-derivative matrix of each axis
 
 
 def _axis_apply(D, values, axis):
-    if values.ndim == 1:
-        return D @ values
-    if axis == 0:
-        return D @ values
-    return (D @ values.T).T
+    return D @ values if axis == 0 else (D @ values.T).T
 
 
-def derivative_bundle(u: GridFunction, order: int) -> DerivativeBundle:
+def derivative_bundle(u: GridFunction, order: int, mats=None) -> DerivativeBundle:
     """Differentiate a domain grid function with 4th-order stencils.
 
     Centered in the interior, one-sided near the boundary. Mixed partials
     are compositions of the per-axis operators, so their symmetry is exact.
+    `mats` is the `mats` of a bundle on the same grid, built when not given.
     """
     if order > 3:
         raise InputError("order must be <= 3")
     grid = u.grid
     d = grid.dim
-    mats = [bounded_diff_matrix(grid.shape[k], grid.h[k], m=1) for k in range(d)]
+    mats = mats or [bounded_diff_matrix(n, h, m=1) for n, h in zip(grid.shape, grid.h)]
     vals = u.values
 
-    d1 = {}
-    for k in range(d):
-        d1[(k,)] = _axis_apply(mats[k], vals, k)
+    d1 = {(k,): _axis_apply(mats[k], vals, k) for k in range(d)}
     d2, d3 = {}, {}
     if order >= 2:
         for k in range(d):
@@ -91,25 +87,35 @@ def derivative_bundle(u: GridFunction, order: int) -> DerivativeBundle:
         for t in np.ndindex((d,) * 3):
             d3[t] = base[tuple(sorted(t))]
     wrap = lambda table: {key: GridFunction(grid, arr) for key, arr in table.items()}
-    return DerivativeBundle(u=u, d1=wrap(d1), d2=wrap(d2), d3=wrap(d3), order=order)
+    return DerivativeBundle(u, wrap(d1), wrap(d2), wrap(d3), order, mats)
 
 
 def fast_coordinates(grid: DomainGrid, eps: float):
-    """Distinct rows of y = x/eps mod 1 over the grid nodes, and the index
-    that scatters values at those rows back to the nodes."""
-    y = (grid.points() / eps) % 1.0
-    if grid.dim == 1:
-        keys, inverse = np.unique(y[:, 0], return_inverse=True)
-        return keys[:, None], inverse
-    # one complex key per node: np.unique orders complex numbers by
-    # (real, imag), so distinct keys are distinct rows, bit for bit
-    keys, inverse = np.unique(y.view(np.complex128)[:, 0], return_inverse=True)
-    return np.stack([keys.real, keys.imag], axis=1), inverse
+    """Distinct rows of y = x/eps mod 1 over the grid nodes, axis 0 outer, and
+    the index that scatters values at those rows to the nodes.
+
+    With eps = 1/m, node i of an axis with integer ends, length L and n cells
+    has y = (i L m mod n) / n: the values are g j / n, g = gcd(L m, n), node
+    i takes the ((i L m mod n) / g)-th, and no floats are sorted.
+    """
+    m = round(1 / eps)
+    if abs(m * eps - 1) > 1e-12 or np.any(np.mod(grid.bounds, 1)):
+        raise InputError(f"fast coordinates need eps = 1/m and integer grid "
+                         f"bounds; got eps={eps!r}, bounds {grid.bounds}")
+    keys, inverse = [], 0
+    for (lo, hi), n in zip(grid.bounds, grid.n):
+        step = round(hi - lo) * m
+        g = np.gcd(step, n)
+        keys.append(np.arange(0, n, g) / n)
+        inverse = np.add.outer(inverse * (n // g), np.arange(n + 1) * step % n // g)
+    rows = np.stack(np.meshgrid(*keys, indexing="ij"), axis=-1)
+    return rows.reshape(-1, grid.dim), inverse.ravel()
 
 
 def _interp(sol, fast):
-    rows, inverse = fast
-    return TorusInterpolant(sol.chi.values)(rows)[inverse]
+    """`sol`, an ErgodicSolution or its TorusInterpolant, at every node."""
+    f = sol if isinstance(sol, TorusInterpolant) else TorusInterpolant(sol.chi.values)
+    return f(fast[0])[fast[1]]
 
 
 def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
@@ -117,7 +123,8 @@ def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
     """Trace x -> w_2(x, x/eps) of the second-order interior corrector.
 
     w_2(x, y) = chi^{kl}(y) d2_kl u(x) + eta^k(y) d1_k u(x) + nu(y) u(x).
-    `fast` is `fast_coordinates(grid, eps)`, computed here when not given.
+    `correctors` may hold TorusInterpolants (`_interpolants`); `fast` is
+    `fast_coordinates(grid, eps)`, computed here when not given.
     """
     grid = bundle.u.grid
     d = grid.dim
@@ -153,7 +160,7 @@ def solve_psi1(eff: EffectiveLinear, bundle: DerivativeBundle,
 def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
                     psi1_bundle: DerivativeBundle, eps: float,
                     fast=None) -> GridFunction:
-    """Trace x -> w_3(x, x/eps), including the psi_1 block."""
+    """Trace x -> w_3(x, x/eps), including the psi_1 block (see `second_corrector`)."""
     grid = bundle.u.grid
     d = grid.dim
     if bundle.order < 3:
@@ -183,10 +190,8 @@ def boundary_correctors(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
     `lu` is `op.factor()` to reuse; without it one is made here and shared
     by both solves.
     """
-    if op is None:
-        op = assemble_oscillatory(spec, eps, grid)
-    if lu is None:
-        lu = op.factor()
+    op = op or assemble_oscillatory(spec, eps, grid)
+    lu = lu or op.factor()
     bidx = grid.boundary_index()
     zero = np.zeros(len(grid.interior_index()))
     z2 = dirichlet_solve(op, zero, boundary_values=-w2_trace.flat[bidx], lu=lu)
@@ -213,41 +218,48 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction, z2: GridFunction,
     """v^eps = eps psi_1 + eps^2 (w_2 + z_2) + eps^3 (w_3 + z_3)."""
     v = eps * psi1.values + eps ** 2 * (w2_trace.values + z2.values)
     v = v + eps ** 3 * (w3_trace.values + z3.values)
-    v_fn = GridFunction(psi1.grid, v)
-    return ExpansionResult(
-        psi1=psi1, w2_trace=w2_trace, z2=z2, w3_trace=w3_trace, z3=z3,
-        v_eps=v_fn, sup_norm_v=float(np.max(np.abs(v))),
-    )
+    return ExpansionResult(psi1, w2_trace, z2, w3_trace, z3,
+                           GridFunction(psi1.grid, v), float(np.max(np.abs(v))))
 
 
-def slow_corrector(eff: EffectiveLinear, u: GridFunction, op: DiscreteOperator):
+def _interpolants(c: CorrectorSet) -> CorrectorSet:
+    """`c` with each profile replaced by its TorusInterpolant."""
+    f = lambda sol: TorusInterpolant(sol.chi.values)
+    table = lambda sols: {k: f(sol) for k, sol in sols.items()}
+    return CorrectorSet(c.grid, table(c.chi), [f(s) for s in c.eta], f(c.nu),
+                        table(c.chi3), table(c.eta2), [f(s) for s in c.nu1], f(c.xi))
+
+
+def slow_corrector(eff: EffectiveLinear, correctors: CorrectorSet,
+                   u: GridFunction, op: DiscreteOperator):
     """The eps-independent part of the linear expansion around u.
 
     `op` is L_bar on u's grid, the operator whose eigenfunction u is; the
     caller assembles it once for both solves. Returns (bundle of u to order
-    3, psi_1, bundle of psi_1 to order 2), the `slow` argument of
-    `linear_expansion`.
+    3, psi_1, bundle of psi_1 to order 2, `_interpolants(correctors)`), the
+    `slow` argument of `linear_expansion`, which rows share and only read.
     """
     bundle = derivative_bundle(u, 3)
     psi1 = solve_psi1(eff, bundle, u.grid, op)
-    return bundle, psi1, derivative_bundle(psi1, 2)
+    return (bundle, psi1, derivative_bundle(psi1, 2, bundle.mats),
+            _interpolants(correctors))
 
 
-def linear_expansion(spec: LinearOperatorSpec, correctors: CorrectorSet,
-                     u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
+def linear_expansion(spec: LinearOperatorSpec, u_pair: EigenPair, slow,
+                     eps: float, op: DiscreteOperator,
                      lu: Optional[FactoredOperator] = None):
     """Full corrector v^eps around the effective eigenpair at one eps.
 
-    `slow` is `slow_corrector(eff, u_pair.phi, L_bar)`, `op` is L^eps on the grid
-    of u and `lu` its factorization `op.factor()` to reuse. Returns the
+    `slow` is `slow_corrector(eff, correctors, u_pair.phi, L_bar)`, `op` is
+    L^eps on the grid of u and `lu` its `op.factor()` to reuse. Returns the
     ExpansionResult and the residual L^eps(u + v^eps) + lambda_bar u at the
-    interior nodes.
+    interior nodes; neither needs the eigenpair of L^eps.
     """
-    bundle, psi1, psi1_bundle = slow
+    bundle, psi1, psi1_bundle, cells = slow
     grid = psi1.grid
     fast = fast_coordinates(grid, eps)
-    w2 = second_corrector(correctors, bundle, eps, fast=fast)
-    w3 = third_corrector(correctors, bundle, psi1_bundle, eps, fast=fast)
+    w2 = second_corrector(cells, bundle, eps, fast=fast)
+    w3 = third_corrector(cells, bundle, psi1_bundle, eps, fast=fast)
     z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op, lu=lu)
     exp = full_corrector(psi1, w2, z2, w3, z3, eps)
     u = u_pair.phi
@@ -269,8 +281,7 @@ def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
     """Solve the auxiliary problem L^eps w^eps = -lambda_bar * u, w^eps = 0 on
     the boundary; w^eps is the pivot between u^eps and u. `lu` is a
     factorization of op (`op.factor()`) to reuse."""
-    if op is None:
-        op = assemble_oscillatory(spec, eps, grid)
+    op = op or assemble_oscillatory(spec, eps, grid)
     rhs = -lambda_bar * grid.restrict(u.values)
     return dirichlet_solve(op, rhs, lu=lu)
 
@@ -364,7 +375,6 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     # Psi_1 = -Dx(|M| (chi_sgn . Dy^T(2 a_pol g))). In 1D this is zero in
     # exact arithmetic: A^T mu = 0 for A = diag(a) D^2 makes a_pol * g
     # constant, and the circulant Dy has zero column sums.
-    Dx = bounded_diff_matrix(grid.shape[0], grid.h[0], m=1)
     Dy = periodic_diff_matrix(torus_grid.n, torus_grid.h, m=1)
     psi1_rhs = np.zeros(npts)
     for s in signs:
@@ -373,7 +383,7 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
         for t in signs:
             q[sgn == t] = cell[t].chi.flat @ h
         rows = sgn == s
-        psi1_rhs[rows] = -(Dx @ (np.abs(M) * q))[rows]
+        psi1_rhs[rows] = -(bundle.mats[0] @ (np.abs(M) * q))[rows]
 
     # linearized effective diffusion, 0-homogeneous in the Hessian direction:
     # F_bar(M) = |M| F_bar(sign M) has derivative s * gamma_s in sign s

@@ -52,27 +52,25 @@ def collatz_wielandt(op: DiscreteOperator, phi):
     """Nodewise ratio bounds (min, max) of (-L_h phi) / phi for positive phi.
 
     By Perron theory on the monotone discretization the principal eigenvalue
-    lies between the two.
+    lies between the two. phi is checked as a start vector (`_start_vector`).
     """
-    vec = phi.flat[op.grid.interior_index()] if isinstance(phi, GridFunction) \
-        else np.asarray(phi, dtype=float).ravel()
-    if vec.min() <= 0:
-        raise InputError("Collatz-Wielandt bounds need phi > 0 on the interior")
+    vec = _start_vector(phi, op.grid, op.matrix.shape[0], "phi")
     ratios = -(op.matrix @ vec) / vec
     return float(ratios.min()), float(ratios.max())
 
 
-def _start_vector(x0, grid, n):
+def _start_vector(x0, grid, n, name="starting"):
     """x0, a GridFunction on `grid` or a vector on its n interior nodes, as
-    a fresh interior vector; InputError unless it is finite and positive."""
+    a fresh interior vector; InputError, naming x0 `name`, unless it is
+    finite and positive."""
     if isinstance(x0, GridFunction):
         if x0.values.shape != grid.shape:
-            raise InputError(f"starting grid function has shape "
+            raise InputError(f"{name} grid function has shape "
                              f"{x0.values.shape}, not {grid.shape}")
         x0 = x0.flat[grid.interior_index()]
     v = np.array(x0, dtype=float)
     if v.shape != (n,) or not (np.all(np.isfinite(v)) and v.min() > 0):
-        raise InputError(f"starting vector must be finite and positive, of "
+        raise InputError(f"{name} vector must be finite and positive, of "
                          f"shape ({n},); got shape {v.shape}")
     return v
 
@@ -193,7 +191,8 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     The first policy is control 0, improved once by `improve_policy` against
     the start vector `x0` when one is given (see `principal_eigenpair`; a
     sweep passes the homogenized eigenfunction). The first eigensolve starts
-    from x0 (or ones), each later one from the previous eigenfunction.
+    from x0 (or ones), each later one from the previous eigenfunction. The
+    pair's `iterations` add up the inverse-power iterations of all of them.
     """
     if ops is None:
         ops = bellman_operators(spec, eps, grid)
@@ -214,6 +213,7 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
                 f"policy oscillation: eigenvalue rose from {prev.lam:.12g} to "
                 f"{pair.lam:.12g} at eps={eps:g}"
             )
+        pair.iterations += 0 if prev is None else prev.iterations
         prev, start = pair, pair.phi.flat[interior]
         return pair, values(start)
 
@@ -232,9 +232,6 @@ def _freeze_policy(ops, policy, grid):
         bands = tuple(np.stack(band)[policy, nodes]
                       for band in zip(*(op.bands for op in ops)))
         return DiscreteOperator.from_bands(grid, bands, c_max)
-    return DiscreteOperator(
-        matrix=select_rows([op.matrix for op in ops], policy),
-        boundary=select_rows([op.boundary for op in ops], policy),
-        grid=grid,
-        c_max=c_max,
-    )
+    return DiscreteOperator(select_rows([op.matrix for op in ops], policy),
+                            select_rows([op.boundary for op in ops], policy),
+                            grid, c_max)

@@ -237,6 +237,55 @@ class TestRunSweep:
         assert x0 is None
         assert all(x0 is u_pair.phi and n == 1 for x0, _, n in rows)
 
+    def test_linear_rows_start_from_the_expansion(self, monkeypatch):
+        # a 1D row that computes v_eps starts inverse iteration from
+        # max(u + v_eps, u/2): the bracket overlaps a cold solve of the same
+        # operator, in strictly fewer iterations (from eps = 1/8 on; at
+        # eps = 1/4 the start is no better than ones)
+        import ergodica.cli as cli_mod
+        real = cli_mod.principal_eigenpair
+        rows = []
+
+        def eig(op, **kwargs):
+            pair = real(op, **kwargs)
+            rows.append((op, kwargs.get("x0"), pair))
+            return pair
+
+        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
+        monkeypatch.setattr(cli_mod, "principal_eigenpair", eig)
+        cfg = eg.SweepConfig(problem="sin-abc", eps_list=[1 / 8, 1 / 16, 1 / 32],
+                             q=16, n_torus=32, tol=1e-9,
+                             measurements=["v_norm", "residual_slope"])
+        rep = eg.run_sweep(cfg)
+        assert rep.failures == [] and len(rows) == 3
+        for (op, x0, seeded), row in zip(rows, rep.rows):
+            assert x0.shape == (op.matrix.shape[0],) and x0.min() > 0
+            assert row["lambda_eps"] == seeded.lam
+            cold = real(op, tol=1e-9)
+            assert seeded.cw_lower <= cold.cw_upper
+            assert cold.cw_lower <= seeded.cw_upper
+            assert seeded.iterations < cold.iterations
+
+    def test_corrector_interpolants_built_once_per_sweep(self, monkeypatch):
+        # the seven 1D torus correctors are interpolated before the rows,
+        # not once per row and trace
+        from ergodica.stencils import TorusInterpolant
+        real = TorusInterpolant.__init__
+        builds = []
+
+        def counted(self, values):
+            builds.append(values)
+            real(self, values)
+
+        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
+        monkeypatch.setattr(TorusInterpolant, "__init__", counted)
+        cfg = eg.SweepConfig(problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16],
+                             q=16, n_torus=32, timing=False,
+                             measurements=list(eg.cli.ALL_MEASUREMENTS))
+        rep = eg.run_sweep(cfg)
+        assert rep.failures == [] and len(rep.rows) == 3
+        assert len(builds) == 7
+
     @pytest.mark.parametrize("problem, starts", [
         ("sin-abc", [False, True, True]),
         # the effective and both row eigenpairs are two axis solves each

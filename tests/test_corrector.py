@@ -180,10 +180,17 @@ def _node_by_node(sol, y):
     return np.array([interp(p)[0] for p in y])
 
 
+def _exact_fast(grid, eps):
+    """y = x/eps mod 1 at every node of a unit grid, in integers: node i of
+    an axis with n cells is x = i/n, and eps = 1/m."""
+    n, m = np.array(grid.n), round(1 / eps)
+    return np.rint(grid.points() * n).astype(int) * m % n / n
+
+
 def _reference_w2(cs, bundle, eps):
     grid = bundle.u.grid
     d = grid.dim
-    y = (grid.points() / eps) % 1.0
+    y = _exact_fast(grid, eps)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
@@ -196,7 +203,7 @@ def _reference_w2(cs, bundle, eps):
 def _reference_w3(cs, bundle, psi1_bundle, eps):
     grid = bundle.u.grid
     d = grid.dim
-    y = (grid.points() / eps) % 1.0
+    y = _exact_fast(grid, eps)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
@@ -214,7 +221,37 @@ def _reference_w3(cs, bundle, psi1_bundle, eps):
 
 class TestDistinctFastCoordinates:
     """The traces evaluate each profile once per distinct y = x/eps mod 1 and
-    scatter back; that must equal evaluation at every node, bit for bit."""
+    scatter back; that must equal evaluation at every node, bit for bit.
+    y is computed in integers, and agrees with the float x/eps mod 1."""
+
+    @pytest.mark.parametrize("dim, n_cells, eps", [
+        (1, 1024, 1 / 8), (1, 512, 1 / 512), (2, 64, 1 / 16)])
+    def test_power_of_two_grid_matches_sorted_floats(self, dim, n_cells, eps):
+        # x/eps mod 1 is exact here, so sorting it gives the same rows and
+        # the same scatter index
+        grid = eg.DomainGrid.unit(dim, n_cells)
+        rows, inverse = eg.fast_coordinates(grid, eps)
+        keys, ref_inverse = np.unique((grid.points() / eps) % 1.0, axis=0,
+                                      return_inverse=True)
+        np.testing.assert_array_equal(rows, keys)
+        np.testing.assert_array_equal(inverse, ref_inverse.ravel())
+
+    @pytest.mark.parametrize("dim, n_cells, m", [
+        (1, 512, 7), (1, 24, 5), (2, 12, 4), (2, 96, 6)])
+    def test_rows_within_an_ulp_of_float_coordinates(self, dim, n_cells, m):
+        grid = eg.DomainGrid.unit(dim, n_cells)
+        rows, inverse = eg.fast_coordinates(grid, 1 / m)
+        per_axis = n_cells // np.gcd(m, n_cells)
+        assert rows.shape == (per_axis ** dim, dim)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert all(len(np.unique(rows[:, k])) == per_axis for k in range(dim))
+        z = grid.points() / (1 / m)
+        gap = (rows[inverse] - z + 0.5) % 1.0 - 0.5  # periodic difference
+        assert np.all(np.abs(gap) <= np.spacing(z))
+
+    def test_eps_not_a_reciprocal_raises(self):
+        with pytest.raises(eg.InputError, match="eps = 1/m"):
+            eg.fast_coordinates(eg.DomainGrid.unit(1, 64), 0.3)
 
     @pytest.mark.parametrize("dim, n_cells, eps", [
         (1, 64, 1 / 8),

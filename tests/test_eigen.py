@@ -51,6 +51,16 @@ class TestLinearEigen:
         lo, hi = eg.collatz_wielandt(op, pair.phi)
         assert lo <= pair.lam + 1e-9 and hi >= pair.lam - 1e-9
 
+    def test_collatz_wielandt_rejects_another_grid(self):
+        # a 64-cell phi against a 128-cell operator: an InputError, not an
+        # IndexError from reading phi at the operator's interior nodes
+        op = linear_op(eg.sin_field_1d(delta=0.5), eg.DomainGrid.unit(1, 128))
+        coarse = eg.DomainGrid.unit(1, 64)
+        phi = eg.principal_eigenpair(linear_op(eg.sin_field_1d(delta=0.5),
+                                               coarse)).phi
+        with pytest.raises(eg.InputError, match="phi grid function has shape"):
+            eg.collatz_wielandt(op, phi)
+
     def test_bracket_history_shrinks(self):
         g = eg.DomainGrid.unit(1, 128)
         op = linear_op(eg.sin_field_1d(delta=0.5), g)
@@ -253,6 +263,26 @@ class TestBellmanEigen:
         assert seeded.cw_lower <= cold.cw_upper
         assert cold.cw_lower <= seeded.cw_upper
         assert abs(seeded.lam - cold.lam) <= 10 * tol
+
+
+    def test_iterations_add_up_over_howard_sweeps(self, monkeypatch):
+        # a cold bellman-2ctl-1d solve makes two frozen-policy eigensolves;
+        # the pair reports the inverse-power iterations of both
+        import ergodica.eigen as eigen_mod
+        real = eigen_mod.principal_eigenpair
+        counts = []
+
+        def counted(op, **kwargs):
+            pair = real(op, **kwargs)
+            counts.append(pair.iterations)
+            return pair
+
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair", counted)
+        spec = build_problem("bellman-2ctl-1d")["spec"]
+        pair, _ = eg.principal_eigenpair_bellman(
+            spec, 1 / 4, eg.DomainGrid.unit(1, 128), tol=1e-9)
+        assert len(counts) == 2 and min(counts) > 0
+        assert pair.iterations == sum(counts)
 
 
 @pytest.fixture(scope="module")
