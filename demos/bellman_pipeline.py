@@ -25,7 +25,7 @@ m_plus = cells[1][0].gamma
 kappa = -cells[-1][0].gamma
 print(f"F_bar(+1) = {m_plus:.9f}   (upper envelope: >= max(sqrt(3)/2, 1.2))")
 print(f"F_bar(-1) = {-kappa:.9f}   -> kappa = {kappa:.9f}")
-f3 = eg.effective_nonlinear(bs, np.array([[2.5]]), tg)
+f3 = eg.solve_nonlinear_cell(bs, [[2.5]], tg)[0].gamma
 print(f"1-homogeneity: F_bar(2.5) = {f3:.9f} vs 2.5 F_bar(1) = "
       f"{2.5 * m_plus:.9f}")
 

@@ -8,14 +8,11 @@ from .coeff import (
     CoefficientField,
     LinearOperatorSpec,
     PucciSpec,
-    StructureReport,
+    check_structure,
     constant_field,
-    eval_bellman,
-    eval_pucci,
     pucci_controls_1d,
     separable_sin_field_2d,
     sin_field_1d,
-    validate_structure,
 )
 from .corrector import (
     DerivativeBundle,
@@ -45,7 +42,6 @@ from .domain import (
     assemble_oscillatory,
     bellman_operators,
     dirichlet_solve,
-    is_monotone,
     properness_shift,
 )
 from .effective import (
@@ -54,8 +50,6 @@ from .effective import (
     build_corrector_set,
     effective_bellman_1d,
     effective_linear,
-    effective_nonlinear,
-    linearize_effective,
 )
 from .eigen import (
     EigenPair,

@@ -69,7 +69,7 @@ def build_problem(name, params=None):
     elif name == "pucci-1d":
         lam = params.pop("lambda_ell", 1.0)
         Lam = params.pop("Lambda_ell", 2.0)
-        spec = cf.pucci_controls_1d(cf.PucciSpec(lam, Lam, "plus"))
+        spec = cf.pucci_controls_1d(cf.PucciSpec(lam, Lam))
     elif name == "bellman-2ctl-1d":
         a2 = params.pop("a2", 1.2)
         f1 = cf.sin_field_1d(delta=delta)
@@ -80,12 +80,16 @@ def build_problem(name, params=None):
             cf.LinearOperatorSpec(f2, lam, Lam),
         ])
     elif name == "constant":
-        dim = int(params.pop("dim", 1))
+        dim = params.pop("dim", 1)
+        if dim not in (1, 2):
+            raise ConfigError(f"constant: dim must be 1 or 2, got {dim!r}")
+        dim = int(dim)
         field = cf.constant_field(dim, params.pop("a0", 1.0),
                                   params.pop("b0", None), params.pop("c0", 0.0))
-        a0 = field.a(np.zeros((1, dim)))[0]
+        a0, b0, c0 = (v[0] for v in field.sample(np.zeros(dim)))
         eigs = np.linalg.eigvalsh(a0)
-        spec = cf.LinearOperatorSpec(field, eigs.min(), eigs.max())
+        spec = cf.LinearOperatorSpec(field, eigs.min(), eigs.max(),
+                                     c1=max(np.linalg.norm(b0), abs(c0)))
     else:
         raise ConfigError(f"unknown catalog problem {name!r}")
     if params:
@@ -95,11 +99,14 @@ def build_problem(name, params=None):
 
 
 def config_problem(config):
-    """`build_problem` for the config, whose `mode` must be the problem's."""
+    """`build_problem` for the config, whose `mode` must be the problem's and
+    whose declared structure constants must hold at the torus grid nodes."""
     problem = build_problem(config.problem, config.params)
     if problem["mode"] != config.mode:
         raise ConfigError(f"problem {config.problem!r} is {problem['mode']!r}, "
                           f"config says {config.mode!r}")
+    cf.check_structure(problem["spec"],
+                       PeriodicGrid(problem["dim"], config.n_torus).points())
     return problem
 
 

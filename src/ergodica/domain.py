@@ -257,21 +257,13 @@ def apply_bellman(spec: BellmanSpec, eps: float, grid: DomainGrid,
     return GridFunction(grid, grid.embed(vals))
 
 
-def is_monotone(op: DiscreteOperator, shift: float, tol=1e-9):
-    """Diagnostic check that shift*I - matrix is an M-matrix candidate.
-
-    No solver calls it: the eigensolver runs the same test
-    (`shifted_m_matrix`) on the matrix it factors. Returns (ok, info); info
-    carries the worst off-diagonal entry of the shifted matrix and the
-    minimal diagonal-dominance excess.
-    """
-    return shifted_m_matrix(op, shift, tol)[1:]
-
-
 def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
-    """(B, ok, info): B = shift*I - L_h and `is_monotone`'s verdict on it
-    (diagonal > 0, off-diagonal <= tol, row excess B_ii - sum_{j != i} |B_ij|
-    > -tol), read from B's arrays without building another sparse matrix.
+    """(B, ok, info): B = shift*I - L_h and whether it is an M-matrix
+    candidate (diagonal > 0, off-diagonal <= tol, row excess
+    B_ii - sum_{j != i} |B_ij| > -tol), read from B's arrays without
+    building another sparse matrix. info carries the worst off-diagonal
+    entry of B with its (row, col), the minimal diagonal and the minimal
+    row excess. The eigensolver runs this test on the matrix it factors.
 
     With bands, B is the band triple (-lower, shift - diag, -upper), which
     FactoredOperator takes as it is; its first and last entries, outside B,

@@ -7,8 +7,8 @@ second round feeds on 4th-order gradients of the first-round correctors.
 
 The homogenized Bellman map F_bar is convex and positively 1-homogeneous.
 In 1D `effective_bellman_1d` reads all of it, its linearization included,
-from the two sign cells at M = +1 and M = -1; `effective_nonlinear` and
-`linearize_effective` evaluate F_bar and its derivative at any M.
+from the two sign cells at M = +1 and M = -1; F_bar at any other M is the
+ergodic constant of `torus.solve_nonlinear_cell` at M.
 """
 
 from dataclasses import dataclass
@@ -29,6 +29,9 @@ from .torus import (
     solve_cell,
     solve_nonlinear_cell,
 )
+
+# slack of a_bar's spectrum on the ellipticity interval [lambda, Lambda]
+_ELLIPTICITY_TOL = 1e-8
 
 
 @dataclass
@@ -139,16 +142,15 @@ def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> Correct
     return CorrectorSet(grid, chi, eta, nu, chi3, eta2, nu1, xi)
 
 
-def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet,
-                     ellipticity_tol=1e-8) -> EffectiveLinear:
+def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> EffectiveLinear:
     """Package all ergodic constants; a_bar is symmetrized, the defect recorded."""
     d = spec.dim
     gam = np.array([[correctors.chi[(k, l)].gamma for l in range(d)] for k in range(d)])
     a_bar = 0.5 * (gam + gam.T)
     defect = float(np.max(np.abs(gam - gam.T)))
     eigs = np.linalg.eigvalsh(a_bar)
-    if eigs.min() < spec.lambda_ell - ellipticity_tol or \
-            eigs.max() > spec.Lambda_ell + ellipticity_tol:
+    if eigs.min() < spec.lambda_ell - _ELLIPTICITY_TOL or \
+            eigs.max() > spec.Lambda_ell + _ELLIPTICITY_TOL:
         raise SolverError(
             f"effective matrix spectrum [{eigs.min():.6g}, {eigs.max():.6g}] escapes "
             f"the ellipticity interval [{spec.lambda_ell:.6g}, {spec.Lambda_ell:.6g}]"
@@ -168,12 +170,6 @@ def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet,
         d_bar=correctors.xi.gamma,
         asymmetry_defect=defect,
     )
-
-
-def effective_nonlinear(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10) -> float:
-    """F_bar(M): the ergodic constant of the nonlinear cell problem at M."""
-    sol, _ = solve_nonlinear_cell(spec, M, grid, tol=tol)
-    return sol.gamma
 
 
 def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid, tol=1e-10):
@@ -201,32 +197,3 @@ def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid, tol=1e-10):
         for s in (1, -1)
     ])
     return eff_spec, cells
-
-
-def linearize_effective(spec: BellmanSpec, M, grid: PeriodicGrid, step=None,
-                        tol=1e-10) -> np.ndarray:
-    """Centered-difference derivative matrix of F_bar at M, symmetrized.
-
-    Entries satisfy F_bar(M + tY) ~ F_bar(M) + t * sum_ij a_ij Y_ij for
-    symmetric Y.
-    """
-    d = spec.dim
-    M = np.asarray(M, dtype=float).reshape(d, d)
-    if step is None:
-        step = 1e-4 * (1.0 + np.linalg.norm(M))
-    out = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            E = np.zeros((d, d))
-            E[i, j] = E[j, i] = 1.0
-            fp = effective_nonlinear(spec, M + step * E, grid, tol=tol)
-            fm = effective_nonlinear(spec, M - step * E, grid, tol=tol)
-            g = (fp - fm) / (2.0 * step)
-            if not np.isfinite(g):
-                raise SolverError("nonfinite derivative of the effective map")
-            if i == j:
-                out[i, i] = g
-            else:
-                # perturbing both symmetric entries doubles the sensitivity
-                out[i, j] = out[j, i] = 0.5 * g
-    return out

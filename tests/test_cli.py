@@ -451,10 +451,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["b_bar"] == pytest.approx([1.0, 1.0], abs=1e-12)
 
-    def test_effective_degenerate_separable_cell_exit_3(self, tmp_path, capsys,
-                                                        monkeypatch):
-        # a22 = 0 separates but has no cell solution: a solver error, not a
-        # traceback and not a NaN a_bar
+    def test_effective_understated_lambda_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a spec declaring lambda = 0.5 while a22 = 0 is refused where the
+        # config becomes a spec, before any cell solve (the degenerate
+        # separable cell it would reach is covered in test_torus)
         import ergodica.cli as cli_mod
         spec = eg.LinearOperatorSpec(
             eg.constant_field(2, np.diag([1.0, 0.0])), 0.5, 1.5)
@@ -463,11 +464,24 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"problem": "constant", "eps_list": [0.25],
                                     "q": 16, "n_torus": 16}))
-        assert main(["effective", "--config", str(path)]) == 3
+        assert main(["effective", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("solver error: separable cell: axis 1")
-        assert "Traceback" not in captured.err
+        assert captured.err == (
+            "config error: control 0 violates eig a >= lambda_ell = 0.5 by "
+            "0.5 at y = (0, 0)\n")
+
+    def test_constant_non_integral_dim_exit_2(self, tmp_path, capsys):
+        # a non-integral dim is refused, not truncated to a 1D problem
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "constant", "params": {"dim": 1.7},
+            "eps_list": [0.25, 0.125], "q": 16, "n_torus": 16}))
+        assert main(["eigen", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "config error: constant: dim must be 1 or 2, got 1.7\n"
 
     def test_eigen_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "eig")

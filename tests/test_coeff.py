@@ -1,111 +1,121 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import ergodica as eg
-from ergodica.coeff import linear_value
-
-
-def sym(d, vals):
-    X = np.array(vals, dtype=float).reshape(d, d)
-    return 0.5 * (X + X.T)
-
-
-class TestPucci:
-    def test_known_values_1d(self):
-        spec = eg.PucciSpec(1.0, 2.0, "plus")
-        assert eg.eval_pucci(spec, [[3.0]]) == pytest.approx(6.0)
-        assert eg.eval_pucci(spec, [[-3.0]]) == pytest.approx(-3.0)
-        minus = eg.PucciSpec(1.0, 2.0, "minus")
-        assert eg.eval_pucci(minus, [[3.0]]) == pytest.approx(3.0)
-        assert eg.eval_pucci(minus, [[-3.0]]) == pytest.approx(-6.0)
-
-    def test_mixed_eigenvalues_2d(self):
-        # eigenvalues +1 and -1
-        X = np.array([[0.0, 1.0], [1.0, 0.0]])
-        spec = eg.PucciSpec(0.5, 2.0, "plus")
-        assert eg.eval_pucci(spec, X) == pytest.approx(2.0 - 0.5)
-
-    @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-           st.floats(0.1, 1.0), st.floats(0.0, 3.0))
-    @settings(max_examples=60, deadline=None)
-    def test_duality_and_homogeneity(self, vals, lam, gap):
-        Lam = lam + gap
-        X = sym(2, vals)
-        plus = eg.PucciSpec(lam, Lam, "plus")
-        minus = eg.PucciSpec(lam, Lam, "minus")
-        # M^-(X) = -M^+(-X), M^- <= M^+, positive 1-homogeneity
-        assert eg.eval_pucci(minus, X) == pytest.approx(
-            -eg.eval_pucci(plus, -X), abs=1e-10)
-        assert eg.eval_pucci(minus, X) <= eg.eval_pucci(plus, X) + 1e-12
-        assert eg.eval_pucci(plus, 2.0 * X) == pytest.approx(
-            2.0 * eg.eval_pucci(plus, X), abs=1e-10)
-
-    @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4),
-           st.lists(st.floats(-3, 3), min_size=4, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_subadditivity_of_m_plus(self, v1, v2):
-        X, Y = sym(2, v1), sym(2, v2)
-        spec = eg.PucciSpec(0.5, 2.0, "plus")
-        assert eg.eval_pucci(spec, X + Y) <= \
-            eg.eval_pucci(spec, X) + eg.eval_pucci(spec, Y) + 1e-9
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(eg.InputError):
-            eg.eval_pucci(eg.PucciSpec(1, 2, "plus"), [[0, 1], [0, 0]])
+from ergodica.cli import build_problem
 
 
 class TestBellman:
     def test_direct_max(self):
-        # p=0, X=0, r=1 with c values {0.3, -0.1} -> 0.3 (max over controls)
+        # L 1 = c for each control, so the Bellman operator at phi = 1 is the
+        # max over controls {0.3, -0.1}, and 1-homogeneity forces F(0) = 0
         spec = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.constant_field(1, 1.0, c0=0.3), 1, 1, c1=0.3),
             eg.LinearOperatorSpec(eg.constant_field(1, 1.0, c0=-0.1), 1, 1, c1=0.1),
         ])
-        assert eg.eval_bellman(spec, [0.0], 1.0, [0.0], [[0.0]]) == \
-            pytest.approx(0.3)
-        # 1-homogeneity forces F(y, 0, 0, 0) = 0
-        assert eg.eval_bellman(spec, [0.0], 0.0, [0.0], [[0.0]]) == 0.0
+        g = eg.DomainGrid.unit(1, 16)
+        one = eg.apply_bellman(spec, 1.0, g, eg.GridFunction(g, np.ones(g.shape)))
+        assert np.allclose(g.restrict(one.values), 0.3, rtol=0, atol=1e-12)
+        zero = eg.apply_bellman(spec, 1.0, g, eg.GridFunction(g, np.zeros(g.shape)))
+        assert np.all(zero.values == 0.0)
 
     def test_singleton_matches_linear(self):
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.4, b_amp=0.2,
                                                      c0=0.1, c_amp=0.1),
                                      0.6, 1.4, c1=0.2)
-        y, r, p, X = [0.3], 1.2, [0.7], [[2.0]]
-        assert eg.eval_bellman(eg.BellmanSpec([spec]), y, r, p, X) == \
-            pytest.approx(linear_value(spec, y, r, p, X))
+        g = eg.DomainGrid.unit(1, 32)
+        x = g.points()[:, 0]
+        phi = eg.GridFunction(g, np.sin(np.pi * x) + x)
+        out = eg.apply_bellman(eg.BellmanSpec([spec]), 0.25, g, phi)
+        linear = eg.assemble_oscillatory(spec, 0.25, g).apply(phi)
+        assert np.array_equal(g.restrict(out.values), linear)
 
     def test_pucci_as_two_control_bellman(self):
-        pspec = eg.PucciSpec(1.0, 2.0, "plus")
-        bspec = eg.pucci_controls_1d(pspec)
-        for m in (-2.0, -0.5, 0.0, 0.7, 3.0):
-            assert eg.eval_bellman(bspec, [0.0], 0.0, [0.0], [[m]]) == \
-                pytest.approx(eg.eval_pucci(pspec, [[m]]))
+        # second differences are exact on m x^2 / 2, so each constant control
+        # kappa gives kappa m and the Bellman max is M^+(m) = max(lambda m, Lambda m)
+        bspec = eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0))
+        g = eg.DomainGrid.unit(1, 16)
+        x = g.points()[:, 0]
+        for m in (-3.0, -2.0, -0.5, 0.0, 0.7, 3.0):
+            phi = eg.GridFunction(g, 0.5 * m * x ** 2)
+            vals = g.restrict(eg.apply_bellman(bspec, 1.0, g, phi).values)
+            assert np.allclose(vals, max(m, 2.0 * m), rtol=0, atol=1e-9)
 
-    def test_pucci_minus_rejected(self):
-        with pytest.raises(eg.ConfigError):
-            eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0, "minus"))
+
+def sin_spec(lam=0.5, Lam=1.5, c1=0.6, **field):
+    return eg.LinearOperatorSpec(eg.sin_field_1d(**field), lam, Lam, c1)
+
+
+def asymmetric_spec():
+    def a(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 0, 1] = 0.1
+        return out
+    field = eg.CoefficientField(2, a, lambda pts: np.zeros((len(pts), 2)),
+                                lambda pts: np.zeros(len(pts)))
+    return eg.LinearOperatorSpec(field, 0.5, 1.5)
+
+
+def catalog(name, **params):
+    return lambda: build_problem(name, params)["spec"]
+
+
+# corners of the benchmark's seed ranges (bench/workloads.py)
+CORNERS = (
+    [("sin-abc", dict(delta=d, b_amp=b, c_amp=c))
+     for d in (0.45, 0.55) for b in (0.9, 1.1) for c in (0.35, 0.45)]
+    + [("bellman-2ctl-1d", dict(delta=d, a2=a2))
+       for d in (0.45, 0.55) for a2 in (1.15, 1.25)]
+    + [("sep-2d", dict(delta=d)) for d in (0.45, 0.55)]
+)
+
+STRUCTURE_CASES = [
+    # (id, spec factory, None when accepted, else the expected message)
+    ("understated-lambda", lambda: sin_spec(lam=0.51),
+     "control 0 violates eig a >= lambda_ell = 0.51 by 0.01 at y = (0.75)"),
+    ("understated-Lambda", lambda: sin_spec(Lam=1.49),
+     "control 0 violates eig a <= Lambda_ell = 1.49 by 0.01 at y = (0.25)"),
+    ("c1-for-b", lambda: sin_spec(c1=0.9, b_amp=1.0),
+     "control 0 violates |b| <= c1 = 0.9 by 0.1 at y = (0)"),
+    ("c1-for-c", lambda: sin_spec(c1=0.5, c0=0.2, c_amp=0.4),
+     "control 0 violates |c| <= c1 = 0.5 by 0.1 at y = (0.25)"),
+    ("asymmetric-a", asymmetric_spec,
+     "control 0 violates a = a^T by 0.1 at y = (0, 0)"),
+    ("bellman-control-1", lambda: eg.BellmanSpec([
+        sin_spec(),
+        eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.15)]),
+     "control 1 violates eig a <= Lambda_ell = 1.15 by 0.05 at y = (0)"),
+    *[(f"catalog-{name}", catalog(name), None)
+      for name in ("sin-a", "sin-abc", "sep-2d", "pucci-1d",
+                   "bellman-2ctl-1d", "constant")],
+    ("catalog-constant-2d-drift", catalog("constant", dim=2, b0=1.0, c0=0.3),
+     None),
+    *[(f"corner-{name}-" + "-".join(f"{v:g}" for v in params.values()),
+       catalog(name, **params), None) for name, params in CORNERS],
+]
 
 
 class TestStructure:
-    def test_linear_operator_passes(self):
-        spec = eg.LinearOperatorSpec(
-            eg.sin_field_1d(delta=0.5, b_amp=0.3, c0=0.2, c_amp=0.4),
-            0.5, 1.5, c1=0.6)
-        report = eg.validate_structure(spec, 200, seed=1)
-        assert report.ok, report.violations
+    @pytest.mark.parametrize("make, message",
+                             [case[1:] for case in STRUCTURE_CASES],
+                             ids=[case[0] for case in STRUCTURE_CASES])
+    def test_check_structure(self, make, message):
+        spec = make()
+        points = eg.PeriodicGrid(spec.dim, 64).points()
+        if message is None:
+            eg.check_structure(spec, points)
+        else:
+            with pytest.raises(eg.ConfigError) as exc:
+                eg.check_structure(spec, points)
+            assert str(exc.value) == message
 
-    def test_understated_ellipticity_fails(self):
-        # claim a tighter ellipticity interval than the field satisfies
-        spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.9, 1.1)
-        report = eg.validate_structure(spec, 200, seed=1)
-        assert not report.ok
-
-    def test_understated_c1_fails(self):
-        spec = eg.LinearOperatorSpec(
-            eg.sin_field_1d(delta=0.5, b_amp=1.0), 0.5, 1.5, c1=0.0)
-        report = eg.validate_structure(spec, 200, seed=1)
-        assert not report.ok
+    def test_constant_declares_its_drift(self):
+        # a scalar b0 is the drift (1, 1) in 2D: c1 = max(|b|, |c|) = sqrt(2)
+        spec = build_problem("constant", {"dim": 2, "b0": 1.0, "c0": 0.3})["spec"]
+        assert spec.c1 == pytest.approx(np.sqrt(2.0))
+        spec = build_problem("constant", {"b0": -0.2, "c0": 0.3})["spec"]
+        assert spec.c1 == pytest.approx(0.3)
 
 
 class TestCatalog:
@@ -140,8 +150,3 @@ class TestCatalog:
         assert a[0, 0] == pytest.approx(1.5)
         assert a[1, 1] == pytest.approx(1.0)
         assert a[0, 1] == 0.0
-
-    def test_field_check_catches_bad_ellipticity(self):
-        f = eg.sin_field_1d(delta=0.5)
-        assert f.check(0.4, 1.6) == []
-        assert f.check(0.8, 1.6)  # interval too tight -> violations reported

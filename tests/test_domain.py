@@ -59,7 +59,7 @@ class TestAssembly:
         field = eg.sin_field_1d(delta=0.5, b_amp=1.0, c0=0.2, c_amp=0.4)
         g = eg.DomainGrid.unit(1, 128)
         op = linear_op(field, g)
-        ok, info = eg.is_monotone(op, eg.properness_shift(op))
+        _, ok, info = shifted_m_matrix(op, eg.properness_shift(op))
         assert ok, info
 
     # ids as "<defect>-<problem>-<dim>"; the band defect exists in 1D only
@@ -119,7 +119,7 @@ class TestAssembly:
         field = eg.constant_field(1, 0.01, b0=[5.0])
         g = eg.DomainGrid.unit(1, 16)
         op = linear_op(field, g)
-        ok, info = eg.is_monotone(op, eg.properness_shift(op))
+        _, ok, info = shifted_m_matrix(op, eg.properness_shift(op))
         assert ok, info
 
     @pytest.mark.parametrize("b0", [5.0, -5.0])

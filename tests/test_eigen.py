@@ -202,7 +202,7 @@ class TestBellmanEigen:
     def test_pucci_eigenvalue(self):
         # M^+ with lambda=1, Lambda=2: the optimal policy at the principal
         # eigenfunction (concave, D^2 phi < 0) freezes a = lambda = 1
-        bs = eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0, "plus"))
+        bs = eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0))
         g = eg.DomainGrid.unit(1, 512)
         pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, g, tol=1e-10)
         assert pair.lam == pytest.approx(np.pi ** 2, abs=1e-3)
