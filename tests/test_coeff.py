@@ -42,6 +42,28 @@ class TestBellman:
             assert np.allclose(vals, max(m, 2.0 * m), rtol=0, atol=1e-9)
 
 
+class TestPucci:
+    def test_known_values_1d(self):
+        # M^+(m) for lambda = 1, Lambda = 2, read off the two-control Bellman
+        # form on the quadratic m x^2 / 2; M^-(m) = -M^+(-m) by duality
+        bspec = eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0))
+        g = eg.DomainGrid.unit(1, 16)
+        x = g.points()[:, 0]
+
+        def m_plus(m):
+            phi = eg.GridFunction(g, 0.5 * m * x ** 2)
+            vals = g.restrict(eg.apply_bellman(bspec, 1.0, g, phi).values)
+            assert np.ptp(vals) < 1e-9
+            return vals[0]
+
+        assert m_plus(3.0) == pytest.approx(6.0)
+        assert m_plus(-3.0) == pytest.approx(-3.0)
+        assert -m_plus(-3.0) == pytest.approx(3.0)
+        assert -m_plus(3.0) == pytest.approx(-6.0)
+        with pytest.raises(eg.ConfigError):
+            eg.PucciSpec(2.0, 1.0)
+
+
 def sin_spec(lam=0.5, Lam=1.5, c1=0.6, **field):
     return eg.LinearOperatorSpec(eg.sin_field_1d(**field), lam, Lam, c1)
 
