@@ -33,13 +33,7 @@ from .effective import CorrectorSet, EffectiveLinear
 from .eigen import EigenPair
 from .errors import InputError
 from .stencils import TorusInterpolant, bounded_diff_matrix, periodic_diff_matrix
-from .torus import (
-    FactoredOperator,
-    GridFunction,
-    assemble_torus_diffusion,
-    factor_cell,
-    select_rows,
-)
+from .torus import FactoredOperator, GridFunction
 
 
 @dataclass
@@ -330,11 +324,9 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     w2F_residual, the ergodic constant Psi_1, the linearized coefficients
     and the slow corrector w_1 = psi.
 
-    Psi_1(x) is the ergodic constant of the frozen-policy cell problem with
-    data 2 a(y) d_x d_y w_2(x, y). An ergodic constant is the average of the
-    data against the invariant measure of the cell operator, so one
-    transposed solve per Hessian sign (the factored augmented cell matrix
-    against the last unit vector) replaces a cell solve per domain node.
+    Psi_1(x), the ergodic constant of the frozen-policy cell problem with
+    data 2 a(y) d_x d_y w_2(x, y), is that data averaged against the
+    invariant measure mu ~ 1/a_pol of the cell operator diag(a_pol) D^2.
     """
     if grid.dim != 1:
         raise InputError("the nonlinear expansion is implemented in 1D only")
@@ -348,40 +340,30 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     signs = np.unique(sgn)
     sign_index = np.searchsorted(signs, sgn)
     torus_grid = cells[1][0].chi.grid
-    N = torus_grid.npoints
-    avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0]
+    avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0][:, 0, 0]
                           for ctl in spec.controls])
-    ops_ctl = [assemble_torus_diffusion(ctl.field, torus_grid)
-               for ctl in spec.controls]
-    e_last = np.zeros(N + 1)
-    e_last[N] = 1.0
-    cell, weight = {}, {}
-    for s in signs:
-        cell[s], pol = cells[s]
-        # g = -mu, the invariant measure of the frozen-policy cell operator:
-        # the cell problem with data f has ergodic constant -g . f
-        g = factor_cell(select_rows(ops_ctl, pol)).solve(e_last, trans="T")[:N]
-        weight[s] = 2.0 * avals_ctl[pol, np.arange(N), 0, 0] * g
 
     # consistency of the frozen cell problems with the effective eigenproblem
-    gamma_x = np.array([cell[s].gamma for s in signs])[sign_index]
+    gamma_x = np.array([cells[s][0].gamma for s in signs])[sign_index]
     c_of_x = np.abs(M) * gamma_x
     interior = grid.interior_index()
     w2F_residual = float(np.max(np.abs(
         c_of_x[interior] + lambda_bar * u.flat[interior])))
 
-    # Psi_1(x) = -g . (2 a_pol d_x d_y w_2(x, .)), g and a_pol of the sign
-    # of M(x); moving Dy onto the weight gives
+    # Psi_1(x) = -g . (2 a_pol d_x d_y w_2(x, .)), g = -mu and a_pol of the
+    # sign of M(x); moving Dy onto the weight gives
     # Psi_1 = -Dx(|M| (chi_sgn . Dy^T(2 a_pol g))). In 1D this is zero in
-    # exact arithmetic: A^T mu = 0 for A = diag(a) D^2 makes a_pol * g
-    # constant, and the circulant Dy has zero column sums.
+    # exact arithmetic: a_pol * g is constant, and the circulant Dy has zero
+    # column sums.
     Dy = periodic_diff_matrix(torus_grid.n, torus_grid.h, m=1)
     psi1_rhs = np.zeros(npts)
     for s in signs:
-        h = Dy.T @ weight[s]
+        a_pol = avals_ctl[cells[s][1], np.arange(torus_grid.npoints)]
+        g = -(1.0 / a_pol) / np.sum(1.0 / a_pol)
+        h = Dy.T @ (2.0 * a_pol * g)
         q = np.zeros(npts)
         for t in signs:
-            q[sgn == t] = cell[t].chi.flat @ h
+            q[sgn == t] = cells[t][0].chi.flat @ h
         rows = sgn == s
         psi1_rhs[rows] = -(bundle.mats[0] @ (np.abs(M) * q))[rows]
 
@@ -395,7 +377,7 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     return PreparedExpansion(
         abs_hessian=np.abs(M),
         sign_index=sign_index,
-        cells=tuple(TorusInterpolant(cell[s].chi.values) for s in signs),
+        cells=tuple(TorusInterpolant(cells[s][0].chi.values) for s in signs),
         w2F_residual=w2F_residual, Psi1=psi1_rhs, psi=psi,
     )
 

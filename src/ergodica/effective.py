@@ -18,13 +18,11 @@ import numpy as np
 
 from .coeff import BellmanSpec, LinearOperatorSpec, constant_field
 from .errors import InputError, SolverError
-from .stencils import separable_by_axis
 from .torus import (
     ErgodicSolution,
-    KroneckerCellFactor,
     PeriodicGrid,
     assemble_torus_diffusion,
-    factor_cell,
+    cell_factor,
     gradient_matrices,
     solve_cell,
     solve_nonlinear_cell,
@@ -80,20 +78,16 @@ class EffectiveLinear:
 def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> CorrectorSet:
     """Solve the full hierarchy of cell problems for a linear operator.
 
-    One factor of the augmented cell matrix (`KroneckerCellFactor` when a
-    separates by axis, else `factor_cell`) serves two block solves, one per
-    round. Order matters: the second-round right-hand sides consume
+    One `cell_factor` of the augmented cell matrix serves two block solves,
+    one per round. Order matters: the second-round right-hand sides consume
     gradients of the first-round correctors (centered 4th-order differences).
     """
     d = spec.dim
     if grid.dim != d:
         raise InputError("grid dimension does not match the operator")
-    pts = grid.points()
-    avals, bvals, cvals = spec.field.sample(pts)
+    avals, bvals, cvals = spec.field.sample(grid.points())
     A = assemble_torus_diffusion(spec.field, grid)
-    a = avals.reshape(grid.shape + (d, d))
-    lu = KroneckerCellFactor(a) if d == 2 and separable_by_axis(a) \
-        else factor_cell(A)
+    lu = cell_factor(avals.reshape(grid.shape + (d, d)), A)
     D = gradient_matrices(grid)
 
     def solve(rhs):
@@ -172,7 +166,7 @@ def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> Effe
     )
 
 
-def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid, tol=1e-10):
+def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid):
     """The effective operator of a 1D Bellman problem, from its two sign cells.
 
     F_bar is positively 1-homogeneous, so in 1D the ergodic constants
@@ -189,8 +183,7 @@ def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid, tol=1e-10):
     """
     if spec.dim != 1:
         raise InputError("the effective Bellman operator is implemented in 1D only")
-    cells = {s: solve_nonlinear_cell(spec, np.array([[float(s)]]), grid, tol=tol)
-             for s in (1, -1)}
+    cells = {s: solve_nonlinear_cell(spec, np.array([[float(s)]]), grid) for s in (1, -1)}
     eff_spec = BellmanSpec([
         LinearOperatorSpec(constant_field(1, s * cells[s][0].gamma),
                            spec.lambda_ell, spec.Lambda_ell)

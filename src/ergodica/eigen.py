@@ -30,6 +30,9 @@ from .stencils import separable_by_axis
 from .torus import (FactoredOperator, GridFunction, improve_policy,
                     policy_iteration, select_rows)
 
+MAX_POWER_ITER = 500
+MAX_HOWARD_OUTER = 60
+
 
 @dataclass
 class EigenPair:
@@ -75,13 +78,12 @@ def _start_vector(x0, grid, n, name="starting"):
     return v
 
 
-def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
-                        x0=None) -> EigenPair:
+def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
     """Positive principal eigenpair of a monotone discrete operator.
 
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
-    `tol`; lambda is reported as the bracket midpoint. B = s*I - L_h, from
-    `shifted_m_matrix`, is factored once by FactoredOperator (LAPACK's
+    `tol`, within MAX_POWER_ITER iterations; lambda is the bracket midpoint.
+    B = s*I - L_h, from `shifted_m_matrix`, is factored once (LAPACK's
     tridiagonal LU of B's bands in 1D, SuperLU with the minimum-degree
     ordering on B^T + B in 2D) and every iteration is one pair of triangular
     solves against it. It starts from `x0`, a GridFunction on op.grid or a
@@ -100,7 +102,7 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
 
     history = []
     lower = upper = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_POWER_ITER + 1):
         w = lu.solve(v)
         if w.min() <= 0:
             raise SolverError(
@@ -117,7 +119,7 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, max_iter=500,
     else:
         raise IterationError(
             f"power iteration: bracket width {upper - lower:.3e} > tol after "
-            f"{max_iter} iterations (bracket [{lower:.12g}, {upper:.12g}])"
+            f"{MAX_POWER_ITER} iterations (bracket [{lower:.12g}, {upper:.12g}])"
         )
     lam = 0.5 * (lower + upper)
     residual = float(np.max(np.abs(op.matrix @ v + lam * v)))
@@ -181,14 +183,14 @@ def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid,
 
 
 def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
-                                tol=1e-9, max_outer=60, ops=None, x0=None):
+                                tol=1e-9, ops=None, x0=None):
     """Principal eigenpair of the sup-form Bellman operator, plus its policy.
 
     Howard outer loop: solve the frozen-policy eigenpair, re-select the
     nodewise argmax control against the current eigenfunction, repeat until
-    the policy is stationary. The eigenvalue sequence is nonincreasing (the
-    optimal eigenvalue is the minimum over frozen-policy eigenvalues).
-    The first policy is control 0, improved once by `improve_policy` against
+    the policy is stationary (at most MAX_HOWARD_OUTER sweeps). Eigenvalues
+    never rise (the optimal one is the minimum over frozen policies). The
+    first policy is control 0, improved once by `improve_policy` against
     the start vector `x0` when one is given (see `principal_eigenpair`; a
     sweep passes the homogenized eigenfunction). The first eigensolve starts
     from x0 (or ones), each later one from the previous eigenfunction. The
@@ -220,7 +222,7 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     policy = np.zeros(n, dtype=int)
     if start is not None:
         policy = improve_policy(values(start), policy)[1]
-    return policy_iteration(evaluate, policy, max_outer)
+    return policy_iteration(evaluate, policy, MAX_HOWARD_OUTER)
 
 
 def _freeze_policy(ops, policy, grid):

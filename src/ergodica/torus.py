@@ -10,21 +10,18 @@ torus; the pair (v, gamma) is computed from the augmented square system
 where A is `stencils.monotone_stencil` for a(y) D^2 with wrapped neighbours
 and m the mean weights. The constraint row pins the additive constant;
 v is then anchored at the grid origin, v(0) = 0, so a corrector traced at
-x/eps vanishes at both ends of [0, 1] when eps = 1/m. The augmented matrix
-is factored once per operator and solved against a whole block of
-right-hand sides. Its transposed solve against the last unit vector gives
--mu, where mu is the invariant measure (A^T mu = 0, sum 1), so
-gamma = mu . f is a linear functional of the data.
+x/eps vanishes at both ends of [0, 1] when eps = 1/m. `cell_factor`
+factors the augmented matrix once per operator, for a whole block of
+right-hand sides: in closed form in 1D (`CellFactor1D`: gamma = mu . f with
+the invariant measure mu ~ 1/a), axis by axis for 2D samples that separate
+(`KroneckerCellFactor`), else by SuperLU (`factor_cell`).
 
-`FactoredOperator` is that factorization, for these matrices and every
-other one in the package but one: the cell matrix of 2D samples that
-separate by axis, which `KroneckerCellFactor` diagonalizes axis by axis.
-The three bands of a tridiagonal matrix (every 1D Dirichlet, frozen-policy
-and shifted eigen matrix carries them) are factored by LAPACK's gttrf in
-O(n). A sparse matrix (2D operators, other periodic and augmented torus
-matrices) goes to SuperLU with the minimum-degree ordering on A^T + A,
-which on the 2D grids here roughly halves the fill of the default COLAMD
-ordering. A factor lives only as long as the function that solves with it.
+`FactoredOperator` is the one LU factorization of the package: LAPACK's
+gttrf for the bands of every 1D Dirichlet, frozen-policy and shifted eigen
+matrix, SuperLU for a sparse matrix (2D operators, augmented 2D torus
+matrices), whose minimum-degree ordering on A^T + A roughly halves the fill
+of the default COLAMD ordering on the 2D grids here. A factor lives only as
+long as the function that solves with it.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
 problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`),
@@ -45,10 +42,11 @@ from scipy.sparse.linalg import splu
 
 from .coeff import BellmanSpec, CoefficientField
 from .errors import InputError, IterationError, SolverError
-from .stencils import monotone_stencil, periodic_diff_matrix
+from .stencils import monotone_stencil, periodic_diff_matrix, separable_by_axis
 
 # a control switch must gain more than this, relative to the largest value
 HOWARD_RTOL = 1e-11
+MAX_CELL_SWEEPS = 100
 
 
 class FactoredOperator:
@@ -71,8 +69,8 @@ class FactoredOperator:
             *self._tri, info = dgttrf(lower[1:], diag, upper[:-1])
             if info > 0:
                 raise SolverError(
-                    f"sparse LU factorization failed: tridiagonal factor is "
-                    f"exactly singular (zero pivot in row {info})")
+                    f"tridiagonal LU factorization failed: exactly singular "
+                    f"(zero pivot in row {info})")
             return
         # the matrix goes in positionally: profilers that wrap splu read it
         try:
@@ -80,18 +78,13 @@ class FactoredOperator:
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
-    def solve(self, B, trans="N"):
-        """Solve  M X = B  (trans="N") or  M^T X = B  (trans="T").
-
-        B is a vector or an (n, k) block of right-hand sides.
-        """
+    def solve(self, B):
+        """Solve  M X = B  for a vector or an (n, k) block B."""
         B = np.asarray(B, dtype=float)
-        if self._tri is None:
-            X = self._lu.solve(B, trans=trans)
-        else:
-            X, _ = dgttrs(*self._tri, B, trans=trans)
+        X = self._lu.solve(B) if self._tri is None else dgttrs(*self._tri, B)[0]
         if not np.all(np.isfinite(X)):
-            raise SolverError("sparse LU solve produced nonfinite values")
+            kind = "sparse" if self._tri is None else "tridiagonal"
+            raise SolverError(f"{kind} LU solve produced nonfinite values")
         return X
 
 
@@ -202,10 +195,8 @@ class KroneckerCellFactor:
         denom[0, 0] = np.inf  # the constant mode, the zero eigenvalue of both axes
         self._inv = -1.0 / denom
 
-    def solve(self, B, trans="N"):
-        """`FactoredOperator.solve` of the augmented matrix, trans="N" only."""
-        if trans != "N":
-            raise InputError("a separable cell factor serves no transposed solve")
+    def solve(self, B):
+        """`FactoredOperator.solve` of the augmented matrix."""
         (_, V0, W0, mu0), (_, V1, W1, mu1) = self._axes
         F = -B[:-1].reshape(len(mu0), len(mu1), -1).transpose(2, 0, 1)
         gamma = (F @ mu1) @ mu0  # axis by axis: a flat einsum drifts more
@@ -217,12 +208,46 @@ class KroneckerCellFactor:
         return X
 
 
+class CellFactor1D:
+    """`factor_cell` without LU for 1D samples a (n,): A = diag(a) D^2 has
+    A^T mu = D^2(a mu) = 0 for mu ~ 1/a, so gamma = mu . F; chi solves D^2 chi
+    = (gamma - F) / a by two cumulative sums of centred terms (no drift)."""
+
+    def __init__(self, a):
+        if not np.all((a > 0) & (a < np.inf)):
+            raise SolverError("1D cell: coefficient outside (0, inf)")
+        self._inv_a = 1.0 / a
+
+    def solve(self, B):
+        """`FactoredOperator.solve` of the augmented matrix."""
+        h2_over_a = self._inv_a[:, None] / len(self._inv_a) ** 2
+        F = -B[:-1].reshape(len(self._inv_a), -1)
+        gamma = self._inv_a @ F / self._inv_a.sum()  # mu . F
+        r = (gamma - F) * h2_over_a  # second differences of chi
+        d = np.cumsum(r - r.mean(axis=0), axis=0)  # d[i] = chi[i+1] - chi[i]
+        chi = np.roll(np.cumsum(d - d.mean(axis=0), axis=0), 1, axis=0)
+        chi += B[-1] - chi.mean(axis=0)  # mean(chi) = B[-1]
+        X = np.vstack([chi, gamma]).reshape(B.shape)
+        if not np.all(np.isfinite(X)):
+            raise SolverError("1D cell solve produced nonfinite values")
+        return X
+
+
+def cell_factor(a, a_op):
+    """Factor of the augmented cell matrix of a_op = a(y) D^2, picked from
+    the samples a (n,) * d + (d, d): `CellFactor1D` in 1D, else
+    `KroneckerCellFactor` if they separate by axis, else `factor_cell`."""
+    if a.ndim == 3:
+        return CellFactor1D(a[:, 0, 0])
+    return KroneckerCellFactor(a) if separable_by_axis(a) else factor_cell(a_op)
+
+
 def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
     """Solve  a_op chi + f = gamma * 1  on the torus.
 
     `f` is a flat array on `grid`, or an (N, k) block whose columns are
     right-hand sides. One factorization serves the whole block; pass
-    `lu=factor_cell(a_op)` to reuse it across calls. Returns an
+    `lu=cell_factor(a, a_op)` to reuse it across calls. Returns an
     ErgodicSolution, or a list of them for a block; gamma is the unique
     ergodic constant, chi is anchored at the grid origin. A residual above
     1e-7 * (1 + max|f| + |gamma|) is a SolverError.
@@ -304,35 +329,33 @@ def policy_iteration(evaluate, policy, max_iter):
     raise IterationError(f"policy iteration did not settle in {max_iter} sweeps")
 
 
-def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10,
-                         max_iter=100):
+def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
     """Ergodic constant and corrector of  max_beta Tr(a_beta(y)(M + D^2 w)) = c.
 
     Howard policy iteration: freeze the argmax control field, solve the
-    linear cell problem, re-select controls; stops when the control field is
-    stationary and the discrete residual is below `tol`. Returns
-    (ErgodicSolution, policy array).
+    linear cell problem (`cell_factor`), re-select controls; stops when the
+    control field is stationary and the discrete residual is below `tol`,
+    within MAX_CELL_SWEEPS sweeps. Returns (ErgodicSolution, policy array).
     """
     M = np.asarray(M, dtype=float).reshape(spec.dim, spec.dim)
     M = 0.5 * (M + M.T)
     pts = grid.points()
     nodes = np.arange(grid.npoints)
-    ops, fs = [], []
-    for ctl in spec.controls:
-        avals, _, _ = ctl.field.sample(pts)
-        ops.append(monotone_stencil(
-            avals, np.zeros((grid.npoints, grid.dim)), np.zeros(grid.npoints),
-            (grid.h,) * grid.dim, grid.shape, nodes, wrap=True))
-        fs.append(np.einsum("nij,ji->n", avals, M))
-    fs = np.array(fs)  # (n_controls, N)
+    avals = np.array([ctl.field.sample(pts)[0] for ctl in spec.controls])
+    ops = [monotone_stencil(
+        a, np.zeros((grid.npoints, grid.dim)), np.zeros(grid.npoints),
+        (grid.h,) * grid.dim, grid.shape, nodes, wrap=True) for a in avals]
+    fs = np.einsum("knij,ji->kn", avals, M)  # (n_controls, N)
 
     def evaluate(policy):
-        sol = solve_cell(select_rows(ops, policy), fs[policy, nodes], grid)
+        A = select_rows(ops, policy)
+        a = avals[policy, nodes].reshape(grid.shape + (grid.dim,) * 2)
+        sol = solve_cell(A, fs[policy, nodes], grid, lu=cell_factor(a, A))
         values = np.array([op @ sol.chi.flat for op in ops]) + fs
         sol.residual = float(np.max(np.abs(values.max(axis=0) - sol.gamma)))
         return sol, values
 
-    sol, policy = policy_iteration(evaluate, np.argmax(fs, axis=0), max_iter)
+    sol, policy = policy_iteration(evaluate, np.argmax(fs, axis=0), MAX_CELL_SWEEPS)
     bound = tol * (1.0 + np.max(np.abs(fs)))
     if sol.residual > bound:
         raise IterationError(

@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import ergodica as eg
 from ergodica.cli import CSV_COLUMNS, SweepReport, build_problem, main
@@ -326,7 +325,6 @@ class TestRunSweep:
         # criterion 10's sweep: each sep-2d row is a Kronecker sum of two
         # tridiagonal eigensolves, and the torus cell is one fast
         # diagonalization, so SuperLU sees no matrix at all
-        import ergodica.effective as effective_mod
         import ergodica.torus as torus_mod
         real = torus_mod.splu
         orders, cells = [], []
@@ -341,7 +339,7 @@ class TestRunSweep:
                 super().__init__(a)
 
         monkeypatch.setattr(torus_mod, "splu", counted)
-        monkeypatch.setattr(effective_mod, "KroneckerCellFactor", CountedCell)
+        monkeypatch.setattr(torus_mod, "KroneckerCellFactor", CountedCell)
         cfg = eg.SweepConfig(problem="sep-2d", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",))
         rep = eg.run_sweep(cfg)
@@ -663,14 +661,14 @@ class TestCli:
         assert main(["eigen", "--config", str(cfg), "--eps", "0.5"]) == 3
 
     def test_singular_factor_exit_3(self, cfg_path, capsys, monkeypatch):
-        # a zero cell operator makes the augmented matrix exactly singular
+        # a sampled a = 0 leaves the 1D cell without an invariant measure
         import ergodica.effective as eff_mod
-        monkeypatch.setattr(eff_mod, "assemble_torus_diffusion",
-                            lambda field, grid: sparse.csr_matrix(
-                                (grid.npoints, grid.npoints)))
+        real = eff_mod.cell_factor
+        monkeypatch.setattr(eff_mod, "cell_factor",
+                            lambda a, a_op: real(np.where(a == a.max(), 0, a), a_op))
         assert main(["effective", "--config", cfg_path]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("solver error: sparse LU factorization failed")
+        assert err.startswith("solver error: 1D cell: coefficient outside")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["eigen", "effective", "corrector",

@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 import ergodica as eg
 from ergodica.cli import build_problem
-import ergodica.effective as effective_mod
 import ergodica.torus as torus_mod
 from ergodica.torus import assemble_torus_diffusion, factor_cell, gradient_matrices
 
@@ -183,7 +182,7 @@ class TestSeparableCellHierarchy:
         grid = eg.PeriodicGrid(2, n)
         got = solutions(eg.build_corrector_set(spec, grid))
         assert splu_orders == []
-        monkeypatch.setattr(effective_mod, "separable_by_axis", lambda a: False)
+        monkeypatch.setattr(torus_mod, "separable_by_axis", lambda a: False)
         ref = solutions(eg.build_corrector_set(spec, grid))
         assert splu_orders == [n * n + 1]
         assert got.keys() == ref.keys() and len(got) == 22

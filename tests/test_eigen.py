@@ -69,6 +69,13 @@ class TestLinearEigen:
         assert widths[-1] <= 1e-10
         assert widths[-1] < widths[0]
 
+    def test_iteration_cap_is_named(self, monkeypatch):
+        import ergodica.eigen as eigen_mod
+        op = linear_op(eg.sin_field_1d(delta=0.5), eg.DomainGrid.unit(1, 128))
+        monkeypatch.setattr(eigen_mod, "MAX_POWER_ITER", 2)
+        with pytest.raises(eg.IterationError, match="after 2 iterations"):
+            eg.principal_eigenpair(op, tol=1e-12)
+
     def test_random_restarts_agree(self):
         g = eg.DomainGrid.unit(1, 256)
         op = linear_op(eg.sin_field_1d(delta=0.5), g)

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import null_space
 from scipy.sparse.linalg import splu
 
 import ergodica as eg
+import ergodica.effective as effective_mod
 import ergodica.torus as torus_mod
 from ergodica.cli import build_problem
 from ergodica.torus import (
     HOWARD_RTOL,
+    CellFactor1D,
     FactoredOperator,
     KroneckerCellFactor,
     assemble_torus_diffusion,
+    cell_factor,
     factor_cell,
     policy_iteration,
     select_rows,
@@ -148,13 +152,6 @@ class TestFactoredOperator:
             assert np.max(np.abs(X[:, j] - lu.solve(B[:, j]))) < 1e-13
         assert np.max(np.abs(M @ X - B)) < 1e-10
 
-    def test_transposed_solve(self, system):
-        M, B = system
-        X = FactoredOperator(M).solve(B, trans="T")
-        ref = FactoredOperator(M.T).solve(B)
-        assert np.max(np.abs(X - ref)) < 1e-10
-        assert np.max(np.abs(M.T @ X - B)) < 1e-10
-
     def test_singular_matrix_raises_solver_error(self):
         singular = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(eg.SolverError):
@@ -189,21 +186,30 @@ class TestFactoredOperator:
         ref = FactoredOperator(M)
         assert splu_calls == [(n, n)]
         norm = abs(M).sum(axis=1).max()
-        for rhs, trans, op in ((B[:, 0], "N", M), (B, "N", M), (B, "T", M.T)):
-            X = lu.solve(rhs, trans=trans)
-            X_ref = ref.solve(rhs, trans=trans)
+        for rhs in (B[:, 0], B):
+            X = lu.solve(rhs)
+            X_ref = ref.solve(rhs)
             assert X.shape == rhs.shape
             scale = norm * np.max(np.abs(X))
-            assert np.max(np.abs(op @ X - rhs)) <= 64 * np.finfo(float).eps * scale
+            assert np.max(np.abs(M @ X - rhs)) <= 64 * np.finfo(float).eps * scale
             assert np.max(np.abs(X - X_ref)) <= 1e-9 * np.max(np.abs(X_ref))
 
     def test_singular_tridiagonal_raises_solver_error(self, splu_calls):
         # a zero column leaves an exactly zero pivot under partial pivoting
         lower, diag, upper = np.full(6, -1.0), np.full(6, 2.0), np.full(6, -1.0)
         lower[3] = diag[2] = upper[1] = 0.0  # column 2
-        with pytest.raises(eg.SolverError, match="factorization failed"):
+        with pytest.raises(eg.SolverError,
+                           match="tridiagonal LU factorization failed"):
             FactoredOperator((lower, diag, upper))
         assert splu_calls == []
+
+    def test_nonfinite_tridiagonal_solve_names_tridiagonal_lu(self):
+        lu = FactoredOperator((np.full(6, -1.0), np.full(6, 2.0), np.full(6, -1.0)))
+        rhs = np.zeros(6)
+        rhs[2] = np.nan
+        with pytest.raises(eg.SolverError,
+                           match="tridiagonal LU solve produced nonfinite"):
+            lu.solve(rhs)
 
     def test_periodic_and_augmented_matrices_use_superlu(self, splu_calls):
         grid = eg.PeriodicGrid(1, 64)
@@ -216,22 +222,159 @@ class TestFactoredOperator:
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
     def test_gamma_is_invariant_measure_average(self, dim, n):
-        # aug^T g = e_N gives g = -mu, so the ergodic constant is -g . f
+        # A = diag(a) D^2 has A^T mu = 0 for mu ~ 1/a in 1D, mu_0 (x) mu_1
+        # with mu_k ~ 1/a_k in separable 2D; the ergodic constant is mu . f
         field = eg.sin_field_1d(delta=0.5) if dim == 1 else \
             eg.separable_sin_field_2d(delta=0.5)
         grid = eg.PeriodicGrid(dim, n)
         A = assemble_torus_diffusion(field, grid)
-        N = grid.npoints
-        e_last = np.zeros(N + 1)
-        e_last[N] = 1.0
-        g = factor_cell(A).solve(e_last, trans="T")[:N]
-        F = np.random.default_rng(7).standard_normal((N, 4))
-        sols = eg.solve_cell(A, F, grid=grid)
-        for j, sol in enumerate(sols):
-            assert sol.gamma == pytest.approx(-g @ F[:, j], abs=1e-12)
-            single = eg.solve_cell(A, F[:, j], grid=grid)
-            assert sol.gamma == pytest.approx(single.gamma, abs=1e-13)
-            assert np.max(np.abs(sol.chi.flat - single.chi.flat)) < 1e-12
+        a = field.sample(grid.points())[0].reshape(grid.shape + (dim, dim))
+        if dim == 1:
+            mu = 1 / a[:, 0, 0]
+        else:
+            mu = np.outer(1 / a[:, 0, 0, 0], 1 / a[0, :, 1, 1]).ravel()
+        mu /= mu.sum()
+        assert np.max(np.abs(A.T @ mu)) < 1e-10 * np.max(np.abs(A))
+        F = np.random.default_rng(7).standard_normal((grid.npoints, 4))
+        for lu in (cell_factor(a, A), factor_cell(A)):
+            sols = eg.solve_cell(A, F, grid=grid, lu=lu)
+            for j, sol in enumerate(sols):
+                assert sol.gamma == pytest.approx(mu @ F[:, j], abs=1e-12)
+                single = eg.solve_cell(A, F[:, j], grid=grid, lu=lu)
+                assert sol.gamma == pytest.approx(single.gamma, abs=1e-13)
+                assert np.max(np.abs(sol.chi.flat - single.chi.flat)) < 1e-12
+
+
+def sampled_field(a, b=None, c=None):
+    """1D field that takes the samples a, b, c (default 0) on the n-point
+    torus grid, n = len(a)."""
+    n = len(a)
+    b = np.zeros(n) if b is None else b
+    c = np.zeros(n) if c is None else c
+    node = lambda pts: np.rint(pts[:, 0] * n).astype(int) % n
+    return eg.CoefficientField(1, lambda p: a[node(p)][:, None, None],
+                               lambda p: b[node(p)][:, None],
+                               lambda p: c[node(p)])
+
+
+def positive_samples(seed, n, lo, ratio):
+    return np.random.default_rng(seed).uniform(lo, lo * ratio, n)
+
+
+class TestCellFactor1D:
+    def test_augmented_solve_matches_superlu(self):
+        # the contract of FactoredOperator.solve on the augmented matrix,
+        # a nonzero constraint row (the mean of v) and a single vector included
+        field = eg.sin_field_1d(delta=0.5)
+        grid = eg.PeriodicGrid(1, 64)
+        A = assemble_torus_diffusion(field, grid)
+        B = np.random.default_rng(11).standard_normal((grid.npoints + 1, 3))
+        fd = CellFactor1D(field.sample(grid.points())[0][:, 0, 0])
+        ref = factor_cell(A)
+        for rhs in (B, B[:, 0]):
+            X = fd.solve(rhs)
+            assert X.shape == rhs.shape
+            assert np.max(np.abs(X - ref.solve(rhs))) < 1e-12
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_degenerate_coefficient_raises(self, bad):
+        a = np.ones(8)
+        a[3] = bad
+        with pytest.raises(eg.SolverError, match="1D cell"):
+            CellFactor1D(a)
+
+    def test_nonfinite_solve_raises(self):
+        rhs = np.zeros((9, 2))
+        rhs[5, 1] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(eg.SolverError, match="nonfinite"):
+            CellFactor1D(np.ones(8)).solve(rhs)
+
+    def test_cell_factor_picks_by_samples(self, monkeypatch):
+        splu_orders = []
+        real = torus_mod.splu
+
+        def counted(matrix, *args, **kwargs):
+            splu_orders.append(matrix.shape[0])
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(torus_mod, "splu", counted)
+        for field, dim, kind in (
+                (eg.sin_field_1d(), 1, CellFactor1D),
+                (eg.separable_sin_field_2d(), 2, KroneckerCellFactor),
+                (eg.constant_field(2, [[2.0, 0.5], [0.5, 1.0]]), 2, FactoredOperator)):
+            grid = eg.PeriodicGrid(dim, 8)
+            a = field.sample(grid.points())[0].reshape(grid.shape + (dim, dim))
+            lu = cell_factor(a, assemble_torus_diffusion(field, grid))
+            assert type(lu) is kind
+        assert splu_orders == [65]
+
+
+def superlu_cells(monkeypatch):
+    """Route every cell_factor to SuperLU's factor_cell, the reference."""
+    for module in (torus_mod, effective_mod):
+        monkeypatch.setattr(module, "cell_factor", lambda a, a_op: factor_cell(a_op))
+
+
+# random admissible 1D samples: a in [lo, lo * ratio], one sample per node
+SAMPLES = dict(seed=st.integers(0, 2 ** 32 - 1), lo=st.floats(0.2, 2.0),
+               ratio=st.floats(1.0, 5.0))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+class TestClosedFormCellProperties:
+    @given(**SAMPLES)
+    @settings(max_examples=15, deadline=None)
+    def test_corrector_set_matches_superlu(self, n, seed, lo, ratio):
+        # every gamma and anchored chi of both rounds
+        rng = np.random.default_rng(seed + 1)
+        spec = eg.LinearOperatorSpec(sampled_field(
+            positive_samples(seed, n, lo, ratio), rng.uniform(-1, 1, n),
+            rng.uniform(-1, 1, n)), lo, lo * ratio, c1=1.0)
+        grid = eg.PeriodicGrid(1, n)
+        new = eg.build_corrector_set(spec, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            superlu_cells(mp)
+            ref = eg.build_corrector_set(spec, grid)
+        sols = lambda c: [*c.chi.values(), *c.eta, c.nu, *c.chi3.values(),
+                          *c.eta2.values(), *c.nu1, c.xi]
+        for x, y in zip(sols(new), sols(ref), strict=True):
+            assert abs(x.gamma - y.gamma) <= 1e-12
+            assert x.chi.flat[0] == 0.0
+            assert np.max(np.abs(x.chi.flat - y.chi.flat)) <= 1e-12
+
+    @given(**SAMPLES, controls=st.integers(1, 3),
+           m=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1))
+    @settings(max_examples=15, deadline=None)
+    def test_bellman_cell_matches_superlu_howard(self, n, seed, lo, ratio,
+                                                 controls, m):
+        grid = eg.PeriodicGrid(1, n)
+        a = [positive_samples(seed + k, n, lo, ratio) for k in range(controls)]
+        bs = eg.BellmanSpec([eg.LinearOperatorSpec(sampled_field(a_k), lo,
+                                                   lo * ratio) for a_k in a])
+        sol, policy = eg.solve_nonlinear_cell(bs, [[m]], grid)
+        with pytest.MonkeyPatch.context() as mp:
+            superlu_cells(mp)
+            ref, ref_policy = eg.solve_nonlinear_cell(bs, [[m]], grid)
+        assert abs(sol.gamma - ref.gamma) <= 1e-12
+        assert np.array_equal(policy, ref_policy)
+        # in 1D the first policy, argmax_k a_k m, is already optimal
+        assert np.array_equal(policy, np.argmax(np.array(a) * m, axis=0))
+
+    @given(**SAMPLES, t=st.floats(0.01, 100.0))
+    @settings(max_examples=15, deadline=None)
+    def test_bellman_map_homogeneous_and_convex(self, n, seed, lo, ratio, t):
+        # F_bar(t M) = t F_bar(M) for t > 0, and gamma_+ + gamma_- >= 0
+        grid = eg.PeriodicGrid(1, n)
+        bs = eg.BellmanSpec([eg.LinearOperatorSpec(sampled_field(
+            positive_samples(seed + k, n, lo, ratio)), lo, lo * ratio)
+            for k in range(2)])
+        gamma = {m: eg.solve_nonlinear_cell(bs, [[m]], grid)[0].gamma
+                 for m in (1.0, -1.0, t, -t)}
+        for s in (1.0, -1.0):
+            assert gamma[s * t] == pytest.approx(t * gamma[s], rel=1e-12,
+                                                 abs=1e-12)
+        assert gamma[1.0] + gamma[-1.0] >= -1e-12
 
 
 class TestNonlinearCell:
@@ -399,12 +542,6 @@ class TestKroneckerCellFactor:
             X = fd.solve(rhs)
             assert X.shape == rhs.shape
             assert np.max(np.abs(X - ref.solve(rhs))) < 1e-12
-
-    def test_transposed_solve_refused(self):
-        grid = eg.PeriodicGrid(2, 8)
-        fd = KroneckerCellFactor(self.samples(eg.separable_sin_field_2d(), grid))
-        with pytest.raises(eg.InputError, match="transposed"):
-            fd.solve(np.zeros(grid.npoints + 1), trans="T")
 
     @pytest.mark.parametrize("bad", [0.0, np.inf])
     def test_degenerate_axis_coefficient_raises(self, bad):
