@@ -1,10 +1,11 @@
 """The corrector hierarchy: how far can u + v_eps push the residual?
 
-Builds the full expansion v_eps = eps psi_1 + eps^2 (w_2 + z_2)
-+ eps^3 (w_3 + z_3) around the effective eigenfunction and measures
-(i) the corrector size ||v_eps|| ~ eps and (ii) the interior residual of
-L_eps (u + v_eps) + lambda_bar u, which decays superlinearly away from the
-boundary layer.
+Builds the full expansion v_eps = eps psi_1 + eps^2 w_2 + eps^3 w_3 around
+the effective eigenfunction and measures (i) the corrector size
+||v_eps|| ~ eps and (ii) the interior residual of L_eps (u + v_eps)
++ lambda_bar u, which decays superlinearly away from the boundary layer.
+The boundary correctors z_k would carry the boundary values of -w_k; at
+eps = 1/m those are round-off (the |w_2| column), so z_k = 0.
 """
 
 import numpy as np
@@ -27,18 +28,19 @@ slow = eg.slow_corrector(eff, correctors, pair.phi, eff_op)
 _, psi1, _, _ = slow
 print(f"slow corrector psi_1: sup = {np.max(np.abs(psi1.values)):.4e}")
 
-print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'||z2||':>10} "
+print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'bdry |w2|':>10} "
       f"{'residual':>10}")
 for m in (8, 16, 32):
     eps = 1 / m
     op = eg.assemble_oscillatory(spec, eps, grid)
-    exp, res = eg.linear_expansion(spec, pair, slow, eps, op)
+    exp, res = eg.linear_expansion(pair, slow, eps, op)
     x = grid.interior_points()[:, 0]
     interior = np.abs(res)[(x >= 0.1) & (x <= 0.9)]
     print(f"{eps:8.5f} {exp.sup_norm_v:11.4e} "
           f"{exp.sup_norm_v / eps:10.4f} "
-          f"{np.max(np.abs(exp.z2.values)):10.2e} {interior.max():10.2e}")
+          f"{np.max(np.abs(exp.w2_trace.flat[grid.boundary_index()])):10.2e} "
+          f"{interior.max():10.2e}")
 
-print("\nboundary exactness: w_k(x, x/eps) + z_k vanishes on the boundary "
-      "ring by construction;")
+print("\nboundary exactness: the anchored correctors vanish at y = 0, so "
+      "w_k(x, x/eps) does at x = 0 and 1;")
 print("||v_eps||/eps stays bounded -- the O(eps) corrector bound in action.")

@@ -19,10 +19,8 @@ from .corrector import (
     ExpansionResult,
     PreparedExpansion,
     align_eigenfunctions,
-    boundary_correctors,
     core_residual,
     derivative_bundle,
-    fast_coordinates,
     full_corrector,
     linear_expansion,
     nonlinear_expansion,
@@ -42,6 +40,7 @@ from .domain import (
     assemble_oscillatory,
     bellman_operators,
     dirichlet_solve,
+    fast_coordinates,
     properness_shift,
 )
 from .effective import (

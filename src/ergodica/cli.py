@@ -292,16 +292,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         t0 = time.perf_counter()
         row = {"eps": eps, "lambda_bar": lam_bar}
         # (lambda_eps, phi_eps) -> (lambda_bar, u): u starts the eigensolve well
-        if slow is not None:
-            # v_eps needs only u, so it comes first; max(u + v_eps, u/2) starts better
+        if config.mode == "linear" and dim == 1:
             op = assemble_oscillatory(spec, eps, grid)
-            lu = op.factor()
-            exp, res = linear_expansion(spec, eff_pair, slow, eps, op, lu=lu)
-            row["v_norm"] = exp.sup_norm_v
-            if "residual_slope" in meas:
-                row["residual"] = core_residual(grid, res)
-            start = grid.restrict(np.maximum(u.values + exp.v_eps.values, u.values / 2))
-            del exp, res  # peak RSS of sin-abc-1d 90.7 -> 87.5 MB
+            start = u
+            if slow is not None:
+                # v_eps needs only u; max(u + v_eps, u/2) starts better than u
+                exp, res = linear_expansion(eff_pair, slow, eps, op)
+                row["v_norm"] = exp.sup_norm_v
+                if "residual_slope" in meas:
+                    row["residual"] = core_residual(grid, res)
+                start = grid.restrict(np.maximum(u.values + exp.v_eps.values,
+                                                 u.values / 2))
+                del exp, res  # peak RSS of sin-abc-1d 90.7 -> 87.5 MB
             pair = principal_eigenpair(op, tol=config.tol, x0=start)
         elif config.mode == "linear":
             # a separable 2D L_eps is formed only if the row solves with it
@@ -309,7 +311,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             pair, op = linear_eigenpair(grid, *samples, tol=config.tol, x0=u)
             if op is None and needs_pivot:
                 op = assemble_linear(grid, *samples)
-            lu = None  # pivot_problem factors L_eps for its one solve
         else:
             # the frozen operators serve the eigensolve and the expansion
             ops = bellman_operators(spec, eps, grid)
@@ -318,7 +319,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         if needs_pivot:
-            w = pivot_problem(spec, eps, grid, u, lam_bar, op=op, lu=lu)
+            w = pivot_problem(spec, eps, grid, u, lam_bar, op=op)
             t_eps, z = align_eigenfunctions(w, pair)
             row["t_eps"] = t_eps
             diff = (1 + t_eps) * pair.phi.values - u.values
@@ -496,7 +497,7 @@ def _cmd_corrector(config, args):
                                     tol=config.tol)
     op = assemble_oscillatory(spec, eps, grid)
     exp, res = linear_expansion(
-        spec, pair, slow_corrector(eff, correctors, pair.phi, eff_op), eps, op)
+        pair, slow_corrector(eff, correctors, pair.phi, eff_op), eps, op)
     print(json.dumps({
         "sup_norm_v": exp.sup_norm_v,
         "residual_slope_inputs": {

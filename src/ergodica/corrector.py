@@ -1,11 +1,10 @@
-"""Two-scale expansion machinery: interior correctors, boundary correctors,
-the linear expansion, the pivot problem, eigenfunction alignment, and the
-nonlinear expansion.
+"""Two-scale expansion machinery: interior correctors, the linear expansion,
+the pivot problem, eigenfunction alignment, and the nonlinear expansion.
 
 Torus profiles are evaluated along the diagonal y = x/eps by periodic cubic
-interpolation, once per distinct fast coordinate: at eps = 1/m y takes
-n / gcd(m, n) values on n cells per axis, found in integers, and the values
-are scattered back to the nodes. x-derivatives use 4th-order stencils.
+interpolation, once per distinct fast coordinate (`domain.fast_coordinates`),
+and scattered back to the nodes. x-derivatives use 4th-order stencils. The
+boundary correctors vanish (`full_corrector`), so none is solved for.
 
 Both expansions split into an eps-independent part, built once per sweep and
 only read by the rows, and a per-eps evaluation: `slow_corrector` (derivatives
@@ -28,12 +27,13 @@ from .domain import (
     assemble_linear,
     assemble_oscillatory,
     dirichlet_solve,
+    fast_coordinates,
 )
 from .effective import CorrectorSet, EffectiveLinear
 from .eigen import EigenPair
 from .errors import InputError
 from .stencils import TorusInterpolant, bounded_diff_matrix, periodic_diff_matrix
-from .torus import FactoredOperator, GridFunction
+from .torus import GridFunction
 
 
 @dataclass
@@ -82,28 +82,6 @@ def derivative_bundle(u: GridFunction, order: int, mats=None) -> DerivativeBundl
             d3[t] = base[tuple(sorted(t))]
     wrap = lambda table: {key: GridFunction(grid, arr) for key, arr in table.items()}
     return DerivativeBundle(u, wrap(d1), wrap(d2), wrap(d3), order, mats)
-
-
-def fast_coordinates(grid: DomainGrid, eps: float):
-    """Distinct rows of y = x/eps mod 1 over the grid nodes, axis 0 outer, and
-    the index that scatters values at those rows to the nodes.
-
-    With eps = 1/m, node i of an axis with integer ends, length L and n cells
-    has y = (i L m mod n) / n: the values are g j / n, g = gcd(L m, n), node
-    i takes the ((i L m mod n) / g)-th, and no floats are sorted.
-    """
-    m = round(1 / eps)
-    if abs(m * eps - 1) > 1e-12 or np.any(np.mod(grid.bounds, 1)):
-        raise InputError(f"fast coordinates need eps = 1/m and integer grid "
-                         f"bounds; got eps={eps!r}, bounds {grid.bounds}")
-    keys, inverse = [], 0
-    for (lo, hi), n in zip(grid.bounds, grid.n):
-        step = round(hi - lo) * m
-        g = np.gcd(step, n)
-        keys.append(np.arange(0, n, g) / n)
-        inverse = np.add.outer(inverse * (n // g), np.arange(n + 1) * step % n // g)
-    rows = np.stack(np.meshgrid(*keys, indexing="ij"), axis=-1)
-    return rows.reshape(-1, grid.dim), inverse.ravel()
 
 
 def _interp(sol, fast):
@@ -175,45 +153,30 @@ def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
     return GridFunction(grid, out.reshape(grid.shape))
 
 
-def boundary_correctors(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
-                        w2_trace: GridFunction, w3_trace: GridFunction,
-                        op: Optional[DiscreteOperator] = None,
-                        lu: Optional[FactoredOperator] = None):
-    """Solve L^eps z_k = 0 with boundary data -w_k(x, x/eps); returns (z2, z3).
-
-    `lu` is `op.factor()` to reuse; without it one is made here and shared
-    by both solves.
-    """
-    op = op or assemble_oscillatory(spec, eps, grid)
-    lu = lu or op.factor()
-    bidx = grid.boundary_index()
-    zero = np.zeros(len(grid.interior_index()))
-    z2 = dirichlet_solve(op, zero, boundary_values=-w2_trace.flat[bidx], lu=lu)
-    z3 = dirichlet_solve(op, zero, boundary_values=-w3_trace.flat[bidx], lu=lu)
-    return z2, z3
-
-
 @dataclass
 class ExpansionResult:
     """Full corrector v^eps and its ingredients."""
 
     psi1: GridFunction
     w2_trace: GridFunction
-    z2: GridFunction
     w3_trace: GridFunction
-    z3: GridFunction
     v_eps: GridFunction
     sup_norm_v: float
 
 
-def full_corrector(psi1: GridFunction, w2_trace: GridFunction, z2: GridFunction,
-                   w3_trace: GridFunction, z3: GridFunction,
-                   eps: float) -> ExpansionResult:
-    """v^eps = eps psi_1 + eps^2 (w_2 + z_2) + eps^3 (w_3 + z_3)."""
-    v = eps * psi1.values + eps ** 2 * (w2_trace.values + z2.values)
-    v = v + eps ** 3 * (w3_trace.values + z3.values)
-    return ExpansionResult(psi1, w2_trace, z2, w3_trace, z3,
-                           GridFunction(psi1.grid, v), float(np.max(np.abs(v))))
+def full_corrector(psi1: GridFunction, w2_trace: GridFunction,
+                   w3_trace: GridFunction, eps: float) -> ExpansionResult:
+    """v^eps = eps psi_1 + eps^2 w_2 + eps^3 w_3, and 0 on the boundary.
+
+    The boundary correctors z_k (L^eps z_k = 0 with data -w_k(x, x/eps))
+    vanish: the torus correctors are anchored at y = 0, where every boundary
+    node sits at eps = 1/m, so that data is spline round-off (about 1e-17).
+    """
+    v = eps * psi1.values + eps ** 2 * w2_trace.values
+    v = v + eps ** 3 * w3_trace.values
+    v.flat[psi1.grid.boundary_index()] = 0.0
+    return ExpansionResult(psi1, w2_trace, w3_trace, GridFunction(psi1.grid, v),
+                           float(np.max(np.abs(v))))
 
 
 def _interpolants(c: CorrectorSet) -> CorrectorSet:
@@ -239,23 +202,20 @@ def slow_corrector(eff: EffectiveLinear, correctors: CorrectorSet,
             _interpolants(correctors))
 
 
-def linear_expansion(spec: LinearOperatorSpec, u_pair: EigenPair, slow,
-                     eps: float, op: DiscreteOperator,
-                     lu: Optional[FactoredOperator] = None):
-    """Full corrector v^eps around the effective eigenpair at one eps.
+def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator):
+    """`full_corrector` v^eps around the effective eigenpair at one eps.
 
-    `slow` is `slow_corrector(eff, correctors, u_pair.phi, L_bar)`, `op` is
-    L^eps on the grid of u and `lu` its `op.factor()` to reuse. Returns the
-    ExpansionResult and the residual L^eps(u + v^eps) + lambda_bar u at the
-    interior nodes; neither needs the eigenpair of L^eps.
+    `slow` is `slow_corrector(eff, correctors, u_pair.phi, L_bar)` and `op`
+    is L^eps on the grid of u. Returns the ExpansionResult and the residual
+    L^eps(u + v^eps) + lambda_bar u at the interior nodes; neither needs the
+    eigenpair of L^eps, and nothing is solved.
     """
     bundle, psi1, psi1_bundle, cells = slow
     grid = psi1.grid
     fast = fast_coordinates(grid, eps)
     w2 = second_corrector(cells, bundle, eps, fast=fast)
     w3 = third_corrector(cells, bundle, psi1_bundle, eps, fast=fast)
-    z2, z3 = boundary_correctors(spec, eps, grid, w2, w3, op=op, lu=lu)
-    exp = full_corrector(psi1, w2, z2, w3, z3, eps)
+    exp = full_corrector(psi1, w2, w3, eps)
     u = u_pair.phi
     corrected = GridFunction(grid, u.values + exp.v_eps.values)
     return exp, op.apply(corrected) + u_pair.lam * grid.restrict(u.values)
@@ -270,14 +230,12 @@ def core_residual(grid: DomainGrid, res):
 
 def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
                   u: GridFunction, lambda_bar: float,
-                  op: Optional[DiscreteOperator] = None,
-                  lu: Optional[FactoredOperator] = None) -> GridFunction:
+                  op: Optional[DiscreteOperator] = None) -> GridFunction:
     """Solve the auxiliary problem L^eps w^eps = -lambda_bar * u, w^eps = 0 on
-    the boundary; w^eps is the pivot between u^eps and u. `lu` is a
-    factorization of op (`op.factor()`) to reuse."""
+    the boundary; w^eps is the pivot between u^eps and u. `op` is L^eps,
+    assembled here when not given."""
     op = op or assemble_oscillatory(spec, eps, grid)
-    rhs = -lambda_bar * grid.restrict(u.values)
-    return dirichlet_solve(op, rhs, lu=lu)
+    return dirichlet_solve(op, -lambda_bar * grid.restrict(u.values))
 
 
 def align_eigenfunctions(w_eps: GridFunction, u_eps: EigenPair):

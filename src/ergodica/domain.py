@@ -5,11 +5,12 @@ Grid functions live on the full node set (boundary included); operators act
 on interior unknowns, with the boundary coupling kept as a separate block so
 inhomogeneous Dirichlet data can be moved to the right-hand side. The
 weights come from `stencils.stencil_weights`, which the torus cell matrices
-use too. A 1D operator keeps its three bands, aligned by row, and writes its
-CSR blocks straight from them; the shifted matrix B = s*I - L_h, its
-M-matrix test, its tridiagonal factorization and the frozen-policy
-operators of `eigen` then work on the bands, without sparse round trips.
-2D operators are CSR alone.
+use too. A 1D operator is its three bands, aligned by row: its products,
+B = s*I - L_h, its M-matrix test, its tridiagonal factorization and the
+frozen policies of `eigen` read only the bands. 2D operators are CSR.
+Oscillatory coefficients, and in 1D the weights, are formed once per
+distinct fast coordinate y = x/eps mod 1 (`fast_coordinates`) and
+gathered to the nodes.
 """
 
 from dataclasses import dataclass
@@ -126,107 +127,147 @@ class DomainGrid:
         return np.outer(ws[0], ws[1])
 
 
-@dataclass
 class DiscreteOperator:
-    """Sparse interior operator L_h with its boundary coupling block.
+    """Interior operator L_h with its boundary coupling.
 
     Sign convention: (matrix @ phi_interior + boundary @ phi_boundary)
     approximates  a D^2 phi + b . D phi + c phi  at interior nodes.
 
-    `bands` (1D only, else None) are the stencil weights (lower, diag,
-    upper) aligned by row: row i of L_h is lower[i] phi_{i-1} + diag[i]
-    phi_i + upper[i] phi_{i+1} over the full node set, so lower[0] and
-    upper[-1] are the two boundary couplings.
+    A 1D operator is its `bands` (else None), the stencil weights (lower,
+    diag, upper) aligned by row: row i of L_h is lower[i] phi_{i-1} +
+    diag[i] phi_i + upper[i] phi_{i+1} over the full node set, so lower[0]
+    and upper[-1] are the two boundary couplings. Its CSR `matrix` and
+    `boundary` are written from the bands on first read, for user code.
     """
 
-    matrix: sparse.csr_matrix
-    boundary: sparse.csr_matrix
-    grid: DomainGrid
-    c_max: float = 0.0
-    bands: Optional[tuple] = None
+    def __init__(self, matrix, boundary, grid: DomainGrid, c_max: float = 0.0,
+                 bands: Optional[tuple] = None):
+        self.grid, self.c_max, self.bands = grid, c_max, bands
+        if matrix is not None:
+            self._csr = (matrix, boundary)
 
     @classmethod
     def from_bands(cls, grid: DomainGrid, bands, c_max: float):
-        """The 1D operator with these row-aligned bands; its CSR `matrix`
-        and two-entry `boundary` are written from them directly. The
-        operator keeps its bands as the columns of one (n, 3) array whose
-        flat entries, less the first and last, are the matrix's stored
-        entries (row order lower, diag, upper): one copy serves both."""
-        lower, diag, upper = bands
-        n = len(diag)
-        rows = np.stack(bands, axis=1)
-        index = np.arange(n, dtype=np.int32)
+        return cls(None, None, grid, c_max, tuple(bands))
+
+    @cached_property
+    def _csr(self):
+        """(matrix, boundary) from the bands: the flat (n, 3) rows (lower,
+        diag, upper), less the first and last entry, are the CSR entries."""
+        n = len(self.bands[1])
         matrix = sparse.csr_matrix(
-            (rows.ravel()[1:-1],
-             (index[:, None] + np.array([-1, 0, 1], dtype=np.int32)).ravel()[1:-1],
-             np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)),
-            shape=(n, n))
-        indptr = np.ones(n + 1, dtype=np.int32)
-        indptr[0], indptr[-1] = 0, 2
-        boundary = sparse.csr_matrix(
-            (np.array([lower[0], upper[-1]]), np.array([0, 1], dtype=np.int32),
-             indptr), shape=(n, 2))
-        return cls(matrix, boundary, grid, c_max, tuple(rows.T))
+            (np.stack(self.bands, axis=1).ravel()[1:-1],
+             np.add.outer(np.arange(n), [-1, 0, 1]).ravel()[1:-1],
+             np.clip(3 * np.arange(n + 1) - 1, 0, 3 * n - 2)), shape=(n, n))
+        return matrix, sparse.csr_matrix(
+            ([self.bands[0][0], self.bands[2][-1]], ([0, n - 1], [0, 1])),
+            shape=(n, 2))
+
+    matrix = property(lambda self: self._csr[0])
+    boundary = property(lambda self: self._csr[1])
 
     def factor(self) -> FactoredOperator:
         """FactoredOperator of L_h, from its bands when it carries them."""
         return FactoredOperator(self.matrix if self.bands is None else self.bands)
 
+    def matvec(self, v):
+        """L_h v for a vector v on the interior nodes (zero boundary data).
+        With bands each row sums (lower v[i-1] + diag v[i]) + upper v[i+1],
+        the order of the CSR product, so both agree bit for bit."""
+        if self.bands is None:
+            return self.matrix @ v
+        lower, diag, upper = self.bands
+        out = diag * v
+        out[1:] += lower[1:] * v[:-1]
+        out[:-1] += upper[:-1] * v[1:]
+        return out
+
     def apply(self, phi: GridFunction):
         """Operator value at interior nodes, honoring the boundary values of phi."""
-        flat = phi.flat
-        vals = self.matrix @ flat[self.grid.interior_index()] + \
-            self.boundary @ flat[self.grid.boundary_index()]
+        vals = self.matvec(phi.flat[self.grid.interior_index()])
+        if self.bands is None:
+            return vals + self.boundary @ phi.flat[self.grid.boundary_index()]
+        vals[0] += self.bands[0][0] * phi.flat[0]
+        vals[-1] += self.bands[2][-1] * phi.flat[-1]
         return vals
 
 
-def assemble_linear(grid: DomainGrid, avals, bvals, cvals) -> DiscreteOperator:
-    """Monotone assembly (`stencils.stencil_weights`) from nodal coefficient
-    samples on the full node set: interior rows, with the boundary columns
-    split off. In 1D the weights are the operator's bands; in 2D the rows of
-    `stencils.monotone_stencil` are sliced into the two blocks."""
+def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
+                    at=None) -> DiscreteOperator:
+    """Monotone assembly (`stencils.stencil_weights`) of the interior rows,
+    boundary columns split off, from coefficient samples at every node, or
+    at the rows that `at` (from `fast_coordinates`) gathers to the nodes.
+    In 1D the weights are formed per sample and gathered into the bands; in
+    2D the samples are gathered and the rows of `stencils.monotone_stencil`
+    sliced into the two blocks. c_max is the largest c at an interior node."""
     d = grid.dim
-    N_full = int(np.prod(grid.shape))
     interior = grid.interior_index()
-    avals = np.asarray(avals, dtype=float).reshape(N_full, d, d)[interior]
-    bvals = np.asarray(bvals, dtype=float).reshape(N_full, d)[interior]
-    cvals = np.asarray(cvals, dtype=float).reshape(N_full)[interior]
-    c_max = float(cvals.max())
+    avals = np.asarray(avals, dtype=float).reshape(-1, d, d)
+    bvals = np.asarray(bvals, dtype=float).reshape(-1, d)
+    cvals = np.asarray(cvals, dtype=float).reshape(-1)
+    if at is None:  # the interior samples are the rows, in order
+        avals, bvals, cvals = (np.take(s, interior, axis=0)
+                               for s in (avals, bvals, cvals))
+        nodes, rows_of = interior, (lambda s: s)
+    else:
+        at = np.asarray(at)[interior]
+        nodes = np.zeros(len(cvals), dtype=np.intp)  # named by AssemblyError
+        nodes[at] = interior
+        rows_of = lambda s: np.take(s, at, axis=0)
+    c_max = float(rows_of(cvals).max())
     if d == 1:
         neighbours, diag = stencil_weights(avals, bvals, cvals, grid.h,
-                                           grid.shape, interior, wrap=False)
-        return DiscreteOperator.from_bands(
-            grid, (neighbours[(-1,)], diag, neighbours[(1,)]), c_max)
-    rows = monotone_stencil(avals, bvals, cvals, grid.h, grid.shape, interior,
-                            wrap=False)
-    return DiscreteOperator(
-        matrix=rows[:, interior].tocsr(),
-        boundary=rows[:, grid.boundary_index()].tocsr(),
-        grid=grid,
-        c_max=c_max,
-    )
+                                           grid.shape, nodes, wrap=False)
+        return DiscreteOperator.from_bands(grid, map(rows_of, (
+            neighbours[(-1,)], diag, neighbours[(1,)])), c_max)
+    rows = monotone_stencil(*map(rows_of, (avals, bvals, cvals)), grid.h,
+                            grid.shape, interior, wrap=False)
+    return DiscreteOperator(rows[:, interior].tocsr(),
+                            rows[:, grid.boundary_index()].tocsr(), grid, c_max)
+
+
+def fast_coordinates(grid: DomainGrid, eps: float):
+    """Distinct rows of y = x/eps mod 1 over the grid nodes, axis 0 outer, and
+    the index that scatters values at those rows to the nodes.
+
+    With eps = 1/m, node i of an axis with integer ends, length L and n cells
+    has y = (i L m mod n) / n: the values are g j / n, g = gcd(L m, n), node
+    i takes the ((i L m mod n) / g)-th, and no floats are sorted. Any other
+    eps (0, negative, NaN, not a reciprocal) is an InputError.
+    """
+    m = round(1 / eps) if 0 < eps <= 1 and 1 / eps < np.inf else 0
+    if m < 1 or abs(m * eps - 1) > 1e-12 or np.any(np.mod(grid.bounds, 1)):
+        raise InputError(f"fast coordinates need eps = 1/m and integer grid "
+                         f"bounds; got eps={eps!r}, bounds {grid.bounds}")
+    keys, inverse = [], 0
+    for (lo, hi), n in zip(grid.bounds, grid.n):
+        step = round(hi - lo) * m
+        g = np.gcd(step, n)
+        keys.append(np.arange(0, n, g) / n)
+        # i (L m / g) mod (n / g) repeats with period n / g
+        period = np.arange(n // g) * (step // g) % (n // g)
+        inverse = np.add.outer(inverse * (n // g), np.resize(period, n + 1))
+    rows = np.stack(np.meshgrid(*keys, indexing="ij"), axis=-1)
+    return rows.reshape(-1, grid.dim), inverse.ravel()
 
 
 def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
-    """Samples (a, b, c) of a(x/eps), b(x/eps), c(x/eps) on the full node set."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    """Samples (a, b, c) of a(x/eps), b(x/eps), c(x/eps) on the full node set,
+    evaluated once per distinct fast coordinate and gathered."""
     if spec.dim != grid.dim:
         raise InputError("operator and grid dimensions differ")
-    return spec.field.sample((grid.points() / eps) % 1.0)
+    rows, inverse = fast_coordinates(grid, eps)
+    return tuple(np.take(s, inverse, axis=0) for s in spec.field.sample(rows))
 
 
 def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
                          grid: DomainGrid) -> DiscreteOperator:
-    """Discretize a(x/eps) D^2 + b(x/eps) . D + c(x/eps) with Dirichlet data."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    """Discretize a(x/eps) D^2 + b(x/eps) . D + c(x/eps) with Dirichlet data,
+    from one sample per distinct fast coordinate."""
     if spec.dim != grid.dim:
         raise InputError("operator and grid dimensions differ")
-    # y lives until assembled: freeing it first slowed bellman-1d (ROADMAP 7)
-    y = (grid.points() / eps) % 1.0
-    avals, bvals, cvals = spec.field.sample(y)
-    return assemble_linear(grid, avals, bvals, cvals)
+    rows, inverse = fast_coordinates(grid, eps)
+    return assemble_linear(grid, *spec.field.sample(rows), at=inverse)
 
 
 def effective_samples(eff: EffectiveLinear, grid: DomainGrid):
@@ -315,18 +356,18 @@ def properness_shift(op: DiscreteOperator) -> float:
     return max(0.0, op.c_max) + 1.0
 
 
-def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None,
-                    lu=None) -> GridFunction:
+def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None) -> GridFunction:
     """Solve  L_h u = rhs  at interior nodes with the given Dirichlet data.
 
     `rhs` is a flat interior vector or full-node array; boundary data (full
-    boundary-node vector) defaults to zero. Pass `lu=op.factor()` to reuse
-    one factorization across solves.
+    boundary-node vector) defaults to zero, and moves to the right-hand side
+    through `op.apply`.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape == op.grid.shape:
         rhs = op.grid.restrict(rhs)
     if boundary_values is not None:
-        rhs = rhs - op.boundary @ np.asarray(boundary_values, dtype=float)
-    sol = (lu or op.factor()).solve(rhs)
+        data = op.grid.embed(0.0, np.asarray(boundary_values, dtype=float))
+        rhs = rhs - op.apply(GridFunction(op.grid, data))
+    sol = op.factor().solve(rhs)
     return GridFunction(op.grid, op.grid.embed(sol, boundary_values))

@@ -3,7 +3,8 @@
 The linear solver runs inverse power iteration on B = s*I - L_h (a
 nonsingular M-matrix after the properness shift s), whose inverse is
 entrywise nonnegative, so the iterates stay positive and the Collatz-
-Wielandt ratios bracket the Perron value rigorously at every step. Bellman
+Wielandt ratios bracket the Perron value of the factored, rounded B at
+every step, not yet that of L_h's exact stencil (ROADMAP item 1). Bellman
 problems wrap the linear solver in Howard policy iteration.
 
 A 2D operator whose samples separate by axis (sep-2d, a 2D effective one)
@@ -57,8 +58,8 @@ def collatz_wielandt(op: DiscreteOperator, phi):
     By Perron theory on the monotone discretization the principal eigenvalue
     lies between the two. phi is checked as a start vector (`_start_vector`).
     """
-    vec = _start_vector(phi, op.grid, op.matrix.shape[0], "phi")
-    ratios = -(op.matrix @ vec) / vec
+    vec = _start_vector(phi, op.grid, len(op.grid.interior_index()), "phi")
+    ratios = -op.matvec(vec) / vec
     return float(ratios.min()), float(ratios.max())
 
 
@@ -90,7 +91,7 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
     vector on the interior nodes (default ones); s and B do not depend on
     it, so it moves lambda only inside the certified bracket.
     """
-    n = op.matrix.shape[0]
+    n = len(op.grid.interior_index())
     v = np.ones(n) if x0 is None else _start_vector(x0, op.grid, n)
     s = properness_shift(op)
     shifted, ok, info = shifted_m_matrix(op, s)
@@ -122,7 +123,7 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
             f"{MAX_POWER_ITER} iterations (bracket [{lower:.12g}, {upper:.12g}])"
         )
     lam = 0.5 * (lower + upper)
-    residual = float(np.max(np.abs(op.matrix @ v + lam * v)))
+    residual = float(np.max(np.abs(op.matvec(v) + lam * v)))
     phi = GridFunction(op.grid, op.grid.embed(v))
     return EigenPair(
         lam=float(lam), phi=phi, residual=residual,
@@ -161,7 +162,7 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
                              *samples)
         pair = principal_eigenpair(op, tol=tol / 2)
         v = pair.phi.values[1:-1]
-        axes.append((pair, v, op.matrix @ v + pair.lam * v))
+        axes.append((pair, v, op.matvec(v) + pair.lam * v))
     (p1, v1, r1), (p2, v2, r2) = axes
     lower, upper = p1.cw_lower + p2.cw_lower, p1.cw_upper + p2.cw_upper
     lam = 0.5 * (lower + upper)
@@ -198,13 +199,13 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     """
     if ops is None:
         ops = bellman_operators(spec, eps, grid)
-    n = ops[0].matrix.shape[0]
     interior = grid.interior_index()
+    n = len(interior)
     start = None if x0 is None else _start_vector(x0, grid, n)
     prev = None
 
     def values(vec):
-        return np.array([op.matrix @ vec for op in ops])
+        return np.array([op.matvec(vec) for op in ops])
 
     def evaluate(policy):
         nonlocal prev, start

@@ -292,8 +292,10 @@ class TestRunSweep:
     ], ids=["sin-abc", "sep-2d"])
     def test_linear_rows_start_from_effective_eigenfunction(
             self, monkeypatch, problem, starts):
-        # every row hands u to linear_eigenpair; an assembled row starts
-        # inverse iteration from it, the separable 2D axis solves do not
+        # every row hands u to its eigensolve: a 1D row, assembled from its
+        # fast coordinates, to principal_eigenpair, which starts inverse
+        # iteration from it; a 2D row to linear_eigenpair, whose separable
+        # axis solves do not
         import ergodica.cli as cli_mod
         import ergodica.eigen as eigen_mod
         real_linear = cli_mod.linear_eigenpair
@@ -309,9 +311,15 @@ class TestRunSweep:
             seeded.append(kwargs.get("x0") is not None)
             return real_eig(op, **kwargs)
 
+        def row_eig(op, **kwargs):
+            pair = eig(op, **kwargs)
+            calls.append((kwargs.get("x0"), pair))
+            return pair
+
         monkeypatch.delenv("ERGODICA_THREADS", raising=False)
         monkeypatch.setattr(cli_mod, "linear_eigenpair", linear)
         monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
+        monkeypatch.setattr(cli_mod, "principal_eigenpair", row_eig)
         cfg = eg.SweepConfig(problem=problem, eps_list=[1 / 4, 1 / 8], q=16,
                              n_torus=32, timing=False)
         rep = eg.run_sweep(cfg)
@@ -691,14 +699,14 @@ class TestCli:
     def test_sweep_records_per_eps_failures(self, monkeypatch):
         # a failure at one eps is recorded as a reasoned row; the rest survive
         import ergodica.cli as cli_mod
-        real = cli_mod.oscillatory_samples
+        real = cli_mod.assemble_oscillatory
 
         def flaky(spec, eps, grid):
             if eps == 1 / 8:
                 raise eg.SolverError("synthetic failure")
             return real(spec, eps, grid)
 
-        monkeypatch.setattr(cli_mod, "oscillatory_samples", flaky)
+        monkeypatch.setattr(cli_mod, "assemble_oscillatory", flaky)
         cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",))
         rep = eg.run_sweep(cfg)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ergodica as eg
+from ergodica.cli import build_problem
 
 
 @pytest.fixture(scope="module")
@@ -249,9 +250,17 @@ class TestDistinctFastCoordinates:
         gap = (rows[inverse] - z + 0.5) % 1.0 - 0.5  # periodic difference
         assert np.all(np.abs(gap) <= np.spacing(z))
 
-    def test_eps_not_a_reciprocal_raises(self):
-        with pytest.raises(eg.InputError, match="eps = 1/m"):
-            eg.fast_coordinates(eg.DomainGrid.unit(1, 64), 0.3)
+    @pytest.mark.parametrize("eps", [0.3, 0.0, -1 / 8, float("nan")],
+                             ids=["0.3", "0", "-0.125", "nan"])
+    def test_eps_not_a_reciprocal_raises(self, eps):
+        # 0 was a bare ZeroDivisionError, NaN a ValueError; -1/8 passed
+        with pytest.raises(eg.InputError, match=f"eps = 1/m.*eps={eps!r}"):
+            eg.fast_coordinates(eg.DomainGrid.unit(1, 64), eps)
+
+    def test_assembly_refuses_eps_not_a_reciprocal(self):
+        spec = build_problem("sin-abc")["spec"]
+        with pytest.raises(eg.InputError, match="eps=0.3"):
+            eg.assemble_oscillatory(spec, 0.3, eg.DomainGrid.unit(1, 64))
 
     @pytest.mark.parametrize("dim, n_cells, eps", [
         (1, 64, 1 / 8),
@@ -284,45 +293,30 @@ class TestDistinctFastCoordinates:
         assert np.max(np.abs(w2.values)) > 0 and np.max(np.abs(w3.values)) > 0
 
 
-class TestBoundaryCorrectors:
-    def test_boundary_exactness(self, linear_1d):
-        spec, cs, eff, grid, eff_op, pair = linear_1d
-        bundle = eg.derivative_bundle(pair.phi, 3)
-        eps = 1 / 8
-        w2 = eg.second_corrector(cs, bundle, eps)
-        psi1 = eg.solve_psi1(eff, bundle, grid, op=eff_op)
-        w3 = eg.third_corrector(cs, bundle, eg.derivative_bundle(psi1, 2), eps)
-        z2, z3 = eg.boundary_correctors(spec, eps, grid, w2, w3)
-        bidx = grid.boundary_index()
-        assert np.max(np.abs(w2.flat[bidx] + z2.flat[bidx])) < 1e-12
-        assert np.max(np.abs(w3.flat[bidx] + z3.flat[bidx])) < 1e-12
+class TestBoundaryTraces:
+    """The expansion has no boundary correctors: their Dirichlet data
+    -w_k(x, x/eps) is spline round-off at x = 0 and 1 for eps = 1/m, since
+    every torus corrector is anchored at y = 0."""
 
-    def test_zero_trace_gives_zero(self, linear_1d):
-        spec, cs, eff, grid, eff_op, pair = linear_1d
-        zero = eg.GridFunction(grid, np.zeros(grid.shape))
-        z2, z3 = eg.boundary_correctors(spec, 1 / 8, grid, zero, zero)
-        assert np.max(np.abs(z2.values)) < 1e-13
-        assert np.max(np.abs(z3.values)) < 1e-13
-
-    def test_maximum_principle_bound(self, linear_1d):
-        # anchored correctors vanish at y = 0, so for eps = 1/m the raw trace
-        # has zero boundary data; shift by a constant to force nonzero data.
-        # the sup bound by boundary data needs a proper operator (c <= 0)
-        _, cs, eff, grid, eff_op, pair = linear_1d
-        spec = eg.LinearOperatorSpec(
-            eg.sin_field_1d(delta=0.5, b_amp=0.3, c0=-0.5, c_amp=0.4),
-            0.5, 1.5, c1=0.9)
-        bundle = eg.derivative_bundle(pair.phi, 2)
-        eps = 1 / 8
-        w2 = eg.second_corrector(cs, bundle, eps)
-        shifted = eg.GridFunction(grid, w2.values + 0.3)
-        zero = eg.GridFunction(grid, np.zeros(grid.shape))
-        z2, _ = eg.boundary_correctors(spec, eps, grid, shifted, zero)
+    @pytest.mark.parametrize("n_cells, m", [
+        (1024, 1), (1024, 8), (1024, 128),
+        (112, 6), (112, 7),  # the coprime grid: 6 does not divide 112
+    ])
+    def test_w2_w3_vanish_on_the_boundary(self, n_cells, m):
+        spec = build_problem("sin-abc")["spec"]
+        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(1, 32))
+        eff = eg.effective_linear(spec, cs)
+        grid = eg.DomainGrid.unit(1, n_cells)
+        eff_op = eg.assemble_effective(eff, grid)
+        pair = eg.principal_eigenpair(eff_op, tol=1e-11)
+        slow = eg.slow_corrector(eff, cs, pair.phi, eff_op)
+        exp, _ = eg.linear_expansion(
+            pair, slow, 1 / m, eg.assemble_oscillatory(spec, 1 / m, grid))
         bidx = grid.boundary_index()
-        bound = np.max(np.abs(shifted.flat[bidx]))
-        assert bound > 0.1
-        assert np.max(np.abs(z2.values)) <= bound + 1e-12
-        assert np.max(np.abs(z2.flat[bidx] + shifted.flat[bidx])) < 1e-12
+        assert np.max(np.abs(exp.w2_trace.flat[bidx])) <= 1e-15
+        assert np.max(np.abs(exp.w3_trace.flat[bidx])) <= 1e-15
+        assert np.max(np.abs(exp.w2_trace.values)) > 1e-3
+        assert np.all(exp.v_eps.flat[bidx] == 0.0)
 
 
 class TestFullCorrector:
@@ -330,14 +324,16 @@ class TestFullCorrector:
         g = eg.DomainGrid.unit(1, 16)
         one = eg.GridFunction(g, np.ones(17))
         zero = eg.GridFunction(g, np.zeros(17))
-        exp = eg.full_corrector(one, zero, zero, zero, zero, 0.1)
-        assert np.allclose(exp.v_eps.values, 0.1)
-        assert exp.sup_norm_v == pytest.approx(0.1)
+        exp = eg.full_corrector(one, zero, one, 0.1)
+        assert np.allclose(exp.v_eps.values[1:-1], 0.1 + 0.1 ** 3)
+        # v_eps takes its Dirichlet value on the boundary
+        assert exp.v_eps.values[0] == exp.v_eps.values[-1] == 0.0
+        assert exp.sup_norm_v == pytest.approx(0.1 + 0.1 ** 3)
 
     def test_all_zero(self):
         g = eg.DomainGrid.unit(1, 16)
         zero = eg.GridFunction(g, np.zeros(17))
-        exp = eg.full_corrector(zero, zero, zero, zero, zero, 0.1)
+        exp = eg.full_corrector(zero, zero, zero, 0.1)
         assert exp.sup_norm_v == 0.0
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import ergodica as eg
@@ -296,3 +297,119 @@ class TestBellmanApply:
         ops = eg.bellman_operators(bs, 1.0, g)
         vals = np.maximum(ops[0].apply(u), ops[1].apply(u))
         assert np.allclose(g.restrict(out.values), vals)
+
+
+def node_by_node(spec, eps, grid):
+    """Samples of the field at (x/eps) mod 1 at every node, in floats, and
+    the operator assembled from them: a row's operator before fast
+    coordinates."""
+    samples = spec.field.sample((grid.points() / eps) % 1.0)
+    return samples, assemble_linear(grid, *samples)
+
+
+class TestFastSampling:
+    """Rows sample the field once per distinct fast coordinate and gather;
+    on power-of-two grids x/eps mod 1 is exact in floats, so nothing moves."""
+
+    SIN_ABC = build_problem("sin-abc")["spec"]
+
+    @pytest.mark.parametrize("n_cells", [256, 65536])
+    @pytest.mark.parametrize("m", [8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_1d_power_of_two_matches_node_by_node(self, n_cells, m):
+        grid = eg.DomainGrid.unit(1, n_cells)
+        samples, ref = node_by_node(self.SIN_ABC, 1 / m, grid)
+        for got, want in zip(oscillatory_samples(self.SIN_ABC, 1 / m, grid),
+                             samples):
+            np.testing.assert_array_equal(got, want)
+        op = eg.assemble_oscillatory(self.SIN_ABC, 1 / m, grid)
+        for got, want in zip(op.bands, ref.bands):
+            np.testing.assert_array_equal(got, want)
+        assert op.c_max == ref.c_max
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_2d_power_of_two_matches_node_by_node(self, m):
+        spec = build_problem("sep-2d")["spec"]
+        grid = eg.DomainGrid.unit(2, 16)
+        samples, ref = node_by_node(spec, 1 / m, grid)
+        for got, want in zip(oscillatory_samples(spec, 1 / m, grid), samples):
+            np.testing.assert_array_equal(got, want)
+        op = eg.assemble_oscillatory(spec, 1 / m, grid)
+        assert_same_csr(op.matrix, ref.matrix)
+        assert_same_csr(op.boundary, ref.boundary)
+        assert op.c_max == ref.c_max
+
+    def test_coprime_grid_within_ulps(self):
+        # 112 cells at eps = 1/6: the float x/eps, up to 6, is off by an ulp
+        # of itself, the integer y is exact (10.5 ulps of the largest weight)
+        grid = eg.DomainGrid.unit(1, 112)
+        _, ref = node_by_node(self.SIN_ABC, 1 / 6, grid)
+        op = eg.assemble_oscillatory(self.SIN_ABC, 1 / 6, grid)
+        for got, want in zip(op.bands, ref.bands):
+            ulp = np.spacing(np.abs(want).max())
+            assert np.abs(got - want).max() <= 16 * ulp
+
+    def test_c_max_is_over_interior_nodes(self):
+        # at m = 1 only the two boundary nodes take y = 0, where c peaks
+        field = eg.CoefficientField(
+            1, lambda y: np.ones((len(y), 1, 1)), lambda y: np.zeros((len(y), 1)),
+            lambda y: np.cos(2 * np.pi * y[:, 0]))
+        spec = eg.LinearOperatorSpec(field, 1.0, 1.0, c1=1.0)
+        grid = eg.DomainGrid.unit(1, 7)
+        op = eg.assemble_oscillatory(spec, 1.0, grid)
+        assert op.c_max == np.cos(2 * np.pi / 7) < 1.0
+
+    def test_assembly_error_names_a_grid_node(self):
+        # a < 0 only at y = 1/2: node 4 of 8 cells at eps = 1, nodes 2 and
+        # 6 at eps = 1/2
+        field = eg.CoefficientField(
+            1, lambda y: (1.0 - 4.0 * (y[:, 0] == 0.5))[:, None, None],
+            lambda y: np.zeros((len(y), 1)), lambda y: np.zeros(len(y)))
+        spec = eg.LinearOperatorSpec(field, 1.0, 1.0)
+        grid = eg.DomainGrid.unit(1, 8)
+        for eps, nodes in ((1.0, "4"), (0.5, "[26]")):
+            message = rf"node \((np\.int64\()?{nodes}\)?,\)"
+            with pytest.raises(eg.AssemblyError, match=message):
+                eg.assemble_oscillatory(spec, eps, grid)
+
+
+class TestBandProducts:
+    """A 1D operator's products run on its bands, summed in CSR order."""
+
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matvec_and_apply_match_csr_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        def scale(size):  # values over 16 decades, both signs
+            return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+
+        grid = eg.DomainGrid.unit(1, n)
+        lower, diag, upper = (scale(n - 1) for _ in range(3))
+        op = eg.DiscreteOperator.from_bands(grid, (lower, diag, upper), 0.0)
+        matrix = sparse.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1],
+                              format="csr")
+        boundary = sparse.csr_matrix(
+            ([lower[0], upper[-1]], ([0, n - 2], [0, 1])), shape=(n - 1, 2))
+        phi = eg.GridFunction(grid, scale(n + 1))
+        v, b = phi.values[1:-1], phi.values[[0, -1]]
+        np.testing.assert_array_equal(op.matvec(v), matrix @ v)
+        np.testing.assert_array_equal(op.apply(phi), matrix @ v + boundary @ b)
+        # the CSR blocks built on first read are the same matrices
+        assert_same_csr(op.matrix, matrix)
+        np.testing.assert_array_equal(op.boundary.toarray(), boundary.toarray())
+
+
+@pytest.mark.parametrize("config", [
+    dict(problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16], q=16, n_torus=32,
+         measurements=["lambda_rate", "eigfun_rate", "z_rate", "v_norm",
+                       "residual_slope"]),
+    dict(problem="bellman-2ctl-1d", mode="bellman", eps_list=[1 / 4, 1 / 8, 1 / 16],
+         q=16, n_torus=32, measurements=["lambda_rate", "residual_slope"]),
+], ids=["sin-abc", "bellman-2ctl-1d"])
+def test_1d_sweeps_build_no_csr_operator(monkeypatch, config):
+    # the bands serve every product, factor and frozen policy of a 1D row
+    def written(op):
+        raise AssertionError("a 1D operator's CSR blocks were built")
+
+    monkeypatch.setattr(eg.DiscreteOperator, "_csr", property(written))
+    report = eg.run_sweep(eg.SweepConfig(timing=False, **config))
+    assert report.failures == [] and len(report.rows) == 3
