@@ -49,6 +49,7 @@ from .effective import (
     build_corrector_set,
     effective_bellman_1d,
     effective_linear,
+    first_order_effective,
 )
 from .eigen import (
     EigenPair,

@@ -29,8 +29,10 @@ from .corrector import (
     slow_corrector,
 )
 from .domain import (DomainGrid, assemble_linear, assemble_oscillatory,
-                     bellman_operators, effective_samples, oscillatory_samples)
-from .effective import build_corrector_set, effective_bellman_1d, effective_linear
+                     bellman_operators, effective_samples, fast_coordinates,
+                     oscillatory_samples)
+from .effective import (build_corrector_set, effective_bellman_1d,
+                        effective_linear, first_order_effective)
 from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
                     principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
@@ -253,7 +255,12 @@ def _fit_column(report, name, eps, values):
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Run the full per-epsilon study described by the configuration."""
+    """Run the full per-epsilon study described by the configuration.
+
+    A linear sweep takes lambda_bar from `first_order_effective`, no
+    corrector solved, unless it is 1D and asks for `v_norm` or
+    `residual_slope`, whose v_eps reads the `build_corrector_set` hierarchy.
+    """
     threads = os.environ.get("ERGODICA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
         raise ConfigError(f"ERGODICA_THREADS must be an integer >= 1, got {threads!r}")
@@ -266,13 +273,17 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     meas = set(config.measurements)
 
     if config.mode == "linear":
-        correctors = build_corrector_set(spec, tg)
-        eff = effective_linear(spec, correctors)
+        expand = dim == 1 and bool(meas & {"v_norm", "residual_slope"})
+        if expand:
+            correctors = build_corrector_set(spec, tg)
+            eff = effective_linear(spec, correctors)
+        else:
+            eff = first_order_effective(spec, tg)
         # in 1D the assembled eff_op serves the psi_1 solve as well
         eff_pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
                                             tol=config.tol)
         slow = slow_corrector(eff, correctors, eff_pair.phi, eff_op) \
-            if dim == 1 and meas & {"v_norm", "residual_slope"} else None
+            if expand else None
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
@@ -291,13 +302,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     def one_row(eps):
         t0 = time.perf_counter()
         row = {"eps": eps, "lambda_bar": lam_bar}
+        # a 1D row's operators and expansion share one fast-coordinate index
+        fast = fast_coordinates(grid, eps) if dim == 1 else None
         # (lambda_eps, phi_eps) -> (lambda_bar, u): u starts the eigensolve well
         if config.mode == "linear" and dim == 1:
-            op = assemble_oscillatory(spec, eps, grid)
+            op = assemble_oscillatory(spec, eps, grid, fast)
             start = u
             if slow is not None:
                 # v_eps needs only u; max(u + v_eps, u/2) starts better than u
-                exp, res = linear_expansion(eff_pair, slow, eps, op)
+                exp, res = linear_expansion(eff_pair, slow, eps, op, fast)
                 row["v_norm"] = exp.sup_norm_v
                 if "residual_slope" in meas:
                     row["residual"] = core_residual(grid, res)
@@ -313,7 +326,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 op = assemble_linear(grid, *samples)
         else:
             # the frozen operators serve the eigensolve and the expansion
-            ops = bellman_operators(spec, eps, grid)
+            ops = bellman_operators(spec, eps, grid, fast)
             pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol,
                                                   ops=ops, x0=u)
         row["lambda_eps"] = pair.lam
@@ -330,7 +343,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["w_minus_u"] = float(np.max(np.abs(w.values - u.values)))
         if prepared is not None:
             _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, lam_bar,
-                                         prepared, ops)
+                                         prepared, ops, fast)
             row["residual"] = rep["expansion_residual_interior"]
             row["w2F_residual"] = rep["w2F_residual"]
         if config.timing:
@@ -456,9 +469,8 @@ def _cmd_eigen(config, args):
     if args.effective:
         if problem["mode"] != "linear":
             raise ConfigError("--effective applies to linear problems")
-        tg = PeriodicGrid(dim, config.n_torus)
-        eff = effective_linear(problem["spec"],
-                               build_corrector_set(problem["spec"], tg))
+        eff = first_order_effective(problem["spec"],
+                                    PeriodicGrid(dim, config.n_torus))
         pair = effective_eigenpair(eff, grid, tol=config.tol)
     else:
         eps = args.eps if args.eps is not None else config.eps_list[0]

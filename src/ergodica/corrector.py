@@ -118,6 +118,9 @@ def solve_psi1(eff: EffectiveLinear, bundle: DerivativeBundle,
     d = grid.dim
     if bundle.order < 3:
         raise InputError("psi_1 needs third derivatives of u")
+    if eff.a_bar_klm is None:
+        raise InputError("psi_1 needs the third-order constants of "
+                         "effective_linear, not first_order_effective")
     rhs = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
@@ -202,17 +205,19 @@ def slow_corrector(eff: EffectiveLinear, correctors: CorrectorSet,
             _interpolants(correctors))
 
 
-def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator):
+def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
+                     fast=None):
     """`full_corrector` v^eps around the effective eigenpair at one eps.
 
     `slow` is `slow_corrector(eff, correctors, u_pair.phi, L_bar)` and `op`
-    is L^eps on the grid of u. Returns the ExpansionResult and the residual
-    L^eps(u + v^eps) + lambda_bar u at the interior nodes; neither needs the
-    eigenpair of L^eps, and nothing is solved.
+    is L^eps on the grid of u; `fast` is `fast_coordinates(grid, eps)`,
+    computed here when not given. Returns the ExpansionResult and the
+    residual L^eps(u + v^eps) + lambda_bar u at the interior nodes; neither
+    needs the eigenpair of L^eps, and nothing is solved.
     """
     bundle, psi1, psi1_bundle, cells = slow
     grid = psi1.grid
-    fast = fast_coordinates(grid, eps)
+    fast = fast_coordinates(grid, eps) if fast is None else fast
     w2 = second_corrector(cells, bundle, eps, fast=fast)
     w3 = third_corrector(cells, bundle, psi1_bundle, eps, fast=fast)
     exp = full_corrector(psi1, w2, w3, eps)
@@ -342,7 +347,7 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
 
 def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
                         grid: DomainGrid, lambda_bar: float,
-                        prepared: PreparedExpansion, ops):
+                        prepared: PreparedExpansion, ops, fast=None):
     """Second-order expansion of the convex Bellman eigenproblem (1D).
 
     Returns (w^eps = u + eps w_1 + eps^2 w_2-trace, report), with the
@@ -351,12 +356,13 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     Only the w_2 trace x -> |u''(x)| chi_sign(x/eps), w^eps and the Bellman
     operator applied to it depend on eps; the rest is `prepared`, built by
     `prepare_expansion` from the same spec, u_pair, grid and lambda_bar.
-    `ops` are the frozen operators `bellman_operators(spec, eps, grid)`.
+    `ops` are the frozen operators `bellman_operators(spec, eps, grid)`, and
+    `fast` is `fast_coordinates(grid, eps)`, computed here when not given.
     """
     u = u_pair.phi
 
     # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
-    rows, inverse = fast_coordinates(grid, eps)
+    rows, inverse = fast_coordinates(grid, eps) if fast is None else fast
     traces = np.stack([chi(rows) for chi in prepared.cells])
     w2_trace = prepared.abs_hessian * traces[prepared.sign_index, inverse]
 

@@ -261,12 +261,13 @@ def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
 
 
 def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
-                         grid: DomainGrid) -> DiscreteOperator:
+                         grid: DomainGrid, fast=None) -> DiscreteOperator:
     """Discretize a(x/eps) D^2 + b(x/eps) . D + c(x/eps) with Dirichlet data,
-    from one sample per distinct fast coordinate."""
+    from one sample per distinct fast coordinate; `fast` is
+    `fast_coordinates(grid, eps)`, computed here when not given."""
     if spec.dim != grid.dim:
         raise InputError("operator and grid dimensions differ")
-    rows, inverse = fast_coordinates(grid, eps)
+    rows, inverse = fast_coordinates(grid, eps) if fast is None else fast
     return assemble_linear(grid, *spec.field.sample(rows), at=inverse)
 
 
@@ -284,9 +285,12 @@ def assemble_effective(eff: EffectiveLinear, grid: DomainGrid) -> DiscreteOperat
     return assemble_linear(grid, *effective_samples(eff, grid))
 
 
-def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid):
-    """Frozen linear operator of each control, assembled once."""
-    return [assemble_oscillatory(ctl, eps, grid) for ctl in spec.controls]
+def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid,
+                      fast=None):
+    """Frozen linear operator of each control, assembled once, all from one
+    `fast` (`fast_coordinates(grid, eps)`, computed here when not given)."""
+    fast = fast_coordinates(grid, eps) if fast is None else fast
+    return [assemble_oscillatory(ctl, eps, grid, fast) for ctl in spec.controls]
 
 
 def apply_bellman(spec: BellmanSpec, eps: float, grid: DomainGrid,

@@ -5,6 +5,12 @@ Each effective constant is the ergodic constant of one torus cell problem.
 The first round (chi^kl, eta^k, nu) uses the raw coefficients as data; the
 second round feeds on 4th-order gradients of the first-round correctors.
 
+lambda_bar needs only a_bar = <mu, a>, b_bar = <mu, b>, c_bar = <mu, c>,
+mu the invariant measure of a(y) D^2 on the torus, which
+`first_order_effective` reads off the cell factor with no corrector solved;
+only the eigenfunction expansion reads the correctors and third-order
+constants of `build_corrector_set` and `effective_linear`.
+
 The homogenized Bellman map F_bar is convex and positively 1-homogeneous.
 In 1D `effective_bellman_1d` reads all of it, its linearization included,
 from the two sign cells at M = +1 and M = -1; F_bar at any other M is the
@@ -12,7 +18,8 @@ ergodic constant of `torus.solve_nonlinear_cell` at M.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List
+from functools import cache
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -48,15 +55,16 @@ class CorrectorSet:
 
 @dataclass
 class EffectiveLinear:
-    """Constant coefficients of the effective operator, plus third-order constants."""
+    """Constant coefficients of the effective operator, plus third-order
+    constants; those are None when built by `first_order_effective`."""
 
     a_bar: np.ndarray           # (d, d), symmetrized
     b_bar: np.ndarray           # (d,)
     c_bar: float
-    a_bar_klm: np.ndarray       # (d, d, d)
-    b_bar_kl: np.ndarray        # (d, d)
-    c_bar_k: np.ndarray         # (d,)
-    d_bar: float
+    a_bar_klm: Optional[np.ndarray] = None  # (d, d, d)
+    b_bar_kl: Optional[np.ndarray] = None   # (d, d)
+    c_bar_k: Optional[np.ndarray] = None    # (d,)
+    d_bar: Optional[float] = None
     asymmetry_defect: float = 0.0
 
     @property
@@ -64,15 +72,9 @@ class EffectiveLinear:
         return self.a_bar.shape[0]
 
     def as_dict(self):
-        return {
-            "a_bar": self.a_bar.tolist(),
-            "b_bar": self.b_bar.tolist(),
-            "c_bar": self.c_bar,
-            "a_bar_klm": self.a_bar_klm.tolist(),
-            "b_bar_kl": self.b_bar_kl.tolist(),
-            "c_bar_k": self.c_bar_k.tolist(),
-            "d_bar": self.d_bar,
-        }
+        keys = ("a_bar", "b_bar", "c_bar", "a_bar_klm", "b_bar_kl", "c_bar_k",
+                "d_bar")
+        return {k: np.asarray(getattr(self, k)).tolist() for k in keys}
 
 
 def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> CorrectorSet:
@@ -136,10 +138,10 @@ def build_corrector_set(spec: LinearOperatorSpec, grid: PeriodicGrid) -> Correct
     return CorrectorSet(grid, chi, eta, nu, chi3, eta2, nu1, xi)
 
 
-def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> EffectiveLinear:
-    """Package all ergodic constants; a_bar is symmetrized, the defect recorded."""
-    d = spec.dim
-    gam = np.array([[correctors.chi[(k, l)].gamma for l in range(d)] for k in range(d)])
+def _effective(spec: LinearOperatorSpec, gam, b_bar, c_bar, **third):
+    """EffectiveLinear from the ergodic constants gam[k, l] of chi^kl: a_bar
+    is gam symmetrized, the defect recorded, and its spectrum must lie in
+    the ellipticity interval."""
     a_bar = 0.5 * (gam + gam.T)
     defect = float(np.max(np.abs(gam - gam.T)))
     eigs = np.linalg.eigvalsh(a_bar)
@@ -149,10 +151,38 @@ def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> Effe
             f"effective matrix spectrum [{eigs.min():.6g}, {eigs.max():.6g}] escapes "
             f"the ellipticity interval [{spec.lambda_ell:.6g}, {spec.Lambda_ell:.6g}]"
         )
-    return EffectiveLinear(
-        a_bar=a_bar,
-        b_bar=np.array([sol.gamma for sol in correctors.eta]),
-        c_bar=correctors.nu.gamma,
+    return EffectiveLinear(a_bar=a_bar, b_bar=b_bar, c_bar=c_bar,
+                           asymmetry_defect=defect, **third)
+
+
+def first_order_effective(spec: LinearOperatorSpec,
+                          grid: PeriodicGrid) -> EffectiveLinear:
+    """a_bar, b_bar and c_bar alone, the first-round ergodic constants mu . f
+    of f = a_kl, b_k, c, bit for bit those of `effective_linear`; the
+    third-order fields are None. `cell_factor` picks the factor: a closed
+    form gives gamma = mu . F (`gamma`), a SuperLU factor the gammas of one
+    `solve_cell`, residual check included."""
+    d = spec.dim
+    if grid.dim != d:
+        raise InputError("grid dimension does not match the operator")
+    avals, bvals, cvals = spec.field.sample(grid.points())
+    F = np.column_stack([avals.reshape(-1, d * d), bvals, cvals])
+    # assembled only for a SuperLU factor, which its solve_cell reuses
+    a_op = cache(lambda: assemble_torus_diffusion(spec.field, grid))
+    lu = cell_factor(avals.reshape(grid.shape + (d, d)), a_op)
+    gam = lu.gamma(F) if hasattr(lu, "gamma") else \
+        np.array([sol.gamma for sol in solve_cell(a_op(), F, grid, lu=lu)])
+    return _effective(spec, gam[:d * d].reshape(d, d), gam[d * d:-1],
+                      float(gam[-1]))
+
+
+def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> EffectiveLinear:
+    """Package all ergodic constants; a_bar is symmetrized, the defect recorded."""
+    d = spec.dim
+    gam = np.array([[correctors.chi[(k, l)].gamma for l in range(d)] for k in range(d)])
+    return _effective(
+        spec, gam, np.array([sol.gamma for sol in correctors.eta]),
+        correctors.nu.gamma,
         a_bar_klm=np.array(
             [[[correctors.chi3[(k, l, m)].gamma for m in range(d)]
               for l in range(d)] for k in range(d)]
@@ -162,7 +192,6 @@ def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> Effe
         ),
         c_bar_k=np.array([sol.gamma for sol in correctors.nu1]),
         d_bar=correctors.xi.gamma,
-        asymmetry_defect=defect,
     )
 
 

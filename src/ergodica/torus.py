@@ -14,7 +14,8 @@ x/eps vanishes at both ends of [0, 1] when eps = 1/m. `cell_factor`
 factors the augmented matrix once per operator, for a whole block of
 right-hand sides: in closed form in 1D (`CellFactor1D`: gamma = mu . f with
 the invariant measure mu ~ 1/a), axis by axis for 2D samples that separate
-(`KroneckerCellFactor`), else by SuperLU (`factor_cell`).
+(`KroneckerCellFactor`), else by SuperLU (`factor_cell`). The two closed
+forms also give gamma alone, `gamma(F)`, from mu without any corrector.
 
 `FactoredOperator` is the one LU factorization of the package: LAPACK's
 gttrf for the bands of every 1D Dirichlet, frozen-policy and shifted eigen
@@ -34,6 +35,7 @@ eigenvalue that does not rise between sweeps (eigen).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -178,29 +180,46 @@ class KroneckerCellFactor:
     `stencils.separable_by_axis`: A = A_0 (x) I + I (x) A_1, A_k = diag(a_k)
     D^2 = -V_k diag(lam_k) V_k^{-1} with V_k = diag(r_k) Q_k, r_k = sqrt(a_k)
     and Q_k diag(lam_k) Q_k^T the eigh of the symmetric diag(r_k) (-D^2)
-    diag(r_k); the invariant measure is mu_0 (x) mu_1, mu_k ~ 1/a_k."""
+    diag(r_k); the invariant measure is mu_0 (x) mu_1, mu_k ~ 1/a_k. `gamma`
+    reads only mu; the two eigh wait for the first `solve`."""
 
     def __init__(self, a):
-        eye = np.eye(len(a))
-        neg_d2 = (2 * eye - np.roll(eye, 1, 0) - np.roll(eye, -1, 0)) * len(a) ** 2
-        self._axes = []
-        for k, a_k in enumerate((a[:, 0, 0, 0], a[0, :, 1, 1])):
+        self._a = (a[:, 0, 0, 0], a[0, :, 1, 1])
+        for k, a_k in enumerate(self._a):
             if not np.all((a_k > 0) & (a_k < np.inf)):
                 raise SolverError(
                     f"separable cell: axis {k} coefficient outside (0, inf)")
-            r, mu = np.sqrt(a_k), 1 / a_k
+        self._mu = [mu / mu.sum() for mu in (1 / a_k for a_k in self._a)]
+
+    @cached_property
+    def _modes(self):
+        """((V_0, W_0), (V_1, W_1)) with W_k = V_k^{-1}, and -1/(lam_0 + lam_1)."""
+        n = len(self._a[0])
+        eye = np.eye(n)
+        neg_d2 = (2 * eye - np.roll(eye, 1, 0) - np.roll(eye, -1, 0)) * n ** 2
+        lams, axes = [], []
+        for a_k in self._a:
+            r = np.sqrt(a_k)
             lam, Q = np.linalg.eigh(r[:, None] * neg_d2 * r)
-            self._axes.append((lam, r[:, None] * Q, Q.T / r, mu / mu.sum()))
-        denom = np.add.outer(self._axes[0][0], self._axes[1][0])
+            lams.append(lam)
+            axes.append((r[:, None] * Q, Q.T / r))
+        denom = np.add.outer(*lams)
         denom[0, 0] = np.inf  # the constant mode, the zero eigenvalue of both axes
-        self._inv = -1.0 / denom
+        return axes, -1.0 / denom
+
+    def gamma(self, F):
+        """The ergodic constants mu . F of the columns of a flat (N, k) F."""
+        mu0, mu1 = self._mu
+        # axis by axis: a flat einsum drifts more
+        return (F.reshape(len(mu0), len(mu1), -1).transpose(2, 0, 1) @ mu1) @ mu0
 
     def solve(self, B):
         """`FactoredOperator.solve` of the augmented matrix."""
-        (_, V0, W0, mu0), (_, V1, W1, mu1) = self._axes
-        F = -B[:-1].reshape(len(mu0), len(mu1), -1).transpose(2, 0, 1)
-        gamma = (F @ mu1) @ mu0  # axis by axis: a flat einsum drifts more
-        C = V0 @ ((W0 @ (gamma[:, None, None] - F) @ W1.T) * self._inv) @ V1.T
+        ((V0, W0), (V1, W1)), inv = self._modes
+        F = -B[:-1]
+        gamma = self.gamma(F)
+        F = F.reshape(len(V0), len(V1), -1).transpose(2, 0, 1)
+        C = V0 @ ((W0 @ (gamma[:, None, None] - F) @ W1.T) * inv) @ V1.T
         C += (B[-1] - C.mean(axis=(1, 2)))[:, None, None]  # mean(v) = B[-1]
         X = np.vstack([C.reshape(len(gamma), -1).T, gamma]).reshape(B.shape)
         if not np.all(np.isfinite(X)):
@@ -218,11 +237,15 @@ class CellFactor1D:
             raise SolverError("1D cell: coefficient outside (0, inf)")
         self._inv_a = 1.0 / a
 
+    def gamma(self, F):
+        """The ergodic constants mu . F of the columns of an (n, k) F."""
+        return self._inv_a @ F / self._inv_a.sum()
+
     def solve(self, B):
         """`FactoredOperator.solve` of the augmented matrix."""
         h2_over_a = self._inv_a[:, None] / len(self._inv_a) ** 2
         F = -B[:-1].reshape(len(self._inv_a), -1)
-        gamma = self._inv_a @ F / self._inv_a.sum()  # mu . F
+        gamma = self.gamma(F)
         r = (gamma - F) * h2_over_a  # second differences of chi
         d = np.cumsum(r - r.mean(axis=0), axis=0)  # d[i] = chi[i+1] - chi[i]
         chi = np.roll(np.cumsum(d - d.mean(axis=0), axis=0), 1, axis=0)
@@ -236,10 +259,14 @@ class CellFactor1D:
 def cell_factor(a, a_op):
     """Factor of the augmented cell matrix of a_op = a(y) D^2, picked from
     the samples a (n,) * d + (d, d): `CellFactor1D` in 1D, else
-    `KroneckerCellFactor` if they separate by axis, else `factor_cell`."""
+    `KroneckerCellFactor` if they separate by axis, else `factor_cell`.
+    `a_op` may be a function that assembles the operator; only
+    `factor_cell` calls it. The two closed forms have `gamma(F)`."""
     if a.ndim == 3:
         return CellFactor1D(a[:, 0, 0])
-    return KroneckerCellFactor(a) if separable_by_axis(a) else factor_cell(a_op)
+    if separable_by_axis(a):
+        return KroneckerCellFactor(a)
+    return factor_cell(a_op() if callable(a_op) else a_op)
 
 
 def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):

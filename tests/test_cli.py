@@ -331,28 +331,118 @@ class TestRunSweep:
 
     def test_separable_2d_rows_factor_only_the_torus_cell(self, monkeypatch):
         # criterion 10's sweep: each sep-2d row is a Kronecker sum of two
-        # tridiagonal eigensolves, and the torus cell is one fast
-        # diagonalization, so SuperLU sees no matrix at all
+        # tridiagonal eigensolves, and lambda_bar reads a_bar, b_bar, c_bar
+        # off the invariant measure of the one Kronecker cell factor, which
+        # never solves: no SuperLU factor, no eigh, no corrector
         import ergodica.torus as torus_mod
-        real = torus_mod.splu
-        orders, cells = [], []
+        real_splu, real_eigh = torus_mod.splu, np.linalg.eigh
+        orders, cells, solves, eighs = [], [], [], []
 
         def counted(matrix, *args, **kwargs):
             orders.append(matrix.shape[0])
-            return real(matrix, *args, **kwargs)
+            return real_splu(matrix, *args, **kwargs)
+
+        def eigh(matrix, *args, **kwargs):
+            eighs.append(matrix.shape)
+            return real_eigh(matrix, *args, **kwargs)
 
         class CountedCell(torus_mod.KroneckerCellFactor):
             def __init__(self, a):
                 cells.append(a.shape)
                 super().__init__(a)
 
+            def solve(self, B):
+                solves.append(B.shape)
+                return super().solve(B)
+
         monkeypatch.setattr(torus_mod, "splu", counted)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(torus_mod, "KroneckerCellFactor", CountedCell)
         cfg = eg.SweepConfig(problem="sep-2d", eps_list=[1 / 4, 1 / 8, 1 / 16],
                              q=16, n_torus=64, measurements=("lambda_rate",))
         rep = eg.run_sweep(cfg)
         assert len(rep.rows) == 3 and rep.failures == []
         assert orders == [] and cells == [(64, 64, 2, 2)]
+        assert solves == [] and eighs == []
+
+    @pytest.mark.parametrize("problem", ["sin-abc", "sep-2d"])
+    def test_lambda_only_sweeps_solve_no_corrector(self, problem, monkeypatch):
+        # lambda_bar needs a_bar, b_bar, c_bar alone: no cell solve, no torus
+        # operator and no corrector gradients
+        import ergodica.effective as eff_mod
+        import ergodica.torus as torus_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a lambda-only sweep solved a corrector")
+
+        for module in (eff_mod, torus_mod):
+            for name in ("solve_cell", "assemble_torus_diffusion",
+                         "gradient_matrices"):
+                monkeypatch.setattr(module, name, forbidden)
+        cfg = eg.SweepConfig(problem=problem, eps_list=[1 / 4, 1 / 8, 1 / 16],
+                             q=16, n_torus=32, measurements=("lambda_rate",),
+                             timing=False)
+        rep = eg.run_sweep(cfg)
+        assert len(rep.rows) == 3 and rep.failures == []
+
+    def test_v_norm_sweep_builds_the_hierarchy(self, monkeypatch):
+        # v_eps reads the correctors: a 1D sweep with v_norm solves both
+        # rounds. Its lambda_bar is the lambda-only one to the bit; its rows
+        # start inverse iteration from u + v_eps instead of u, so lambda_eps
+        # agrees to the eigensolve's tolerance (1.4e-13 apart at eps = 1/4)
+        import ergodica.cli as cli_mod
+        import ergodica.effective as eff_mod
+        real = eff_mod.solve_cell
+        built, rounds = [], []
+
+        def build(spec, grid):
+            built.append(grid.n)
+            return real_build(spec, grid)
+
+        def solve_cell(a_op, f, grid, lu=None):
+            rounds.append(np.shape(f)[1])
+            return real(a_op, f, grid, lu=lu)
+
+        real_build = cli_mod.build_corrector_set
+        monkeypatch.setattr(cli_mod, "build_corrector_set", build)
+        monkeypatch.setattr(eff_mod, "solve_cell", solve_cell)
+        reports = [eg.run_sweep(eg.SweepConfig(
+            problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16], q=16,
+            n_torus=32, measurements=meas, timing=False))
+            for meas in (("lambda_rate", "v_norm"), ("lambda_rate",))]
+        assert built == [32] and rounds == [3, 4]
+        full, lam_only = reports
+        assert full.lambda_bar == lam_only.lambda_bar
+        for r, q in zip(full.rows, lam_only.rows, strict=True):
+            assert abs(r["lambda_eps"] - q["lambda_eps"]) <= 1e-9
+        assert all("v_norm" in r for r in full.rows)
+
+    @pytest.mark.parametrize("problem,mode,meas", [
+        ("sin-abc", "linear", ("lambda_rate", "v_norm", "residual_slope")),
+        ("bellman-2ctl-1d", "bellman", ("lambda_rate", "residual_slope")),
+    ])
+    def test_1d_rows_build_fast_coordinates_once(self, problem, mode, meas,
+                                                 monkeypatch):
+        # assembly (one per control) and expansion share the row's index
+        import ergodica.cli as cli_mod
+        import ergodica.corrector as corrector_mod
+        import ergodica.domain as domain_mod
+        real = domain_mod.fast_coordinates
+        calls = []
+
+        def counted(grid, eps):
+            calls.append(eps)
+            return real(grid, eps)
+
+        for module in (cli_mod, corrector_mod, domain_mod):
+            monkeypatch.setattr(module, "fast_coordinates", counted)
+        eps_list = [1 / 4, 1 / 8, 1 / 16]
+        rep = eg.run_sweep(eg.SweepConfig(
+            problem=problem, mode=mode, eps_list=eps_list, q=16, n_torus=32,
+            measurements=meas, timing=False))
+        assert rep.failures == [] and all("residual" in r for r in rep.rows)
+        # the effective Bellman eigensolve assembles its controls at eps = 1
+        assert calls == [1.0] * (mode == "bellman") + eps_list
 
     def test_separable_2d_pivot_rows_assemble_once(self, monkeypatch):
         # a row that solves with L_eps assembles it once, after the
@@ -701,10 +791,10 @@ class TestCli:
         import ergodica.cli as cli_mod
         real = cli_mod.assemble_oscillatory
 
-        def flaky(spec, eps, grid):
+        def flaky(spec, eps, grid, *fast):
             if eps == 1 / 8:
                 raise eg.SolverError("synthetic failure")
-            return real(spec, eps, grid)
+            return real(spec, eps, grid, *fast)
 
         monkeypatch.setattr(cli_mod, "assemble_oscillatory", flaky)
         cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8, 1 / 16],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import ergodica as eg
@@ -228,6 +229,101 @@ class TestSeparableCellHierarchy:
         per_column = solutions(per_column_corrector_set(spec, grid))
         for key, sol in solutions(cs).items():
             assert sol.gamma == pytest.approx(per_column[key].gamma, abs=1e-10)
+
+
+def node_field(dim, n, a, b, c):
+    """Field that takes the samples a (N, d, d), b (N, d), c (N,) at the
+    nodes of the n-point torus grid of dimension `dim`."""
+    def node(pts):
+        idx = np.rint(pts * n).astype(int) % n
+        return idx[:, 0] if dim == 1 else idx[:, 0] * n + idx[:, 1]
+    return eg.CoefficientField(dim, lambda p: a[node(p)], lambda p: b[node(p)],
+                               lambda p: c[node(p)])
+
+
+def first_order(eff):
+    return eff.a_bar, eff.b_bar, eff.c_bar
+
+
+class TestFirstOrderEffective:
+    """`first_order_effective` reads a_bar, b_bar, c_bar off the invariant
+    measure: the numbers of the full hierarchy, with no corrector solved."""
+
+    @staticmethod
+    def assert_same_as_hierarchy(spec, grid):
+        got = eg.first_order_effective(spec, grid)
+        ref = eg.effective_linear(spec, eg.build_corrector_set(spec, grid))
+        for x, y in zip(first_order(got), first_order(ref), strict=True):
+            assert np.array_equal(x, y)
+        assert type(got.c_bar) is float
+        assert got.asymmetry_defect == ref.asymmetry_defect
+        return got
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 64, 257]),
+           lo=st.floats(0.2, 2.0), ratio=st.floats(1.0, 5.0))
+    @settings(max_examples=25, deadline=None)
+    def test_random_1d_samples_bit_for_bit(self, seed, n, lo, ratio):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(lo, lo * ratio, n)[:, None, None]
+        field = node_field(1, n, a, rng.uniform(-1, 1, (n, 1)),
+                           rng.uniform(-1, 1, n))
+        spec = eg.LinearOperatorSpec(field, lo, lo * ratio, c1=1.0)
+        self.assert_same_as_hierarchy(spec, eg.PeriodicGrid(1, n))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([8, 32]),
+           lo=st.floats(0.2, 2.0), ratio=st.floats(1.0, 5.0))
+    @settings(max_examples=15, deadline=None)
+    def test_random_separable_2d_samples_bit_for_bit(self, seed, n, lo, ratio):
+        # a11 varies along axis 0 only, a22 along axis 1 only, a12 = 0; the
+        # drift and c are arbitrary node samples
+        rng = np.random.default_rng(seed)
+        a = np.zeros((n, n, 2, 2))
+        a[..., 0, 0] = rng.uniform(lo, lo * ratio, n)[:, None]
+        a[..., 1, 1] = rng.uniform(lo, lo * ratio, n)[None, :]
+        field = node_field(2, n, a.reshape(-1, 2, 2),
+                           rng.uniform(-1, 1, (n * n, 2)),
+                           rng.uniform(-1, 1, n * n))
+        spec = eg.LinearOperatorSpec(field, lo, lo * ratio, c1=2.0)
+        self.assert_same_as_hierarchy(spec, eg.PeriodicGrid(2, n))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_superlu_cell_exact_oracle(self, n, splu_orders):
+        # a = alpha(y) A0 does not separate, so SuperLU factors the cell.
+        # Its operator is diag(alpha) L0 with L0 the constant stencil of
+        # A0 : D^2, whose columns sum to 0, so mu ~ 1/alpha on every grid
+        # and a_bar = A0 * N / sum(1 / alpha) exactly
+        A0 = np.array([[1.0, 0.3], [0.3, 0.8]])
+
+        def alpha(p):
+            return 1 + 0.5 * np.sin(2 * np.pi * (p[:, 0] + 2 * p[:, 1])) * \
+                np.cos(2 * np.pi * p[:, 1])
+
+        field = eg.CoefficientField(
+            2, lambda p: alpha(p)[:, None, None] * A0,
+            lambda p: np.zeros((len(p), 2)), lambda p: np.zeros(len(p)))
+        spec = eg.LinearOperatorSpec(field, 0.2, 2.0)
+        grid = eg.PeriodicGrid(2, n)
+        eff = self.assert_same_as_hierarchy(spec, grid)
+        assert splu_orders == [n * n + 1, n * n + 1]
+        oracle = A0 * grid.npoints / np.sum(1 / alpha(grid.points()))
+        assert np.max(np.abs(eff.a_bar - oracle)) <= 1e-14
+        assert np.max(np.abs(eff.b_bar)) <= 1e-14 and abs(eff.c_bar) <= 1e-14
+
+    def test_third_order_fields_are_none_and_psi1_refuses(self):
+        spec = build_problem("sin-abc")["spec"]
+        eff = eg.first_order_effective(spec, eg.PeriodicGrid(1, 32))
+        assert eff.a_bar_klm is eff.b_bar_kl is eff.c_bar_k is eff.d_bar is None
+        assert eff.as_dict()["d_bar"] is None
+        grid = eg.DomainGrid.unit(1, 64)
+        x = grid.points()[:, 0]
+        bundle = eg.derivative_bundle(eg.GridFunction(grid, np.sin(np.pi * x)), 3)
+        with pytest.raises(eg.InputError, match="third-order constants"):
+            eg.solve_psi1(eff, bundle, grid, eg.assemble_effective(eff, grid))
+
+    def test_grid_dimension_mismatch(self):
+        spec = build_problem("sep-2d")["spec"]
+        with pytest.raises(eg.InputError, match="grid dimension"):
+            eg.first_order_effective(spec, eg.PeriodicGrid(1, 16))
 
 
 class TestEffective2D:
