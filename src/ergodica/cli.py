@@ -29,8 +29,7 @@ from .corrector import (
     slow_corrector,
 )
 from .domain import (DomainGrid, assemble_linear, assemble_oscillatory,
-                     bellman_operators, effective_samples, fast_coordinates,
-                     oscillatory_samples)
+                     bellman_operators, effective_samples, fast_coordinates)
 from .effective import (build_corrector_set, effective_bellman_1d,
                         effective_linear, first_order_effective)
 from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
@@ -260,6 +259,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     A linear sweep takes lambda_bar from `first_order_effective`, no
     corrector solved, unless it is 1D and asks for `v_norm` or
     `residual_slope`, whose v_eps reads the `build_corrector_set` hierarchy.
+    Every row reports its eigensolve's bracket and iterations. The
+    homogenized eigenfunction u is read only where it is used: by 1D and
+    Bellman rows, the pivot columns, and a 2D row that is not separable,
+    whose eigensolve starts from it.
     """
     threads = os.environ.get("ERGODICA_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:
@@ -280,8 +283,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         else:
             eff = first_order_effective(spec, tg)
         # in 1D the assembled eff_op serves the psi_1 solve as well
-        eff_pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
-                                            tol=config.tol)
+        samples, at = effective_samples(eff, grid)
+        eff_pair, eff_op = linear_eigenpair(grid, *samples, tol=config.tol,
+                                            at=at)
         slow = slow_corrector(eff, correctors, eff_pair.phi, eff_op) \
             if expand else None
     else:
@@ -292,7 +296,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
     lam_bar = eff_pair.lam
-    u = eff_pair.phi
 
     # the eps-independent part of the Bellman expansion; rows only read it
     prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells) \
@@ -302,12 +305,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     def one_row(eps):
         t0 = time.perf_counter()
         row = {"eps": eps, "lambda_bar": lam_bar}
-        # a 1D row's operators and expansion share one fast-coordinate index
-        fast = fast_coordinates(grid, eps) if dim == 1 else None
+        # a row's operators and expansion share one fast-coordinate index
+        fast = fast_coordinates(grid, eps)
         # (lambda_eps, phi_eps) -> (lambda_bar, u): u starts the eigensolve well
         if config.mode == "linear" and dim == 1:
             op = assemble_oscillatory(spec, eps, grid, fast)
-            start = u
+            start = u = eff_pair.phi
             if slow is not None:
                 # v_eps needs only u; max(u + v_eps, u/2) starts better than u
                 exp, res = linear_expansion(eff_pair, slow, eps, op, fast)
@@ -320,18 +323,23 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             pair = principal_eigenpair(op, tol=config.tol, x0=start)
         elif config.mode == "linear":
             # a separable 2D L_eps is formed only if the row solves with it
-            samples = oscillatory_samples(spec, eps, grid)
-            pair, op = linear_eigenpair(grid, *samples, tol=config.tol, x0=u)
+            rows, at = fast
+            samples = spec.field.sample(rows)
+            pair, op = linear_eigenpair(grid, *samples, tol=config.tol,
+                                        x0=lambda: eff_pair.phi, at=at)
             if op is None and needs_pivot:
-                op = assemble_linear(grid, *samples)
+                op = assemble_linear(grid, *samples, at)
         else:
             # the frozen operators serve the eigensolve and the expansion
             ops = bellman_operators(spec, eps, grid, fast)
             pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol,
-                                                  ops=ops, x0=u)
+                                                  ops=ops, x0=eff_pair.phi)
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
+        row.update(cw_lower=pair.cw_lower, cw_upper=pair.cw_upper,
+                   iterations=pair.iterations)
         if needs_pivot:
+            u = eff_pair.phi
             w = pivot_problem(spec, eps, grid, u, lam_bar, op=op)
             t_eps, z = align_eigenfunctions(w, pair)
             row["t_eps"] = t_eps
@@ -475,8 +483,9 @@ def _cmd_eigen(config, args):
     else:
         eps = args.eps if args.eps is not None else config.eps_list[0]
         if problem["mode"] == "linear":
-            samples = oscillatory_samples(problem["spec"], eps, grid)
-            pair, _ = linear_eigenpair(grid, *samples, tol=config.tol)
+            rows, at = fast_coordinates(grid, eps)
+            pair, _ = linear_eigenpair(grid, *problem["spec"].field.sample(rows),
+                                       tol=config.tol, at=at)
         else:
             pair, _ = principal_eigenpair_bellman(problem["spec"], eps, grid,
                                                   tol=config.tol)
@@ -505,8 +514,8 @@ def _cmd_corrector(config, args):
     grid = DomainGrid.unit(1, n_cells)
     correctors = build_corrector_set(spec, tg)
     eff = effective_linear(spec, correctors)
-    pair, eff_op = linear_eigenpair(grid, *effective_samples(eff, grid),
-                                    tol=config.tol)
+    samples, at = effective_samples(eff, grid)
+    pair, eff_op = linear_eigenpair(grid, *samples, tol=config.tol, at=at)
     op = assemble_oscillatory(spec, eps, grid)
     exp, res = linear_expansion(
         pair, slow_corrector(eff, correctors, pair.phi, eff_op), eps, op)

@@ -253,7 +253,8 @@ def fast_coordinates(grid: DomainGrid, eps: float):
 
 def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
     """Samples (a, b, c) of a(x/eps), b(x/eps), c(x/eps) on the full node set,
-    evaluated once per distinct fast coordinate and gathered."""
+    evaluated once per distinct fast coordinate and gathered: the node-wise
+    form of the distinct rows and index that `fast_coordinates` gives."""
     if spec.dim != grid.dim:
         raise InputError("operator and grid dimensions differ")
     rows, inverse = fast_coordinates(grid, eps)
@@ -272,17 +273,20 @@ def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
 
 
 def effective_samples(eff: EffectiveLinear, grid: DomainGrid):
-    """The effective constants (a_bar, b_bar, c_bar) broadcast to every node."""
+    """((a_bar, b_bar, c_bar), at): the effective constants as one row, and
+    the index `at` (see `assemble_linear`) that gathers it to every node."""
     if eff.dim != grid.dim:
         raise InputError("effective operator and grid dimensions differ")
-    N = int(np.prod(grid.shape))
-    return (np.broadcast_to(eff.a_bar, (N, eff.dim, eff.dim)),
-            np.broadcast_to(eff.b_bar, (N, eff.dim)), np.full(N, eff.c_bar))
+    d = eff.dim
+    return ((np.reshape(eff.a_bar, (1, d, d)), np.reshape(eff.b_bar, (1, d)),
+             np.array([eff.c_bar])),
+            np.broadcast_to(np.intp(0), (int(np.prod(grid.shape)),)))
 
 
 def assemble_effective(eff: EffectiveLinear, grid: DomainGrid) -> DiscreteOperator:
     """Constant-coefficient effective operator on the same layout."""
-    return assemble_linear(grid, *effective_samples(eff, grid))
+    samples, at = effective_samples(eff, grid)
+    return assemble_linear(grid, *samples, at=at)
 
 
 def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid,

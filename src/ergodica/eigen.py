@@ -12,6 +12,7 @@ is a Kronecker sum of two 1D ones, whose Perron roots and brackets add.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,55 +133,99 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
     )
 
 
-def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
-                     x0=None):
-    """(pair, op): the principal eigenpair of `assemble_linear(grid, avals,
-    bvals, cvals)` (samples on the full node set) and that operator, or None.
+class KroneckerPair(EigenPair):
+    """The EigenPair of L_1 (x) I + I (x) L_2 on `grid`, from `axes`, two
+    (pair_k, r_k) with r_k = L_k phi_k + lam_k phi_k on the interior: lam
+    is the midpoint of the certified [l_1 + l_2, u_1 + u_2], and iterations
+    and bracket widths add. phi = phi_1 (x) phi_2 and residual = max |r_1
+    (x) phi_2 + phi_1 (x) r_2 + (lam - lam_1 - lam_2) phi| = max |L phi +
+    lam phi| are formed when first read."""
 
-    2D samples that pass `stencils.separable_by_axis` (b1 and c with a11, b2
-    with a22) give L_1 (x) I + I (x) L_2: each axis is solved with tol/2, op
-    is None, lam is the midpoint of the certified [l_1 + l_2, u_1 + u_2],
-    phi = phi_1 (x) phi_2, residual = max |L phi + lam phi| = max |r_1 (x)
-    phi_2 + phi_1 (x) r_2 + (lam - lam_1 - lam_2) phi| with r_k = L_k phi_k
-    + lam_k phi_k, and iterations and bracket widths add. Anything else is
-    assembled and solved from the start vector `x0` (see
-    `principal_eigenpair`). The axis solves ignore x0 and start from ones:
-    seeding them with the rank-one factors of the homogenized eigenfunction
-    raised the sep-2d sweep's iterations from 104 to 110.
+    def __init__(self, grid: DomainGrid, axes):
+        (p1, _), (p2, _) = self._axes = axes
+        self._grid = grid
+        self.cw_lower = p1.cw_lower + p2.cw_lower
+        self.cw_upper = p1.cw_upper + p2.cw_upper
+        self.lam = 0.5 * (self.cw_lower + self.cw_upper)
+        self.iterations = p1.iterations + p2.iterations
+        h1, h2 = p1.bracket_history, p2.bracket_history
+        self.bracket_history = [h1[min(i, len(h1) - 1)] + h2[min(i, len(h2) - 1)]
+                                for i in range(max(len(h1), len(h2)))]
+
+    @cached_property
+    def phi(self):
+        (p1, _), (p2, _) = self._axes
+        return GridFunction(self._grid, np.outer(p1.phi.values, p2.phi.values))
+
+    @cached_property
+    def residual(self):
+        (p1, r1), (p2, r2) = self._axes
+        v1, v2 = p1.phi.values[1:-1], p2.phi.values[1:-1]
+        residual = np.outer(r1, v2) + np.outer(v1, r2) + \
+            (self.lam - p1.lam - p2.lam) * np.outer(v1, v2)
+        return float(np.max(np.abs(residual)))
+
+
+def axis_samples(grid: DomainGrid, avals, bvals, cvals, at=None):
+    """The 1D samples (a, b, c) of each axis of 2D samples at the distinct
+    rows that `at` (from `domain.fast_coordinates`; None: every node is its
+    own row) gathers to the nodes, or None unless the rows pass
+    `stencils.separable_by_axis` (b1 and c with a11, b2 with a22).
+
+    The rows form a product grid, at[i0, i1] = j0 R1 + j1: at[0, :] is the
+    axis-1 index and at[:, 0] // R1 the axis-0 one. The verdict is taken on
+    the (R0, R1) rows, which is the nodes' verdict since every row is some
+    node's row, and each axis is gathered by a 1D index of n + 1 entries.
     """
-    if grid.dim == 2:
-        a = np.asarray(avals, dtype=float).reshape(grid.shape + (2, 2))
-        b = np.asarray(bvals, dtype=float).reshape(grid.shape + (2,))
-        c = np.reshape(cvals, grid.shape)
-    if grid.dim != 2 or not separable_by_axis(a, (b[..., 0], c), (b[..., 1],)):
-        op = assemble_linear(grid, avals, bvals, cvals)
+    index = np.arange(np.prod(grid.shape)) if at is None else np.asarray(at)
+    cols = index.reshape(grid.shape)[0]
+    width = int(cols.max()) + 1
+    rows = index.reshape(grid.shape)[:, 0] // width
+    a = np.asarray(avals, dtype=float).reshape(-1, width, 2, 2)
+    b = np.asarray(bvals, dtype=float).reshape(-1, width, 2)
+    c = np.reshape(cvals, (-1, width))
+    if not separable_by_axis(a, (b[..., 0], c), (b[..., 1],)):
+        return None
+    return ((a[rows, 0, 0, 0], b[rows, 0, 0], c[rows, 0]),
+            (a[0, cols, 1, 1], b[0, cols, 1], np.zeros(len(cols))))
+
+
+def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
+                     x0=None, at=None):
+    """(pair, op): the principal eigenpair of `assemble_linear(grid, avals,
+    bvals, cvals, at)` and that operator, or None. The samples are taken at
+    the distinct rows that `at` gathers to the nodes, or at every node.
+
+    2D samples whose `axis_samples` separate give L_1 (x) I + I (x) L_2:
+    each axis is solved with tol/2, op is None and the pair a
+    `KroneckerPair`. Anything else is assembled and solved from the start
+    vector `x0` (see `principal_eigenpair`), which may be a function that
+    returns it: only this path calls it. The axis solves ignore x0 and
+    start from ones: seeding them with the rank-one factors of the
+    homogenized eigenfunction raised the sep-2d sweep's iterations from 104
+    to 110.
+    """
+    axes = axis_samples(grid, avals, bvals, cvals, at) if grid.dim == 2 \
+        else None
+    if axes is None:
+        op = assemble_linear(grid, avals, bvals, cvals, at)
+        x0 = x0() if callable(x0) else x0
         return principal_eigenpair(op, tol=tol, x0=x0), op
-    axes = []
-    for k, samples in enumerate(((a[:, 0, 0, 0], b[:, 0, 0], c[:, 0]),
-                                 (a[0, :, 1, 1], b[0, :, 1], np.zeros(c.shape[1])))):
+    solved = []
+    for k, samples in enumerate(axes):
         op = assemble_linear(DomainGrid(1, (grid.bounds[k],), (grid.n[k],)),
                              *samples)
         pair = principal_eigenpair(op, tol=tol / 2)
         v = pair.phi.values[1:-1]
-        axes.append((pair, v, op.matvec(v) + pair.lam * v))
-    (p1, v1, r1), (p2, v2, r2) = axes
-    lower, upper = p1.cw_lower + p2.cw_lower, p1.cw_upper + p2.cw_upper
-    lam = 0.5 * (lower + upper)
-    residual = np.outer(r1, v2) + np.outer(v1, r2) + \
-        (lam - p1.lam - p2.lam) * np.outer(v1, v2)
-    h1, h2 = p1.bracket_history, p2.bracket_history
-    history = [h1[min(i, len(h1) - 1)] + h2[min(i, len(h2) - 1)]
-               for i in range(max(len(h1), len(h2)))]
-    phi = GridFunction(grid, np.outer(p1.phi.values, p2.phi.values))
-    return EigenPair(float(lam), phi, float(np.max(np.abs(residual))),
-                     float(lower), float(upper),
-                     p1.iterations + p2.iterations, history), None
+        solved.append((pair, op.matvec(v) + pair.lam * v))
+    return KroneckerPair(grid, solved), None
 
 
 def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid,
                         tol=1e-9) -> EigenPair:
-    """`linear_eigenpair` of the effective constants broadcast to `grid`."""
-    return linear_eigenpair(grid, *effective_samples(eff, grid), tol=tol)[0]
+    """`linear_eigenpair` of the effective constants, one row for all nodes."""
+    samples, at = effective_samples(eff, grid)
+    return linear_eigenpair(grid, *samples, tol=tol, at=at)[0]
 
 
 def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,

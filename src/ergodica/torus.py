@@ -277,7 +277,9 @@ def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
     `lu=cell_factor(a, a_op)` to reuse it across calls. Returns an
     ErgodicSolution, or a list of them for a block; gamma is the unique
     ergodic constant, chi is anchored at the grid origin. A residual above
-    1e-7 * (1 + max|f| + |gamma|) is a SolverError.
+    1e-7 * (1 + max|f| + |gamma| + ||a_op||_inf max|chi|), a normwise
+    backward error (the round-off of a_op chi grows with ||a_op|| ~ 1/h^2),
+    is a SolverError.
     """
     F = np.asarray(f, dtype=float)
     block = F.ndim == 2 and F.shape[0] == grid.npoints
@@ -289,7 +291,8 @@ def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
     sol = (lu or factor_cell(a_op)).solve(rhs)
     chis, gammas = sol[:N], sol[N]
     res = np.max(np.abs(a_op @ chis + F - gammas), axis=0)
-    scale = 1.0 + np.max(np.abs(F), axis=0) + np.abs(gammas)
+    scale = 1.0 + np.max(np.abs(F), axis=0) + np.abs(gammas) + \
+        abs(a_op).sum(axis=1).max() * np.max(np.abs(chis), axis=0)
     bad = np.flatnonzero(res > 1e-7 * scale)
     if bad.size:
         j = int(bad[0])

@@ -294,8 +294,8 @@ class TestRunSweep:
             self, monkeypatch, problem, starts):
         # every row hands u to its eigensolve: a 1D row, assembled from its
         # fast coordinates, to principal_eigenpair, which starts inverse
-        # iteration from it; a 2D row to linear_eigenpair, whose separable
-        # axis solves do not
+        # iteration from it; a 2D row to linear_eigenpair as a function that
+        # reads it, which the separable axis solves never call
         import ergodica.cli as cli_mod
         import ergodica.eigen as eigen_mod
         real_linear = cli_mod.linear_eigenpair
@@ -326,7 +326,8 @@ class TestRunSweep:
         assert rep.failures == [] and len(calls) == 3
         (x0, u_pair), rows = calls[0], calls[1:]
         assert x0 is None
-        assert all(x0 is u_pair.phi for x0, _ in rows)
+        assert all((x0() if callable(x0) else x0) is u_pair.phi
+                   for x0, _ in rows)
         assert seeded == starts
 
     def test_separable_2d_rows_factor_only_the_torus_cell(self, monkeypatch):
@@ -364,6 +365,78 @@ class TestRunSweep:
         assert len(rep.rows) == 3 and rep.failures == []
         assert orders == [] and cells == [(64, 64, 2, 2)]
         assert solves == [] and eighs == []
+
+    def test_lambda_only_2d_rows_gather_and_form_no_grid_array(self,
+                                                               monkeypatch):
+        # a lambda-only sep-2d row decides and solves on its distinct
+        # samples: no gather to the nodes, no phi_1 (x) phi_2, no residual
+        import ergodica.cli as cli_mod
+        import ergodica.domain as domain_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a lambda-only 2D row formed a grid array")
+
+        cfg = dict(problem="sep-2d", eps_list=[1 / 4, 1 / 8, 1 / 16], q=16,
+                   n_torus=32, timing=False)
+        with monkeypatch.context() as patch:
+            for module in (cli_mod, domain_mod):
+                patch.setattr(module, "oscillatory_samples", forbidden,
+                              raising=False)
+            patch.setattr(np, "outer", forbidden)
+            rep = eg.run_sweep(eg.SweepConfig(**cfg,
+                                              measurements=("lambda_rate",)))
+        assert len(rep.rows) == 3 and rep.failures == []
+        # the pivot columns read phi and u: the same numbers as from the
+        # samples gathered to every node
+        rep = eg.run_sweep(eg.SweepConfig(**dict(cfg, eps_list=[1 / 4, 1 / 8]),
+                                          measurements=("eigfun_rate",
+                                                        "z_rate")))
+        assert rep.failures == [] and len(rep.rows) == 2
+        spec = cli_mod.build_problem("sep-2d")["spec"]
+        grid = eg.DomainGrid.unit(2, rep.grid["n_cells"])
+        eff = eg.first_order_effective(spec, eg.PeriodicGrid(2, 32))
+        u = eg.effective_eigenpair(eff, grid).phi
+        for row in rep.rows:
+            eps = row["eps"]
+            pair, _ = cli_mod.linear_eigenpair(
+                grid, *domain_mod.oscillatory_samples(spec, eps, grid))
+            w = eg.pivot_problem(spec, eps, grid, u, rep.lambda_bar)
+            t_eps, z = eg.align_eigenfunctions(w, pair)
+            diff = (1 + t_eps) * pair.phi.values - u.values
+            assert row["lambda_eps"] == pair.lam and row["t_eps"] == t_eps
+            assert row["eigfun_err"] == np.max(np.abs(diff))
+            assert row["z_norm"] == np.max(np.abs(z.values))
+            assert row["w_minus_u"] == np.max(np.abs(w.values - u.values))
+
+    @pytest.mark.parametrize("problem, mode, meas", [
+        ("sin-abc", "linear", ("lambda_rate",)),
+        ("sin-abc", "linear", ("lambda_rate", "v_norm")),
+        ("bellman-2ctl-1d", "bellman", ("lambda_rate", "residual_slope")),
+        ("sep-2d", "linear", ("lambda_rate",)),
+    ])
+    def test_rows_report_their_bracket_and_iterations(self, problem, mode,
+                                                      meas):
+        cfg = eg.SweepConfig(problem=problem, mode=mode, q=16, n_torus=32,
+                             eps_list=[1 / 4, 1 / 8, 1 / 16], measurements=meas,
+                             timing=False)
+        rep = eg.run_sweep(cfg)
+        assert rep.failures == [] and len(rep.rows) == 3
+        for row in rep.rows:
+            assert row["cw_lower"] <= row["lambda_eps"] <= row["cw_upper"]
+            assert row["cw_upper"] - row["cw_lower"] <= cfg.tol
+            assert type(row["iterations"]) is int and row["iterations"] >= 1
+        if problem == "sep-2d":
+            # both axes carry a = 1 + sin(2 pi x/eps)/2: brackets and
+            # iterations are twice those of one axis, solved with tol/2
+            spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5)
+            axis = eg.DomainGrid.unit(1, 256)
+            for row in rep.rows:
+                pair = eg.principal_eigenpair(
+                    eg.assemble_oscillatory(spec, row["eps"], axis),
+                    tol=cfg.tol / 2)
+                assert row["iterations"] == 2 * pair.iterations
+                assert row["cw_lower"] == 2 * pair.cw_lower
+                assert row["cw_upper"] == 2 * pair.cw_upper
 
     @pytest.mark.parametrize("problem", ["sin-abc", "sep-2d"])
     def test_lambda_only_sweeps_solve_no_corrector(self, problem, monkeypatch):
@@ -535,6 +608,18 @@ class TestCli:
         assert main(["effective", "--config", cfg_path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["a_bar"][0][0] == pytest.approx(np.sqrt(3) / 2, abs=1e-6)
+
+    @pytest.mark.parametrize("n_torus", [32768, 65536])
+    def test_effective_on_fine_torus_grids(self, n_torus, tmp_path, capsys):
+        # the cell residual check scales with the operator norm ~ 1/h^2:
+        # an absolute one refused these exact closed-form correctors
+        # (residual 7.1e-7 and 1.5e-6) with exit 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": "sin-abc", "eps_list": [0.125],
+                                    "q": 16, "n_torus": n_torus}))
+        assert main(["effective", "--config", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["a_bar"][0][0] == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
 
     def test_effective_constant_2d_scalar_drift(self, tmp_path, capsys):
         # a scalar b0 is the same drift on every axis (it used to crash

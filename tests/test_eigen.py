@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings, strategies as st
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.domain import assemble_linear, oscillatory_samples
-from ergodica.eigen import _freeze_policy, linear_eigenpair
+from ergodica.domain import (assemble_linear, fast_coordinates,
+                             oscillatory_samples)
+from ergodica.eigen import _freeze_policy, axis_samples, linear_eigenpair
 
 
 def linear_op(field, grid):
@@ -488,3 +490,108 @@ def test_non_separable_samples_take_the_assembled_path(monkeypatch, change):
     assert calls == [2] and op is not None
     ref = eg.principal_eigenpair(eg.assemble_oscillatory(spec, 1 / 4, grid))
     assert pair.lam == ref.lam
+
+
+def random_field_2d(seed, coupling):
+    """A random admissible 2D field: a11, b1 and c vary along y1 and a22, b2
+    along y2, which makes a Kronecker sum, plus one `coupling` of the axes
+    unless it is "none"."""
+    rng = np.random.default_rng(seed)
+    amp, drift = rng.uniform(0.0, 0.4, 2), rng.uniform(-2.0, 2.0, 2)
+    phase = rng.uniform(0.0, 1.0, 5)
+    c0, c1 = rng.uniform(-1.0, 1.0, 2)
+    wave = lambda t, k: np.sin(2 * np.pi * (t + phase[k]))
+    across = lambda t: np.cos(2 * np.pi * t)  # not constant on >= 2 keys
+
+    def a(pts):
+        out = np.zeros((len(pts), 2, 2))
+        out[:, 0, 0] = 1 + amp[0] * wave(pts[:, 0], 0)
+        out[:, 1, 1] = 1 + amp[1] * wave(pts[:, 1], 1)
+        if coupling == "cross":
+            out[:, 0, 1] = out[:, 1, 0] = 0.2
+        elif coupling == "a11_on_y2":
+            out[:, 0, 0] += 0.1 * across(pts[:, 1])
+        return out
+
+    def b(pts):
+        out = np.stack([drift[0] * wave(pts[:, 0], 2),
+                        drift[1] * wave(pts[:, 1], 3)], axis=1)
+        if coupling == "b2_on_y1":
+            out[:, 1] += 0.3 * across(pts[:, 0])
+        return out
+
+    def c(pts):
+        out = c0 + c1 * wave(pts[:, 0], 4)
+        return out + 0.3 * across(pts[:, 1]) if coupling == "c_on_y2" else out
+
+    return eg.LinearOperatorSpec(eg.CoefficientField(2, a, b, c), 0.3, 1.7)
+
+
+COUPLINGS = ("none", "cross", "a11_on_y2", "b2_on_y1", "c_on_y2")
+# eps = 1/m on n cells; m = 6 divides neither 112 nor most n drawn here
+ROWS_2D = dict(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([2, 3, 4, 6]),
+               n=st.integers(8, 28), coupling=st.sampled_from(COUPLINGS))
+
+
+def distinct_and_gathered(spec, m, n):
+    """The grid, its distinct-row samples with their index `at`, and the
+    same samples gathered to every node."""
+    grid = eg.DomainGrid.unit(2, n)
+    rows, at = fast_coordinates(grid, 1 / m)
+    return (grid, spec.field.sample(rows), at,
+            oscillatory_samples(spec, 1 / m, grid))
+
+
+class TestDistinctRows:
+    """linear_eigenpair decides and solves on the distinct rows of the fast
+    coordinates exactly as on the samples gathered to every node."""
+
+    @given(**ROWS_2D)
+    @example(seed=0, m=6, n=112, coupling="none")
+    @example(seed=0, m=6, n=112, coupling="c_on_y2")
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_and_axis_samples_match_the_nodes(self, seed, m, n,
+                                                      coupling):
+        grid, samples, at, gathered = distinct_and_gathered(
+            random_field_2d(seed, coupling), m, n)
+        got = axis_samples(grid, *samples, at=at)
+        want = axis_samples(grid, *gathered)
+        # each axis takes >= 2 fast coordinates (n > m), where the
+        # couplings vary
+        assert (got is None) == (want is None) == (coupling != "none")
+        for got_axis, want_axis in zip(got or (), want or (), strict=True):
+            for g, w in zip(got_axis, want_axis, strict=True):
+                assert g.shape == (n + 1,)
+                np.testing.assert_array_equal(g, w)
+
+    @given(**ROWS_2D)
+    @example(seed=0, m=6, n=112, coupling="none")
+    @example(seed=0, m=6, n=112, coupling="b2_on_y1")
+    @settings(max_examples=25, deadline=None)
+    def test_eigenpair_matches_the_gathered_call(self, seed, m, n, coupling):
+        grid, samples, at, gathered = distinct_and_gathered(
+            random_field_2d(seed, coupling), m, n)
+        pair, op = linear_eigenpair(grid, *samples, at=at)
+        ref, ref_op = linear_eigenpair(grid, *gathered)
+        assert (op is None) == (ref_op is None) == (coupling == "none")
+        for key in ("lam", "cw_lower", "cw_upper", "iterations", "residual",
+                    "bracket_history"):
+            assert getattr(pair, key) == getattr(ref, key), key
+        np.testing.assert_array_equal(pair.phi.values, ref.phi.values)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([2, 3, 4, 6]),
+           n=st.integers(8, 24))
+    @settings(max_examples=25, deadline=None)
+    def test_kronecker_bracket_holds_the_assembled_eigenvalue(self, seed, m, n):
+        # the Perron root of L_1 (x) I + I (x) L_2 is l_1 + l_2: the axis
+        # brackets add into one that holds the 2D solve, up to round-off
+        grid, samples, at, _ = distinct_and_gathered(
+            random_field_2d(seed, "none"), m, n)
+        kron, op = linear_eigenpair(grid, *samples, at=at)
+        assert op is None and kron.cw_upper - kron.cw_lower <= 1e-9
+        full = assemble_linear(grid, *samples, at=at)
+        ref = eg.principal_eigenpair(full, tol=1e-11)
+        slack = _roundoff_tol(full, 1e-11)
+        assert kron.cw_lower - slack <= ref.lam <= kron.cw_upper + slack
+        np.testing.assert_allclose(kron.phi.values, ref.phi.values,
+                                   rtol=0, atol=1e-8)

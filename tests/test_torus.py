@@ -92,6 +92,25 @@ class TestCellSolve1D:
         gamma_oracle = (m @ f) / m.sum()
         assert sol.gamma == pytest.approx(gamma_oracle, abs=1e-11)
 
+    def test_residual_check_catches_a_corrupted_chi(self):
+        # the check scales with ||A||_inf max|chi|, the round-off scale of
+        # A chi, yet a chi moved by 1e-5 of its size at one node still fails
+        spec = build_problem("sin-abc")["spec"]
+        grid = eg.PeriodicGrid(1, 32768)
+        A = assemble_torus_diffusion(spec.field, grid)
+        f = spec.field.sample(grid.points())[0][:, 0, 0]
+        lu = cell_factor(f.reshape(grid.shape + (1, 1)), A)
+
+        class Corrupted:
+            def solve(self, B):
+                X = lu.solve(B)
+                X[grid.npoints // 3] += 1e-5 * np.max(np.abs(X[:-1]))
+                return X
+
+        assert eg.solve_cell(A, f, grid, lu=lu).residual < 1e-5
+        with pytest.raises(eg.SolverError, match="cell solve residual"):
+            eg.solve_cell(A, f, grid, lu=Corrupted())
+
 
 class TestCellSolve2D:
     def test_separable_diagonal(self):
