@@ -41,6 +41,7 @@ from .domain import (
     bellman_operators,
     dirichlet_solve,
     fast_coordinates,
+    node_index,
     properness_shift,
 )
 from .effective import (

@@ -28,6 +28,7 @@ from .domain import (
     assemble_oscillatory,
     dirichlet_solve,
     fast_coordinates,
+    node_index,
 )
 from .effective import CorrectorSet, EffectiveLinear
 from .eigen import EigenPair
@@ -45,7 +46,7 @@ class DerivativeBundle:
     d2: Dict[tuple, GridFunction]
     d3: Dict[tuple, GridFunction]
     order: int
-    mats: list  # the first-derivative matrix of each axis
+    mats: list  # the first-derivative `Stencil` of each axis
 
 
 def _axis_apply(D, values, axis):
@@ -87,7 +88,7 @@ def derivative_bundle(u: GridFunction, order: int, mats=None) -> DerivativeBundl
 def _interp(sol, fast):
     """`sol`, an ErgodicSolution or its TorusInterpolant, at every node."""
     f = sol if isinstance(sol, TorusInterpolant) else TorusInterpolant(sol.chi.values)
-    return f(fast[0])[fast[1]]
+    return f(fast[0])[node_index(fast[1])]
 
 
 def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,

@@ -1,5 +1,5 @@
 """Dirichlet discretization of oscillatory, effective and Bellman operators
-on an interval or rectangle, as monotone sparse operators.
+on an interval or rectangle, as monotone operators: bands in 1D, CSR in 2D.
 
 Grid functions live on the full node set (boundary included); operators act
 on interior unknowns, with the boundary coupling kept as a separate block so
@@ -7,7 +7,8 @@ inhomogeneous Dirichlet data can be moved to the right-hand side. The
 weights come from `stencils.stencil_weights`, which the torus cell matrices
 use too. A 1D operator is its three bands, aligned by row: its products,
 B = s*I - L_h, its M-matrix test, its tridiagonal factorization and the
-frozen policies of `eigen` read only the bands. 2D operators are CSR.
+frozen policies of `eigen` read only the bands, and no CSR matrix is
+written unless user code reads one. 2D operators are CSR.
 Oscillatory coefficients, and in 1D the weights, are formed once per
 distinct fast coordinate y = x/eps mod 1 (`fast_coordinates`) and
 gathered to the nodes.
@@ -18,12 +19,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
 from .errors import InputError
-from .stencils import monotone_stencil, stencil_weights
+from .stencils import BandOperator, monotone_stencil, stencil_weights
 from .torus import FactoredOperator, GridFunction
 
 
@@ -152,16 +152,15 @@ class DiscreteOperator:
 
     @cached_property
     def _csr(self):
-        """(matrix, boundary) from the bands: the flat (n, 3) rows (lower,
-        diag, upper), less the first and last entry, are the CSR entries."""
+        """(matrix, boundary) from the bands; lower[0] and upper[-1] are the
+        boundary block."""
+        from scipy import sparse
         n = len(self.bands[1])
-        matrix = sparse.csr_matrix(
-            (np.stack(self.bands, axis=1).ravel()[1:-1],
-             np.add.outer(np.arange(n), [-1, 0, 1]).ravel()[1:-1],
-             np.clip(3 * np.arange(n + 1) - 1, 0, 3 * n - 2)), shape=(n, n))
-        return matrix, sparse.csr_matrix(
+        return self._stencil.matrix, sparse.csr_matrix(
             ([self.bands[0][0], self.bands[2][-1]], ([0, n - 1], [0, 1])),
             shape=(n, 2))
+
+    _stencil = cached_property(lambda self: BandOperator(self.bands, wrap=False))
 
     matrix = property(lambda self: self._csr[0])
     boundary = property(lambda self: self._csr[1])
@@ -171,16 +170,9 @@ class DiscreteOperator:
         return FactoredOperator(self.matrix if self.bands is None else self.bands)
 
     def matvec(self, v):
-        """L_h v for a vector v on the interior nodes (zero boundary data).
-        With bands each row sums (lower v[i-1] + diag v[i]) + upper v[i+1],
-        the order of the CSR product, so both agree bit for bit."""
-        if self.bands is None:
-            return self.matrix @ v
-        lower, diag, upper = self.bands
-        out = diag * v
-        out[1:] += lower[1:] * v[:-1]
-        out[:-1] += upper[:-1] * v[1:]
-        return out
+        """L_h v for a vector v on the interior nodes (zero boundary data);
+        with bands, in the order of the CSR product (`stencils.Stencil`)."""
+        return (self.matrix if self.bands is None else self._stencil) @ v
 
     def apply(self, phi: GridFunction):
         """Operator value at interior nodes, honoring the boundary values of phi."""
@@ -210,7 +202,7 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
                                for s in (avals, bvals, cvals))
         nodes, rows_of = interior, (lambda s: s)
     else:
-        at = np.asarray(at)[interior]
+        at = node_index(at)[interior]
         nodes = np.zeros(len(cvals), dtype=np.intp)  # named by AssemblyError
         nodes[at] = interior
         rows_of = lambda s: np.take(s, at, axis=0)
@@ -228,7 +220,8 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
 
 def fast_coordinates(grid: DomainGrid, eps: float):
     """Distinct rows of y = x/eps mod 1 over the grid nodes, axis 0 outer, and
-    the index that scatters values at those rows to the nodes.
+    the index `at` that scatters values at those rows to the nodes; in 2D
+    the two axis indexes, whose outer sum it is (`node_index`).
 
     With eps = 1/m, node i of an axis with integer ends, length L and n cells
     has y = (i L m mod n) / n: the values are g j / n, g = gcd(L m, n), node
@@ -239,16 +232,22 @@ def fast_coordinates(grid: DomainGrid, eps: float):
     if m < 1 or abs(m * eps - 1) > 1e-12 or np.any(np.mod(grid.bounds, 1)):
         raise InputError(f"fast coordinates need eps = 1/m and integer grid "
                          f"bounds; got eps={eps!r}, bounds {grid.bounds}")
-    keys, inverse = [], 0
+    keys, axes = [], []
     for (lo, hi), n in zip(grid.bounds, grid.n):
         step = round(hi - lo) * m
         g = np.gcd(step, n)
         keys.append(np.arange(0, n, g) / n)
         # i (L m / g) mod (n / g) repeats with period n / g
         period = np.arange(n // g) * (step // g) % (n // g)
-        inverse = np.add.outer(inverse * (n // g), np.resize(period, n + 1))
+        axes.append(np.resize(period, n + 1))
     rows = np.stack(np.meshgrid(*keys, indexing="ij"), axis=-1)
-    return rows.reshape(-1, grid.dim), inverse.ravel()
+    at = axes[0] if grid.dim == 1 else (axes[0] * len(keys[1]), axes[1])
+    return rows.reshape(-1, grid.dim), at
+
+
+def node_index(at):
+    """The flat node -> row index of an `at` (see `fast_coordinates`)."""
+    return np.add.outer(*at).ravel() if isinstance(at, tuple) else np.asarray(at)
 
 
 def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
@@ -257,8 +256,8 @@ def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
     form of the distinct rows and index that `fast_coordinates` gives."""
     if spec.dim != grid.dim:
         raise InputError("operator and grid dimensions differ")
-    rows, inverse = fast_coordinates(grid, eps)
-    return tuple(np.take(s, inverse, axis=0) for s in spec.field.sample(rows))
+    rows, at = fast_coordinates(grid, eps)
+    return tuple(np.take(s, node_index(at), axis=0) for s in spec.field.sample(rows))
 
 
 def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
@@ -322,16 +321,20 @@ def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
     if op.bands is not None:
         lower, diag, upper = op.bands
         B = (-lower, shift - diag, -upper)
-        # B's off-diagonal entries in CSR order: (i, i-1), then (i, i+1)
-        off = np.stack([B[0], B[2]], axis=1)
-        off[0, 0] = off[-1, 1] = 0.0
-        size = np.abs(off)
-        excess = B[1] - (size[:, 0] + size[:, 1])
-        off = off.ravel()
-        k = int(np.argmax(np.where(off != 0.0, off, -np.inf))) \
-            if off.any() else None
-        at = None if k is None else (k // 2, k // 2 - 1 + 2 * (k % 2))
-        return B, *_m_matrix_verdict(B[1], off, k, at, excess, tol)
+        excess = np.abs(B[0])  # row i: (|B_i,i-1| + |B_i,i+1|), CSR's order
+        excess[0] = 0.0
+        excess[:-1] += np.abs(B[2][:-1])
+        np.subtract(B[1], excess, out=excess)
+        # the largest stored (nonzero) off-diagonal, first in CSR order
+        worst, at = (0.0, 0), None
+        for side, band in enumerate((B[0][1:], B[2][:-1])):
+            if band.any():
+                vals = band if band.max() else np.where(band != 0, band, -np.inf)
+                j = int(np.argmax(vals))
+                key = (float(vals[j]), side - 2 * j)  # ties: the earlier entry
+                if at is None or key > worst:
+                    worst, at = key, (j + 1 - side, j + side)
+        return B, *_m_matrix_verdict(B[1], worst[0], at, excess, tol)
     B = -op.matrix.tocsr()
     B.sum_duplicates()
     diag = B.diagonal() + shift
@@ -340,16 +343,16 @@ def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
     rows = np.repeat(np.arange(len(diag)), np.diff(B.indptr))
     off = B.indices != rows
     k = int(np.argmax(np.where(off, B.data, -np.inf))) if off.any() else None
+    worst = 0.0 if k is None else float(B.data[k])
     at = None if k is None else (int(rows[k]), int(B.indices[k]))
     w = np.where(off, B.data, 0.0)
     excess = diag - np.bincount(rows, np.abs(w, out=w), len(diag))
-    return B, *_m_matrix_verdict(diag, B.data, k, at, excess, tol)
+    return B, *_m_matrix_verdict(diag, worst, at, excess, tol)
 
 
-def _m_matrix_verdict(diag, entries, k, at, excess, tol):
-    """(ok, info) of `shifted_m_matrix`: k indexes the largest off-diagonal
-    entry of B in `entries` (None when there is none), at its (row, col)."""
-    worst_off = 0.0 if k is None else float(entries[k])
+def _m_matrix_verdict(diag, worst_off, at, excess, tol):
+    """(ok, info) of `shifted_m_matrix`: worst_off is B's largest stored
+    off-diagonal entry (0.0 when there is none), at its (row, col)."""
     ok = bool(diag.min() > 0 and worst_off <= tol and excess.min() > -tol)
     return ok, {
         "worst_offdiag": worst_off,

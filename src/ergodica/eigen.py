@@ -30,7 +30,7 @@ from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
 from .stencils import separable_by_axis
 from .torus import (FactoredOperator, GridFunction, improve_policy,
-                    policy_iteration, select_rows)
+                    policy_iteration, select_bands, select_rows)
 
 MAX_POWER_ITER = 500
 MAX_HOWARD_OUTER = 60
@@ -173,14 +173,19 @@ def axis_samples(grid: DomainGrid, avals, bvals, cvals, at=None):
     `stencils.separable_by_axis` (b1 and c with a11, b2 with a22).
 
     The rows form a product grid, at[i0, i1] = j0 R1 + j1: at[0, :] is the
-    axis-1 index and at[:, 0] // R1 the axis-0 one. The verdict is taken on
-    the (R0, R1) rows, which is the nodes' verdict since every row is some
+    axis-1 index and at[:, 0] // R1 the axis-0 one, read off the axis pair
+    of `fast_coordinates` without forming at. The verdict is taken on the
+    (R0, R1) rows, which is the nodes' verdict since every row is some
     node's row, and each axis is gathered by a 1D index of n + 1 entries.
     """
-    index = np.arange(np.prod(grid.shape)) if at is None else np.asarray(at)
-    cols = index.reshape(grid.shape)[0]
+    if isinstance(at, tuple):
+        first_col, cols = at[0] + at[1][0], at[0][0] + at[1]
+    else:
+        index = (np.arange(np.prod(grid.shape)) if at is None
+                 else np.asarray(at)).reshape(grid.shape)
+        first_col, cols = index[:, 0], index[0]
     width = int(cols.max()) + 1
-    rows = index.reshape(grid.shape)[:, 0] // width
+    rows = first_col // width
     a = np.asarray(avals, dtype=float).reshape(-1, width, 2, 2)
     b = np.asarray(bvals, dtype=float).reshape(-1, width, 2)
     c = np.reshape(cvals, (-1, width))
@@ -276,10 +281,7 @@ def _freeze_policy(ops, policy, grid):
     stacked bands when the operators carry bands, else by `select_rows`."""
     c_max = max(ops[beta].c_max for beta in np.unique(policy))
     if all(op.bands is not None for op in ops):
-        nodes = np.arange(len(policy))
-        bands = tuple(np.stack(band)[policy, nodes]
-                      for band in zip(*(op.bands for op in ops)))
-        return DiscreteOperator.from_bands(grid, bands, c_max)
+        return DiscreteOperator.from_bands(grid, select_bands(ops, policy), c_max)
     return DiscreteOperator(select_rows([op.matrix for op in ops], policy),
                             select_rows([op.boundary for op in ops], policy),
                             grid, c_max)

@@ -1,21 +1,24 @@
 """Finite-difference weights, the monotone stencil, and periodic
 interpolation utilities.
 
-`monotone_stencil` is the one discretization of a D^2 + b . D + c: the torus
-cell matrices (`torus`) and the Dirichlet operators (`domain`) share it.
-Differentiation matrices come in two flavors: circulant ones for the torus
-(wraparound indexing) and banded ones for bounded intervals, where rows near
-the edge fall back to one-sided stencils of the same order.
+`stencil_weights` is the one discretization of a D^2 + b . D + c: the torus
+cell operators (`torus`) and the Dirichlet operators (`domain`) share it.
+1D operators keep its weights as bands (`BandOperator`); `monotone_stencil`
+writes 2D ones as CSR. Difference operators are `Stencil`s applied by
+slicing, in numpy alone: circulant ones for the torus and banded ones for
+bounded intervals, where rows near the edge fall back to one-sided stencils
+of the same order. scipy.sparse is imported only when a CSR matrix is.
 `TorusInterpolant` evaluates torus grid functions off the grid with periodic
 cubic B-splines, in numpy alone: importing scipy.ndimage for it would also
 load scipy.special, at a cost every `import ergodica` pays.
 """
 
+import functools
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import AssemblyError
 
@@ -126,6 +129,7 @@ def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
     arguments). Neighbours wrap around when `wrap` (torus) and must exist
     otherwise.
     """
+    from scipy import sparse  # 2D only: 1D operators are bands
     neighbours, diag = stencil_weights(avals, bvals, cvals, h, shape, rows, wrap)
     mode = "wrap" if wrap else "raise"
     index = np.unravel_index(rows, shape)
@@ -139,59 +143,97 @@ def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
     )
 
 
-def periodic_diff_matrix(n, h, m=1):
-    """Circulant 4th-order differentiation matrix for n periodic nodes.
+class Stencil:
+    """A sparse n x n operator applied by slicing: `diags` are (s, r0, r1, w),
+    row i in [r0, r1) taking w x[i + s], w a scalar or one weight per row.
+    Each row sums its terms in ascending s, which is ascending column, the
+    order of a CSR product: `D @ x` and `D.T @ x` equal the products with
+    `matrix` and `matrix.T` bit for bit. x is a vector or an (n, k) block, or
+    with `grid` a flat (N,) or (N, k) function on that shape, which D
+    differentiates along `axis`. `matrix`, CSR, is written on first read."""
 
-    Centered stencils: 5 points for m in {1, 2}, 7 points for m = 3.
-    """
-    half = 2 if m <= 2 else 3
+    def __init__(self, n, diags, grid=None, axis=0):
+        self.n, self.grid, self.axis = n, grid or (n,), axis
+        self.diags = sorted(diags, key=lambda d: d[0])
+        self.shape = (math.prod(self.grid),) * 2
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        y = np.moveaxis(x.reshape(self.grid + x.shape[1:]), self.axis, 0)
+        out = np.zeros(y.shape)
+        for s, r0, r1, w in self.diags:
+            if np.ndim(w):
+                w = w.reshape(-1, *(1,) * (y.ndim - 1))
+            out[r0:r1] += w * y[r0 + s:r1 + s]
+        return np.moveaxis(out, 0, self.axis).reshape(x.shape)
+
+    def __abs__(self):
+        return Stencil(self.n, [(s, r0, r1, np.abs(w)) for s, r0, r1, w in
+                                self.diags], self.grid, self.axis)
+
+    @property
+    def T(self):
+        """The transpose: entry (i, i + s) becomes (i + s, i)."""
+        return Stencil(self.n, [(-s, r0 + s, r1 + s, w) for s, r0, r1, w in
+                                self.diags], self.grid, self.axis)
+
+    @cached_property
+    def matrix(self):
+        from scipy import sparse
+        rows = [np.arange(r0, r1) for _, r0, r1, _ in self.diags]
+        vals = [np.broadcast_to(d[3], len(r)) for d, r in zip(self.diags, rows)]
+        cols = [r + d[0] for d, r in zip(self.diags, rows)]
+        eyes = [sparse.identity(k, format="csr") for k in self.grid]
+        eyes[self.axis] = sparse.csr_matrix((np.concatenate(vals), (
+            np.concatenate(rows), np.concatenate(cols))), shape=(self.n, self.n))
+        return functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), eyes)
+
+
+class BandOperator(Stencil):
+    """A 1D operator as its three `bands` (lower, diag, upper) aligned by
+    row: row i is lower[i] v[i-1] + diag[i] v[i] + upper[i] v[i+1], indices
+    mod n on the torus (`wrap`); else lower[0] and upper[-1] are left out."""
+
+    def __init__(self, bands, wrap=True):
+        self.bands = lower, diag, upper = tuple(bands)
+        n = len(diag)
+        super().__init__(n, [(-1, 1, n, lower[1:]), (0, 0, n, diag),
+                             (1, 0, n - 1, upper[:-1])] + wrap * [
+            (1 - n, n - 1, n, upper[-1:]), (n - 1, 0, 1, lower[:1])])
+
+
+def _diff_stencil(n, h, m, periodic):
+    """4th-order m-th derivative `Stencil` on n equispaced nodes: centered,
+    5 points for m in {1, 2} and 7 for m = 3; near the edges wrapped
+    (`periodic`, zero weights left out) or one-sided (m + 4 points)."""
+    half, p_side = (2 if m <= 2 else 3), m + 4
     offsets = np.arange(-half, half + 1)
     w = fd_weights(offsets * h, 0.0, m)
-    rows, cols, vals = [], [], []
-    idx = np.arange(n)
-    for off, wk in zip(offsets, w):
-        if wk == 0.0:
-            continue
-        rows.append(idx)
-        cols.append((idx + off) % n)
-        vals.append(np.full(n, wk))
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    keep = w != 0.0 if periodic else slice(None)
+    lo, hi = half, max(half, n - half)
+    diags = [(int(s), lo, hi, wk) for s, wk in zip(offsets[keep], w[keep])]
+    for i in [*range(min(half, n)), *range(hi, n)]:
+        if periodic:  # duplicate columns (n < 2 half + 1) are summed, as CSR does
+            cols, at = np.unique((i + offsets[keep]) % n, return_inverse=True)
+            ws = np.bincount(at, w[keep], len(cols))
+        else:
+            cols = np.arange(p_side) + (0 if i < half else n - p_side)
+            ws = fd_weights((cols - i) * h, 0.0, m)
+        diags += [(int(c - i), i, i + 1, wk) for c, wk in zip(cols, ws)]
+    return Stencil(n, diags)
+
+
+def periodic_diff_matrix(n, h, m=1):
+    """4th-order differentiation `Stencil` for n periodic nodes (circulant)."""
+    return _diff_stencil(n, h, m, periodic=True)
 
 
 def bounded_diff_matrix(n, h, m=1):
-    """4th-order differentiation matrix on n equispaced nodes of an interval.
-
-    Interior rows are centered; rows within reach of an edge use one-sided
-    stencils of m + 4 points (order 4).
-    """
-    half = 2 if m <= 2 else 3
-    p_side = m + 4
-    if n < p_side:
-        raise ValueError(f"grid too coarse for a 4th-order stencil: n={n} < {p_side}")
-    rows, cols, vals = [], [], []
-    # centered block
-    offsets = np.arange(-half, half + 1)
-    w = fd_weights(offsets * h, 0.0, m)
-    interior = np.arange(half, n - half)
-    for off, wk in zip(offsets, w):
-        rows.append(interior)
-        cols.append(interior + off)
-        vals.append(np.full(len(interior), wk))
-    # one-sided rows
-    for i in list(range(half)) + list(range(n - half, n)):
-        start = 0 if i < half else n - p_side
-        pts = np.arange(start, start + p_side)
-        w1 = fd_weights((pts - i) * h, 0.0, m)
-        rows.append(pts * 0 + i)
-        cols.append(pts)
-        vals.append(w1)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    """4th-order differentiation `Stencil` on n equispaced nodes of an
+    interval; rows within reach of an edge are one-sided (m + 4 points)."""
+    if n < m + 4:
+        raise ValueError(f"grid too coarse for a 4th-order stencil: n={n} < {m + 4}")
+    return _diff_stencil(n, h, m, periodic=False)
 
 
 def _cubic_taps(y, n):

@@ -7,7 +7,7 @@ torus; the pair (v, gamma) is computed from the augmented square system
     [ A   -1 ] [ v     ]   [ -f ]
     [ m^T  0 ] [ gamma ] = [  0 ],
 
-where A is `stencils.monotone_stencil` for a(y) D^2 with wrapped neighbours
+where A is `assemble_torus_diffusion`'s a(y) D^2 with wrapped neighbours
 and m the mean weights. The constraint row pins the additive constant;
 v is then anchored at the grid origin, v(0) = 0, so a corrector traced at
 x/eps vanishes at both ends of [0, 1] when eps = 1/m. `cell_factor`
@@ -22,14 +22,15 @@ gttrf for the bands of every 1D Dirichlet, frozen-policy and shifted eigen
 matrix, SuperLU for a sparse matrix (2D operators, augmented 2D torus
 matrices), whose minimum-degree ordering on A^T + A roughly halves the fill
 of the default COLAMD ordering on the 2D grids here. A factor lives only as
-long as the function that solves with it.
+long as the function that solves with it. scipy.sparse is imported only
+where a CSR matrix or a SuperLU factor is made, never for 1D operators.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
 problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`),
 and `improve_policy` its one switching rule, which also seeds the
-eigenproblem's first policy from a start vector; `select_rows` builds their
-frozen-policy matrices, except for 1D Dirichlet operators, whose frozen
-rows are taken from their stacked bands. Each caller keeps its own check:
+eigenproblem's first policy from a start vector; frozen-policy rows come
+from stacked bands in 1D (`select_bands`), CSR rows in 2D (`select_rows`).
+Each caller keeps its own check:
 a Bellman residual below tolerance once the policy settles (cell), an
 eigenvalue that does not rise between sweeps (eigen).
 """
@@ -38,13 +39,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import splu
 
 from .coeff import BellmanSpec, CoefficientField
 from .errors import InputError, IterationError, SolverError
-from .stencils import monotone_stencil, periodic_diff_matrix, separable_by_axis
+from .stencils import (BandOperator, Stencil, monotone_stencil,
+                       periodic_diff_matrix, separable_by_axis, stencil_weights)
 
 # a control switch must gain more than this, relative to the largest value
 HOWARD_RTOL = 1e-11
@@ -74,9 +74,11 @@ class FactoredOperator:
                     f"tridiagonal LU factorization failed: exactly singular "
                     f"(zero pivot in row {info})")
             return
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
         # the matrix goes in positionally: profilers that wrap splu read it
         try:
-            self._lu = splu(sparse.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+            self._lu = splu(csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -154,19 +156,44 @@ class ErgodicSolution:
     residual: float
 
 
+def _diffusion_operator(avals, grid: PeriodicGrid):
+    """a(y) D^2 from samples at every node, picked as `cell_factor` picks
+    its factor: bands in 1D; B_0 (x) I + I (x) B_1, B_k the bands of axis k,
+    as one flat `Stencil` for 2D samples that separate (axis 1's diagonals
+    hold zeros where their band has no entry); else CSR."""
+    N, n = grid.npoints, grid.n
+    args = (avals, np.zeros((N, grid.dim)), np.zeros(N), (grid.h,) * grid.dim,
+            grid.shape, np.arange(N))
+    if grid.dim == 1:
+        neighbours, diag = stencil_weights(*args, wrap=True)
+        return BandOperator((neighbours[(-1,)], diag, neighbours[(1,)]))
+    a = avals.reshape(n, n, 2, 2)
+    if not separable_by_axis(a):
+        return monotone_stencil(*args, wrap=True)
+    diags = {}
+    for k, a_k in enumerate((a[:, 0, 0, 0], a[0, :, 1, 1])):
+        bands = _diffusion_operator(a_k.reshape(n, 1, 1), PeriodicGrid(1, n))
+        for s, r0, r1, w in bands.diags:
+            full = np.zeros(n)
+            full[r0:r1] = w
+            s, full = (s * n, np.repeat(full, n)) if k == 0 else (s, np.tile(full, n))
+            diags[s] = diags.get(s, 0.0) + full
+    return Stencil(N, [(s, max(0, -s), N - max(0, s), w[max(0, -s):N - max(0, s)])
+                       for s, w in diags.items()])
+
+
 def assemble_torus_diffusion(field: CoefficientField, grid: PeriodicGrid):
-    """Sparse monotone operator for y -> a(y) D^2 with periodic wrap."""
+    """Monotone operator for y -> a(y) D^2 with periodic wrap: bands,
+    a flat Kronecker sum or CSR (see `_diffusion_operator`)."""
     if field.dim != grid.dim:
         raise InputError(f"field dim {field.dim} != grid dim {grid.dim}")
-    avals, _, _ = field.sample(grid.points())
-    N = grid.npoints
-    return monotone_stencil(avals, np.zeros((N, grid.dim)), np.zeros(N),
-                            (grid.h,) * grid.dim, grid.shape, np.arange(N),
-                            wrap=True)
+    return _diffusion_operator(field.sample(grid.points())[0], grid)
 
 
 def factor_cell(a_op):
     """Factored augmented matrix [[A, -1], [m^T, 0]] of the cell problem."""
+    from scipy import sparse
+    a_op = a_op.matrix if isinstance(a_op, Stencil) else a_op
     N = a_op.shape[0]
     aug = sparse.bmat(
         [[a_op, -np.ones((N, 1))], [np.full((1, N), 1.0 / N), None]],
@@ -292,7 +319,7 @@ def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
     chis, gammas = sol[:N], sol[N]
     res = np.max(np.abs(a_op @ chis + F - gammas), axis=0)
     scale = 1.0 + np.max(np.abs(F), axis=0) + np.abs(gammas) + \
-        abs(a_op).sum(axis=1).max() * np.max(np.abs(chis), axis=0)
+        (abs(a_op) @ np.ones(N)).max() * np.max(np.abs(chis), axis=0)
     bad = np.flatnonzero(res > 1e-7 * scale)
     if bad.size:
         j = int(bad[0])
@@ -310,17 +337,24 @@ def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
 
 
 def gradient_matrices(grid: PeriodicGrid):
-    """4th-order centered first-derivative operators, one per axis, on flat vectors."""
+    """4th-order centered first derivatives (`Stencil`s) per axis, on flat vectors."""
     D = periodic_diff_matrix(grid.n, grid.h, m=1)
-    if grid.dim == 1:
-        return [D]
-    eye = sparse.identity(grid.n, format="csr")
-    return [sparse.kron(D, eye, format="csr"), sparse.kron(eye, D, format="csr")]
+    return [Stencil(grid.n, D.diags, grid.shape, axis) for axis in range(grid.dim)]
+
+
+def select_bands(ops, policy):
+    """Frozen-policy bands: row i of each band is row i of that band of
+    ops[policy[i]], taken out of the stacked bands of the controls."""
+    nodes = np.arange(len(policy))
+    return tuple(np.stack(band)[policy, nodes]
+                 for band in zip(*(op.bands for op in ops)))
 
 
 def select_rows(mats, policy):
     """Frozen-policy CSR matrix whose row i is row i of mats[policy[i]],
-    indexed out of the stacked control matrices."""
+    indexed out of the stacked control matrices (2D)."""
+    from scipy import sparse
+    mats = [m.matrix if isinstance(m, Stencil) else m for m in mats]
     n = mats[0].shape[0]
     return sparse.vstack(mats, format="csr")[policy * n + np.arange(n)]
 
@@ -372,13 +406,12 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
     pts = grid.points()
     nodes = np.arange(grid.npoints)
     avals = np.array([ctl.field.sample(pts)[0] for ctl in spec.controls])
-    ops = [monotone_stencil(
-        a, np.zeros((grid.npoints, grid.dim)), np.zeros(grid.npoints),
-        (grid.h,) * grid.dim, grid.shape, nodes, wrap=True) for a in avals]
+    ops = [_diffusion_operator(a, grid) for a in avals]
     fs = np.einsum("knij,ji->kn", avals, M)  # (n_controls, N)
 
     def evaluate(policy):
-        A = select_rows(ops, policy)
+        A = BandOperator(select_bands(ops, policy)) if grid.dim == 1 \
+            else select_rows(ops, policy)
         a = avals[policy, nodes].reshape(grid.shape + (grid.dim,) * 2)
         sol = solve_cell(A, fs[policy, nodes], grid, lu=cell_factor(a, A))
         values = np.array([op @ sol.chi.flat for op in ops]) + fs

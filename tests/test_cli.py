@@ -335,8 +335,10 @@ class TestRunSweep:
         # tridiagonal eigensolves, and lambda_bar reads a_bar, b_bar, c_bar
         # off the invariant measure of the one Kronecker cell factor, which
         # never solves: no SuperLU factor, no eigh, no corrector
+        import scipy.sparse.linalg as spla
+
         import ergodica.torus as torus_mod
-        real_splu, real_eigh = torus_mod.splu, np.linalg.eigh
+        real_splu, real_eigh = spla.splu, np.linalg.eigh
         orders, cells, solves, eighs = [], [], [], []
 
         def counted(matrix, *args, **kwargs):
@@ -356,7 +358,7 @@ class TestRunSweep:
                 solves.append(B.shape)
                 return super().solve(B)
 
-        monkeypatch.setattr(torus_mod, "splu", counted)
+        monkeypatch.setattr(spla, "splu", counted)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(torus_mod, "KroneckerCellFactor", CountedCell)
         cfg = eg.SweepConfig(problem="sep-2d", eps_list=[1 / 4, 1 / 8, 1 / 16],

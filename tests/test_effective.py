@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 import ergodica as eg
@@ -158,14 +159,14 @@ def solutions(cs):
 
 @pytest.fixture()
 def splu_orders(monkeypatch):
-    real = torus_mod.splu
+    real = spla.splu
     orders = []
 
     def counted(matrix, *args, **kwargs):
         orders.append(matrix.shape[0])
         return real(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(torus_mod, "splu", counted)
+    monkeypatch.setattr(spla, "splu", counted)
     return orders
 
 

@@ -93,6 +93,83 @@ class TestBoundedDiff:
         assert np.max(np.abs(D @ f - exact)) < 1e-10
 
 
+def _reference_csr(n, h, m, periodic):
+    """The difference matrix as CSR, entry by entry from fd_weights: 5- or
+    7-point centred rows, and at the edges wrapped rows (periodic, zero
+    weights left out) or one-sided rows of m + 4 points."""
+    half = 2 if m <= 2 else 3
+    offsets = np.arange(-half, half + 1)
+    w = fd_weights(offsets * h, 0.0, m)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if periodic:
+            pts, wi = (i + offsets[w != 0]) % n, w[w != 0]
+        elif half <= i < n - half:
+            pts, wi = i + offsets, w
+        else:
+            pts = np.arange(m + 4) + (0 if i < half else n - m - 4)
+            wi = fd_weights((pts - i) * h, 0.0, m)
+        rows += [i] * len(pts)
+        cols += list(pts)
+        vals += list(wi)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestStencilIsTheCSRProduct:
+    """`Stencil` products sum each row in CSR's order, ascending column, so
+    they equal the CSR products bit for bit, wrapped rows included."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("periodic,n", [
+        (True, 4), (True, 5), (True, 6), (True, 9), (True, 40),
+        (False, 7), (False, 9), (False, 40)])
+    def test_difference_operators(self, m, periodic, n):
+        if n < m + 4 and not periodic:
+            pytest.skip("grid too coarse for a one-sided stencil")
+        h = 1.0 / n
+        ref = _reference_csr(n, h, m, periodic)
+        D = (periodic_diff_matrix if periodic else bounded_diff_matrix)(n, h, m)
+        rng = np.random.default_rng(n + 10 * m)
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            np.testing.assert_array_equal(D @ x, ref @ x)
+            np.testing.assert_array_equal(D.T @ x, ref.T @ x)
+        got = D.matrix
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_gradients_apply_per_axis(self):
+        # 2D gradients act along one axis of flat functions, as the
+        # Kronecker products with the identity did
+        g = eg.PeriodicGrid(2, 12)
+        D = _reference_csr(g.n, g.h, 1, periodic=True)
+        eye = sparse.identity(g.n, format="csr")
+        F = np.random.default_rng(3).standard_normal((g.npoints, 2))
+        for G, ref in zip(eg.gradient_matrices(g), (sparse.kron(D, eye),
+                                                    sparse.kron(eye, D))):
+            np.testing.assert_array_equal(G @ F, ref.tocsr() @ F)
+            np.testing.assert_array_equal(G @ F[:, 0], ref.tocsr() @ F[:, 0])
+
+    @pytest.mark.parametrize("field", [
+        eg.sin_field_1d(delta=0.5), eg.separable_sin_field_2d(delta=0.5)],
+        ids=["bands-1d", "separable-2d"])
+    def test_torus_operators(self, field):
+        # 1D torus operators are bands and separable 2D ones a flat
+        # Stencil; the reference is monotone_stencil's CSR of the same rows
+        tg = eg.PeriodicGrid(field.dim, 12)
+        N = tg.npoints
+        A = eg.assemble_torus_diffusion(field, tg)
+        ref = monotone_stencil(field.sample(tg.points())[0],
+                               np.zeros((N, tg.dim)), np.zeros(N),
+                               (tg.h,) * tg.dim, tg.shape, np.arange(N),
+                               wrap=True)
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(N), rng.standard_normal((N, 3))):
+            np.testing.assert_array_equal(A @ x, ref @ x)
+        np.testing.assert_array_equal((A.matrix - ref).toarray(), 0.0)
+        np.testing.assert_array_equal(abs(A) @ np.ones(N),
+                                      abs(ref) @ np.ones(N))
+
+
 class TestTorusInterpolant:
     def test_reproduces_grid_values_1d(self):
         n = 64
@@ -218,6 +295,7 @@ class TestMonotoneStencil:
         n, dim = 16, field.dim
         tg = eg.PeriodicGrid(dim, n)
         A = eg.assemble_torus_diffusion(field, tg)
+        A = A.matrix if dim == 1 else A  # 1D: the CSR of its bands
         g = eg.DomainGrid.unit(dim, n)
         N = int(np.prod(g.shape))
         op = assemble_linear(g, field.sample(g.points())[0],
@@ -236,8 +314,14 @@ class TestMonotoneStencil:
     def test_pattern_rule_2d(self):
         # the torus keeps the diagonal neighbours as explicit zeros when
         # a12 = 0; the Dirichlet operator stores only the 5-point stencil
+        # (these samples separate, so the torus operator itself is a
+        # Stencil; the CSR rows of monotone_stencil are the reference)
         field = eg.separable_sin_field_2d(delta=0.5)
-        A = eg.assemble_torus_diffusion(field, eg.PeriodicGrid(2, 16))
+        tg = eg.PeriodicGrid(2, 16)
+        N = tg.npoints
+        A = monotone_stencil(field.sample(tg.points())[0], np.zeros((N, 2)),
+                             np.zeros(N), (tg.h,) * 2, tg.shape, np.arange(N),
+                             wrap=True)
         assert np.all(np.diff(A.indptr) == 9)
         spec = eg.LinearOperatorSpec(field, 0.5, 1.5)
         op = eg.assemble_oscillatory(spec, 0.25, eg.DomainGrid.unit(2, 16))

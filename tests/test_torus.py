@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.sparse.linalg as spla
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.linalg import null_space
@@ -86,7 +87,7 @@ class TestCellSolve1D:
         A = assemble_torus_diffusion(field, grid)
         f = field.a(grid.points())[:, 0, 0]
         sol = eg.solve_cell(A, f, grid=grid)
-        left = null_space(A.toarray().T)
+        left = null_space(A.matrix.toarray().T)
         assert left.shape[1] == 1
         m = left[:, 0]
         gamma_oracle = (m @ f) / m.sum()
@@ -157,7 +158,7 @@ class TestFactoredOperator:
         rng = np.random.default_rng(3)
         field = eg.separable_sin_field_2d(delta=0.5)
         grid = eg.PeriodicGrid(2, 16)
-        A = assemble_torus_diffusion(field, grid)
+        A = assemble_torus_diffusion(field, grid).matrix
         # nonsymmetric and nonsingular: shift the torus operator, add drift
         M = sparse.identity(grid.npoints) - A + sparse.random(
             grid.npoints, grid.npoints, density=0.01, random_state=rng)
@@ -184,7 +185,7 @@ class TestFactoredOperator:
             calls.append(args[0].shape)
             return splu(*args, **kwargs)
 
-        monkeypatch.setattr(torus_mod, "splu", counted)
+        monkeypatch.setattr(spla, "splu", counted)
         return calls
 
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
@@ -234,7 +235,7 @@ class TestFactoredOperator:
         grid = eg.PeriodicGrid(1, 64)
         A = assemble_torus_diffusion(eg.sin_field_1d(delta=0.5), grid)
         b = np.ones(grid.npoints)
-        x = FactoredOperator(sparse.identity(grid.npoints) - A).solve(b)
+        x = FactoredOperator(sparse.identity(grid.npoints) - A.matrix).solve(b)
         assert np.max(np.abs(x - A @ x - b)) < 1e-10
         factor_cell(A)
         assert splu_calls == [(64, 64), (65, 65)]
@@ -253,7 +254,8 @@ class TestFactoredOperator:
         else:
             mu = np.outer(1 / a[:, 0, 0, 0], 1 / a[0, :, 1, 1]).ravel()
         mu /= mu.sum()
-        assert np.max(np.abs(A.T @ mu)) < 1e-10 * np.max(np.abs(A))
+        M = A.matrix  # CSR of the bands, or of the separable 2D stencil
+        assert np.max(np.abs(M.T @ mu)) < 1e-10 * np.max(np.abs(M))
         F = np.random.default_rng(7).standard_normal((grid.npoints, 4))
         for lu in (cell_factor(a, A), factor_cell(A)):
             sols = eg.solve_cell(A, F, grid=grid, lu=lu)
@@ -311,13 +313,13 @@ class TestCellFactor1D:
 
     def test_cell_factor_picks_by_samples(self, monkeypatch):
         splu_orders = []
-        real = torus_mod.splu
+        real = spla.splu
 
         def counted(matrix, *args, **kwargs):
             splu_orders.append(matrix.shape[0])
             return real(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(torus_mod, "splu", counted)
+        monkeypatch.setattr(spla, "splu", counted)
         for field, dim, kind in (
                 (eg.sin_field_1d(), 1, CellFactor1D),
                 (eg.separable_sin_field_2d(), 2, KroneckerCellFactor),
@@ -454,6 +456,22 @@ class TestNonlinearCell:
         grid = eg.PeriodicGrid(1, 64)
         with pytest.raises(eg.IterationError, match="Bellman residual"):
             eg.solve_nonlinear_cell(bs, np.array([[1.0]]), grid, tol=1e-20)
+
+    def test_2d_cell_of_separable_controls(self, monkeypatch):
+        # separable controls give flat Stencil operators, whose frozen rows
+        # are CSR rows; the reference assembles every control as CSR
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5), 0.5, 1.5),
+            eg.LinearOperatorSpec(eg.constant_field(2, np.diag([1.2, 0.9])),
+                                  0.5, 1.5)])
+        grid = eg.PeriodicGrid(2, 16)
+        M = [[1.0, 0.0], [0.0, -0.5]]
+        sol, policy = eg.solve_nonlinear_cell(bs, M, grid)
+        monkeypatch.setattr(torus_mod, "separable_by_axis", lambda a: False)
+        ref, ref_policy = eg.solve_nonlinear_cell(bs, M, grid)
+        assert abs(sol.gamma - ref.gamma) <= 1e-12
+        assert np.array_equal(policy, ref_policy)
+        assert len(np.unique(policy)) == 2
 
 
 class TestPolicyIteration:
