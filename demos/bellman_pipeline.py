@@ -35,10 +35,15 @@ eff_pair, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid)
 print(f"\nlambda_bar = {eff_pair.lam:.9f}   (kappa pi^2 = "
       f"{kappa * np.pi ** 2:.9f})")
 
-# the eps-independent part of the expansion, built once for all eps
-prepared = eg.prepare_expansion(bs, eff_pair, grid, eff_pair.lam, cells)
+# the eps-independent part of the expansion, built once for all eps; the
+# traces read chi off sign cells on the coarsest torus grid that holds
+# every x/eps of the rows (256 points here)
+ms = (8, 16, 32)
+_, trace_cells = eg.effective_bellman_1d(bs, eg.trace_grid(grid, [1 / m for m in ms]))
+prepared = eg.prepare_expansion(bs, eff_pair, grid, eff_pair.lam, cells,
+                                trace_cells)
 print(f"\n{'eps':>8} {'lambda_eps':>14} {'|err|':>10} {'residual':>10}")
-for m in (8, 16, 32):
+for m in ms:
     eps = 1 / m
     ops = eg.bellman_operators(bs, eps, grid)
     pair, _ = eg.principal_eigenpair_bellman(bs, eps, grid, ops=ops)

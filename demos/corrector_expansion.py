@@ -5,7 +5,11 @@ the effective eigenfunction and measures (i) the corrector size
 ||v_eps|| ~ eps and (ii) the interior residual of L_eps (u + v_eps)
 + lambda_bar u, which decays superlinearly away from the boundary layer.
 The boundary correctors z_k would carry the boundary values of -w_k; at
-eps = 1/m those are round-off (the |w_2| column), so z_k = 0.
+eps = 1/m those are exactly 0 (the |w_2| column), so z_k = 0.
+
+lambda_bar comes from the n_torus cell; the correctors are solved on the
+coarsest torus grid that holds every x/eps of the rows (`trace_grid`), so
+each trace reads them at torus nodes.
 """
 
 import numpy as np
@@ -15,22 +19,25 @@ import ergodica as eg
 spec = eg.LinearOperatorSpec(
     eg.sin_field_1d(delta=0.5, b_amp=1.0, c0=0.2, c_amp=0.4),
     0.5, 1.5, c1=1.0)
-tg = eg.PeriodicGrid(1, 512)
-correctors = eg.build_corrector_set(spec, tg)
-eff = eg.effective_linear(spec, correctors)
+eff = eg.first_order_effective(spec, eg.PeriodicGrid(1, 512))
 
 grid = eg.DomainGrid.unit(1, 64 * 32)
 eff_op = eg.assemble_effective(eff, grid)
 pair = eg.principal_eigenpair(eff_op, tol=1e-10)
 print(f"effective eigenvalue lambda_bar = {pair.lam:.9f}")
 
-slow = eg.slow_corrector(eff, correctors, pair.phi, eff_op)
+ms = (8, 16, 32)
+tg = eg.trace_grid(grid, [1 / m for m in ms])
+correctors = eg.build_corrector_set(spec, tg)
+print(f"correctors on {tg.n} torus points")
+slow = eg.slow_corrector(eg.effective_linear(spec, correctors), correctors,
+                         pair.phi, eff_op)
 _, psi1, _, _ = slow
 print(f"slow corrector psi_1: sup = {np.max(np.abs(psi1.values)):.4e}")
 
 print(f"\n{'eps':>8} {'||v_eps||':>11} {'||v||/eps':>10} {'bdry |w2|':>10} "
       f"{'residual':>10}")
-for m in (8, 16, 32):
+for m in ms:
     eps = 1 / m
     op = eg.assemble_oscillatory(spec, eps, grid)
     exp, res = eg.linear_expansion(pair, slow, eps, op)

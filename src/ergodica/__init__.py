@@ -43,6 +43,7 @@ from .domain import (
     fast_coordinates,
     node_index,
     properness_shift,
+    trace_grid,
 )
 from .effective import (
     CorrectorSet,

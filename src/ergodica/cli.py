@@ -29,11 +29,11 @@ from .corrector import (
     slow_corrector,
 )
 from .domain import (DomainGrid, assemble_linear, assemble_oscillatory,
-                     bellman_operators, effective_samples, fast_coordinates)
+                     bellman_operators, effective_samples, fast_coordinates,
+                     trace_grid)
 from .effective import (build_corrector_set, effective_bellman_1d,
                         effective_linear, first_order_effective)
-from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
-                    principal_eigenpair_bellman)
+from .eigen import linear_eigenpair, principal_eigenpair, principal_eigenpair_bellman
 from .errors import ConfigError, ErgodicaError, SolverError
 from .torus import GridFunction, PeriodicGrid
 
@@ -253,13 +253,26 @@ def _fit_column(report, name, eps, values):
         report.fits[name] = {"error": str(exc)}
 
 
+def _linear_effective(spec, grid, config, eps_list=None):
+    """(effective eigenpair on `grid` from the n_torus cell, and given
+    `eps_list` the slow corrector from the cells of its `trace_grid`), shared
+    by every command; in 1D L_bar serves psi_1 too, dropped on return."""
+    eff = first_order_effective(spec, PeriodicGrid(grid.dim, config.n_torus))
+    samples, at = effective_samples(eff, grid)
+    pair, eff_op = linear_eigenpair(grid, *samples, tol=config.tol, at=at)
+    if eps_list is None:
+        return pair, None
+    correctors = build_corrector_set(spec, trace_grid(grid, eps_list))
+    return pair, slow_corrector(effective_linear(spec, correctors), correctors,
+                                pair.phi, eff_op)
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full per-epsilon study described by the configuration.
 
-    A linear sweep takes lambda_bar from `first_order_effective`, no
-    corrector solved, unless it is 1D and asks for `v_norm` or
-    `residual_slope`, whose v_eps reads the `build_corrector_set` hierarchy.
-    Every row reports its eigensolve's bracket and iterations. The
+    lambda_bar comes from the n_torus cells. The expansion of a 1D sweep
+    with `v_norm` or `residual_slope` reads cells solved on the `trace_grid`
+    of its rows. Every row reports its eigensolve's bracket and iterations. The
     homogenized eigenfunction u is read only where it is used: by 1D and
     Bellman rows, the pivot columns, and a 2D row that is not separable,
     whose eigensolve starts from it.
@@ -270,36 +283,28 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     problem = config_problem(config)
     dim = problem["dim"]
     spec = problem["spec"]
-    tg = PeriodicGrid(dim, config.n_torus)
     n_cells = config.q * max(config.denominators())
     grid = DomainGrid.unit(dim, n_cells)
     meas = set(config.measurements)
 
     if config.mode == "linear":
         expand = dim == 1 and bool(meas & {"v_norm", "residual_slope"})
-        if expand:
-            correctors = build_corrector_set(spec, tg)
-            eff = effective_linear(spec, correctors)
-        else:
-            eff = first_order_effective(spec, tg)
-        # in 1D the assembled eff_op serves the psi_1 solve as well
-        samples, at = effective_samples(eff, grid)
-        eff_pair, eff_op = linear_eigenpair(grid, *samples, tol=config.tol,
-                                            at=at)
-        slow = slow_corrector(eff, correctors, eff_pair.phi, eff_op) \
-            if expand else None
+        eff_pair, slow = _linear_effective(
+            spec, grid, config, config.eps_list if expand else None)
     else:
         if dim != 1:
             raise ConfigError("bellman sweeps are supported in 1D only")
-        eff_spec, cells = effective_bellman_1d(spec, tg)
+        eff_spec, cells = effective_bellman_1d(spec, PeriodicGrid(1, config.n_torus))
         slow = None
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
     lam_bar = eff_pair.lam
 
     # the eps-independent part of the Bellman expansion; rows only read it
-    prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells) \
-        if config.mode == "bellman" and "residual_slope" in meas else None
+    prepared = None
+    if config.mode == "bellman" and "residual_slope" in meas:
+        trace_cells = effective_bellman_1d(spec, trace_grid(grid, config.eps_list))[1]
+        prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells, trace_cells)
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
@@ -471,15 +476,11 @@ def _cmd_eigen(config, args):
     if args.out:
         _make_dir(args.out)  # before the eigensolve, not after it
     problem = config_problem(config)
-    dim = problem["dim"]
-    n_cells = config.q * max(config.denominators())
-    grid = DomainGrid.unit(dim, n_cells)
+    grid = DomainGrid.unit(problem["dim"], config.q * max(config.denominators()))
     if args.effective:
         if problem["mode"] != "linear":
             raise ConfigError("--effective applies to linear problems")
-        eff = first_order_effective(problem["spec"],
-                                    PeriodicGrid(dim, config.n_torus))
-        pair = effective_eigenpair(eff, grid, tol=config.tol)
+        pair, _ = _linear_effective(problem["spec"], grid, config)
     else:
         eps = args.eps if args.eps is not None else config.eps_list[0]
         if problem["mode"] == "linear":
@@ -509,16 +510,11 @@ def _cmd_corrector(config, args):
         raise ConfigError("'corrector' supports 1D linear problems")
     spec = problem["spec"]
     eps = args.eps if args.eps is not None else config.eps_list[0]
-    tg = PeriodicGrid(1, config.n_torus)
-    n_cells = config.q * max(config.denominators())
-    grid = DomainGrid.unit(1, n_cells)
-    correctors = build_corrector_set(spec, tg)
-    eff = effective_linear(spec, correctors)
-    samples, at = effective_samples(eff, grid)
-    pair, eff_op = linear_eigenpair(grid, *samples, tol=config.tol, at=at)
-    op = assemble_oscillatory(spec, eps, grid)
-    exp, res = linear_expansion(
-        pair, slow_corrector(eff, correctors, pair.phi, eff_op), eps, op)
+    grid = DomainGrid.unit(1, config.q * max(config.denominators()))
+    # the sweep's trace grid, refined if eps is not in eps_list
+    pair, slow = _linear_effective(spec, grid, config, [*config.eps_list, eps])
+    exp, res = linear_expansion(pair, slow, eps,
+                                assemble_oscillatory(spec, eps, grid))
     print(json.dumps({
         "sup_norm_v": exp.sup_norm_v,
         "residual_slope_inputs": {

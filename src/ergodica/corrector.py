@@ -1,16 +1,16 @@
 """Two-scale expansion machinery: interior correctors, the linear expansion,
 the pivot problem, eigenfunction alignment, and the nonlinear expansion.
 
-Torus profiles are evaluated along the diagonal y = x/eps by periodic cubic
-interpolation, once per distinct fast coordinate (`domain.fast_coordinates`),
+Torus profiles are read along the diagonal y = x/eps at the torus node of
+each distinct fast coordinate, on a grid that holds them (`trace_grid`),
 and scattered back to the nodes. x-derivatives use 4th-order stencils. The
 boundary correctors vanish (`full_corrector`), so none is solved for.
 
 Both expansions split into an eps-independent part, built once per sweep and
 only read by the rows, and a per-eps evaluation: `slow_corrector` (derivatives
-of u and psi_1, corrector interpolants) and `linear_expansion` for linear
-problems; `prepare_expansion` (invariant measures, linearized coefficients and
-the slow corrector, from the two sign cells of `effective.effective_bellman_1d`)
+of u and psi_1) and `linear_expansion` for linear problems;
+`prepare_expansion` (invariant measures, linearized coefficients and the
+slow corrector, from the sign cells of `effective.effective_bellman_1d`)
 and `nonlinear_expansion` for Bellman problems.
 """
 
@@ -29,11 +29,12 @@ from .domain import (
     dirichlet_solve,
     fast_coordinates,
     node_index,
+    torus_nodes,
 )
 from .effective import CorrectorSet, EffectiveLinear
 from .eigen import EigenPair
 from .errors import InputError
-from .stencils import TorusInterpolant, bounded_diff_matrix, periodic_diff_matrix
+from .stencils import bounded_diff_matrix, periodic_diff_matrix
 from .torus import GridFunction
 
 
@@ -85,10 +86,11 @@ def derivative_bundle(u: GridFunction, order: int, mats=None) -> DerivativeBundl
     return DerivativeBundle(u, wrap(d1), wrap(d2), wrap(d3), order, mats)
 
 
-def _interp(sol, fast):
-    """`sol`, an ErgodicSolution or its TorusInterpolant, at every node."""
-    f = sol if isinstance(sol, TorusInterpolant) else TorusInterpolant(sol.chi.values)
-    return f(fast[0])[node_index(fast[1])]
+def _tracer(correctors: CorrectorSet, grid: DomainGrid, eps: float, fast):
+    """sol -> x -> sol.chi(x/eps) at every node of `grid` (`torus_nodes`)."""
+    rows, at = fast_coordinates(grid, eps) if fast is None else fast
+    index = torus_nodes(rows, correctors.grid)[node_index(at)]
+    return lambda sol: sol.chi.flat[index]
 
 
 def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
@@ -96,18 +98,18 @@ def second_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
     """Trace x -> w_2(x, x/eps) of the second-order interior corrector.
 
     w_2(x, y) = chi^{kl}(y) d2_kl u(x) + eta^k(y) d1_k u(x) + nu(y) u(x).
-    `correctors` may hold TorusInterpolants (`_interpolants`); `fast` is
-    `fast_coordinates(grid, eps)`, computed here when not given.
+    The correctors' torus grid must hold every x/eps (`domain.trace_grid`);
+    `fast` is `fast_coordinates(grid, eps)`, computed here when not given.
     """
     grid = bundle.u.grid
     d = grid.dim
-    fast = fast_coordinates(grid, eps) if fast is None else fast
+    trace = _tracer(correctors, grid, eps, fast)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
-            out += _interp(correctors.chi[(k, l)], fast) * bundle.d2[(k, l)].flat
-        out += _interp(correctors.eta[k], fast) * bundle.d1[(k,)].flat
-    out += _interp(correctors.nu, fast) * bundle.u.flat
+            out += trace(correctors.chi[(k, l)]) * bundle.d2[(k, l)].flat
+        out += trace(correctors.eta[k]) * bundle.d1[(k,)].flat
+    out += trace(correctors.nu) * bundle.u.flat
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -141,19 +143,18 @@ def third_corrector(correctors: CorrectorSet, bundle: DerivativeBundle,
     d = grid.dim
     if bundle.order < 3:
         raise InputError("w_3 needs third derivatives of u")
-    fast = fast_coordinates(grid, eps) if fast is None else fast
+    trace = _tracer(correctors, grid, eps, fast)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
             for m in range(d):
-                out += _interp(correctors.chi3[(k, l, m)], fast) * \
-                    bundle.d3[(k, l, m)].flat
-            out += _interp(correctors.eta2[(k, l)], fast) * bundle.d2[(k, l)].flat
-            out += _interp(correctors.chi[(k, l)], fast) * psi1_bundle.d2[(k, l)].flat
-        out += _interp(correctors.nu1[k], fast) * bundle.d1[(k,)].flat
-        out += _interp(correctors.eta[k], fast) * psi1_bundle.d1[(k,)].flat
-    out += _interp(correctors.xi, fast) * bundle.u.flat
-    out += _interp(correctors.nu, fast) * psi1_bundle.u.flat
+                out += trace(correctors.chi3[(k, l, m)]) * bundle.d3[(k, l, m)].flat
+            out += trace(correctors.eta2[(k, l)]) * bundle.d2[(k, l)].flat
+            out += trace(correctors.chi[(k, l)]) * psi1_bundle.d2[(k, l)].flat
+        out += trace(correctors.nu1[k]) * bundle.d1[(k,)].flat
+        out += trace(correctors.eta[k]) * psi1_bundle.d1[(k,)].flat
+    out += trace(correctors.xi) * bundle.u.flat
+    out += trace(correctors.nu) * psi1_bundle.u.flat
     return GridFunction(grid, out.reshape(grid.shape))
 
 
@@ -174,7 +175,7 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction,
 
     The boundary correctors z_k (L^eps z_k = 0 with data -w_k(x, x/eps))
     vanish: the torus correctors are anchored at y = 0, where every boundary
-    node sits at eps = 1/m, so that data is spline round-off (about 1e-17).
+    node sits at eps = 1/m, so every trace reads exactly 0 there.
     """
     v = eps * psi1.values + eps ** 2 * w2_trace.values
     v = v + eps ** 3 * w3_trace.values
@@ -183,27 +184,18 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction,
                            float(np.max(np.abs(v))))
 
 
-def _interpolants(c: CorrectorSet) -> CorrectorSet:
-    """`c` with each profile replaced by its TorusInterpolant."""
-    f = lambda sol: TorusInterpolant(sol.chi.values)
-    table = lambda sols: {k: f(sol) for k, sol in sols.items()}
-    return CorrectorSet(c.grid, table(c.chi), [f(s) for s in c.eta], f(c.nu),
-                        table(c.chi3), table(c.eta2), [f(s) for s in c.nu1], f(c.xi))
-
-
 def slow_corrector(eff: EffectiveLinear, correctors: CorrectorSet,
                    u: GridFunction, op: DiscreteOperator):
     """The eps-independent part of the linear expansion around u.
 
     `op` is L_bar on u's grid, the operator whose eigenfunction u is; the
     caller assembles it once for both solves. Returns (bundle of u to order
-    3, psi_1, bundle of psi_1 to order 2, `_interpolants(correctors)`), the
-    `slow` argument of `linear_expansion`, which rows share and only read.
+    3, psi_1, bundle of psi_1 to order 2, correctors), the `slow` argument
+    of `linear_expansion`, which rows share and only read.
     """
     bundle = derivative_bundle(u, 3)
     psi1 = solve_psi1(eff, bundle, u.grid, op)
-    return (bundle, psi1, derivative_bundle(psi1, 2, bundle.mats),
-            _interpolants(correctors))
+    return bundle, psi1, derivative_bundle(psi1, 2, bundle.mats), correctors
 
 
 def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
@@ -272,21 +264,21 @@ class PreparedExpansion:
 
     abs_hessian: np.ndarray      # |u''| per domain node
     sign_index: np.ndarray       # per node, the position of sign(u'') in cells
-    cells: tuple                 # TorusInterpolant of chi per Hessian sign
+    cells: tuple                 # chi (on the trace grid) per Hessian sign
     w2F_residual: float
     Psi1: np.ndarray
     psi: GridFunction
 
 
 def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
-                      lambda_bar: float, cells) -> PreparedExpansion:
+                      lambda_bar: float, cells, trace_cells) -> PreparedExpansion:
     """Everything in the 1D Bellman expansion that does not depend on eps.
 
-    `cells` are the sign cells of `effective_bellman_1d(spec, torus_grid)`:
-    w_2(x, y) = |u''(x)| w(y; sign u''(x)) by positive 1-homogeneity.
-    From them come the invariant-measure weights, the consistency residual
-    w2F_residual, the ergodic constant Psi_1, the linearized coefficients
-    and the slow corrector w_1 = psi.
+    `cells` are the sign cells of `effective_bellman_1d(spec, torus_grid)`,
+    whose gamma_s give lambda_bar, w2F_residual and the linearized
+    coefficients; `trace_cells` the same on the `domain.trace_grid` of the
+    rows, whose chi (w_2(x, y) = |u''(x)| w(y; sign u''(x)) by positive
+    1-homogeneity) and policies give Psi_1 and the slow corrector w_1 = psi.
 
     Psi_1(x), the ergodic constant of the frozen-policy cell problem with
     data 2 a(y) d_x d_y w_2(x, y), is that data averaged against the
@@ -303,7 +295,7 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     sgn[np.abs(M) < 1e-12] = -1  # degenerate Hessian: follow the interior sign
     signs = np.unique(sgn)
     sign_index = np.searchsorted(signs, sgn)
-    torus_grid = cells[1][0].chi.grid
+    torus_grid = trace_cells[1][0].chi.grid
     avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0][:, 0, 0]
                           for ctl in spec.controls])
 
@@ -322,12 +314,12 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     Dy = periodic_diff_matrix(torus_grid.n, torus_grid.h, m=1)
     psi1_rhs = np.zeros(npts)
     for s in signs:
-        a_pol = avals_ctl[cells[s][1], np.arange(torus_grid.npoints)]
+        a_pol = avals_ctl[trace_cells[s][1], np.arange(torus_grid.npoints)]
         g = -(1.0 / a_pol) / np.sum(1.0 / a_pol)
         h = Dy.T @ (2.0 * a_pol * g)
         q = np.zeros(npts)
         for t in signs:
-            q[sgn == t] = cells[t][0].chi.flat @ h
+            q[sgn == t] = trace_cells[t][0].chi.flat @ h
         rows = sgn == s
         psi1_rhs[rows] = -(bundle.mats[0] @ (np.abs(M) * q))[rows]
 
@@ -341,7 +333,7 @@ def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
     return PreparedExpansion(
         abs_hessian=np.abs(M),
         sign_index=sign_index,
-        cells=tuple(TorusInterpolant(cells[s][0].chi.values) for s in signs),
+        cells=tuple(trace_cells[s][0].chi for s in signs),
         w2F_residual=w2F_residual, Psi1=psi1_rhs, psi=psi,
     )
 
@@ -363,9 +355,10 @@ def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
     u = u_pair.phi
 
     # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
-    rows, inverse = fast_coordinates(grid, eps) if fast is None else fast
-    traces = np.stack([chi(rows) for chi in prepared.cells])
-    w2_trace = prepared.abs_hessian * traces[prepared.sign_index, inverse]
+    rows, at = fast_coordinates(grid, eps) if fast is None else fast
+    nodes = torus_nodes(rows, prepared.cells[0].grid)
+    traces = np.stack([chi.flat[nodes] for chi in prepared.cells])
+    w2_trace = prepared.abs_hessian * traces[prepared.sign_index, at]
 
     w_eps_vals = u.values + eps * prepared.psi.values + \
         eps ** 2 * w2_trace.reshape(grid.shape)

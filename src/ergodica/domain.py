@@ -24,7 +24,7 @@ from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
 from .errors import InputError
 from .stencils import BandOperator, monotone_stencil, stencil_weights
-from .torus import FactoredOperator, GridFunction
+from .torus import FactoredOperator, GridFunction, PeriodicGrid
 
 
 @dataclass(frozen=True)
@@ -218,23 +218,27 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
                             rows[:, grid.boundary_index()].tocsr(), grid, c_max)
 
 
+def _axis_steps(grid: DomainGrid, eps: float):
+    """(L m, n) per axis (length L, n cells) for eps = 1/m, else InputError."""
+    m = round(1 / eps) if 0 < eps <= 1 and 1 / eps < np.inf else 0
+    if m < 1 or abs(m * eps - 1) > 1e-12 or np.any(np.mod(grid.bounds, 1)):
+        raise InputError(f"fast coordinates need eps = 1/m and integer grid "
+                         f"bounds; got eps={eps!r}, bounds {grid.bounds}")
+    return [(round(hi - lo) * m, n) for (lo, hi), n in zip(grid.bounds, grid.n)]
+
+
 def fast_coordinates(grid: DomainGrid, eps: float):
     """Distinct rows of y = x/eps mod 1 over the grid nodes, axis 0 outer, and
     the index `at` that scatters values at those rows to the nodes; in 2D
     the two axis indexes, whose outer sum it is (`node_index`).
 
     With eps = 1/m, node i of an axis with integer ends, length L and n cells
-    has y = (i L m mod n) / n: the values are g j / n, g = gcd(L m, n), node
-    i takes the ((i L m mod n) / g)-th, and no floats are sorted. Any other
-    eps (0, negative, NaN, not a reciprocal) is an InputError.
+    has y = (i L m mod n) / n: the values are j / R, R = n / g with
+    g = gcd(L m, n), node i takes the ((i L m mod n) / g)-th, and no floats
+    are sorted. Any eps other than 1/m is an InputError.
     """
-    m = round(1 / eps) if 0 < eps <= 1 and 1 / eps < np.inf else 0
-    if m < 1 or abs(m * eps - 1) > 1e-12 or np.any(np.mod(grid.bounds, 1)):
-        raise InputError(f"fast coordinates need eps = 1/m and integer grid "
-                         f"bounds; got eps={eps!r}, bounds {grid.bounds}")
     keys, axes = [], []
-    for (lo, hi), n in zip(grid.bounds, grid.n):
-        step = round(hi - lo) * m
+    for step, n in _axis_steps(grid, eps):
         g = np.gcd(step, n)
         keys.append(np.arange(0, n, g) / n)
         # i (L m / g) mod (n / g) repeats with period n / g
@@ -243,6 +247,23 @@ def fast_coordinates(grid: DomainGrid, eps: float):
     rows = np.stack(np.meshgrid(*keys, indexing="ij"), axis=-1)
     at = axes[0] if grid.dim == 1 else (axes[0] * len(keys[1]), axes[1])
     return rows.reshape(-1, grid.dim), at
+
+
+def trace_grid(grid: DomainGrid, eps_list) -> PeriodicGrid:
+    """The coarsest torus grid that holds every fast coordinate of `grid` at
+    each eps of `eps_list`: N_t = lcm of n / gcd(L m, n) over eps and axes."""
+    periods = [n // np.gcd(s, n) for eps in eps_list for s, n in _axis_steps(grid, eps)]
+    return PeriodicGrid(grid.dim, int(np.lcm.reduce(periods)))
+
+
+def torus_nodes(rows, torus: PeriodicGrid):
+    """The flat node of `torus` at each of the `rows` j / R of
+    `fast_coordinates`: j N_t / R, whose float / N_t is the float j / R
+    exactly when R divides N_t (`trace_grid`); else an InputError."""
+    nodes = np.rint(rows * torus.n)
+    if not np.array_equal(nodes / torus.n, rows):
+        raise InputError(f"{torus.n} torus points do not hold the fast coordinates")
+    return np.ravel_multi_index(nodes.astype(np.intp).T, torus.shape)
 
 
 def node_index(at):

@@ -1,5 +1,5 @@
-"""Finite-difference weights, the monotone stencil, and periodic
-interpolation utilities.
+"""Finite-difference weights, the monotone stencil, and difference
+operators applied by slicing.
 
 `stencil_weights` is the one discretization of a D^2 + b . D + c: the torus
 cell operators (`torus`) and the Dirichlet operators (`domain`) share it.
@@ -8,13 +8,9 @@ writes 2D ones as CSR. Difference operators are `Stencil`s applied by
 slicing, in numpy alone: circulant ones for the torus and banded ones for
 bounded intervals, where rows near the edge fall back to one-sided stencils
 of the same order. scipy.sparse is imported only when a CSR matrix is.
-`TorusInterpolant` evaluates torus grid functions off the grid with periodic
-cubic B-splines, in numpy alone: importing scipy.ndimage for it would also
-load scipy.special, at a cost every `import ergodica` pays.
 """
 
 import functools
-import itertools
 import math
 from functools import cached_property
 
@@ -234,53 +230,3 @@ def bounded_diff_matrix(n, h, m=1):
     if n < m + 4:
         raise ValueError(f"grid too coarse for a 4th-order stencil: n={n} < {m + 4}")
     return _diff_stencil(n, h, m, periodic=False)
-
-
-def _cubic_taps(y, n):
-    """(index, weight) pairs of the 4 cubic B-splines that overlap the
-    points y (mod 1) of an axis with n nodes, indexing coefficients padded
-    by one wrapped node before and two after."""
-    s = (y % 1.0) * n
-    base = np.floor(s)
-    t = s - base
-    u = 1.0 - t
-    i = base.astype(np.intp) % n  # y % 1.0 can round up to 1.0
-    t2, u2 = t * t, u * u
-    weights = (u2 * u / 6.0, 2.0 / 3.0 - t2 + 0.5 * t2 * t,
-               2.0 / 3.0 - u2 + 0.5 * u2 * u, t2 * t / 6.0)
-    return [(i + a, w) for a, w in enumerate(weights)]
-
-
-class TorusInterpolant:
-    """Periodic cubic-spline interpolation of values sampled on a torus grid.
-
-    Grid node j of an axis with n nodes sits at y = j / n. The B-spline
-    coefficients c solve (c[j-1] + 4 c[j] + c[j+1]) / 6 = v[j] cyclically on
-    each axis; the circulant system has the symbol (4 + 2 cos(2 pi k / n)) / 6,
-    so one rfft/irfft pair per axis computes them once per build (Unser,
-    "Splines: a perfect fit", IEEE SPM 1999). A point then sums the 4
-    coefficients around it per axis (a 4 x 4 tensor product in 2D), weighted
-    by the cubic B-splines centred on their nodes.
-    """
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.dim = self.values.ndim
-        coef = self.values
-        for ax, n in enumerate(coef.shape):
-            symbol = (2.0 + np.cos(2 * np.pi * np.fft.rfftfreq(n))) / 3.0
-            symbol = symbol.reshape((-1,) + (1,) * (self.dim - 1 - ax))
-            coef = np.fft.irfft(np.fft.rfft(coef, axis=ax) / symbol, n=n, axis=ax)
-            # pad one wrapped node before and two after (see `_cubic_taps`)
-            coef = np.take(coef, np.arange(-1, n + 2) % n, axis=ax)
-        self._coef = coef
-
-    def __call__(self, points):
-        """Evaluate at `points`: shape (m,) in 1D or (m, 2) in 2D; wraps mod 1."""
-        pts = np.atleast_1d(np.asarray(points, dtype=float)).reshape(-1, self.dim)
-        axes = [_cubic_taps(pts[:, k], n) for k, n in enumerate(self.values.shape)]
-        out = 0.0
-        for taps in itertools.product(*axes):
-            index, weights = zip(*taps)
-            out = out + self._coef[index] * math.prod(weights)
-        return out

@@ -398,8 +398,9 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
 
     Howard policy iteration: freeze the argmax control field, solve the
     linear cell problem (`cell_factor`), re-select controls; stops when the
-    control field is stationary and the discrete residual is below `tol`,
-    within MAX_CELL_SWEEPS sweeps. Returns (ErgodicSolution, policy array).
+    control field is stationary (at most MAX_CELL_SWEEPS sweeps) and the
+    residual is below tol (1 + max|f|) + 64 u ||A||_inf max|chi|, normwise
+    as in `solve_cell` (u the unit round-off). Returns (ErgodicSolution, policy).
     """
     M = np.asarray(M, dtype=float).reshape(spec.dim, spec.dim)
     M = 0.5 * (M + M.T)
@@ -419,7 +420,9 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
         return sol, values
 
     sol, policy = policy_iteration(evaluate, np.argmax(fs, axis=0), MAX_CELL_SWEEPS)
-    bound = tol * (1.0 + np.max(np.abs(fs)))
+    norm = max((abs(op) @ np.ones(grid.npoints)).max() for op in ops)
+    bound = tol * (1.0 + np.max(np.abs(fs))) + \
+        64 * np.finfo(float).eps * norm * np.max(np.abs(sol.chi.values))
     if sol.residual > bound:
         raise IterationError(
             f"Howard iteration settled with Bellman residual {sol.residual:.3e} "

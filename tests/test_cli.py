@@ -185,24 +185,27 @@ class TestRunSweep:
 
     def test_bellman_cell_solves_do_not_grow_with_eps(self, monkeypatch):
         # the sign cells at M = +1 and M = -1 serve the effective operator
-        # and the expansion: a sweep solves exactly two, however many rows
+        # (n_torus = 32), and two more the expansion, on the trace grid of
+        # the rows (n = 128 and 512 cells): a sweep solves exactly four,
+        # however many rows
         import ergodica.effective as eff_mod
         real = eff_mod.solve_nonlinear_cell
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(spec, M, grid, *args, **kwargs):
+            calls.append(grid.n)
+            return real(spec, M, grid, *args, **kwargs)
 
         monkeypatch.setattr(eff_mod, "solve_nonlinear_cell", counted)
-        for eps_list in ([1 / 4, 1 / 8], [1 / 4, 1 / 8, 1 / 16, 1 / 32]):
+        for eps_list, n_t in (([1 / 4, 1 / 8], 32),
+                              ([1 / 4, 1 / 8, 1 / 16, 1 / 32], 128)):
             calls.clear()
             cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
                                  eps_list=eps_list, q=16, n_torus=32,
                                  measurements=("residual_slope",))
             rep = eg.run_sweep(cfg)
             assert len(rep.rows) == len(eps_list)
-            assert len(calls) == 2
+            assert calls == [32, 32, n_t, n_t]
 
     def test_bellman_rows_make_one_eigensolve(self, monkeypatch):
         # each row starts Howard at the policy that is optimal against the
@@ -264,26 +267,6 @@ class TestRunSweep:
             assert seeded.cw_lower <= cold.cw_upper
             assert cold.cw_lower <= seeded.cw_upper
             assert seeded.iterations < cold.iterations
-
-    def test_corrector_interpolants_built_once_per_sweep(self, monkeypatch):
-        # the seven 1D torus correctors are interpolated before the rows,
-        # not once per row and trace
-        from ergodica.stencils import TorusInterpolant
-        real = TorusInterpolant.__init__
-        builds = []
-
-        def counted(self, values):
-            builds.append(values)
-            real(self, values)
-
-        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
-        monkeypatch.setattr(TorusInterpolant, "__init__", counted)
-        cfg = eg.SweepConfig(problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16],
-                             q=16, n_torus=32, timing=False,
-                             measurements=list(eg.cli.ALL_MEASUREMENTS))
-        rep = eg.run_sweep(cfg)
-        assert rep.failures == [] and len(rep.rows) == 3
-        assert len(builds) == 7
 
     @pytest.mark.parametrize("problem, starts", [
         ("sin-abc", [False, True, True]),
@@ -462,7 +445,9 @@ class TestRunSweep:
 
     def test_v_norm_sweep_builds_the_hierarchy(self, monkeypatch):
         # v_eps reads the correctors: a 1D sweep with v_norm solves both
-        # rounds. Its lambda_bar is the lambda-only one to the bit; its rows
+        # rounds, on the trace grid (256 cells, eps = 1/4 .. 1/16: the rows
+        # are j/64, j/32 and j/16), not on n_torus = 32. Its lambda_bar is
+        # the lambda-only one to the bit; its rows
         # start inverse iteration from u + v_eps instead of u, so lambda_eps
         # agrees to the eigensolve's tolerance (1.4e-13 apart at eps = 1/4)
         import ergodica.cli as cli_mod
@@ -485,7 +470,7 @@ class TestRunSweep:
             problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16], q=16,
             n_torus=32, measurements=meas, timing=False))
             for meas in (("lambda_rate", "v_norm"), ("lambda_rate",))]
-        assert built == [32] and rounds == [3, 4]
+        assert built == [64] and rounds == [3, 4]
         full, lam_only = reports
         assert full.lambda_bar == lam_only.lambda_bar
         for r, q in zip(full.rows, lam_only.rows, strict=True):

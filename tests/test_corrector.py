@@ -118,10 +118,10 @@ class TestSecondCorrector:
         bundle = eg.derivative_bundle(u, 2)
         eps = 1 / 8
         w2 = eg.second_corrector(cs, bundle, eps)
-        # eta and nu vanish, so w2 = chi(x/eps) u''(x)
-        from ergodica.stencils import TorusInterpolant
-        interp = TorusInterpolant(cs.chi[(0, 0)].chi.values)
-        manual = interp((x / eps) % 1.0) * bundle.d2[(0, 0)].values
+        # eta and nu vanish, so w2 = chi(x/eps) u''(x); every x/eps mod 1 is
+        # a node of the 256-point torus grid
+        node = np.rint((x / eps) % 1.0 * tg.n).astype(int) % tg.n
+        manual = cs.chi[(0, 0)].chi.values[node] * bundle.d2[(0, 0)].values
         assert np.max(np.abs(w2.values - manual)) < 1e-10
 
 
@@ -174,55 +174,50 @@ class TestThirdCorrector:
         assert np.max(np.abs(w3.values)) < 100
 
 
-def _node_by_node(sol, y):
-    """Torus profile evaluated at the fast coordinates y, one node a call."""
-    from ergodica.stencils import TorusInterpolant
-    interp = TorusInterpolant(sol.chi.values)
-    return np.array([interp(p)[0] for p in y])
-
-
-def _exact_fast(grid, eps):
-    """y = x/eps mod 1 at every node of a unit grid, in integers: node i of
-    an axis with n cells is x = i/n, and eps = 1/m."""
-    n, m = np.array(grid.n), round(1 / eps)
-    return np.rint(grid.points() * n).astype(int) * m % n / n
+def _node_by_node(sol, grid, eps):
+    """chi of `sol` at every node of a unit grid, one node at a time: node
+    i of an axis with n cells sits at y = (i m mod n) / n, eps = 1/m, which
+    is torus node (i m mod n) N_t / n."""
+    n_t, m = sol.chi.grid.n, round(1 / eps)
+    nodes = [tuple((i * m % n) * n_t // n for i, n in zip(node, grid.n))
+             for node in np.ndindex(grid.shape)]
+    return np.array([sol.chi.values[node] for node in nodes])
 
 
 def _reference_w2(cs, bundle, eps):
     grid = bundle.u.grid
     d = grid.dim
-    y = _exact_fast(grid, eps)
+    trace = lambda sol: _node_by_node(sol, grid, eps)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
-            out += _node_by_node(cs.chi[(k, l)], y) * bundle.d2[(k, l)].flat
-        out += _node_by_node(cs.eta[k], y) * bundle.d1[(k,)].flat
-    out += _node_by_node(cs.nu, y) * bundle.u.flat
+            out += trace(cs.chi[(k, l)]) * bundle.d2[(k, l)].flat
+        out += trace(cs.eta[k]) * bundle.d1[(k,)].flat
+    out += trace(cs.nu) * bundle.u.flat
     return out.reshape(grid.shape)
 
 
 def _reference_w3(cs, bundle, psi1_bundle, eps):
     grid = bundle.u.grid
     d = grid.dim
-    y = _exact_fast(grid, eps)
+    trace = lambda sol: _node_by_node(sol, grid, eps)
     out = np.zeros(np.prod(grid.shape))
     for k in range(d):
         for l in range(d):
             for m in range(d):
-                out += _node_by_node(cs.chi3[(k, l, m)], y) * \
-                    bundle.d3[(k, l, m)].flat
-            out += _node_by_node(cs.eta2[(k, l)], y) * bundle.d2[(k, l)].flat
-            out += _node_by_node(cs.chi[(k, l)], y) * psi1_bundle.d2[(k, l)].flat
-        out += _node_by_node(cs.nu1[k], y) * bundle.d1[(k,)].flat
-        out += _node_by_node(cs.eta[k], y) * psi1_bundle.d1[(k,)].flat
-    out += _node_by_node(cs.xi, y) * bundle.u.flat
-    out += _node_by_node(cs.nu, y) * psi1_bundle.u.flat
+                out += trace(cs.chi3[(k, l, m)]) * bundle.d3[(k, l, m)].flat
+            out += trace(cs.eta2[(k, l)]) * bundle.d2[(k, l)].flat
+            out += trace(cs.chi[(k, l)]) * psi1_bundle.d2[(k, l)].flat
+        out += trace(cs.nu1[k]) * bundle.d1[(k,)].flat
+        out += trace(cs.eta[k]) * psi1_bundle.d1[(k,)].flat
+    out += trace(cs.xi) * bundle.u.flat
+    out += trace(cs.nu) * psi1_bundle.u.flat
     return out.reshape(grid.shape)
 
 
 class TestDistinctFastCoordinates:
-    """The traces evaluate each profile once per distinct y = x/eps mod 1 and
-    scatter back; that must equal evaluation at every node, bit for bit.
+    """The traces read each profile once per distinct y = x/eps mod 1 and
+    scatter back; that must equal reading it at every node, bit for bit.
     y is computed in integers, and agrees with the float x/eps mod 1."""
 
     @pytest.mark.parametrize("dim, n_cells, eps", [
@@ -264,13 +259,14 @@ class TestDistinctFastCoordinates:
         with pytest.raises(eg.InputError, match="eps=0.3"):
             eg.assemble_oscillatory(spec, 0.3, eg.DomainGrid.unit(1, 64))
 
-    @pytest.mark.parametrize("dim, n_cells, eps", [
-        (1, 64, 1 / 8),
-        (1, 24, 1 / 5),  # y = 5i/24 mod 1 does not repeat within the grid
-        (2, 12, 1 / 4),
-        (2, 10, 1 / 3),
+    @pytest.mark.parametrize("dim, n_cells, eps, n_torus", [
+        (1, 64, 1 / 8, 8),  # the trace grid: 8 rows, stride 1
+        (1, 24, 1 / 5, 48),  # y = 5i/24 mod 1 does not repeat; stride 2
+        (2, 12, 1 / 4, 6),  # 3 rows per axis, stride 2
+        (2, 10, 1 / 3, 10),  # the trace grid
     ], ids=["1d-eps-8", "1d-n24-eps-5", "2d-eps-4", "2d-n10-eps-3"])
-    def test_traces_match_node_by_node_reference(self, dim, n_cells, eps):
+    def test_traces_match_node_by_node_reference(self, dim, n_cells, eps,
+                                                 n_torus):
         if dim == 1:
             spec = eg.LinearOperatorSpec(
                 eg.sin_field_1d(delta=0.5, b_amp=0.3, c0=0.2, c_amp=0.4),
@@ -278,7 +274,7 @@ class TestDistinctFastCoordinates:
         else:
             spec = eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5),
                                          0.5, 1.5)
-        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(dim, 16))
+        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(dim, n_torus))
         grid = eg.DomainGrid.unit(dim, n_cells)
         pts = grid.points()
         u = eg.GridFunction(grid, np.prod(np.sin(np.pi * pts), axis=1)
@@ -294,11 +290,28 @@ class TestDistinctFastCoordinates:
             w3.values, _reference_w3(cs, bundle, psi1_bundle, eps))
         assert np.max(np.abs(w2.values)) > 0 and np.max(np.abs(w3.values)) > 0
 
+    def test_torus_grid_must_hold_the_fast_coordinates(self):
+        # eps = 1/7 on 112 cells has 16 rows, which a 16-point torus holds;
+        # eps = 1/6 has 56, which it does not: a trace is refused, not
+        # interpolated
+        spec = build_problem("sin-abc")["spec"]
+        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(1, 16))
+        grid = eg.DomainGrid.unit(1, 112)
+        x = grid.points()[:, 0]
+        bundle = eg.derivative_bundle(
+            eg.GridFunction(grid, np.sin(np.pi * x)), 3)
+        assert np.all(np.isfinite(eg.second_corrector(cs, bundle, 1 / 7).values))
+        with pytest.raises(eg.InputError, match="16 torus points do not hold"):
+            eg.second_corrector(cs, bundle, 1 / 6)
+        with pytest.raises(eg.InputError, match="do not hold"):
+            eg.third_corrector(cs, bundle, bundle, 1 / 6)
+        assert eg.trace_grid(grid, [1 / 6, 1 / 7]).n == 112
+
 
 class TestBoundaryTraces:
     """The expansion has no boundary correctors: their Dirichlet data
-    -w_k(x, x/eps) is spline round-off at x = 0 and 1 for eps = 1/m, since
-    every torus corrector is anchored at y = 0."""
+    -w_k(x, x/eps) is exactly 0 at x = 0 and 1 for eps = 1/m, since every
+    torus corrector is anchored at y = 0, the torus node both ends read."""
 
     @pytest.mark.parametrize("n_cells, m", [
         (1024, 1), (1024, 8), (1024, 128),
@@ -306,17 +319,17 @@ class TestBoundaryTraces:
     ])
     def test_w2_w3_vanish_on_the_boundary(self, n_cells, m):
         spec = build_problem("sin-abc")["spec"]
-        cs = eg.build_corrector_set(spec, eg.PeriodicGrid(1, 32))
-        eff = eg.effective_linear(spec, cs)
         grid = eg.DomainGrid.unit(1, n_cells)
+        cs = eg.build_corrector_set(spec, eg.trace_grid(grid, [1 / m]))
+        eff = eg.effective_linear(spec, cs)
         eff_op = eg.assemble_effective(eff, grid)
         pair = eg.principal_eigenpair(eff_op, tol=1e-11)
         slow = eg.slow_corrector(eff, cs, pair.phi, eff_op)
         exp, _ = eg.linear_expansion(
             pair, slow, 1 / m, eg.assemble_oscillatory(spec, 1 / m, grid))
         bidx = grid.boundary_index()
-        assert np.max(np.abs(exp.w2_trace.flat[bidx])) <= 1e-15
-        assert np.max(np.abs(exp.w3_trace.flat[bidx])) <= 1e-15
+        assert np.all(exp.w2_trace.flat[bidx] == 0.0)
+        assert np.all(exp.w3_trace.flat[bidx] == 0.0)
         assert np.max(np.abs(exp.w2_trace.values)) > 1e-3
         assert np.all(exp.v_eps.flat[bidx] == 0.0)
 
@@ -382,9 +395,10 @@ class TestPivotAndAlignment:
 
 
 def bellman_expansion(bs, pair, eps, grid, tg):
-    """The Bellman expansion around `pair` at one eps, as a sweep row makes it."""
+    """The Bellman expansion around `pair` at one eps, as a sweep row makes
+    it, with one pair of sign cells on `tg` for lambda_bar and the traces."""
     _, cells = eg.effective_bellman_1d(bs, tg)
-    prepared = eg.prepare_expansion(bs, pair, grid, pair.lam, cells)
+    prepared = eg.prepare_expansion(bs, pair, grid, pair.lam, cells, cells)
     ops = eg.bellman_operators(bs, eps, grid)
     return eg.nonlinear_expansion(bs, pair, eps, grid, pair.lam, prepared, ops)
 
@@ -452,7 +466,7 @@ class TestNonlinearExpansion:
         grid = eg.DomainGrid.unit(1, 2048)
         eff_bs, cells = eg.effective_bellman_1d(bs, tg)
         pe, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid, tol=1e-10)
-        prepared = eg.prepare_expansion(bs, pe, grid, pe.lam, cells)
+        prepared = eg.prepare_expansion(bs, pe, grid, pe.lam, cells, cells)
         eps_list, resid = [], []
         for m in (8, 16, 32):
             ops = eg.bellman_operators(bs, 1 / m, grid)
@@ -480,7 +494,7 @@ class TestNonlinearExpansion:
         op = eg.assemble_oscillatory(bs.controls[0], 1.0, grid)
         pair = eg.principal_eigenpair(op, tol=1e-9)
         with pytest.raises(eg.InputError):
-            eg.prepare_expansion(bs, pair, grid, pair.lam, {})
+            eg.prepare_expansion(bs, pair, grid, pair.lam, {}, {})
 
 
 class TestCoreResidual:

@@ -4,13 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import ergodica as eg
 from ergodica.domain import assemble_linear
 from ergodica.stencils import (
-    TorusInterpolant,
     bounded_diff_matrix,
     fd_weights,
     monotone_stencil,
@@ -168,71 +166,6 @@ class TestStencilIsTheCSRProduct:
         np.testing.assert_array_equal((A.matrix - ref).toarray(), 0.0)
         np.testing.assert_array_equal(abs(A) @ np.ones(N),
                                       abs(ref) @ np.ones(N))
-
-
-class TestTorusInterpolant:
-    def test_reproduces_grid_values_1d(self):
-        n = 64
-        y = np.arange(n) / n
-        vals = np.sin(2 * np.pi * y) + 0.3 * np.cos(4 * np.pi * y)
-        interp = TorusInterpolant(vals)
-        assert np.max(np.abs(interp(y.reshape(-1, 1) if False else y) - vals)) \
-            < 1e-12
-
-    def test_offgrid_accuracy_1d(self):
-        n = 256
-        y = np.arange(n) / n
-        interp = TorusInterpolant(np.sin(2 * np.pi * y))
-        q = np.linspace(0, 1, 1013, endpoint=False)
-        assert np.max(np.abs(interp(q) - np.sin(2 * np.pi * q))) < 1e-7
-
-    def test_periodic_wrap(self):
-        n = 64
-        y = np.arange(n) / n
-        interp = TorusInterpolant(np.sin(2 * np.pi * y))
-        q = np.array([0.25])
-        assert interp(q + 3.0) == pytest.approx(interp(q), abs=1e-12)
-
-    def test_2d_accuracy(self):
-        n = 128
-        y = np.arange(n) / n
-        Y1, Y2 = np.meshgrid(y, y, indexing="ij")
-        vals = np.sin(2 * np.pi * Y1) * np.cos(2 * np.pi * Y2)
-        interp = TorusInterpolant(vals)
-        rng = np.random.default_rng(3)
-        q = rng.random((200, 2))
-        exact = np.sin(2 * np.pi * q[:, 0]) * np.cos(2 * np.pi * q[:, 1])
-        assert np.max(np.abs(interp(q) - exact)) < 1e-6
-
-    @pytest.mark.parametrize("shape", [(512,), (48, 64), (5,)],
-                             ids=["1d-512", "2d-48x64", "1d-5"])
-    def test_matches_ndimage_spline(self, shape):
-        # the reference: ndimage's periodic cubic spline, with its own wrap
-        # of the unreduced coordinates y * n (scipy.ndimage is not a
-        # dependency of the package, only of this test)
-        from scipy.ndimage import map_coordinates, spline_filter
-
-        rng = np.random.default_rng(11)
-        vals = rng.standard_normal(shape)
-        q = rng.uniform(-1.0, 2.0, (700, len(shape)))
-        coef = spline_filter(vals, order=3, mode="grid-wrap")
-        ref = map_coordinates(coef, (q * shape).T, order=3, mode="grid-wrap",
-                              prefilter=False)
-        got = TorusInterpolant(vals)(q[:, 0] if len(shape) == 1 else q)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
-
-    @given(st.integers(4, 40), st.integers(0, 2 ** 32 - 1),
-           st.integers(-3, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_grid_values_and_integer_shifts(self, n, seed, shift):
-        rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(n)
-        interp = TorusInterpolant(vals)
-        scale = np.max(np.abs(vals))
-        y = np.arange(n) / n
-        assert np.max(np.abs(interp(y) - vals)) <= 1e-12 * scale
-        q = rng.random(50)
-        assert np.max(np.abs(interp(q + shift) - interp(q))) <= 1e-12 * scale
 
 
 def test_import_loads_no_ndimage_or_special():

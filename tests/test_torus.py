@@ -447,15 +447,29 @@ class TestNonlinearCell:
         sol, _ = eg.solve_nonlinear_cell(bs, np.array([[1.0]]), grid, tol=1e-10)
         assert sol.residual <= 1e-10
 
-    def test_residual_above_tolerance_raises(self):
-        # the policy settles, but no discrete solve reaches a 1e-20 residual
-        bs = eg.BellmanSpec([
-            eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),
-            eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
-        ])
-        grid = eg.PeriodicGrid(1, 64)
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        # the policy settles, but a chi corrupted by 1e-12 at one node leaves
+        # a Bellman residual of ~6e-7 against a normwise bound of ~3e-10
+        bs = build_problem("bellman-2ctl-1d")["spec"]
+        real = torus_mod.solve_cell
+
+        def corrupted(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            sol.chi.values[5] += 1e-12
+            return sol
+
+        monkeypatch.setattr(torus_mod, "solve_cell", corrupted)
         with pytest.raises(eg.IterationError, match="Bellman residual"):
-            eg.solve_nonlinear_cell(bs, np.array([[1.0]]), grid, tol=1e-20)
+            eg.solve_nonlinear_cell(bs, np.array([[1.0]]), eg.PeriodicGrid(1, 512))
+
+    @pytest.mark.parametrize("n", [16384, 65536])
+    def test_fine_cells_settle(self, n):
+        # the Bellman residual is round-off in ||A|| max|chi|, ||A|| ~ n^2:
+        # 2.4e-9 at 16 384 cells, above an absolute 2.5e-10, once refused
+        eff, cells = eg.effective_bellman_1d(build_problem("bellman-2ctl-1d")["spec"],
+                                             eg.PeriodicGrid(1, n))
+        assert cells[1][0].gamma == pytest.approx(1.2634753589, abs=1e-9)
+        assert cells[-1][0].gamma == pytest.approx(-0.8357248147, abs=1e-9)
 
     def test_2d_cell_of_separable_controls(self, monkeypatch):
         # separable controls give flat Stencil operators, whose frozen rows
