@@ -56,7 +56,6 @@ from .effective import (
 from .eigen import (
     EigenPair,
     collatz_wielandt,
-    effective_eigenpair,
     principal_eigenpair,
     principal_eigenpair_bellman,
 )

@@ -12,7 +12,6 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
@@ -39,6 +38,12 @@ from .torus import GridFunction, PeriodicGrid
 
 ALL_MEASUREMENTS = ("lambda_rate", "eigfun_rate", "z_rate", "v_norm",
                     "residual_slope")
+# what a sweep of each (mode, dim) produces; asking for more is a ConfigError
+SWEEP_MEASUREMENTS = {
+    ("linear", 1): set(ALL_MEASUREMENTS),
+    ("linear", 2): {"lambda_rate", "eigfun_rate", "z_rate"},
+    ("bellman", 1): {"lambda_rate", "residual_slope"},
+}
 EXACT_FLOOR = 1e-9
 CSV_COLUMNS = ("eps", "lambda_eps", "lambda_bar", "abs_err_lambda",
                "eigfun_err", "z_norm", "v_norm", "seconds")
@@ -277,25 +282,25 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     Bellman rows, the pivot columns, and a 2D row that is not separable,
     whose eigensolve starts from it.
     """
-    threads = os.environ.get("ERGODICA_THREADS", "1")
-    if not threads.isdecimal() or int(threads) < 1:
-        raise ConfigError(f"ERGODICA_THREADS must be an integer >= 1, got {threads!r}")
     problem = config_problem(config)
     dim = problem["dim"]
     spec = problem["spec"]
     n_cells = config.q * max(config.denominators())
     grid = DomainGrid.unit(dim, n_cells)
     meas = set(config.measurements)
+    if config.mode == "bellman" and dim != 1:
+        raise ConfigError("bellman sweeps are supported in 1D only")
+    unsupported = meas - SWEEP_MEASUREMENTS[config.mode, dim]
+    if unsupported:
+        raise ConfigError(f"{dim}D {config.mode} sweeps do not measure "
+                          f"{sorted(unsupported)}")
 
     if config.mode == "linear":
-        expand = dim == 1 and bool(meas & {"v_norm", "residual_slope"})
+        expand = bool(meas & {"v_norm", "residual_slope"})
         eff_pair, slow = _linear_effective(
             spec, grid, config, config.eps_list if expand else None)
     else:
-        if dim != 1:
-            raise ConfigError("bellman sweeps are supported in 1D only")
         eff_spec, cells = effective_bellman_1d(spec, PeriodicGrid(1, config.n_torus))
-        slow = None
         eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
                                                   tol=config.tol)
     lam_bar = eff_pair.lam
@@ -363,20 +368,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["seconds"] = time.perf_counter() - t0
         return row
 
-    def attempt(eps):
+    rows, failures = [], []
+    for eps in config.eps_list:
         try:
-            return one_row(eps), None
+            rows.append(one_row(eps))
         except ErgodicaError as exc:
-            return None, {"eps": eps, "reason": str(exc)}
-
-    workers = int(threads)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # one worker runs the rows in this thread: a pool thread gets its own
-        # malloc arena, which raised peak RSS by 15% on a 1D sweep
-        mapper = pool.map if workers > 1 else map
-        outcomes = list(mapper(attempt, config.eps_list))
-    rows = [row for row, _ in outcomes if row is not None]
-    failures = [fail for _, fail in outcomes if fail is not None]
+            failures.append({"eps": eps, "reason": str(exc)})
 
     report = SweepReport(
         problem=config.problem, mode=config.mode, lambda_bar=lam_bar,
@@ -391,12 +388,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     if "lambda_rate" in meas:
         _fit_column(report, "lambda", eps, column("abs_err_lambda"))
-    if "eigfun_rate" in meas and config.mode == "linear":
+    if "eigfun_rate" in meas:
         _fit_column(report, "eigfun", eps, column("eigfun_err"))
         _fit_column(report, "w_minus_u", eps, column("w_minus_u"))
-    if "z_rate" in meas and config.mode == "linear":
+    if "z_rate" in meas:
         _fit_column(report, "z", eps, column("z_norm"))
-    if "v_norm" in meas and slow is not None:
+    if "v_norm" in meas:
         _fit_column(report, "v", eps, column("v_norm"))
         vn = column("v_norm")
         report.fits["v_over_eps"] = {

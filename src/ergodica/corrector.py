@@ -256,11 +256,8 @@ def align_eigenfunctions(w_eps: GridFunction, u_eps: EigenPair):
 
 @dataclass(frozen=True)
 class PreparedExpansion:
-    """The eps-independent part of the Bellman expansion.
-
-    Built once by `prepare_expansion` and only read afterwards, so threaded
-    sweep rows may share it.
-    """
+    """The eps-independent part of the Bellman expansion, built once by
+    `prepare_expansion` and only read afterwards."""
 
     abs_hessian: np.ndarray      # |u''| per domain node
     sign_index: np.ndarray       # per node, the position of sign(u'') in cells

@@ -251,9 +251,11 @@ def fast_coordinates(grid: DomainGrid, eps: float):
 
 def trace_grid(grid: DomainGrid, eps_list) -> PeriodicGrid:
     """The coarsest torus grid that holds every fast coordinate of `grid` at
-    each eps of `eps_list`: N_t = lcm of n / gcd(L m, n) over eps and axes."""
+    each eps of `eps_list`: N_t = lcm of n / gcd(L m, n) over eps and axes,
+    or its smallest multiple of at least 4 points, which still holds them."""
     periods = [n // np.gcd(s, n) for eps in eps_list for s, n in _axis_steps(grid, eps)]
-    return PeriodicGrid(grid.dim, int(np.lcm.reduce(periods)))
+    n_t = int(np.lcm.reduce(periods))
+    return PeriodicGrid(grid.dim, n_t * -(-4 // n_t))
 
 
 def torus_nodes(rows, torus: PeriodicGrid):

@@ -22,11 +22,9 @@ from .domain import (
     DomainGrid,
     assemble_linear,
     bellman_operators,
-    effective_samples,
     properness_shift,
     shifted_m_matrix,
 )
-from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
 from .stencils import separable_by_axis
 from .torus import (FactoredOperator, GridFunction, improve_policy,
@@ -224,13 +222,6 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
         v = pair.phi.values[1:-1]
         solved.append((pair, op.matvec(v) + pair.lam * v))
     return KroneckerPair(grid, solved), None
-
-
-def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid,
-                        tol=1e-9) -> EigenPair:
-    """`linear_eigenpair` of the effective constants, one row for all nodes."""
-    samples, at = effective_samples(eff, grid)
-    return linear_eigenpair(grid, *samples, tol=tol, at=at)[0]
 
 
 def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,

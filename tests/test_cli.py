@@ -152,37 +152,6 @@ class TestRunSweep:
             rounding = 16 * np.finfo(float).eps * np.max(np.abs(L).sum(axis=1))
             assert abs(row["lambda_eps"] - ref) <= cfg.tol + rounding
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
-        cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8, 1 / 16],
-                             q=16, n_torus=64, measurements=("lambda_rate",),
-                             timing=False)
-        rep1 = eg.run_sweep(cfg)
-        monkeypatch.setenv("ERGODICA_THREADS", "3")
-        rep2 = eg.run_sweep(cfg)
-        assert rep1.rows == rep2.rows
-
-
-    @pytest.mark.parametrize("threads", ["2", "4"])
-    def test_bellman_rows_identical_with_threads(self, monkeypatch, threads):
-        # threaded rows share the eps-independent expansion and only read it;
-        # a short switch interval makes the threads interleave finely
-        cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
-                             eps_list=[1 / 4, 1 / 8, 1 / 16, 1 / 32], q=16,
-                             n_torus=32,
-                             measurements=("lambda_rate", "residual_slope"),
-                             timing=False)
-        rep1 = eg.run_sweep(cfg)
-        monkeypatch.setenv("ERGODICA_THREADS", threads)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rep2 = eg.run_sweep(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert rep1.failures == [] and rep2.failures == []
-        assert all("residual" in row for row in rep1.rows)
-        assert rep1.rows == rep2.rows
-
     def test_bellman_cell_solves_do_not_grow_with_eps(self, monkeypatch):
         # the sign cells at M = +1 and M = -1 serve the effective operator
         # (n_torus = 32), and two more the expansion, on the trace grid of
@@ -227,7 +196,6 @@ class TestRunSweep:
             calls.append((kwargs.get("x0"), out[0], len(solves)))
             return out
 
-        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
         monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
         monkeypatch.setattr(cli_mod, "principal_eigenpair_bellman", bellman)
         cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
@@ -253,7 +221,6 @@ class TestRunSweep:
             rows.append((op, kwargs.get("x0"), pair))
             return pair
 
-        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
         monkeypatch.setattr(cli_mod, "principal_eigenpair", eig)
         cfg = eg.SweepConfig(problem="sin-abc", eps_list=[1 / 8, 1 / 16, 1 / 32],
                              q=16, n_torus=32, tol=1e-9,
@@ -299,7 +266,6 @@ class TestRunSweep:
             calls.append((kwargs.get("x0"), pair))
             return pair
 
-        monkeypatch.delenv("ERGODICA_THREADS", raising=False)
         monkeypatch.setattr(cli_mod, "linear_eigenpair", linear)
         monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
         monkeypatch.setattr(cli_mod, "principal_eigenpair", row_eig)
@@ -380,7 +346,8 @@ class TestRunSweep:
         spec = cli_mod.build_problem("sep-2d")["spec"]
         grid = eg.DomainGrid.unit(2, rep.grid["n_cells"])
         eff = eg.first_order_effective(spec, eg.PeriodicGrid(2, 32))
-        u = eg.effective_eigenpair(eff, grid).phi
+        samples, at = domain_mod.effective_samples(eff, grid)
+        u = cli_mod.linear_eigenpair(grid, *samples, at=at)[0].phi
         for row in rep.rows:
             eps = row["eps"]
             pair, _ = cli_mod.linear_eigenpair(
@@ -754,24 +721,27 @@ class TestCli:
         bad.write_text(json.dumps({"problem": "sin-a", "eps_list": [0.3]}))
         assert main(["sweep", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("overrides, threads", [
-        ({"eps_list": 0.5}, None),
-        ({"q": "64"}, None),
-        ({"n_torus": 2}, None),
-        ({"params": {"deltaa": 0.9}}, None),
-        ({"seed": 0}, None),
-        ({}, "two"),
-        ({}, "0"),
+    @pytest.mark.parametrize("overrides", [
+        {"eps_list": 0.5},
+        {"q": "64"},
+        {"n_torus": 2},
+        {"params": {"deltaa": 0.9}},
+        {"seed": 0},
+        # measurements the sweep's mode and dimension do not produce
+        {"problem": "sep-2d",
+         "measurements": ["lambda_rate", "v_norm", "residual_slope"]},
+        {"problem": "pucci-1d", "mode": "bellman",
+         "measurements": ["lambda_rate", "eigfun_rate", "z_rate"]},
+        {"problem": "pucci-1d", "mode": "bellman",
+         "measurements": ["lambda_rate", "v_norm"]},
     ], ids=["eps_list-scalar", "q-string", "n_torus-2", "params-typo",
-            "seed-removed", "threads-word", "threads-zero"])
-    def test_malformed_config_exit_2(self, tmp_path, capsys, monkeypatch,
-                                     overrides, threads):
+            "seed-removed", "sep-2d-v-residual", "bellman-eigfun-z",
+            "bellman-v"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, overrides):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "problem": "sin-a", "eps_list": [0.125], "q": 16, "n_torus": 64,
             "measurements": ["lambda_rate"], "timing": False, **overrides}))
-        if threads is not None:
-            monkeypatch.setenv("ERGODICA_THREADS", threads)
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error: ")

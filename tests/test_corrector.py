@@ -3,6 +3,7 @@ import pytest
 
 import ergodica as eg
 from ergodica.cli import build_problem
+from ergodica.domain import torus_nodes
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,17 @@ class TestDistinctFastCoordinates:
         with pytest.raises(eg.InputError, match="do not hold"):
             eg.third_corrector(cs, bundle, bundle, 1 / 6)
         assert eg.trace_grid(grid, [1 / 6, 1 / 7]).n == 112
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trace_grid_of_few_rows_has_four_points(self, dim):
+        # eps = 1/4 on 12 cells has 3 rows per axis (N_t = 3); the torus
+        # takes the smallest multiple of N_t with at least 4 points
+        grid = eg.DomainGrid.unit(dim, 12)
+        torus = eg.trace_grid(grid, [1 / 4])
+        assert torus.n == 6
+        rows, _ = eg.fast_coordinates(grid, 1 / 4)
+        nodes = torus_nodes(rows, torus)
+        np.testing.assert_array_equal(torus.points()[nodes], rows)
 
 
 class TestBoundaryTraces:
