@@ -18,8 +18,7 @@ bs = eg.BellmanSpec([
 ])
 tg = eg.PeriodicGrid(1, 512)
 
-# the sign cells at M = +1 and M = -1 give F_bar, the effective operator
-# and its linearization
+# the sign cells at M = +1 and M = -1 give F_bar and the effective operator
 eff_bs, cells = eg.effective_bellman_1d(bs, tg)
 m_plus = cells[1][0].gamma
 kappa = -cells[-1][0].gamma
@@ -40,20 +39,18 @@ print(f"\nlambda_bar = {eff_pair.lam:.9f}   (kappa pi^2 = "
 # every x/eps of the rows (256 points here)
 ms = (8, 16, 32)
 _, trace_cells = eg.effective_bellman_1d(bs, eg.trace_grid(grid, [1 / m for m in ms]))
-prepared = eg.prepare_expansion(bs, eff_pair, grid, eff_pair.lam, cells,
-                                trace_cells)
+prepared = eg.prepare_expansion(eff_pair, cells, trace_cells)
 print(f"\n{'eps':>8} {'lambda_eps':>14} {'|err|':>10} {'residual':>10}")
 for m in ms:
     eps = 1 / m
     ops = eg.bellman_operators(bs, eps, grid)
     pair, _ = eg.principal_eigenpair_bellman(bs, eps, grid, ops=ops)
-    _, rep = eg.nonlinear_expansion(bs, eff_pair, eps, grid, eff_pair.lam,
-                                    prepared, ops)
+    _, rep = eg.nonlinear_expansion(eff_pair, eps, prepared, ops)
     print(f"{eps:8.5f} {pair.lam:14.9f} "
           f"{abs(pair.lam - eff_pair.lam):10.2e} "
           f"{rep['expansion_residual_interior']:10.2e}")
 
-print("\nthe expansion residual F(x/eps, D^2(u + eps psi + eps^2 w2)) + "
-      "lambda_bar u decays like eps,")
+print("\nthe expansion residual F(x/eps, D^2(u + eps^2 w2)) + lambda_bar u "
+      "decays like eps,")
 print("matching the second-order expansion built from the nonlinear cell "
-      "problem and its linearization.")
+      "problem; in 1D its first-order term w1 is zero.")

@@ -309,7 +309,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     prepared = None
     if config.mode == "bellman" and "residual_slope" in meas:
         trace_cells = effective_bellman_1d(spec, trace_grid(grid, config.eps_list))[1]
-        prepared = prepare_expansion(spec, eff_pair, grid, lam_bar, cells, trace_cells)
+        prepared = prepare_expansion(eff_pair, cells, trace_cells)
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
@@ -360,8 +360,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["z_norm"] = float(np.max(np.abs(z.values)))
             row["w_minus_u"] = float(np.max(np.abs(w.values - u.values)))
         if prepared is not None:
-            _, rep = nonlinear_expansion(spec, eff_pair, eps, grid, lam_bar,
-                                         prepared, ops, fast)
+            _, rep = nonlinear_expansion(eff_pair, eps, prepared, ops, fast)
             row["residual"] = rep["expansion_residual_interior"]
             row["w2F_residual"] = rep["w2F_residual"]
         if config.timing:

@@ -9,9 +9,9 @@ boundary correctors vanish (`full_corrector`), so none is solved for.
 Both expansions split into an eps-independent part, built once per sweep and
 only read by the rows, and a per-eps evaluation: `slow_corrector` (derivatives
 of u and psi_1) and `linear_expansion` for linear problems;
-`prepare_expansion` (invariant measures, linearized coefficients and the
-slow corrector, from the sign cells of `effective.effective_bellman_1d`)
-and `nonlinear_expansion` for Bellman problems.
+`prepare_expansion` (the sign of u'' per node and the sign cells of
+`effective.effective_bellman_1d`) and `nonlinear_expansion` for Bellman
+problems, whose 1D expansion u + eps^2 w_2 has no first-order term.
 """
 
 from dataclasses import dataclass
@@ -19,12 +19,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .coeff import BellmanSpec, LinearOperatorSpec
+from .coeff import LinearOperatorSpec
 from .domain import (
     DiscreteOperator,
     DomainGrid,
-    apply_bellman,
-    assemble_linear,
     assemble_oscillatory,
     dirichlet_solve,
     fast_coordinates,
@@ -34,7 +32,7 @@ from .domain import (
 from .effective import CorrectorSet, EffectiveLinear
 from .eigen import EigenPair
 from .errors import InputError
-from .stencils import bounded_diff_matrix, periodic_diff_matrix
+from .stencils import bounded_diff_matrix
 from .torus import GridFunction
 
 
@@ -256,120 +254,82 @@ def align_eigenfunctions(w_eps: GridFunction, u_eps: EigenPair):
 
 @dataclass(frozen=True)
 class PreparedExpansion:
-    """The eps-independent part of the Bellman expansion, built once by
+    """The eps-independent part of the 1D Bellman expansion, built once by
     `prepare_expansion` and only read afterwards."""
 
     abs_hessian: np.ndarray      # |u''| per domain node
     sign_index: np.ndarray       # per node, the position of sign(u'') in cells
     cells: tuple                 # chi (on the trace grid) per Hessian sign
     w2F_residual: float
-    Psi1: np.ndarray
-    psi: GridFunction
 
 
-def prepare_expansion(spec: BellmanSpec, u_pair: EigenPair, grid: DomainGrid,
-                      lambda_bar: float, cells, trace_cells) -> PreparedExpansion:
-    """Everything in the 1D Bellman expansion that does not depend on eps.
+def prepare_expansion(u_pair: EigenPair, cells, trace_cells) -> PreparedExpansion:
+    """Everything in the 1D Bellman expansion around u_pair, the effective
+    eigenpair, that does not depend on eps.
 
     `cells` are the sign cells of `effective_bellman_1d(spec, torus_grid)`,
-    whose gamma_s give lambda_bar, w2F_residual and the linearized
-    coefficients; `trace_cells` the same on the `domain.trace_grid` of the
-    rows, whose chi (w_2(x, y) = |u''(x)| w(y; sign u''(x)) by positive
-    1-homogeneity) and policies give Psi_1 and the slow corrector w_1 = psi.
+    whose gamma_s give w2F_residual; `trace_cells` the same on the
+    `domain.trace_grid` of the rows, whose chi give w_2(x, y) =
+    |u''(x)| w(y; sign u''(x)) by positive 1-homogeneity.
 
-    Psi_1(x), the ergodic constant of the frozen-policy cell problem with
-    data 2 a(y) d_x d_y w_2(x, y), is that data averaged against the
-    invariant measure mu ~ 1/a_pol of the cell operator diag(a_pol) D^2.
+    There is no first-order term: the data Psi_1 of w_1 averages
+    2 a_pol d_x d_y w_2 against the invariant measure mu ~ 1/a_pol of the
+    frozen cell operator a_pol D^2. In 1D a_pol mu is constant and d_y
+    integrates to zero over the torus, so Psi_1 = 0, and the linear
+    Dirichlet problem for w_1 has zero data: w_1 = 0.
     """
+    u = u_pair.phi
+    grid = u.grid
     if grid.dim != 1:
         raise InputError("the nonlinear expansion is implemented in 1D only")
-    u = u_pair.phi
-    bundle = derivative_bundle(u, order=2)
-    M = bundle.d2[(0, 0)].flat
-    npts = len(M)
+    M = derivative_bundle(u, order=2).d2[(0, 0)].flat
 
     sgn = np.where(M < 0, -1, 1)
     sgn[np.abs(M) < 1e-12] = -1  # degenerate Hessian: follow the interior sign
     signs = np.unique(sgn)
     sign_index = np.searchsorted(signs, sgn)
-    torus_grid = trace_cells[1][0].chi.grid
-    avals_ctl = np.stack([ctl.field.sample(torus_grid.points())[0][:, 0, 0]
-                          for ctl in spec.controls])
 
     # consistency of the frozen cell problems with the effective eigenproblem
     gamma_x = np.array([cells[s][0].gamma for s in signs])[sign_index]
-    c_of_x = np.abs(M) * gamma_x
     interior = grid.interior_index()
     w2F_residual = float(np.max(np.abs(
-        c_of_x[interior] + lambda_bar * u.flat[interior])))
+        np.abs(M[interior]) * gamma_x[interior] + u_pair.lam * u.flat[interior])))
 
-    # Psi_1(x) = -g . (2 a_pol d_x d_y w_2(x, .)), g = -mu and a_pol of the
-    # sign of M(x); moving Dy onto the weight gives
-    # Psi_1 = -Dx(|M| (chi_sgn . Dy^T(2 a_pol g))). In 1D this is zero in
-    # exact arithmetic: a_pol * g is constant, and the circulant Dy has zero
-    # column sums.
-    Dy = periodic_diff_matrix(torus_grid.n, torus_grid.h, m=1)
-    psi1_rhs = np.zeros(npts)
-    for s in signs:
-        a_pol = avals_ctl[trace_cells[s][1], np.arange(torus_grid.npoints)]
-        g = -(1.0 / a_pol) / np.sum(1.0 / a_pol)
-        h = Dy.T @ (2.0 * a_pol * g)
-        q = np.zeros(npts)
-        for t in signs:
-            q[sgn == t] = trace_cells[t][0].chi.flat @ h
-        rows = sgn == s
-        psi1_rhs[rows] = -(bundle.mats[0] @ (np.abs(M) * q))[rows]
-
-    # linearized effective diffusion, 0-homogeneous in the Hessian direction:
-    # F_bar(M) = |M| F_bar(sign M) has derivative s * gamma_s in sign s
-    abar_x = sgn * gamma_x
-    op_lin = assemble_linear(
-        grid, abar_x[:, None, None], np.zeros((npts, 1)), np.zeros(npts))
-    psi = dirichlet_solve(op_lin, -psi1_rhs[interior])
-
-    return PreparedExpansion(
-        abs_hessian=np.abs(M),
-        sign_index=sign_index,
-        cells=tuple(trace_cells[s][0].chi for s in signs),
-        w2F_residual=w2F_residual, Psi1=psi1_rhs, psi=psi,
-    )
+    return PreparedExpansion(np.abs(M), sign_index, tuple(
+        trace_cells[s][0].chi for s in signs), w2F_residual)
 
 
-def nonlinear_expansion(spec: BellmanSpec, u_pair: EigenPair, eps: float,
-                        grid: DomainGrid, lambda_bar: float,
+def nonlinear_expansion(u_pair: EigenPair, eps: float,
                         prepared: PreparedExpansion, ops, fast=None):
     """Second-order expansion of the convex Bellman eigenproblem (1D).
 
-    Returns (w^eps = u + eps w_1 + eps^2 w_2-trace, report), with the
-    residual of the Bellman operator at w^eps against -lambda_bar u.
+    Returns (w^eps = u + eps^2 w_2-trace, report), with the residual of the
+    Bellman operator at w^eps against -lambda_bar u; w_1 = 0
+    (`prepare_expansion`).
 
     Only the w_2 trace x -> |u''(x)| chi_sign(x/eps), w^eps and the Bellman
     operator applied to it depend on eps; the rest is `prepared`, built by
-    `prepare_expansion` from the same spec, u_pair, grid and lambda_bar.
-    `ops` are the frozen operators `bellman_operators(spec, eps, grid)`, and
-    `fast` is `fast_coordinates(grid, eps)`, computed here when not given.
+    `prepare_expansion` from the same u_pair. `ops` are the frozen
+    operators `bellman_operators(spec, eps, grid)`, and `fast` is
+    `fast_coordinates(grid, eps)`, computed here when not given.
     """
     u = u_pair.phi
+    grid = u.grid
 
     # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
     rows, at = fast_coordinates(grid, eps) if fast is None else fast
     nodes = torus_nodes(rows, prepared.cells[0].grid)
     traces = np.stack([chi.flat[nodes] for chi in prepared.cells])
-    w2_trace = prepared.abs_hessian * traces[prepared.sign_index, at]
+    w2 = (prepared.abs_hessian * traces[prepared.sign_index, at]).reshape(grid.shape)
+    w_eps = GridFunction(grid, u.values + eps ** 2 * w2)
 
-    w_eps_vals = u.values + eps * prepared.psi.values + \
-        eps ** 2 * w2_trace.reshape(grid.shape)
-    w_eps = GridFunction(grid, w_eps_vals)
-
-    bell = apply_bellman(spec, eps, grid, w_eps, ops=ops)
-    interior = grid.interior_index()
-    res = bell.flat[interior] + lambda_bar * u.flat[interior]
+    # the Bellman operator at the interior nodes, as `apply_bellman` with ops
+    bell = np.max([op.apply(w_eps) for op in ops], axis=0)
+    res = bell + u_pair.lam * u.flat[grid.interior_index()]
     report = {
         "w2F_residual": prepared.w2F_residual,
         "expansion_residual_sup": float(np.max(np.abs(res))),
         "expansion_residual_interior": core_residual(grid, res),
-        "psi1": prepared.psi,
-        "w2_trace": GridFunction(grid, w2_trace.reshape(grid.shape)),
-        "Psi1": prepared.Psi1,
+        "w2_trace": GridFunction(grid, w2),
     }
     return w_eps, report

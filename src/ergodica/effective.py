@@ -12,9 +12,9 @@ only the eigenfunction expansion reads the correctors and third-order
 constants of `build_corrector_set` and `effective_linear`.
 
 The homogenized Bellman map F_bar is convex and positively 1-homogeneous.
-In 1D `effective_bellman_1d` reads all of it, its linearization included,
-from the two sign cells at M = +1 and M = -1; F_bar at any other M is the
-ergodic constant of `torus.solve_nonlinear_cell` at M.
+In 1D `effective_bellman_1d` reads all of it from the two sign cells at
+M = +1 and M = -1; F_bar at any other M is the ergodic constant of
+`torus.solve_nonlinear_cell` at M.
 """
 
 from dataclasses import dataclass
@@ -202,9 +202,7 @@ def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid):
     m_plus = F_bar(1) and m_minus = -F_bar(-1) fix it on all of R:
     F_bar(M) = max(m_plus M, m_minus M), with m_plus >= m_minus by
     convexity. That is a Bellman operator with the two constant controls
-    m_plus and m_minus, and its derivative at M != 0 is s * F_bar(s) for
-    s = sign(M): the linearized coefficient of the cell of sign s is
-    s * gamma_s.
+    m_plus and m_minus.
 
     Returns (effective BellmanSpec, cells), cells mapping each sign s in
     (+1, -1) to the (ErgodicSolution, policy) of the nonlinear cell problem

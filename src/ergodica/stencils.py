@@ -143,10 +143,10 @@ class Stencil:
     """A sparse n x n operator applied by slicing: `diags` are (s, r0, r1, w),
     row i in [r0, r1) taking w x[i + s], w a scalar or one weight per row.
     Each row sums its terms in ascending s, which is ascending column, the
-    order of a CSR product: `D @ x` and `D.T @ x` equal the products with
-    `matrix` and `matrix.T` bit for bit. x is a vector or an (n, k) block, or
-    with `grid` a flat (N,) or (N, k) function on that shape, which D
-    differentiates along `axis`. `matrix`, CSR, is written on first read."""
+    order of a CSR product: `D @ x` equals the product with `matrix` bit
+    for bit. x is a vector or an (n, k) block, or with `grid` a flat (N,) or
+    (N, k) function on that shape, which D differentiates along `axis`.
+    `matrix`, CSR, is written on first read."""
 
     def __init__(self, n, diags, grid=None, axis=0):
         self.n, self.grid, self.axis = n, grid or (n,), axis
@@ -165,12 +165,6 @@ class Stencil:
 
     def __abs__(self):
         return Stencil(self.n, [(s, r0, r1, np.abs(w)) for s, r0, r1, w in
-                                self.diags], self.grid, self.axis)
-
-    @property
-    def T(self):
-        """The transpose: entry (i, i + s) becomes (i + s, i)."""
-        return Stencil(self.n, [(-s, r0 + s, r1 + s, w) for s, r0, r1, w in
                                 self.diags], self.grid, self.axis)
 
     @cached_property

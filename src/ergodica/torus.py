@@ -401,12 +401,18 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
     control field is stationary (at most MAX_CELL_SWEEPS sweeps) and the
     residual is below tol (1 + max|f|) + 64 u ||A||_inf max|chi|, normwise
     as in `solve_cell` (u the unit round-off). Returns (ErgodicSolution, policy).
+    Controls must be pure second order (b = c = 0): the cell sees M alone.
     """
     M = np.asarray(M, dtype=float).reshape(spec.dim, spec.dim)
     M = 0.5 * (M + M.T)
     pts = grid.points()
     nodes = np.arange(grid.npoints)
-    avals = np.array([ctl.field.sample(pts)[0] for ctl in spec.controls])
+    samples = [ctl.field.sample(pts) for ctl in spec.controls]
+    for k, (_, b, c) in enumerate(samples):
+        if b.any() or c.any():
+            raise InputError(f"control {k} has a drift or zeroth-order term; "
+                             "Bellman cells take controls Tr(a D^2) only")
+    avals = np.array([a for a, _, _ in samples])
     ops = [_diffusion_operator(a, grid) for a in avals]
     fs = np.einsum("knij,ji->kn", avals, M)  # (n_controls, N)
 

@@ -410,9 +410,9 @@ def bellman_expansion(bs, pair, eps, grid, tg):
     """The Bellman expansion around `pair` at one eps, as a sweep row makes
     it, with one pair of sign cells on `tg` for lambda_bar and the traces."""
     _, cells = eg.effective_bellman_1d(bs, tg)
-    prepared = eg.prepare_expansion(bs, pair, grid, pair.lam, cells, cells)
+    prepared = eg.prepare_expansion(pair, cells, cells)
     ops = eg.bellman_operators(bs, eps, grid)
-    return eg.nonlinear_expansion(bs, pair, eps, grid, pair.lam, prepared, ops)
+    return eg.nonlinear_expansion(pair, eps, prepared, ops)
 
 
 class TestNonlinearExpansion:
@@ -430,7 +430,8 @@ class TestNonlinearExpansion:
         exp, rep = bellman_expansion(eg.BellmanSpec([spec]), pair, 1 / 8,
                                      grid, tg)
         assert np.max(np.abs(rep["w2_trace"].values - w2.values)) < 1e-8
-        assert np.max(np.abs(rep["psi1"].values - psi1.values)) < 1e-8
+        # b = c = 0: the linear psi_1 vanishes too, as w_1 = 0 assumes
+        assert np.max(np.abs(psi1.values)) <= 1e-8
 
     def test_constant_bellman_reduces_to_u(self):
         bs = eg.BellmanSpec([
@@ -442,14 +443,10 @@ class TestNonlinearExpansion:
         pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
         exp, rep = bellman_expansion(bs, pair, 1 / 8, grid, tg)
         assert np.max(np.abs(rep["w2_trace"].values)) < 1e-9
-        assert np.max(np.abs(rep["psi1"].values)) < 1e-8
         assert np.max(np.abs(exp.values - pair.phi.values)) < 1e-8
 
-    def test_psi1_vanishes_to_round_off_in_1d(self):
-        # Psi_1 averages d_y of its data against the invariant measure mu:
-        # in 1D a_pol * mu is constant and the circulant D_y has zero column
-        # sums, so Psi_1 is zero up to round-off in the size of that data
-        from ergodica.stencils import bounded_diff_matrix, periodic_diff_matrix
+    def test_expansion_is_u_plus_eps2_w2_bit_for_bit(self):
+        # in 1D w_1 = 0: w_eps is u + eps^2 w_2-trace, with no first-order term
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5),
             eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
@@ -457,17 +454,11 @@ class TestNonlinearExpansion:
         tg = eg.PeriodicGrid(1, 128)
         grid = eg.DomainGrid.unit(1, 512)
         pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
-        _, rep = bellman_expansion(bs, pair, 1 / 8, grid, tg)
-        M = eg.derivative_bundle(pair.phi, 2).d2[(0, 0)].flat
-        chi = {s: eg.solve_nonlinear_cell(bs, np.array([[s]]), tg)[0].chi.flat
-               for s in (1.0, -1.0)}
-        w2 = np.abs(M)[:, None] * np.array([chi[-1.0 if m < 0 else 1.0]
-                                            for m in M])
-        Dx = bounded_diff_matrix(grid.shape[0], grid.h[0], m=1)
-        Dy = periodic_diff_matrix(tg.n, tg.h, m=1)
-        data = 2.0 * bs.Lambda_ell * np.abs(Dy @ (Dx @ w2).T).max()
-        assert data > 1.0
-        assert np.max(np.abs(rep["Psi1"])) <= 1e-12 * data
+        for eps in (1 / 8, 1 / 16):
+            w_eps, rep = bellman_expansion(bs, pair, eps, grid, tg)
+            assert np.max(np.abs(rep["w2_trace"].values)) > 0.1
+            np.testing.assert_array_equal(
+                w_eps.values, pair.phi.values + eps ** 2 * rep["w2_trace"].values)
 
     def test_residual_decays_linearly(self):
         bs = eg.BellmanSpec([
@@ -478,12 +469,11 @@ class TestNonlinearExpansion:
         grid = eg.DomainGrid.unit(1, 2048)
         eff_bs, cells = eg.effective_bellman_1d(bs, tg)
         pe, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid, tol=1e-10)
-        prepared = eg.prepare_expansion(bs, pe, grid, pe.lam, cells, cells)
+        prepared = eg.prepare_expansion(pe, cells, cells)
         eps_list, resid = [], []
         for m in (8, 16, 32):
             ops = eg.bellman_operators(bs, 1 / m, grid)
-            _, rep = eg.nonlinear_expansion(bs, pe, 1 / m, grid, pe.lam,
-                                            prepared, ops)
+            _, rep = eg.nonlinear_expansion(pe, 1 / m, prepared, ops)
             eps_list.append(1 / m)
             resid.append(rep["expansion_residual_interior"])
         slope, _, _ = eg.fit_rate(eps_list, resid)
@@ -506,7 +496,7 @@ class TestNonlinearExpansion:
         op = eg.assemble_oscillatory(bs.controls[0], 1.0, grid)
         pair = eg.principal_eigenpair(op, tol=1e-9)
         with pytest.raises(eg.InputError):
-            eg.prepare_expansion(bs, pair, grid, pair.lam, {}, {})
+            eg.prepare_expansion(pair, {}, {})
 
 
 class TestCoreResidual:

@@ -398,6 +398,56 @@ class TestBandProducts:
         np.testing.assert_array_equal(op.boundary.toarray(), boundary.toarray())
 
 
+def cross_term_samples(seed, n, drift):
+    """Random admissible node samples on DomainGrid.unit(2, n): a11, a22 in
+    [0.5, 2], a12 = t min(a11, a22) with t in [-1, 1] (exactly +-1 at about
+    a fifth of the nodes), |b| up to `drift` per axis, c in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    npts = (n + 1) ** 2
+    diag = rng.uniform(0.5, 2.0, (npts, 2))
+    t = rng.uniform(-1.0, 1.0, npts)
+    edge = rng.random(npts) < 0.2
+    t[edge] = rng.choice([-1.0, 1.0], edge.sum())
+    a = np.zeros((npts, 2, 2))
+    a[:, 0, 0], a[:, 1, 1] = diag.T
+    a[:, 0, 1] = a[:, 1, 0] = t * diag.min(axis=1)
+    return a, rng.uniform(-drift, drift, (npts, 2)), rng.uniform(-1.0, 1.0, npts)
+
+
+class TestCrossTermOperators:
+    """2D operators with cross terms: the 7-point stencil is monotone for
+    every |a12| <= min(a11, a22), with centered or upwind drift rows, and
+    the eigensolver certifies their principal eigenpair."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 10),
+           drift=st.sampled_from([1.0, 60.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_monotone_and_certified(self, seed, n, drift):
+        grid = eg.DomainGrid.unit(2, n)
+        a, b, c = cross_term_samples(seed, n, drift)
+        op = assemble_linear(grid, a, b, c)
+        _, ok, info = shifted_m_matrix(op, eg.properness_shift(op))
+        assert ok, info
+        pair = eg.principal_eigenpair(op, tol=1e-9)
+        assert pair.phi.flat[grid.interior_index()].min() > 0
+        assert pair.cw_lower <= pair.lam <= pair.cw_upper
+        lo, hi = eg.collatz_wielandt(op, pair.phi)
+        assert lo - 1e-8 <= pair.lam <= hi + 1e-8
+        if drift == 60.0:  # |b| h >= 2 (a_kk - |a12|) somewhere: upwind rows
+            a_eff = np.diagonal(a, axis1=1, axis2=2) - np.abs(a[:, :1, 1])
+            assert np.any(np.abs(b) / n >= 2 * a_eff)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 10))
+    @settings(max_examples=15, deadline=None)
+    def test_cross_term_above_the_bound_refused(self, seed, n):
+        grid = eg.DomainGrid.unit(2, n)
+        a, b, c = cross_term_samples(seed, n, 1.0)
+        node = np.random.default_rng(seed).choice(grid.interior_index())
+        a[node, 0, 1] = a[node, 1, 0] = -1.01 * a[node].diagonal().min()
+        with pytest.raises(eg.AssemblyError, match="exceeds min"):
+            assemble_linear(grid, a, b, c)
+
+
 @pytest.mark.parametrize("config", [
     dict(problem="sin-abc", eps_list=[1 / 4, 1 / 8, 1 / 16], q=16, n_torus=32,
          measurements=["lambda_rate", "eigfun_rate", "z_rate", "v_norm",

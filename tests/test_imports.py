@@ -41,9 +41,10 @@ def run_script(body):
 
 
 def test_1d_and_separable_paths_load_no_scipy_sparse():
-    # small sweeps shaped like the three benchmark workloads, and the
-    # eigen and effective commands on 1D and separable 2D configs: each
-    # step records whatever scipy.sparse modules it left loaded
+    # small sweeps shaped like the three benchmark workloads, the eigen and
+    # effective commands on 1D and separable 2D configs, and eigen on the
+    # 1D Bellman configs: each step records whatever scipy.sparse modules
+    # it left loaded
     loaded = run_script("""
         steps = {"import ergodica": sparse_loaded()}
         sweeps = {
@@ -61,15 +62,19 @@ def test_1d_and_separable_paths_load_no_scipy_sparse():
                 eps_list=[1 / 4, 1 / 8], q=16, n_torus=32, timing=False, **kw))
             assert rep.failures == [] and len(rep.rows) == 2, rep.failures
             steps[name] = sparse_loaded()
-        for problem in ("sin-abc", "sep-2d"):
-            config = {"problem": problem, "eps_list": [0.25, 0.125], "q": 16,
-                      "n_torus": 32}
-            for args in (["effective"], ["eigen"], ["eigen", "--effective"]):
+        linear = (["effective"], ["eigen"], ["eigen", "--effective"])
+        for problem, mode, commands in (("sin-abc", "linear", linear),
+                                        ("sep-2d", "linear", linear),
+                                        ("pucci-1d", "bellman", (["eigen"],)),
+                                        ("bellman-2ctl-1d", "bellman", (["eigen"],))):
+            config = {"problem": problem, "mode": mode, "eps_list": [0.25, 0.125],
+                      "q": 16, "n_torus": 32}
+            for args in commands:
                 cli(*args, config=config)
                 steps[f"{' '.join(args)} {problem}"] = sparse_loaded()
         print(json.dumps(steps))
     """)
-    assert len(loaded) == 10
+    assert len(loaded) == 12
     assert loaded == {step: [] for step in loaded}
 
 

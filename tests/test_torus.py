@@ -462,6 +462,21 @@ class TestNonlinearCell:
         with pytest.raises(eg.IterationError, match="Bellman residual"):
             eg.solve_nonlinear_cell(bs, np.array([[1.0]]), eg.PeriodicGrid(1, 512))
 
+    @pytest.mark.parametrize("b_amp,c0", [(0.3, 0.0), (0.0, 0.5), (0.3, 0.5)])
+    def test_drift_or_zeroth_order_control_refused(self, b_amp, c0):
+        # the cell sees M alone: a drift or zeroth-order term of a control
+        # was dropped, so lambda_bar came out the same for c0 = 0 and 0.5
+        bs = eg.BellmanSpec([
+            eg.LinearOperatorSpec(eg.constant_field(1, 1.2), 0.5, 1.5),
+            eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5, b_amp=b_amp, c0=c0),
+                                  0.5, 1.5, c1=0.5),
+        ])
+        for M in ([[1.0]], [[-1.0]]):
+            with pytest.raises(eg.InputError, match="control 1 has a drift"):
+                eg.solve_nonlinear_cell(bs, M, eg.PeriodicGrid(1, 64))
+        with pytest.raises(eg.InputError, match="control 1"):
+            eg.effective_bellman_1d(bs, eg.PeriodicGrid(1, 64))
+
     @pytest.mark.parametrize("n", [16384, 65536])
     def test_fine_cells_settle(self, n):
         # the Bellman residual is round-off in ||A|| max|chi|, ||A|| ~ n^2:
