@@ -4,8 +4,9 @@ Two controls: an oscillatory diffusion a_1 = 1 + 0.5 sin(2 pi y) and a
 constant one a_2 = 1.2. The effective operator F_bar is convex and
 positively 1-homogeneous, so in 1D it is pinned down by the two values
 m_plus = F_bar(1) and kappa = -F_bar(-1). The principal eigenfunction is
-concave, so the effective eigenvalue is kappa * pi^2 -- the homogenized
-problem picks the *minimal* frozen-policy eigenvalue.
+concave, so the effective operator is kappa D^2, kappa the harmonic mean of
+min(a_1, a_2), and the effective eigenvalue is about kappa * pi^2 -- the
+homogenized problem picks the *minimal* frozen-policy eigenvalue.
 """
 
 import numpy as np
@@ -18,28 +19,31 @@ bs = eg.BellmanSpec([
 ])
 tg = eg.PeriodicGrid(1, 512)
 
-# the sign cells at M = +1 and M = -1 give F_bar and the effective operator
-eff_bs, cells = eg.effective_bellman_1d(bs, tg)
-m_plus = cells[1][0].gamma
-kappa = -cells[-1][0].gamma
+# the sign cells at M = +1 and M = -1 give F_bar; M = -1 alone gives the
+# effective operator
+cells = {s: eg.solve_nonlinear_cell(bs, [[s]], tg)[0] for s in (1.0, -1.0)}
+m_plus = cells[1.0].gamma
+kappa = -cells[-1.0].gamma
 print(f"F_bar(+1) = {m_plus:.9f}   (upper envelope: >= max(sqrt(3)/2, 1.2))")
 print(f"F_bar(-1) = {-kappa:.9f}   -> kappa = {kappa:.9f}")
 f3 = eg.solve_nonlinear_cell(bs, [[2.5]], tg)[0].gamma
 print(f"1-homogeneity: F_bar(2.5) = {f3:.9f} vs 2.5 F_bar(1) = "
       f"{2.5 * m_plus:.9f}")
 
-# effective eigenvalue from the two-constant-control effective operator
+# the effective eigenpair of kappa D^2, in closed form
 grid = eg.DomainGrid.unit(1, 2048)
-eff_pair, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid)
+eff_pair = eg.effective_eigenpair(
+    eg.EffectiveLinear(np.array([[kappa]]), np.zeros(1), 0.0), grid)
 print(f"\nlambda_bar = {eff_pair.lam:.9f}   (kappa pi^2 = "
       f"{kappa * np.pi ** 2:.9f})")
 
 # the eps-independent part of the expansion, built once for all eps; the
-# traces read chi off sign cells on the coarsest torus grid that holds
+# traces read chi off the M = -1 cell on the coarsest torus grid that holds
 # every x/eps of the rows (256 points here)
 ms = (8, 16, 32)
-_, trace_cells = eg.effective_bellman_1d(bs, eg.trace_grid(grid, [1 / m for m in ms]))
-prepared = eg.prepare_expansion(eff_pair, cells, trace_cells)
+trace_cell = eg.solve_nonlinear_cell(
+    bs, [[-1.0]], eg.trace_grid(grid, [1 / m for m in ms]))[0]
+prepared = eg.prepare_expansion(eff_pair, cells[-1.0], trace_cell)
 print(f"\n{'eps':>8} {'lambda_eps':>14} {'|err|':>10} {'residual':>10}")
 for m in ms:
     eps = 1 / m

@@ -22,16 +22,15 @@ spec = eg.LinearOperatorSpec(
 eff = eg.first_order_effective(spec, eg.PeriodicGrid(1, 512))
 
 grid = eg.DomainGrid.unit(1, 64 * 32)
-eff_op = eg.assemble_effective(eff, grid)
-pair = eg.principal_eigenpair(eff_op, tol=1e-10)
+pair = eg.effective_eigenpair(eff, grid)  # closed form, exact derivatives
 print(f"effective eigenvalue lambda_bar = {pair.lam:.9f}")
 
 ms = (8, 16, 32)
 tg = eg.trace_grid(grid, [1 / m for m in ms])
 correctors = eg.build_corrector_set(spec, tg)
 print(f"correctors on {tg.n} torus points")
-slow = eg.slow_corrector(eg.effective_linear(spec, correctors), correctors,
-                         pair.phi, eff_op)
+eff = eg.effective_linear(spec, correctors)
+slow = eg.slow_corrector(eff, correctors, pair, eg.assemble_effective(eff, grid))
 _, psi1, _, _ = slow
 print(f"slow corrector psi_1: sup = {np.max(np.abs(psi1.values)):.4e}")
 

@@ -1,6 +1,9 @@
 """Periodic homogenization of principal eigenvalues for second-order
 elliptic operators: torus cell problems, effective coefficients, corrector
 hierarchies, and empirical convergence-rate studies.
+
+The names below are the documented API (README, "Python API"); everything
+else is reached through its module.
 """
 
 from .coeff import (
@@ -15,9 +18,6 @@ from .coeff import (
     sin_field_1d,
 )
 from .corrector import (
-    DerivativeBundle,
-    ExpansionResult,
-    PreparedExpansion,
     align_eigenfunctions,
     core_residual,
     derivative_bundle,
@@ -34,28 +34,24 @@ from .corrector import (
 from .domain import (
     DiscreteOperator,
     DomainGrid,
-    apply_bellman,
     assemble_effective,
     assemble_linear,
     assemble_oscillatory,
     bellman_operators,
     dirichlet_solve,
     fast_coordinates,
-    node_index,
-    properness_shift,
     trace_grid,
 )
 from .effective import (
     CorrectorSet,
     EffectiveLinear,
     build_corrector_set,
-    effective_bellman_1d,
     effective_linear,
     first_order_effective,
 )
 from .eigen import (
-    EigenPair,
-    collatz_wielandt,
+    effective_eigenpair,
+    linear_eigenpair,
     principal_eigenpair,
     principal_eigenpair_bellman,
 )
@@ -67,15 +63,7 @@ from .errors import (
     IterationError,
     SolverError,
 )
-from .cli import SweepConfig, SweepReport, emit_report, fit_rate, run_sweep
-from .torus import (
-    ErgodicSolution,
-    GridFunction,
-    PeriodicGrid,
-    assemble_torus_diffusion,
-    gradient_matrices,
-    solve_cell,
-    solve_nonlinear_cell,
-)
+from .cli import SweepConfig, fit_rate, run_sweep
+from .torus import GridFunction, PeriodicGrid, solve_cell, solve_nonlinear_cell
 
 __version__ = "0.1.0"

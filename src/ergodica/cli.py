@@ -27,14 +27,15 @@ from .corrector import (
     prepare_expansion,
     slow_corrector,
 )
-from .domain import (DomainGrid, assemble_linear, assemble_oscillatory,
-                     bellman_operators, effective_samples, fast_coordinates,
+from .domain import (DomainGrid, assemble_effective, assemble_linear,
+                     assemble_oscillatory, bellman_operators, fast_coordinates,
                      trace_grid)
-from .effective import (build_corrector_set, effective_bellman_1d,
-                        effective_linear, first_order_effective)
-from .eigen import linear_eigenpair, principal_eigenpair, principal_eigenpair_bellman
+from .effective import (EffectiveLinear, build_corrector_set, effective_linear,
+                        first_order_effective)
+from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
+                    principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
-from .torus import GridFunction, PeriodicGrid
+from .torus import GridFunction, PeriodicGrid, solve_nonlinear_cell
 
 ALL_MEASUREMENTS = ("lambda_rate", "eigfun_rate", "z_rate", "v_norm",
                     "residual_slope")
@@ -260,22 +261,24 @@ def _fit_column(report, name, eps, values):
 
 def _linear_effective(spec, grid, config, eps_list=None):
     """(effective eigenpair on `grid` from the n_torus cell, and given
-    `eps_list` the slow corrector from the cells of its `trace_grid`), shared
-    by every command; in 1D L_bar serves psi_1 too, dropped on return."""
+    `eps_list` the 1D slow corrector from the cells of its `trace_grid`),
+    shared by every command; L_bar is assembled only for psi_1."""
     eff = first_order_effective(spec, PeriodicGrid(grid.dim, config.n_torus))
-    samples, at = effective_samples(eff, grid)
-    pair, eff_op = linear_eigenpair(grid, *samples, tol=config.tol, at=at)
+    pair = effective_eigenpair(eff, grid, tol=config.tol)
     if eps_list is None:
         return pair, None
     correctors = build_corrector_set(spec, trace_grid(grid, eps_list))
-    return pair, slow_corrector(effective_linear(spec, correctors), correctors,
-                                pair.phi, eff_op)
+    eff = effective_linear(spec, correctors)
+    return pair, slow_corrector(eff, correctors, pair,
+                                assemble_effective(eff, grid))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full per-epsilon study described by the configuration.
 
-    lambda_bar comes from the n_torus cells. The expansion of a 1D sweep
+    lambda_bar comes from the n_torus cells (for Bellman sweeps the M = -1
+    cell alone, see `effective`), the effective eigenpair from
+    `effective_eigenpair`. The expansion of a 1D sweep
     with `v_norm` or `residual_slope` reads cells solved on the `trace_grid`
     of its rows. Every row reports its eigensolve's bracket and iterations. The
     homogenized eigenfunction u is read only where it is used: by 1D and
@@ -300,16 +303,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         eff_pair, slow = _linear_effective(
             spec, grid, config, config.eps_list if expand else None)
     else:
-        eff_spec, cells = effective_bellman_1d(spec, PeriodicGrid(1, config.n_torus))
-        eff_pair, _ = principal_eigenpair_bellman(eff_spec, 1.0, grid,
-                                                  tol=config.tol)
+        concave = np.array([[-1.0]])
+        cell = solve_nonlinear_cell(spec, concave, PeriodicGrid(1, config.n_torus))[0]
+        eff_pair = effective_eigenpair(EffectiveLinear(
+            np.array([[-cell.gamma]]), np.zeros(1), 0.0), grid)
     lam_bar = eff_pair.lam
 
     # the eps-independent part of the Bellman expansion; rows only read it
     prepared = None
     if config.mode == "bellman" and "residual_slope" in meas:
-        trace_cells = effective_bellman_1d(spec, trace_grid(grid, config.eps_list))[1]
-        prepared = prepare_expansion(eff_pair, cells, trace_cells)
+        trace_cell = solve_nonlinear_cell(
+            spec, concave, trace_grid(grid, config.eps_list))[0]
+        prepared = prepare_expansion(eff_pair, cell, trace_cell)
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
@@ -568,13 +573,18 @@ def main(argv=None):
         if eps is not None and \
                 eps_denominator(eps, "--eps") > max(config.denominators()):
             raise ConfigError(f"--eps {eps} is below min(eps_list)")
-        return handlers[args.command](config, args)
+        status = handlers[args.command](config, args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ErgodicaError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout's reader has gone: silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

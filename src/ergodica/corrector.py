@@ -3,15 +3,17 @@ the pivot problem, eigenfunction alignment, and the nonlinear expansion.
 
 Torus profiles are read along the diagonal y = x/eps at the torus node of
 each distinct fast coordinate, on a grid that holds them (`trace_grid`),
-and scattered back to the nodes. x-derivatives use 4th-order stencils. The
-boundary correctors vanish (`full_corrector`), so none is solved for.
+and scattered back to the nodes. The derivatives of the effective
+eigenfunction u are exact (`eigen.ToeplitzPair.derivative`); other
+x-derivatives use 4th-order stencils. The boundary correctors vanish
+(`full_corrector`), so none is solved for.
 
 Both expansions split into an eps-independent part, built once per sweep and
 only read by the rows, and a per-eps evaluation: `slow_corrector` (derivatives
 of u and psi_1) and `linear_expansion` for linear problems;
-`prepare_expansion` (the sign of u'' per node and the sign cells of
-`effective.effective_bellman_1d`) and `nonlinear_expansion` for Bellman
-problems, whose 1D expansion u + eps^2 w_2 has no first-order term.
+`prepare_expansion` (|u''| and the M = -1 cell) and `nonlinear_expansion`
+for Bellman problems, whose 1D expansion u + eps^2 w_2 has no first-order
+term.
 """
 
 from dataclasses import dataclass
@@ -30,10 +32,10 @@ from .domain import (
     torus_nodes,
 )
 from .effective import CorrectorSet, EffectiveLinear
-from .eigen import EigenPair
+from .eigen import EigenPair, ToeplitzPair
 from .errors import InputError
 from .stencils import bounded_diff_matrix
-from .torus import GridFunction
+from .torus import ErgodicSolution, GridFunction
 
 
 @dataclass
@@ -45,25 +47,23 @@ class DerivativeBundle:
     d2: Dict[tuple, GridFunction]
     d3: Dict[tuple, GridFunction]
     order: int
-    mats: list  # the first-derivative `Stencil` of each axis
 
 
 def _axis_apply(D, values, axis):
     return D @ values if axis == 0 else (D @ values.T).T
 
 
-def derivative_bundle(u: GridFunction, order: int, mats=None) -> DerivativeBundle:
+def derivative_bundle(u: GridFunction, order: int) -> DerivativeBundle:
     """Differentiate a domain grid function with 4th-order stencils.
 
     Centered in the interior, one-sided near the boundary. Mixed partials
     are compositions of the per-axis operators, so their symmetry is exact.
-    `mats` is the `mats` of a bundle on the same grid, built when not given.
     """
     if order > 3:
         raise InputError("order must be <= 3")
     grid = u.grid
     d = grid.dim
-    mats = mats or [bounded_diff_matrix(n, h, m=1) for n, h in zip(grid.shape, grid.h)]
+    mats = [bounded_diff_matrix(n, h, m=1) for n, h in zip(grid.shape, grid.h)]
     vals = u.values
 
     d1 = {(k,): _axis_apply(mats[k], vals, k) for k in range(d)}
@@ -81,7 +81,7 @@ def derivative_bundle(u: GridFunction, order: int, mats=None) -> DerivativeBundl
         for t in np.ndindex((d,) * 3):
             d3[t] = base[tuple(sorted(t))]
     wrap = lambda table: {key: GridFunction(grid, arr) for key, arr in table.items()}
-    return DerivativeBundle(u, wrap(d1), wrap(d2), wrap(d3), order, mats)
+    return DerivativeBundle(u, wrap(d1), wrap(d2), wrap(d3), order)
 
 
 def _tracer(correctors: CorrectorSet, grid: DomainGrid, eps: float, fast):
@@ -183,17 +183,20 @@ def full_corrector(psi1: GridFunction, w2_trace: GridFunction,
 
 
 def slow_corrector(eff: EffectiveLinear, correctors: CorrectorSet,
-                   u: GridFunction, op: DiscreteOperator):
-    """The eps-independent part of the linear expansion around u.
+                   u_pair: ToeplitzPair, op: DiscreteOperator):
+    """The eps-independent part of the 1D linear expansion around the
+    effective eigenpair, whose exact derivatives of u to order 3 feed psi_1.
 
-    `op` is L_bar on u's grid, the operator whose eigenfunction u is; the
-    caller assembles it once for both solves. Returns (bundle of u to order
-    3, psi_1, bundle of psi_1 to order 2, correctors), the `slow` argument
-    of `linear_expansion`, which rows share and only read.
+    `op` is L_bar on u's grid (`domain.assemble_effective`). Returns (bundle
+    of u, psi_1, bundle of psi_1 to order 2 by 4th-order differences,
+    correctors), the `slow` argument of `linear_expansion`, which rows share
+    and only read.
     """
-    bundle = derivative_bundle(u, 3)
+    u = u_pair.phi
+    bundle = DerivativeBundle(u, *({(0,) * m: u_pair.derivative(m)}
+                                   for m in (1, 2, 3)), 3)
     psi1 = solve_psi1(eff, bundle, u.grid, op)
-    return bundle, psi1, derivative_bundle(psi1, 2, bundle.mats), correctors
+    return bundle, psi1, derivative_bundle(psi1, 2), correctors
 
 
 def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
@@ -258,19 +261,17 @@ class PreparedExpansion:
     `prepare_expansion` and only read afterwards."""
 
     abs_hessian: np.ndarray      # |u''| per domain node
-    sign_index: np.ndarray       # per node, the position of sign(u'') in cells
-    cells: tuple                 # chi (on the trace grid) per Hessian sign
+    chi: GridFunction            # chi of the M = -1 cell, on the trace grid
     w2F_residual: float
 
 
-def prepare_expansion(u_pair: EigenPair, cells, trace_cells) -> PreparedExpansion:
+def prepare_expansion(u_pair: ToeplitzPair, cell: ErgodicSolution,
+                      trace_cell: ErgodicSolution) -> PreparedExpansion:
     """Everything in the 1D Bellman expansion around u_pair, the effective
-    eigenpair, that does not depend on eps.
-
-    `cells` are the sign cells of `effective_bellman_1d(spec, torus_grid)`,
-    whose gamma_s give w2F_residual; `trace_cells` the same on the
-    `domain.trace_grid` of the rows, whose chi give w_2(x, y) =
-    |u''(x)| w(y; sign u''(x)) by positive 1-homogeneity.
+    eigenpair of m_minus D^2, that does not depend on eps: u'' < 0, so by
+    1-homogeneity w_2(x, y) = |u''(x)| chi_-(y), chi_- from the M = -1 cell
+    on the rows' `domain.trace_grid` (`trace_cell`); `cell`, on n_torus,
+    gives w2F_residual = max ||u''| gamma + lambda_bar u| on the interior.
 
     There is no first-order term: the data Psi_1 of w_1 averages
     2 a_pol d_x d_y w_2 against the invariant measure mu ~ 1/a_pol of the
@@ -282,21 +283,11 @@ def prepare_expansion(u_pair: EigenPair, cells, trace_cells) -> PreparedExpansio
     grid = u.grid
     if grid.dim != 1:
         raise InputError("the nonlinear expansion is implemented in 1D only")
-    M = derivative_bundle(u, order=2).d2[(0, 0)].flat
-
-    sgn = np.where(M < 0, -1, 1)
-    sgn[np.abs(M) < 1e-12] = -1  # degenerate Hessian: follow the interior sign
-    signs = np.unique(sgn)
-    sign_index = np.searchsorted(signs, sgn)
-
-    # consistency of the frozen cell problems with the effective eigenproblem
-    gamma_x = np.array([cells[s][0].gamma for s in signs])[sign_index]
+    abs_hessian = np.abs(u_pair.derivative(2).flat)
     interior = grid.interior_index()
     w2F_residual = float(np.max(np.abs(
-        np.abs(M[interior]) * gamma_x[interior] + u_pair.lam * u.flat[interior])))
-
-    return PreparedExpansion(np.abs(M), sign_index, tuple(
-        trace_cells[s][0].chi for s in signs), w2F_residual)
+        abs_hessian[interior] * cell.gamma + u_pair.lam * u.flat[interior])))
+    return PreparedExpansion(abs_hessian, trace_cell.chi, w2F_residual)
 
 
 def nonlinear_expansion(u_pair: EigenPair, eps: float,
@@ -307,7 +298,7 @@ def nonlinear_expansion(u_pair: EigenPair, eps: float,
     Bellman operator at w^eps against -lambda_bar u; w_1 = 0
     (`prepare_expansion`).
 
-    Only the w_2 trace x -> |u''(x)| chi_sign(x/eps), w^eps and the Bellman
+    Only the w_2 trace x -> |u''(x)| chi_-(x/eps), w^eps and the Bellman
     operator applied to it depend on eps; the rest is `prepared`, built by
     `prepare_expansion` from the same u_pair. `ops` are the frozen
     operators `bellman_operators(spec, eps, grid)`, and `fast` is
@@ -315,15 +306,13 @@ def nonlinear_expansion(u_pair: EigenPair, eps: float,
     """
     u = u_pair.phi
     grid = u.grid
-
-    # w_2 by homogeneity: w(y; M) = |M| w(y; sign M)
     rows, at = fast_coordinates(grid, eps) if fast is None else fast
-    nodes = torus_nodes(rows, prepared.cells[0].grid)
-    traces = np.stack([chi.flat[nodes] for chi in prepared.cells])
-    w2 = (prepared.abs_hessian * traces[prepared.sign_index, at]).reshape(grid.shape)
+    chi = prepared.chi
+    w2 = (prepared.abs_hessian * chi.flat[torus_nodes(rows, chi.grid)][at]
+          ).reshape(grid.shape)
     w_eps = GridFunction(grid, u.values + eps ** 2 * w2)
 
-    # the Bellman operator at the interior nodes, as `apply_bellman` with ops
+    # the Bellman operator at the interior nodes: the nodewise max of ops
     bell = np.max([op.apply(w_eps) for op in ops], axis=0)
     res = bell + u_pair.lam * u.flat[grid.interior_index()]
     report = {

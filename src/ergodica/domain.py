@@ -7,8 +7,8 @@ inhomogeneous Dirichlet data can be moved to the right-hand side. The
 weights come from `stencils.stencil_weights`, which the torus cell matrices
 use too. A 1D operator is its three bands, aligned by row: its products,
 B = s*I - L_h, its M-matrix test, its tridiagonal factorization and the
-frozen policies of `eigen` read only the bands, and no CSR matrix is
-written unless user code reads one. 2D operators are CSR.
+frozen policies of `eigen` read only the bands, and it has no CSR matrix.
+2D operators are CSR.
 Oscillatory coefficients, and in 1D the weights, are formed once per
 distinct fast coordinate y = x/eps mod 1 (`fast_coordinates`) and
 gathered to the nodes.
@@ -137,37 +137,19 @@ class DiscreteOperator:
     diag, upper) aligned by row: row i of L_h is lower[i] phi_{i-1} +
     diag[i] phi_i + upper[i] phi_{i+1} over the full node set, so lower[0]
     and upper[-1] are the two boundary couplings. Its CSR `matrix` and
-    `boundary` are written from the bands on first read, for user code.
+    `boundary` are None.
     """
 
     def __init__(self, matrix, boundary, grid: DomainGrid, c_max: float = 0.0,
                  bands: Optional[tuple] = None):
+        self.matrix, self.boundary = matrix, boundary
         self.grid, self.c_max, self.bands = grid, c_max, bands
-        if matrix is not None:
-            self._csr = (matrix, boundary)
 
     @classmethod
     def from_bands(cls, grid: DomainGrid, bands, c_max: float):
         return cls(None, None, grid, c_max, tuple(bands))
 
-    @cached_property
-    def _csr(self):
-        """(matrix, boundary) from the bands; lower[0] and upper[-1] are the
-        boundary block."""
-        from scipy import sparse
-        n = len(self.bands[1])
-        return self._stencil.matrix, sparse.csr_matrix(
-            ([self.bands[0][0], self.bands[2][-1]], ([0, n - 1], [0, 1])),
-            shape=(n, 2))
-
     _stencil = cached_property(lambda self: BandOperator(self.bands, wrap=False))
-
-    matrix = property(lambda self: self._csr[0])
-    boundary = property(lambda self: self._csr[1])
-
-    def factor(self) -> FactoredOperator:
-        """FactoredOperator of L_h, from its bands when it carries them."""
-        return FactoredOperator(self.matrix if self.bands is None else self.bands)
 
     def matvec(self, v):
         """L_h v for a vector v on the interior nodes (zero boundary data);
@@ -273,16 +255,6 @@ def node_index(at):
     return np.add.outer(*at).ravel() if isinstance(at, tuple) else np.asarray(at)
 
 
-def oscillatory_samples(spec: LinearOperatorSpec, eps: float, grid: DomainGrid):
-    """Samples (a, b, c) of a(x/eps), b(x/eps), c(x/eps) on the full node set,
-    evaluated once per distinct fast coordinate and gathered: the node-wise
-    form of the distinct rows and index that `fast_coordinates` gives."""
-    if spec.dim != grid.dim:
-        raise InputError("operator and grid dimensions differ")
-    rows, at = fast_coordinates(grid, eps)
-    return tuple(np.take(s, node_index(at), axis=0) for s in spec.field.sample(rows))
-
-
 def assemble_oscillatory(spec: LinearOperatorSpec, eps: float,
                          grid: DomainGrid, fast=None) -> DiscreteOperator:
     """Discretize a(x/eps) D^2 + b(x/eps) . D + c(x/eps) with Dirichlet data,
@@ -317,15 +289,6 @@ def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid,
     `fast` (`fast_coordinates(grid, eps)`, computed here when not given)."""
     fast = fast_coordinates(grid, eps) if fast is None else fast
     return [assemble_oscillatory(ctl, eps, grid, fast) for ctl in spec.controls]
-
-
-def apply_bellman(spec: BellmanSpec, eps: float, grid: DomainGrid,
-                  phi: GridFunction, ops=None) -> GridFunction:
-    """Nodewise max over controls of the frozen operators applied to phi."""
-    if ops is None:
-        ops = bellman_operators(spec, eps, grid)
-    vals = np.max([op.apply(phi) for op in ops], axis=0)
-    return GridFunction(grid, grid.embed(vals))
 
 
 def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
@@ -403,5 +366,5 @@ def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None) -> GridFunc
     if boundary_values is not None:
         data = op.grid.embed(0.0, np.asarray(boundary_values, dtype=float))
         rhs = rhs - op.apply(GridFunction(op.grid, data))
-    sol = op.factor().solve(rhs)
+    sol = FactoredOperator(op.matrix if op.bands is None else op.bands).solve(rhs)
     return GridFunction(op.grid, op.grid.embed(sol, boundary_values))

@@ -1,5 +1,4 @@
-"""Effective coefficients: first- and third-order constants, and the
-homogenized nonlinear map with its derivative matrix.
+"""Effective coefficients: first- and third-order constants.
 
 Each effective constant is the ergodic constant of one torus cell problem.
 The first round (chi^kl, eta^k, nu) uses the raw coefficients as data; the
@@ -11,10 +10,11 @@ mu the invariant measure of a(y) D^2 on the torus, which
 only the eigenfunction expansion reads the correctors and third-order
 constants of `build_corrector_set` and `effective_linear`.
 
-The homogenized Bellman map F_bar is convex and positively 1-homogeneous.
-In 1D `effective_bellman_1d` reads all of it from the two sign cells at
-M = +1 and M = -1; F_bar at any other M is the ergodic constant of
-`torus.solve_nonlinear_cell` at M.
+The homogenized Bellman map F_bar(M) is the ergodic constant of
+`torus.solve_nonlinear_cell` at M, convex and positively 1-homogeneous. A
+1D Bellman sweep reads only m_minus = -F_bar(-1): with pure second-order
+controls a positive eigenfunction is strictly concave, so its effective
+operator is m_minus D^2 (`cli.run_sweep`).
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .coeff import BellmanSpec, LinearOperatorSpec, constant_field
+from .coeff import LinearOperatorSpec
 from .errors import InputError, SolverError
 from .torus import (
     ErgodicSolution,
@@ -32,7 +32,6 @@ from .torus import (
     cell_factor,
     gradient_matrices,
     solve_cell,
-    solve_nonlinear_cell,
 )
 
 # slack of a_bar's spectrum on the ellipticity interval [lambda, Lambda]
@@ -193,27 +192,3 @@ def effective_linear(spec: LinearOperatorSpec, correctors: CorrectorSet) -> Effe
         c_bar_k=np.array([sol.gamma for sol in correctors.nu1]),
         d_bar=correctors.xi.gamma,
     )
-
-
-def effective_bellman_1d(spec: BellmanSpec, grid: PeriodicGrid):
-    """The effective operator of a 1D Bellman problem, from its two sign cells.
-
-    F_bar is positively 1-homogeneous, so in 1D the ergodic constants
-    m_plus = F_bar(1) and m_minus = -F_bar(-1) fix it on all of R:
-    F_bar(M) = max(m_plus M, m_minus M), with m_plus >= m_minus by
-    convexity. That is a Bellman operator with the two constant controls
-    m_plus and m_minus.
-
-    Returns (effective BellmanSpec, cells), cells mapping each sign s in
-    (+1, -1) to the (ErgodicSolution, policy) of the nonlinear cell problem
-    at M = s; these are the only nonlinear cell solves a sweep makes.
-    """
-    if spec.dim != 1:
-        raise InputError("the effective Bellman operator is implemented in 1D only")
-    cells = {s: solve_nonlinear_cell(spec, np.array([[float(s)]]), grid) for s in (1, -1)}
-    eff_spec = BellmanSpec([
-        LinearOperatorSpec(constant_field(1, s * cells[s][0].gamma),
-                           spec.lambda_ell, spec.Lambda_ell)
-        for s in (1, -1)
-    ])
-    return eff_spec, cells

@@ -1,5 +1,7 @@
 """Principal eigenpairs of monotone discrete operators.
 
+The effective operator has constant coefficients, so its pair is a closed
+form (`ToeplitzPair`, `effective_eigenpair`) unless a_bar has a cross term.
 The linear solver runs inverse power iteration on B = s*I - L_h (a
 nonsingular M-matrix after the properness shift s), whose inverse is
 entrywise nonnegative, so the iterates stay positive and the Collatz-
@@ -22,11 +24,13 @@ from .domain import (
     DomainGrid,
     assemble_linear,
     bellman_operators,
+    effective_samples,
     properness_shift,
     shifted_m_matrix,
 )
+from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
-from .stencils import separable_by_axis
+from .stencils import separable_by_axis, stencil_weights
 from .torus import (FactoredOperator, GridFunction, improve_policy,
                     policy_iteration, select_bands, select_rows)
 
@@ -49,17 +53,6 @@ class EigenPair:
     cw_upper: float
     iterations: int
     bracket_history: list = dc_field(default_factory=list)
-
-
-def collatz_wielandt(op: DiscreteOperator, phi):
-    """Nodewise ratio bounds (min, max) of (-L_h phi) / phi for positive phi.
-
-    By Perron theory on the monotone discretization the principal eigenvalue
-    lies between the two. phi is checked as a start vector (`_start_vector`).
-    """
-    vec = _start_vector(phi, op.grid, len(op.grid.interior_index()), "phi")
-    ratios = -op.matvec(vec) / vec
-    return float(ratios.min()), float(ratios.max())
 
 
 def _start_vector(x0, grid, n, name="starting"):
@@ -162,6 +155,82 @@ class KroneckerPair(EigenPair):
         residual = np.outer(r1, v2) + np.outer(v1, r2) + \
             (self.lam - p1.lam - p2.lam) * np.outer(v1, v2)
         return float(np.max(np.abs(residual)))
+
+
+class ToeplitzPair(EigenPair):
+    """The principal pair, in closed form, of the constant 1D row with
+    weights l (to i-1), u (to i+1) and, in exact arithmetic, c - l - u on
+    the n cells of `grid`: lam = -c + t_1 + t_2 with t_1 = (l - u)^2 /
+    (sqrt l + sqrt u)^2 and t_2 = 4 sqrt(lu) sin^2(pi / 2n), a sum with no
+    O(1/h^2) cancellation, and phi_j ~ (l/u)^(j/2) sin(j pi / n), the nodes
+    of u(x) = C e^(kappa x) sin(pi x / L), kappa = ln(l/u) / 2h, x from the
+    left end, formed in log space and sup-normalized; both ends are 0 and
+    `derivative(m)` is u^(m) there. iterations is 0 and [cw_lower,
+    cw_upper] = lam -+ 16 eps (|c| + t_1 + t_2), a bound on the rounding of
+    the formula, not a Collatz-Wielandt bracket. `weights` are (l, diag, u)
+    from `stencil_weights`; r = L phi + lam phi, with that diag, on the
+    interior (`row_residual`) gives `residual`."""
+
+    def __init__(self, grid: DomainGrid, weights, c):
+        lower, diag, upper = self._weights = weights
+        n, h = grid.n[0], grid.h[0]
+        t1 = (lower - upper) ** 2 / (np.sqrt(lower) + np.sqrt(upper)) ** 2
+        t2 = 4 * np.sqrt(lower * upper) * np.sin(np.pi / (2 * n)) ** 2
+        lam, width = -c + t1 + t2, 16 * np.finfo(float).eps * (abs(c) + t1 + t2)
+        self._half_log = 0.5 * np.log1p((lower - upper) / upper)  # ln(l/u) / 2
+        self._kappa, self._omega = self._half_log / h, np.pi / (n * h)
+        phi = self._profile(n, 0)
+        self._norm = phi.max()
+        phi /= self._norm
+        super().__init__(lam=float(lam), phi=GridFunction(grid, phi), residual=0.0,
+                         cw_lower=float(lam - width), cw_upper=float(lam + width),
+                         iterations=0)
+        self.residual = float(np.max(np.abs(self.row_residual())))
+
+    def _profile(self, n, m):
+        """e^(kappa x) Im((kappa + i omega)^m e^(i omega x)) at the n + 1
+        nodes, scaled in log space so that max phi is about 1."""
+        j = np.arange(n + 1)
+        k = np.minimum(j, n - j) * (np.pi / n)  # sin(j pi / n) exact at the ends
+        sin, cos = np.sin(k), np.where(2 * j <= n, 1, -1) * np.cos(k)
+        scale = np.exp(j * self._half_log - np.max(
+            j[1:-1] * self._half_log + np.log(sin[1:-1])))
+        p = complex(self._kappa, self._omega) ** m
+        return scale * (p.real * sin + p.imag * cos)
+
+    def derivative(self, m):
+        """u^(m) at the nodes, omega = pi / L; derivative(0) is phi, bit
+        for bit. Formed when called: the pair keeps phi alone."""
+        grid = self.phi.grid
+        return GridFunction(grid, self._profile(grid.n[0], m) / self._norm)
+
+    def row_residual(self):
+        """L phi + lam phi on the interior, with the row's own diagonal."""
+        lower, diag, upper = self._weights
+        phi = self.phi.values
+        v = phi[1:-1]
+        return lower * phi[:-2] + diag * v + upper * phi[2:] + self.lam * v
+
+
+def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid, tol=1e-9):
+    """The principal pair of L_bar on `grid`: a `ToeplitzPair` in 1D, and a
+    `KroneckerPair` of one per axis for a diagonal a_bar in 2D (c_bar on
+    axis 0, as `axis_samples`). An a_bar with a cross term goes to
+    `linear_eigenpair` at `tol`, the one effective eigensolve left."""
+    if grid.dim == 2 and (eff.a_bar[0, 1] or eff.a_bar[1, 0]):
+        samples, at = effective_samples(eff, grid)
+        return linear_eigenpair(grid, *samples, tol=tol, at=at)[0]
+    pairs = []
+    for k in range(grid.dim):
+        axis = grid if grid.dim == 1 else \
+            DomainGrid(1, (grid.bounds[k],), (grid.n[k],))
+        c = eff.c_bar if k == 0 else 0.0
+        nb, diag = stencil_weights(np.full((1, 1, 1), eff.a_bar[k, k]),
+                                   np.full((1, 1), eff.b_bar[k]), np.array([c]),
+                                   axis.h, axis.shape, [1], wrap=False)
+        pairs.append(ToeplitzPair(axis, (nb[(-1,)][0], diag[0], nb[(1,)][0]), c))
+    return pairs[0] if grid.dim == 1 else \
+        KroneckerPair(grid, [(p, p.row_residual()) for p in pairs])
 
 
 def axis_samples(grid: DomainGrid, avals, bvals, cvals, at=None):
@@ -270,7 +339,7 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
 def _freeze_policy(ops, policy, grid):
     """The operator whose row i is row i of ops[policy[i]]: taken from the
     stacked bands when the operators carry bands, else by `select_rows`."""
-    c_max = max(ops[beta].c_max for beta in np.unique(policy))
+    c_max = max(ops[beta].c_max for beta in np.flatnonzero(np.bincount(policy)))
     if all(op.bands is not None for op in ops):
         return DiscreteOperator.from_bands(grid, select_bands(ops, policy), c_max)
     return DiscreteOperator(select_rows([op.matrix for op in ops], policy),

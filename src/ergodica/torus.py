@@ -367,6 +367,8 @@ def improve_policy(values, policy):
     best = values.max(axis=0)
     improved = best - values[policy, np.arange(len(policy))] > \
         HOWARD_RTOL * (1.0 + np.max(np.abs(best)))
+    if not improved.any():  # argmax over the controls is the costly part
+        return improved, policy
     return improved, np.where(improved, np.argmax(values, axis=0), policy)
 
 

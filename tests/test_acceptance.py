@@ -14,6 +14,7 @@ import scipy.linalg as sla
 import ergodica as eg
 from ergodica.domain import assemble_linear
 from ergodica.eigen import _freeze_policy
+from referees import csr
 
 
 def report(name, ok, detail):
@@ -56,7 +57,7 @@ def test_criterion_02_effective_eigenvalue():
     # dense eigensolve cross-check at n = 64
     op64 = linear_op(field, eg.DomainGrid.unit(1, 64))
     pair64 = eg.principal_eigenpair(op64, tol=1e-11)
-    lam_dense = -np.max(sla.eig(op64.matrix.toarray())[0].real)
+    lam_dense = -np.max(sla.eig(csr(op64).toarray())[0].real)
     dense_err = abs(pair64.lam - lam_dense)
     dt = time.perf_counter() - t0
     report("criterion 2 (effective eigenvalue)",
@@ -118,7 +119,7 @@ def test_criterion_07_nonlinear_pipeline():
     g8 = eg.DomainGrid.unit(1, 8)
     ops = eg.bellman_operators(bs, 0.5, g8)
     pair, _ = eg.principal_eigenpair_bellman(bs, 0.5, g8, tol=1e-12)
-    ni = ops[0].matrix.shape[0]
+    ni = csr(ops[0]).shape[0]
     enum = min(
         eg.principal_eigenpair(_freeze_policy(ops, np.array(bits), g8),
                                tol=1e-12).lam
@@ -145,7 +146,7 @@ def test_criterion_08_certification_invariants():
         worst_width = max(worst_width, base.cw_upper - base.cw_lower)
         ref = eg.principal_eigenpair(op, tol=1e-11)
         for _ in range(10):
-            x0 = rng.uniform(0.05, 3.0, size=op.matrix.shape[0])
+            x0 = rng.uniform(0.05, 3.0, size=csr(op).shape[0])
             p = eg.principal_eigenpair(op, tol=1e-11, x0=x0)
             worst_dev = max(worst_dev, abs(p.lam - ref.lam))
     ok = bracket_ok and worst_width <= 1e-8 and worst_dev <= 1e-10

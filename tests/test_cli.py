@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import ergodica as eg
-from ergodica.cli import CSV_COLUMNS, SweepReport, build_problem, main
+from ergodica.cli import (ALL_MEASUREMENTS, CSV_COLUMNS, SweepReport,
+                          build_problem, emit_report, main)
+from referees import csr, oscillatory_samples
 
 
 class TestFitRate:
@@ -146,35 +149,118 @@ class TestRunSweep:
         grid = eg.DomainGrid.unit(1, rep.grid["n_cells"])
         assert [row["eps"] for row in rep.rows] == cfg.eps_list
         for row in rep.rows:
-            L = eg.assemble_oscillatory(spec, row["eps"], grid).matrix.toarray()
+            L = csr(eg.assemble_oscillatory(spec, row["eps"], grid)).toarray()
             # L phi = -lambda phi: lambda is the eigenvalue of -L of least real part
             ref = np.min(np.linalg.eigvals(-L).real)
             rounding = 16 * np.finfo(float).eps * np.max(np.abs(L).sum(axis=1))
             assert abs(row["lambda_eps"] - ref) <= cfg.tol + rounding
 
     def test_bellman_cell_solves_do_not_grow_with_eps(self, monkeypatch):
-        # the sign cells at M = +1 and M = -1 serve the effective operator
-        # (n_torus = 32), and two more the expansion, on the trace grid of
-        # the rows (n = 128 and 512 cells): a sweep solves exactly four,
-        # however many rows
-        import ergodica.effective as eff_mod
-        real = eff_mod.solve_nonlinear_cell
+        # the M = -1 cell alone serves the effective operator (n_torus =
+        # 32), and once more the expansion, on the trace grid of the rows
+        # (n = 128 and 512 cells): a sweep solves one or two, however many
+        # rows, and never the M = +1 cell
+        import ergodica.cli as cli_mod
+        real = cli_mod.solve_nonlinear_cell
         calls = []
 
         def counted(spec, M, grid, *args, **kwargs):
-            calls.append(grid.n)
+            calls.append((np.asarray(M).item(), grid.n))
             return real(spec, M, grid, *args, **kwargs)
 
-        monkeypatch.setattr(eff_mod, "solve_nonlinear_cell", counted)
-        for eps_list, n_t in (([1 / 4, 1 / 8], 32),
-                              ([1 / 4, 1 / 8, 1 / 16, 1 / 32], 128)):
+        monkeypatch.setattr(cli_mod, "solve_nonlinear_cell", counted)
+        for (eps_list, n_t), (meas, cells) in itertools.product(
+                (([1 / 4, 1 / 8], 32), ([1 / 4, 1 / 8, 1 / 16, 1 / 32], 128)),
+                ((("residual_slope",), 2), (("lambda_rate",), 1))):
             calls.clear()
             cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
                                  eps_list=eps_list, q=16, n_torus=32,
-                                 measurements=("residual_slope",))
+                                 measurements=meas)
             rep = eg.run_sweep(cfg)
             assert len(rep.rows) == len(eps_list)
-            assert calls == [32, 32, n_t, n_t]
+            assert calls == [(-1.0, 32), (-1.0, n_t)][:cells]
+
+    @pytest.mark.parametrize("problem, mode, meas, rows_per_eps", [
+        ("sin-abc", "linear", ALL_MEASUREMENTS, 1),
+        ("sep-2d", "linear", ("lambda_rate", "eigfun_rate", "z_rate"), 2),
+        ("bellman-2ctl-1d", "bellman", ("lambda_rate", "residual_slope"), None),
+    ])
+    def test_no_effective_eigensolve(self, monkeypatch, problem, mode, meas,
+                                     rows_per_eps):
+        # the effective pair is a closed form: every inverse iteration is
+        # some row's (its operator oscillates), one per 1D row and one per
+        # axis of a separable 2D row, and every eigenproblem Howard loop is
+        # a Bellman row's
+        import ergodica.cli as cli_mod
+        import ergodica.eigen as eigen_mod
+        solved, howard = [], []
+        real_eig, real_howard = eigen_mod.principal_eigenpair, \
+            eigen_mod.policy_iteration
+
+        def eig(op, **kwargs):
+            solved.append(op)
+            return real_eig(op, **kwargs)
+
+        def policy_iteration(*args):
+            howard.append(args)
+            return real_howard(*args)
+
+        for module in (cli_mod, eigen_mod):
+            monkeypatch.setattr(module, "principal_eigenpair", eig)
+        monkeypatch.setattr(eigen_mod, "policy_iteration", policy_iteration)
+        eps_list = [1 / 4, 1 / 8, 1 / 16]
+        rep = eg.run_sweep(eg.SweepConfig(
+            problem=problem, mode=mode, eps_list=eps_list, q=16, n_torus=32,
+            measurements=meas, timing=False))
+        assert rep.failures == [] and len(rep.rows) == 3
+        assert all(np.ptp(op.bands[1]) > 0 for op in solved)
+        if mode == "bellman":
+            assert len(howard) == len(eps_list) <= len(solved)
+        else:
+            assert howard == [] and len(solved) == rows_per_eps * len(eps_list)
+
+    def test_bellman_residual_ignores_the_last_digits_of_m_minus(
+            self, monkeypatch):
+        # the bellman-1d grid (n = 16 384) at eps = 1/8: a 2e-14 change of
+        # gamma_- moved the residual at its 1e-4 digit when u came from an
+        # eigensolve differentiated by 4th-order stencils (1/h^2 times the
+        # noise of u); with the closed form it moves u not at all
+        import ergodica.cli as cli_mod
+        real = cli_mod.solve_nonlinear_cell
+        cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
+                             eps_list=[1 / 8, 1 / 256], q=64, n_torus=512,
+                             measurements=("residual_slope",), timing=False)
+        residual = []
+        for shift in (0.0, 2e-14):
+            def shifted(*args, **kwargs):
+                cell, policy = real(*args, **kwargs)
+                cell.gamma += shift
+                return cell, policy
+
+            monkeypatch.setattr(cli_mod, "solve_nonlinear_cell", shifted)
+            rep = eg.run_sweep(cfg)
+            assert rep.failures == []
+            residual.append(rep.rows[0]["residual"])
+        assert residual[0] > 0.1
+        assert abs(residual[1] - residual[0]) <= 1e-9 * residual[0]
+
+    def test_linear_core_residual_converges_in_n(self):
+        # sin-abc at eps = 1/8, n_torus 512: with u's derivatives by 4th-order
+        # stencils the core residual read 0.092 at n = 4 096 and 20 140 at
+        # n = 65 536 (round-off times 1/h^3); exact derivatives hold it
+        import ergodica.cli as cli_mod
+        spec = build_problem("sin-abc")["spec"]
+        config = eg.SweepConfig(problem="sin-abc", eps_list=[1 / 8],
+                                n_torus=512)
+        core = []
+        for n in (4096, 65536):
+            grid = eg.DomainGrid.unit(1, n)
+            pair, slow = cli_mod._linear_effective(spec, grid, config, [1 / 8])
+            _, res = eg.linear_expansion(
+                pair, slow, 1 / 8, eg.assemble_oscillatory(spec, 1 / 8, grid))
+            core.append(eg.core_residual(grid, res))
+        assert 0.05 < core[0] < 0.2
+        assert abs(core[1] - core[0]) <= 0.2 * core[0]
 
     def test_bellman_rows_make_one_eigensolve(self, monkeypatch):
         # each row starts Howard at the policy that is optimal against the
@@ -196,16 +282,19 @@ class TestRunSweep:
             calls.append((kwargs.get("x0"), out[0], len(solves)))
             return out
 
+        effective = []
+        real_effective = cli_mod.effective_eigenpair
         monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
         monkeypatch.setattr(cli_mod, "principal_eigenpair_bellman", bellman)
+        monkeypatch.setattr(cli_mod, "effective_eigenpair",
+                            lambda *a, **k: effective.append(
+                                real_effective(*a, **k)) or effective[-1])
         cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
                              eps_list=[1 / 4, 1 / 8, 1 / 16], q=16, n_torus=32,
                              timing=False)
         rep = eg.run_sweep(cfg)
-        assert rep.failures == [] and len(calls) == 4
-        (x0, u_pair, _), rows = calls[0], calls[1:]
-        assert x0 is None
-        assert all(x0 is u_pair.phi and n == 1 for x0, _, n in rows)
+        assert rep.failures == [] and len(calls) == 3 and len(effective) == 1
+        assert all(x0 is effective[0].phi and n == 1 for x0, _, n in calls)
 
     def test_linear_rows_start_from_the_expansion(self, monkeypatch):
         # a 1D row that computes v_eps starts inverse iteration from
@@ -228,7 +317,7 @@ class TestRunSweep:
         rep = eg.run_sweep(cfg)
         assert rep.failures == [] and len(rows) == 3
         for (op, x0, seeded), row in zip(rows, rep.rows):
-            assert x0.shape == (op.matrix.shape[0],) and x0.min() > 0
+            assert x0.shape == (csr(op).shape[0],) and x0.min() > 0
             assert row["lambda_eps"] == seeded.lam
             cold = real(op, tol=1e-9)
             assert seeded.cw_lower <= cold.cw_upper
@@ -236,9 +325,10 @@ class TestRunSweep:
             assert seeded.iterations < cold.iterations
 
     @pytest.mark.parametrize("problem, starts", [
-        ("sin-abc", [False, True, True]),
-        # the effective and both row eigenpairs are two axis solves each
-        ("sep-2d", [False] * 6),
+        ("sin-abc", [True, True]),
+        # both row eigenpairs are two axis solves each; the effective pair
+        # is a closed form, solved by neither
+        ("sep-2d", [False] * 4),
     ], ids=["sin-abc", "sep-2d"])
     def test_linear_rows_start_from_effective_eigenfunction(
             self, monkeypatch, problem, starts):
@@ -266,17 +356,20 @@ class TestRunSweep:
             calls.append((kwargs.get("x0"), pair))
             return pair
 
+        effective = []
+        real_effective = cli_mod.effective_eigenpair
         monkeypatch.setattr(cli_mod, "linear_eigenpair", linear)
         monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
         monkeypatch.setattr(cli_mod, "principal_eigenpair", row_eig)
+        monkeypatch.setattr(cli_mod, "effective_eigenpair",
+                            lambda *a, **k: effective.append(
+                                real_effective(*a, **k)) or effective[-1])
         cfg = eg.SweepConfig(problem=problem, eps_list=[1 / 4, 1 / 8], q=16,
                              n_torus=32, timing=False)
         rep = eg.run_sweep(cfg)
-        assert rep.failures == [] and len(calls) == 3
-        (x0, u_pair), rows = calls[0], calls[1:]
-        assert x0 is None
-        assert all((x0() if callable(x0) else x0) is u_pair.phi
-                   for x0, _ in rows)
+        assert rep.failures == [] and len(calls) == 2 and len(effective) == 1
+        assert all((x0() if callable(x0) else x0) is effective[0].phi
+                   for x0, _ in calls)
         assert seeded == starts
 
     def test_separable_2d_rows_factor_only_the_torus_cell(self, monkeypatch):
@@ -346,12 +439,11 @@ class TestRunSweep:
         spec = cli_mod.build_problem("sep-2d")["spec"]
         grid = eg.DomainGrid.unit(2, rep.grid["n_cells"])
         eff = eg.first_order_effective(spec, eg.PeriodicGrid(2, 32))
-        samples, at = domain_mod.effective_samples(eff, grid)
-        u = cli_mod.linear_eigenpair(grid, *samples, at=at)[0].phi
+        u = eg.effective_eigenpair(eff, grid).phi
         for row in rep.rows:
             eps = row["eps"]
             pair, _ = cli_mod.linear_eigenpair(
-                grid, *domain_mod.oscillatory_samples(spec, eps, grid))
+                grid, *oscillatory_samples(spec, eps, grid))
             w = eg.pivot_problem(spec, eps, grid, u, rep.lambda_bar)
             t_eps, z = eg.align_eigenfunctions(w, pair)
             diff = (1 + t_eps) * pair.phi.values - u.values
@@ -468,8 +560,8 @@ class TestRunSweep:
             problem=problem, mode=mode, eps_list=eps_list, q=16, n_torus=32,
             measurements=meas, timing=False))
         assert rep.failures == [] and all("residual" in r for r in rep.rows)
-        # the effective Bellman eigensolve assembles its controls at eps = 1
-        assert calls == [1.0] * (mode == "bellman") + eps_list
+        # the effective eigenpair is a closed form: it assembles nothing
+        assert calls == eps_list
 
     def test_separable_2d_pivot_rows_assemble_once(self, monkeypatch):
         # a row that solves with L_eps assembles it once, after the
@@ -508,7 +600,7 @@ class TestEmitReport:
         return eg.run_sweep(cfg)
 
     def test_csv_columns_exact(self, small_report, tmp_path):
-        paths = eg.emit_report(small_report, format="csv", out_dir=str(tmp_path))
+        paths = emit_report(small_report, format="csv", out_dir=str(tmp_path))
         with open(paths[0]) as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -520,29 +612,29 @@ class TestEmitReport:
     def test_empty_report_header_only(self, tmp_path):
         rep = SweepReport(problem="x", mode="linear", lambda_bar=0.0, grid={},
                           measurements=(), rows=[], fits={}, failures=[])
-        paths = eg.emit_report(rep, format="csv", out_dir=str(tmp_path))
+        paths = emit_report(rep, format="csv", out_dir=str(tmp_path))
         lines = open(paths[0]).read().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
 
     def test_json_round_trip(self, small_report, tmp_path):
-        paths = eg.emit_report(small_report, format="json",
+        paths = emit_report(small_report, format="json",
                                out_dir=str(tmp_path))
         loaded = json.load(open(paths[0]))
         assert loaded == small_report.as_dict()
 
     def test_determinism_byte_identical(self, small_report, tmp_path):
-        p1 = eg.emit_report(small_report, format="csv",
+        p1 = emit_report(small_report, format="csv",
                             out_dir=str(tmp_path / "a"))[0]
         cfg = eg.SweepConfig(problem="sin-a", eps_list=[1 / 4, 1 / 8], q=16,
                              n_torus=64, measurements=("lambda_rate",),
                              timing=False)
         rep2 = eg.run_sweep(cfg)
-        p2 = eg.emit_report(rep2, format="csv", out_dir=str(tmp_path / "b"))[0]
+        p2 = emit_report(rep2, format="csv", out_dir=str(tmp_path / "b"))[0]
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_unknown_format(self, small_report, tmp_path):
         with pytest.raises(eg.ConfigError):
-            eg.emit_report(small_report, format="xml", out_dir=str(tmp_path))
+            emit_report(small_report, format="xml", out_dir=str(tmp_path))
 
 
 class TestCli:
@@ -846,6 +938,21 @@ class TestCli:
         assert len(rep.failures) == 1
         assert rep.failures[0]["eps"] == 1 / 8
         assert "synthetic failure" in rep.failures[0]["reason"]
+
+    def test_closed_stdout_exits_without_traceback(self, cfg_path):
+        # `ergodica effective ... | head`: the reader has gone before the
+        # report is written; the CLI exits non-zero and prints nothing
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ergodica", "effective",
+                 "--config", cfg_path],
+                stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_console_script_entry_point(self, cfg_path):
         # `python -m ergodica` runs the CLI once, without runpy's warning

@@ -3,7 +3,7 @@ import pytest
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.domain import torus_nodes
+from ergodica.domain import node_index, torus_nodes
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +228,7 @@ class TestDistinctFastCoordinates:
         # the same scatter index
         grid = eg.DomainGrid.unit(dim, n_cells)
         rows, at = eg.fast_coordinates(grid, eps)
-        inverse = eg.node_index(at)
+        inverse = node_index(at)
         keys, ref_inverse = np.unique((grid.points() / eps) % 1.0, axis=0,
                                       return_inverse=True)
         np.testing.assert_array_equal(rows, keys)
@@ -239,7 +239,7 @@ class TestDistinctFastCoordinates:
     def test_rows_within_an_ulp_of_float_coordinates(self, dim, n_cells, m):
         grid = eg.DomainGrid.unit(dim, n_cells)
         rows, at = eg.fast_coordinates(grid, 1 / m)
-        inverse = eg.node_index(at)
+        inverse = node_index(at)
         per_axis = n_cells // np.gcd(m, n_cells)
         assert rows.shape == (per_axis ** dim, dim)
         assert len(np.unique(rows, axis=0)) == len(rows)
@@ -334,9 +334,8 @@ class TestBoundaryTraces:
         grid = eg.DomainGrid.unit(1, n_cells)
         cs = eg.build_corrector_set(spec, eg.trace_grid(grid, [1 / m]))
         eff = eg.effective_linear(spec, cs)
-        eff_op = eg.assemble_effective(eff, grid)
-        pair = eg.principal_eigenpair(eff_op, tol=1e-11)
-        slow = eg.slow_corrector(eff, cs, pair.phi, eff_op)
+        pair = eg.effective_eigenpair(eff, grid)
+        slow = eg.slow_corrector(eff, cs, pair, eg.assemble_effective(eff, grid))
         exp, _ = eg.linear_expansion(
             pair, slow, 1 / m, eg.assemble_oscillatory(spec, 1 / m, grid))
         bidx = grid.boundary_index()
@@ -406,13 +405,22 @@ class TestPivotAndAlignment:
             eg.align_eigenfunctions(pair.phi, zero_pair)
 
 
-def bellman_expansion(bs, pair, eps, grid, tg):
-    """The Bellman expansion around `pair` at one eps, as a sweep row makes
-    it, with one pair of sign cells on `tg` for lambda_bar and the traces."""
-    _, cells = eg.effective_bellman_1d(bs, tg)
-    prepared = eg.prepare_expansion(pair, cells, cells)
+def bellman_effective(bs, grid, tg):
+    """(the M = -1 cell on `tg`, the closed-form eigenpair of m_minus D^2 on
+    `grid`, m_minus = -gamma of that cell), as `run_sweep` makes them."""
+    cell = eg.solve_nonlinear_cell(bs, [[-1.0]], tg)[0]
+    eff = eg.EffectiveLinear(np.array([[-cell.gamma]]), np.zeros(1), 0.0)
+    return cell, eg.effective_eigenpair(eff, grid)
+
+
+def bellman_expansion(bs, eps, grid, tg):
+    """(effective pair, w^eps, report): the Bellman expansion at one eps,
+    as a sweep row makes it, with the one cell on `tg` for lambda_bar and
+    the traces."""
+    cell, pair = bellman_effective(bs, grid, tg)
+    prepared = eg.prepare_expansion(pair, cell, cell)
     ops = eg.bellman_operators(bs, eps, grid)
-    return eg.nonlinear_expansion(pair, eps, prepared, ops)
+    return (pair, *eg.nonlinear_expansion(pair, eps, prepared, ops))
 
 
 class TestNonlinearExpansion:
@@ -422,13 +430,13 @@ class TestNonlinearExpansion:
         grid = eg.DomainGrid.unit(1, 1024)
         cs = eg.build_corrector_set(spec, tg)
         eff = eg.effective_linear(spec, cs)
-        eff_op = eg.assemble_effective(eff, grid)
-        pair = eg.principal_eigenpair(eff_op, tol=1e-11)
-        bundle = eg.derivative_bundle(pair.phi, 3)
-        psi1 = eg.solve_psi1(eff, bundle, grid, op=eff_op)
+        pair = eg.effective_eigenpair(eff, grid)
+        bundle, psi1, _, _ = eg.slow_corrector(eff, cs, pair,
+                                               eg.assemble_effective(eff, grid))
         w2 = eg.second_corrector(cs, bundle, 1 / 8)
-        exp, rep = bellman_expansion(eg.BellmanSpec([spec]), pair, 1 / 8,
-                                     grid, tg)
+        bell_pair, exp, rep = bellman_expansion(eg.BellmanSpec([spec]), 1 / 8,
+                                                grid, tg)
+        assert abs(bell_pair.lam - pair.lam) <= 1e-12 * pair.lam
         assert np.max(np.abs(rep["w2_trace"].values - w2.values)) < 1e-8
         # b = c = 0: the linear psi_1 vanishes too, as w_1 = 0 assumes
         assert np.max(np.abs(psi1.values)) <= 1e-8
@@ -440,8 +448,7 @@ class TestNonlinearExpansion:
         ])
         tg = eg.PeriodicGrid(1, 128)
         grid = eg.DomainGrid.unit(1, 512)
-        pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
-        exp, rep = bellman_expansion(bs, pair, 1 / 8, grid, tg)
+        pair, exp, rep = bellman_expansion(bs, 1 / 8, grid, tg)
         assert np.max(np.abs(rep["w2_trace"].values)) < 1e-9
         assert np.max(np.abs(exp.values - pair.phi.values)) < 1e-8
 
@@ -453,9 +460,8 @@ class TestNonlinearExpansion:
         ])
         tg = eg.PeriodicGrid(1, 128)
         grid = eg.DomainGrid.unit(1, 512)
-        pair, _ = eg.principal_eigenpair_bellman(bs, 1.0, grid, tol=1e-11)
         for eps in (1 / 8, 1 / 16):
-            w_eps, rep = bellman_expansion(bs, pair, eps, grid, tg)
+            pair, w_eps, rep = bellman_expansion(bs, eps, grid, tg)
             assert np.max(np.abs(rep["w2_trace"].values)) > 0.1
             np.testing.assert_array_equal(
                 w_eps.values, pair.phi.values + eps ** 2 * rep["w2_trace"].values)
@@ -467,9 +473,8 @@ class TestNonlinearExpansion:
         ])
         tg = eg.PeriodicGrid(1, 256)
         grid = eg.DomainGrid.unit(1, 2048)
-        eff_bs, cells = eg.effective_bellman_1d(bs, tg)
-        pe, _ = eg.principal_eigenpair_bellman(eff_bs, 1.0, grid, tol=1e-10)
-        prepared = eg.prepare_expansion(pe, cells, cells)
+        cell, pe = bellman_effective(bs, grid, tg)
+        prepared = eg.prepare_expansion(pe, cell, cell)
         eps_list, resid = [], []
         for m in (8, 16, 32):
             ops = eg.bellman_operators(bs, 1 / m, grid)
@@ -496,7 +501,7 @@ class TestNonlinearExpansion:
         op = eg.assemble_oscillatory(bs.controls[0], 1.0, grid)
         pair = eg.principal_eigenpair(op, tol=1e-9)
         with pytest.raises(eg.InputError):
-            eg.prepare_expansion(pair, {}, {})
+            eg.prepare_expansion(pair, None, None)
 
 
 class TestCoreResidual:

@@ -5,10 +5,11 @@ from scipy import sparse
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.domain import assemble_linear, oscillatory_samples, shifted_m_matrix
+from ergodica.domain import assemble_linear, properness_shift, shifted_m_matrix
 from ergodica.eigen import _freeze_policy
 from ergodica.stencils import monotone_stencil
-from ergodica.torus import select_rows
+from ergodica.torus import improve_policy, select_rows
+from referees import collatz_wielandt, csr, csr_blocks, oscillatory_samples
 
 
 def linear_op(field, grid):
@@ -54,13 +55,13 @@ class TestAssembly:
         op = linear_op(eg.constant_field(1, 1.0), g)
         h2 = 16.0
         expect = h2 * np.array([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
-        assert np.allclose(op.matrix.toarray(), expect)
+        assert np.allclose(csr(op).toarray(), expect)
 
     def test_m_matrix_structure(self):
         field = eg.sin_field_1d(delta=0.5, b_amp=1.0, c0=0.2, c_amp=0.4)
         g = eg.DomainGrid.unit(1, 128)
         op = linear_op(field, g)
-        _, ok, info = shifted_m_matrix(op, eg.properness_shift(op))
+        _, ok, info = shifted_m_matrix(op, properness_shift(op))
         assert ok, info
 
     # ids as "<defect>-<problem>-<dim>"; the band defect exists in 1D only
@@ -74,12 +75,12 @@ class TestAssembly:
         g = eg.DomainGrid.unit(dim, 64 if dim == 1 else 24)
         op = eg.assemble_oscillatory(spec, 1 / 8, g)
         assert (op.bands is None) == (dim == 2)
-        s = eg.properness_shift(op)
+        s = properness_shift(op)
         if defect == "negative_offdiag":
             # a hand-built CSR operator, without bands
-            matrix = op.matrix.tolil()
+            matrix = csr(op).tolil()
             matrix[3, 4] = -1.0
-            op = eg.DiscreteOperator(matrix.tocsr(), op.boundary, g)
+            op = eg.DiscreteOperator(matrix.tocsr(), csr_blocks(op)[1], g)
         elif defect == "negative_band":
             # the same entry, planted in the bands of a band-carrying operator
             lower, diag, upper = op.bands
@@ -89,7 +90,7 @@ class TestAssembly:
         B, ok, info = shifted_m_matrix(op, s)
         # the reference: the shifted matrix and the test through sparse
         # matrix arithmetic
-        M = (sparse.identity(op.matrix.shape[0]) * s - op.matrix).tocsr()
+        M = (sparse.identity(csr(op).shape[0]) * s - csr(op)).tocsr()
         if op.bands is None:
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(B, name), getattr(M, name))
@@ -98,8 +99,8 @@ class TestAssembly:
             assert np.array_equal(lower[1:], M.diagonal(-1))
             assert np.array_equal(diag, M.diagonal(0))
             assert np.array_equal(upper[:-1], M.diagonal(1))
-            assert (lower[0], upper[-1]) == (-op.boundary[0, 0],
-                                            -op.boundary[-1, 1])
+            assert (lower[0], upper[-1]) == (-csr_blocks(op)[1][0, 0],
+                                            -csr_blocks(op)[1][-1, 1])
         diag = M.diagonal()
         off = M - sparse.diags(diag)
         k = int(np.argmax(off.data))
@@ -120,7 +121,7 @@ class TestAssembly:
         field = eg.constant_field(1, 0.01, b0=[5.0])
         g = eg.DomainGrid.unit(1, 16)
         op = linear_op(field, g)
-        _, ok, info = shifted_m_matrix(op, eg.properness_shift(op))
+        _, ok, info = shifted_m_matrix(op, properness_shift(op))
         assert ok, info
 
     @pytest.mark.parametrize("b0", [5.0, -5.0])
@@ -184,10 +185,10 @@ def assert_same_csr(A, B):
 def assert_bands_are_the_diagonals(op):
     lower, diag, upper = op.bands
     n = len(diag)
-    assert np.array_equal(lower[1:], op.matrix.diagonal(-1))
-    assert np.array_equal(diag, op.matrix.diagonal(0))
-    assert np.array_equal(upper[:-1], op.matrix.diagonal(1))
-    assert op.boundary.toarray()[[0, n - 1], [0, 1]].tolist() == \
+    assert np.array_equal(lower[1:], csr(op).diagonal(-1))
+    assert np.array_equal(diag, csr(op).diagonal(0))
+    assert np.array_equal(upper[:-1], csr(op).diagonal(1))
+    assert csr_blocks(op)[1].toarray()[[0, n - 1], [0, 1]].tolist() == \
         [lower[0], upper[-1]]
 
 
@@ -214,8 +215,8 @@ class TestBands:
             samples = eg.constant_field(1, 0.01, b0=[5.0]).sample(g.points())
         op = assemble_linear(g, *samples)
         matrix, boundary = generic_blocks(g, *samples)
-        assert_same_csr(op.matrix, matrix)
-        assert_same_csr(op.boundary, boundary)
+        assert_same_csr(csr(op), matrix)
+        assert_same_csr(csr_blocks(op)[1], boundary)
         assert_bands_are_the_diagonals(op)
 
     def test_frozen_policy_matches_select_rows(self):
@@ -225,9 +226,9 @@ class TestBands:
         frozen = _freeze_policy(ops, policy, g)
         blocks = [generic_blocks(g, *oscillatory_samples(ctl, 1 / 4, g))
                   for ctl in BELLMAN_3CTL.controls]
-        for k, name in enumerate(("matrix", "boundary")):
+        for k, got in enumerate(csr_blocks(frozen)):
             ref = select_rows([b[k] for b in blocks], policy)
-            assert_same_csr(getattr(frozen, name), ref)
+            assert_same_csr(got, ref)
         assert_bands_are_the_diagonals(frozen)
         assert frozen.c_max == max(ops[0].c_max, ops[2].c_max)
 
@@ -286,17 +287,24 @@ class TestDirichletSolve:
 
 class TestBellmanApply:
     def test_apply_is_nodewise_max(self):
+        # the operator frozen at the policy that is optimal against u (where
+        # a row's Howard loop starts) applies as the nodewise max of the
+        # frozen operators, the Bellman operator of nonlinear_expansion
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.constant_field(1, 1.0), 1, 2),
             eg.LinearOperatorSpec(eg.constant_field(1, 2.0), 1, 2),
         ])
         g = eg.DomainGrid.unit(1, 32)
         x = g.points()[:, 0]
-        u = eg.GridFunction(g, np.sin(np.pi * x))
-        out = eg.apply_bellman(bs, 1.0, g, u)
+        # the max flips where u'' changes sign
+        u = eg.GridFunction(g, np.sin(2 * np.pi * x))
         ops = eg.bellman_operators(bs, 1.0, g)
         vals = np.maximum(ops[0].apply(u), ops[1].apply(u))
-        assert np.allclose(g.restrict(out.values), vals)
+        values = np.array([op.apply(u) for op in ops])
+        policy = improve_policy(values, np.zeros(len(vals), dtype=int))[1]
+        assert set(policy) == {0, 1}
+        np.testing.assert_array_equal(_freeze_policy(ops, policy, g).apply(u),
+                                      vals)
 
 
 def node_by_node(spec, eps, grid):
@@ -334,8 +342,8 @@ class TestFastSampling:
         for got, want in zip(oscillatory_samples(spec, 1 / m, grid), samples):
             np.testing.assert_array_equal(got, want)
         op = eg.assemble_oscillatory(spec, 1 / m, grid)
-        assert_same_csr(op.matrix, ref.matrix)
-        assert_same_csr(op.boundary, ref.boundary)
+        assert_same_csr(csr(op), csr(ref))
+        assert_same_csr(csr_blocks(op)[1], csr_blocks(ref)[1])
         assert op.c_max == ref.c_max
 
     def test_coprime_grid_within_ulps(self):
@@ -394,8 +402,8 @@ class TestBandProducts:
         np.testing.assert_array_equal(op.matvec(v), matrix @ v)
         np.testing.assert_array_equal(op.apply(phi), matrix @ v + boundary @ b)
         # the CSR blocks built on first read are the same matrices
-        assert_same_csr(op.matrix, matrix)
-        np.testing.assert_array_equal(op.boundary.toarray(), boundary.toarray())
+        assert_same_csr(csr(op), matrix)
+        np.testing.assert_array_equal(csr_blocks(op)[1].toarray(), boundary.toarray())
 
 
 def cross_term_samples(seed, n, drift):
@@ -426,12 +434,12 @@ class TestCrossTermOperators:
         grid = eg.DomainGrid.unit(2, n)
         a, b, c = cross_term_samples(seed, n, drift)
         op = assemble_linear(grid, a, b, c)
-        _, ok, info = shifted_m_matrix(op, eg.properness_shift(op))
+        _, ok, info = shifted_m_matrix(op, properness_shift(op))
         assert ok, info
         pair = eg.principal_eigenpair(op, tol=1e-9)
         assert pair.phi.flat[grid.interior_index()].min() > 0
         assert pair.cw_lower <= pair.lam <= pair.cw_upper
-        lo, hi = eg.collatz_wielandt(op, pair.phi)
+        lo, hi = collatz_wielandt(op, pair.phi)
         assert lo - 1e-8 <= pair.lam <= hi + 1e-8
         if drift == 60.0:  # |b| h >= 2 (a_kk - |a12|) somewhere: upwind rows
             a_eff = np.diagonal(a, axis1=1, axis2=2) - np.abs(a[:, :1, 1])
@@ -456,10 +464,15 @@ class TestCrossTermOperators:
          q=16, n_torus=32, measurements=["lambda_rate", "residual_slope"]),
 ], ids=["sin-abc", "bellman-2ctl-1d"])
 def test_1d_sweeps_build_no_csr_operator(monkeypatch, config):
-    # the bands serve every product, factor and frozen policy of a 1D row
-    def written(op):
-        raise AssertionError("a 1D operator's CSR blocks were built")
+    # the bands serve every product, factor and frozen policy of a 1D row:
+    # no Stencil is written as CSR and no operator assembled as CSR rows
+    import ergodica.domain as domain_mod
+    import ergodica.stencils as stencils_mod
 
-    monkeypatch.setattr(eg.DiscreteOperator, "_csr", property(written))
+    def written(*args, **kwargs):
+        raise AssertionError("a 1D sweep built a CSR matrix")
+
+    monkeypatch.setattr(stencils_mod.Stencil, "matrix", property(written))
+    monkeypatch.setattr(domain_mod, "monotone_stencil", written)
     report = eg.run_sweep(eg.SweepConfig(timing=False, **config))
     assert report.failures == [] and len(report.rows) == 3

@@ -410,25 +410,26 @@ class TestEffectiveBellman1D:
     @pytest.mark.parametrize("s", [1, -1])
     def test_sign_cell_is_the_linearization(self, s):
         # F_bar is positively 1-homogeneous: in 1D its derivative at M = s is
-        # s * F_bar(s), which is also the effective operator's control of sign s
+        # s * F_bar(s); at s = -1 that is m_minus, a Bellman sweep's
+        # effective coefficient
         spec = build_problem("bellman-2ctl-1d")["spec"]
         grid = eg.PeriodicGrid(1, 128)
-        eff_spec, cells = eg.effective_bellman_1d(spec, grid)
-        slope = s * cells[s][0].gamma
+        slope = s * fbar(spec, float(s), grid)
         assert slope == pytest.approx(fbar_slope(spec, s, grid), abs=1e-9)
-        ctl = eff_spec.controls[0 if s == 1 else 1]
-        assert ctl.field.a(np.zeros((1, 1)))[0, 0, 0] == slope
-        assert (ctl.lambda_ell, ctl.Lambda_ell) == \
-            (spec.lambda_ell, spec.Lambda_ell)
+        assert spec.lambda_ell <= slope <= spec.Lambda_ell
 
     def test_convexity_orders_the_controls(self, bspec):
         # F_bar(1) + F_bar(-1) >= 2 F_bar(0) = 0, so m_plus >= m_minus
-        _, cells = eg.effective_bellman_1d(bspec, eg.PeriodicGrid(1, 64))
-        assert cells[1][0].gamma + cells[-1][0].gamma >= 0.0
-        assert set(cells) == {1, -1}
+        grid = eg.PeriodicGrid(1, 64)
+        assert fbar(bspec, 1.0, grid) + fbar(bspec, -1.0, grid) >= 0.0
 
     def test_2d_rejected(self):
+        # the effective stage of a Bellman sweep is 1D: a 2D effective pair
+        # is refused, with the M = -I cell of the 2D problem
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.constant_field(2, np.eye(2)), 1, 1)])
+        cell = eg.solve_nonlinear_cell(bs, -np.eye(2), eg.PeriodicGrid(2, 16))[0]
+        eff = eg.EffectiveLinear(-cell.gamma / 2 * np.eye(2), np.zeros(2), 0.0)
+        pair = eg.effective_eigenpair(eff, eg.DomainGrid.unit(2, 16))
         with pytest.raises(eg.InputError):
-            eg.effective_bellman_1d(bs, eg.PeriodicGrid(2, 16))
+            eg.prepare_expansion(pair, cell, cell)

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.domain import (assemble_linear, effective_samples,
-                             fast_coordinates, oscillatory_samples)
+from ergodica.domain import assemble_linear, effective_samples, fast_coordinates
 from ergodica.eigen import _freeze_policy, axis_samples, linear_eigenpair
+from referees import (collatz_wielandt, csr, csr_blocks, gth_eigenvalue,
+                      oscillatory_samples)
 
 
 def linear_op(field, grid):
@@ -40,7 +41,7 @@ class TestLinearEigen:
         g = eg.DomainGrid.unit(1, 48)
         op = linear_op(field, g)
         pair = eg.principal_eigenpair(op, tol=1e-11)
-        eigs = sla.eig(op.matrix.toarray())[0]
+        eigs = sla.eig(csr(op).toarray())[0]
         lam_dense = -np.max(eigs.real)
         assert pair.lam == pytest.approx(lam_dense, abs=1e-9)
 
@@ -50,7 +51,7 @@ class TestLinearEigen:
         pair = eg.principal_eigenpair(op, tol=1e-9)
         assert pair.cw_lower <= pair.lam <= pair.cw_upper
         assert pair.cw_upper - pair.cw_lower <= 1e-9
-        lo, hi = eg.collatz_wielandt(op, pair.phi)
+        lo, hi = collatz_wielandt(op, pair.phi)
         assert lo <= pair.lam + 1e-9 and hi >= pair.lam - 1e-9
 
     def test_collatz_wielandt_rejects_another_grid(self):
@@ -61,7 +62,7 @@ class TestLinearEigen:
         phi = eg.principal_eigenpair(linear_op(eg.sin_field_1d(delta=0.5),
                                                coarse)).phi
         with pytest.raises(eg.InputError, match="phi grid function has shape"):
-            eg.collatz_wielandt(op, phi)
+            collatz_wielandt(op, phi)
 
     def test_bracket_history_shrinks(self):
         g = eg.DomainGrid.unit(1, 128)
@@ -84,7 +85,7 @@ class TestLinearEigen:
         base = eg.principal_eigenpair(op, tol=1e-11)
         rng = np.random.default_rng(7)
         for _ in range(10):
-            x0 = rng.uniform(0.05, 3.0, size=op.matrix.shape[0])
+            x0 = rng.uniform(0.05, 3.0, size=csr(op).shape[0])
             p = eg.principal_eigenpair(op, tol=1e-11, x0=x0)
             assert abs(p.lam - base.lam) < 1e-10
 
@@ -104,13 +105,13 @@ class TestLinearEigen:
         cvals[N // 2] = 5.0  # the centre node, interior in 1D and 2D
         op = assemble_linear(g, np.broadcast_to(np.eye(dim), (N, dim, dim)),
                              np.zeros((N, dim)), cvals)
-        matrix, c_max = op.matrix.tolil(), op.c_max
+        matrix, c_max = csr(op).tolil(), op.c_max
         if defect == "c_max_understated":
             # shift 1 against c = 5: the centre row excess of B is 1 - 5 < 0
             c_max = 0.0
         else:
             matrix[0, 1] = -1.0  # interior nodes 0 and 1 are neighbours
-        bad = eg.DiscreteOperator(matrix.tocsr(), op.boundary, g, c_max)
+        bad = eg.DiscreteOperator(matrix.tocsr(), csr_blocks(op)[1], g, c_max)
         with pytest.raises(eg.SolverError, match="not monotone"):
             eg.principal_eigenpair(bad)
 
@@ -118,7 +119,7 @@ class TestLinearEigen:
         g = eg.DomainGrid.unit(1, 64)
         op = linear_op(eg.constant_field(1, 1.0), g)
         with pytest.raises(eg.InputError):
-            eg.principal_eigenpair(op, x0=np.zeros(op.matrix.shape[0]))
+            eg.principal_eigenpair(op, x0=np.zeros(csr(op).shape[0]))
 
     @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
     def test_bad_start_vector_raises(self, bad):
@@ -127,7 +128,7 @@ class TestLinearEigen:
         spec = eg.LinearOperatorSpec(eg.constant_field(1, 1.0), 1, 2)
         g = eg.DomainGrid.unit(1, 64)
         op = eg.assemble_oscillatory(spec, 0.5, g)
-        n = op.matrix.shape[0]
+        n = csr(op).shape[0]
         x0 = np.ones(n - 1 if bad == "short" else n)
         if bad != "short":
             x0[n // 2] = np.nan if bad == "nan" else np.inf
@@ -162,7 +163,7 @@ class TestLinearEigen:
         g = eg.DomainGrid.unit(1, 128)
         op = linear_op(eg.constant_field(1, 1.0), g)
         pair = eg.principal_eigenpair(op, tol=1e-11)
-        direct = np.max(np.abs(op.matrix @ pair.phi.flat[g.interior_index()]
+        direct = np.max(np.abs(csr(op) @ pair.phi.flat[g.interior_index()]
                                + pair.lam * pair.phi.flat[g.interior_index()]))
         assert pair.residual == pytest.approx(direct, rel=1e-6, abs=1e-12)
 
@@ -189,7 +190,7 @@ class TestBellmanEigen:
         eps = 0.5
         ops = eg.bellman_operators(bs, eps, g)
         pair, _ = eg.principal_eigenpair_bellman(bs, eps, g, tol=1e-12)
-        ni = ops[0].matrix.shape[0]
+        ni = csr(ops[0]).shape[0]
         lams = []
         for bits in itertools.product(range(2), repeat=ni):
             frozen = _freeze_policy(ops, np.array(bits), g)
@@ -303,9 +304,9 @@ def effective_bellman_u():
     def get(problem, n):
         if (problem, n) not in cache:
             spec = build_problem(problem)["spec"]
-            eff, _ = eg.effective_bellman_1d(spec, eg.PeriodicGrid(1, 64))
-            pair, _ = eg.principal_eigenpair_bellman(
-                eff, 1.0, eg.DomainGrid.unit(1, n))
+            cell = eg.solve_nonlinear_cell(spec, [[-1.0]], eg.PeriodicGrid(1, 64))[0]
+            eff = eg.EffectiveLinear(np.array([[-cell.gamma]]), np.zeros(1), 0.0)
+            pair = eg.effective_eigenpair(eff, eg.DomainGrid.unit(1, n))
             cache[problem, n] = spec, pair.phi
         return cache[problem, n]
     return get
@@ -314,8 +315,8 @@ def effective_bellman_u():
 def _roundoff_tol(op, tol):
     """tol plus the eigenvalue shift that LU round-off can cause:
     16 u ||L||_inf / sqrt(N)."""
-    norm = np.max(np.abs(op.matrix).sum(axis=1))
-    return tol + 16 * np.finfo(float).eps * norm / np.sqrt(op.matrix.shape[0])
+    norm = np.max(np.abs(csr(op)).sum(axis=1))
+    return tol + 16 * np.finfo(float).eps * norm / np.sqrt(csr(op).shape[0])
 
 
 def _effective(a_bar, b_bar=(0.0, 0.0), c_bar=0.0):
@@ -357,14 +358,14 @@ class TestEffectiveEigenpair:
         assert kron.phi.values.max() == 1.0
         assert np.all(kron.phi.flat[grid.boundary_index()] == 0.0)
         v = kron.phi.flat[grid.interior_index()]
-        direct = np.max(np.abs(op.matrix @ v + kron.lam * v))
-        norm = np.max(np.abs(op.matrix).sum(axis=1))
+        direct = np.max(np.abs(csr(op) @ v + kron.lam * v))
+        norm = np.max(np.abs(csr(op)).sum(axis=1))
         assert kron.residual == pytest.approx(
             direct, abs=16 * np.finfo(float).eps * norm)
         # far from convergence the residual is well above round-off
         loose = _effective_pair(eff, grid, tol=1e-2)
         v = loose.phi.flat[grid.interior_index()]
-        direct = np.max(np.abs(op.matrix @ v + loose.lam * v))
+        direct = np.max(np.abs(csr(op) @ v + loose.lam * v))
         assert direct > 1e3 * np.finfo(float).eps * norm
         assert loose.residual == pytest.approx(direct, rel=1e-9)
         return kron
@@ -453,8 +454,8 @@ def test_separable_oscillatory_row_is_a_kronecker_sum():
     np.testing.assert_allclose(kron.phi.values, ref.phi.values,
                                rtol=0, atol=1e-10)
     v = kron.phi.flat[grid.interior_index()]
-    direct = np.max(np.abs(op.matrix @ v + kron.lam * v))
-    norm = np.max(np.abs(op.matrix).sum(axis=1))
+    direct = np.max(np.abs(csr(op) @ v + kron.lam * v))
+    norm = np.max(np.abs(csr(op)).sum(axis=1))
     assert kron.residual == pytest.approx(
         direct, abs=16 * np.finfo(float).eps * norm)
 
@@ -601,3 +602,176 @@ class TestDistinctRows:
         assert kron.cw_lower - slack <= ref.lam <= kron.cw_upper + slack
         np.testing.assert_allclose(kron.phi.values, ref.phi.values,
                                    rtol=0, atol=1e-8)
+
+
+def min_control_spec(spec):
+    """The linear spec of a_min(y) = min over the controls of a_beta(y),
+    pure second order, as a Bellman spec's ellipticity allows."""
+    def a(pts):
+        return np.min([ctl.field.a(pts) for ctl in spec.controls], axis=0)
+
+    field = eg.CoefficientField(1, a, lambda pts: np.zeros((len(pts), 1)),
+                                lambda pts: np.zeros(len(pts)))
+    return eg.LinearOperatorSpec(field, spec.lambda_ell, spec.Lambda_ell)
+
+
+def m_minus(spec, n_torus):
+    """-gamma of the nonlinear cell at M = -1: a Bellman sweep's effective
+    coefficient."""
+    return -eg.solve_nonlinear_cell(spec, [[-1.0]],
+                                    eg.PeriodicGrid(1, n_torus))[0].gamma
+
+
+def axis_referee(a, b, c, n):
+    """`gth_eigenvalue` of the 1D effective row (a, b, c) on n cells of
+    [0, 1], from the weights of `stencil_weights`."""
+    from ergodica.stencils import stencil_weights
+    g = eg.DomainGrid.unit(1, n)
+    neighbours, _ = stencil_weights(np.reshape(a, (1, 1, 1)),
+                                    np.reshape(b, (1, 1)), np.array([c]),
+                                    g.h, g.shape, np.array([1]), wrap=False)
+    return gth_eigenvalue(np.full(n - 1, neighbours[(-1,)][0]),
+                          np.full(n - 1, neighbours[(1,)][0]),
+                          np.full(n - 1, c))
+
+
+class TestClosedFormEffective:
+    """The effective pair is the Toeplitz closed form: checked against a
+    long-double GTH referee, the assembled eigensolve and exact calculus."""
+
+    @pytest.mark.parametrize("problem, n_torus, n", [
+        ("sin-abc", 512, 4096), ("sep-2d", 128, 384),
+        ("bellman-2ctl-1d", 512, 4096), ("pucci-1d", 512, 1024)])
+    def test_lambda_bar_matches_the_gth_referee(self, problem, n_torus, n):
+        spec = build_problem(problem)["spec"]
+        if isinstance(spec, eg.BellmanSpec):
+            eff = eg.EffectiveLinear(np.array([[m_minus(spec, n_torus)]]),
+                                     np.zeros(1), 0.0)
+        else:
+            eff = eg.first_order_effective(spec, eg.PeriodicGrid(spec.dim,
+                                                                 n_torus))
+        pair = eg.effective_eigenpair(eff, eg.DomainGrid.unit(spec.dim, n))
+        # axis 0 carries c_bar, as the Kronecker sum does
+        ref = sum(axis_referee(eff.a_bar[k, k], eff.b_bar[k],
+                               eff.c_bar if k == 0 else 0.0, n)
+                  for k in range(spec.dim))
+        assert abs(pair.lam - ref) <= 1e-13 * ref
+        assert pair.iterations == 0
+        assert pair.cw_lower <= pair.lam <= pair.cw_upper
+        assert pair.cw_upper - pair.cw_lower <= 1e-12 * pair.lam
+
+    @pytest.mark.parametrize("a0, b0, c0", [
+        (0.8, 0.0, 0.0), (0.8, 0.7, 0.3),
+        (0.05, -6.0, -1.0)])  # upwind rows: |b0| h >= 2 a0
+    def test_matches_the_dense_eigenpair(self, a0, b0, c0):
+        eff = eg.EffectiveLinear(np.array([[a0]]), np.array([b0]), c0)
+        n = 48
+        grid = eg.DomainGrid.unit(1, n)
+        pair = eg.effective_eigenpair(eff, grid)
+        L = csr(eg.assemble_effective(eff, grid)).toarray()
+        norm = np.abs(L).sum(axis=1).max()
+        ref = axis_referee(a0, b0, c0, n)
+        assert abs(pair.lam - ref) <= 1e-13 * abs(ref)
+        v = pair.phi.values[1:-1]
+        assert np.max(np.abs(L @ v + pair.lam * v)) <= 1e-13 * norm
+        assert v.min() > 0 and pair.phi.values.max() == 1.0
+        assert pair.phi.values[0] == pair.phi.values[-1] == 0.0
+        if b0 == 0.7:  # a mild drift: eig's vector is accurate
+            vals, vecs = np.linalg.eig(-L)
+            k = np.argmin(vals.real)
+            want = np.abs(vecs[:, k].real)
+            np.testing.assert_allclose(v, want / want.max(), rtol=0, atol=1e-10)
+            assert abs(pair.lam - vals[k].real) <= 1e-12 * norm
+
+    def test_derivatives_are_exact(self):
+        # u(x) = C e^(kappa x) sin(pi x): derivative(0) is phi bit for bit,
+        # the others agree with u's derivatives written out by hand
+        eff = eg.EffectiveLinear(np.array([[0.8]]), np.array([0.7]), 0.3)
+        grid = eg.DomainGrid.unit(1, 256)
+        pair = eg.effective_eigenpair(eff, grid)
+        np.testing.assert_array_equal(pair.derivative(0).values,
+                                      pair.phi.values)
+        lower = 0.8 * 256 ** 2 - 0.7 * 256 / 2
+        upper = 0.8 * 256 ** 2 + 0.7 * 256 / 2
+        kappa = np.log(lower / upper) * 256 / 2
+        x = grid.axes[0]
+        e, s, c = np.exp(kappa * x), np.sin(np.pi * x), np.cos(np.pi * x)
+        scale = 1.0 / np.max(e * s)
+        w = np.pi
+        exact = [e * s, e * (kappa * s + w * c),
+                 e * ((kappa ** 2 - w ** 2) * s + 2 * kappa * w * c),
+                 e * ((kappa ** 3 - 3 * kappa * w ** 2) * s
+                      + (3 * kappa ** 2 * w - w ** 3) * c)]
+        for m, want in enumerate(exact):
+            got = pair.derivative(m).values
+            np.testing.assert_allclose(got, scale * want, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(want)))
+
+    def test_cross_term_keeps_the_eigensolve(self, monkeypatch):
+        # a_bar with a cross term does not separate: the assembled
+        # eigensolve, the one effective eigensolve left
+        import ergodica.eigen as eigen_mod
+        calls = []
+        real = eigen_mod.principal_eigenpair
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair",
+                            lambda op, **k: calls.append(op) or real(op, **k))
+        grid = eg.DomainGrid.unit(2, 16)
+        for a12, solves in ((0.0, 0), (0.3, 1)):
+            eff = eg.EffectiveLinear(np.array([[1.0, a12], [a12, 0.8]]),
+                                     np.zeros(2), 0.5)
+            pair = eg.effective_eigenpair(eff, grid)
+            assert len(calls) == solves
+            assert pair.cw_lower <= pair.lam <= pair.cw_upper
+
+
+class TestBellmanIsLinearOfAmin:
+    """With pure second-order controls a positive eigenfunction has
+    phi'' < 0, where max_beta a_beta phi'' = a_min phi'': a 1D Bellman
+    problem is the linear problem of a_min."""
+
+    @pytest.mark.parametrize("problem", ["bellman-2ctl-1d", "pucci-1d"])
+    def test_m_minus_is_the_harmonic_mean_of_a_min(self, problem):
+        spec = build_problem(problem)["spec"]
+        linear = eg.first_order_effective(min_control_spec(spec),
+                                          eg.PeriodicGrid(1, 512))
+        assert m_minus(spec, 512) == linear.a_bar[0, 0]
+
+    @pytest.mark.parametrize("problem, n", [("bellman-2ctl-1d", 16384),
+                                            ("pucci-1d", 4096)])
+    def test_row_brackets_overlap_the_a_min_rows(self, problem, n):
+        spec = build_problem(problem)["spec"]
+        a_min = min_control_spec(spec)
+        grid = eg.DomainGrid.unit(1, n)
+        for eps in (1 / 8, 1 / 16, 1 / 64):
+            bellman, _ = eg.principal_eigenpair_bellman(spec, eps, grid)
+            linear = eg.principal_eigenpair(
+                eg.assemble_oscillatory(a_min, eps, grid))
+            assert bellman.cw_lower <= linear.cw_upper
+            assert linear.cw_lower <= bellman.cw_upper
+
+    def test_w2_trace_is_the_linear_trace_of_a_min(self):
+        spec = build_problem("bellman-2ctl-1d")["spec"]
+        a_min = min_control_spec(spec)
+        grid = eg.DomainGrid.unit(1, 2048)
+        eps = 1 / 16
+        # the cell and the corrector set both on the trace grid
+        tg = eg.trace_grid(grid, [eps])
+        cells = [eg.solve_nonlinear_cell(spec, [[-1.0]], tg)[0]] * 2
+        pair = eg.effective_eigenpair(eg.EffectiveLinear(
+            np.array([[-cells[0].gamma]]), np.zeros(1), 0.0), grid)
+        prepared = eg.prepare_expansion(pair, *cells)
+        _, rep = eg.nonlinear_expansion(pair, eps, prepared,
+                                        eg.bellman_operators(spec, eps, grid))
+        cs = eg.build_corrector_set(a_min, tg)
+        eff = eg.effective_linear(a_min, cs)
+        assert eff.a_bar[0, 0] == -cells[0].gamma
+        linear = eg.effective_eigenpair(eff, grid)
+        bundle, _, _, _ = eg.slow_corrector(eff, cs, linear,
+                                            eg.assemble_effective(eff, grid))
+        w2 = eg.second_corrector(cs, bundle, eps)
+        np.testing.assert_array_equal(linear.phi.values, pair.phi.values)
+        # to the last bits: the cell solves sum in another (BLAS) order
+        np.testing.assert_allclose(
+            rep["w2_trace"].values, w2.values, rtol=0,
+            atol=8 * np.finfo(float).eps * np.max(np.abs(w2.values)))
+        assert np.max(np.abs(w2.values)) > 0.01

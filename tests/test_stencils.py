@@ -8,6 +8,7 @@ from scipy import sparse
 
 import ergodica as eg
 from ergodica.domain import assemble_linear
+from ergodica.torus import assemble_torus_diffusion, gradient_matrices
 from ergodica.stencils import (
     bounded_diff_matrix,
     fd_weights,
@@ -15,6 +16,7 @@ from ergodica.stencils import (
     periodic_diff_matrix,
     separable_by_axis,
 )
+from referees import csr_blocks
 
 
 class TestFdWeights:
@@ -141,7 +143,7 @@ class TestStencilIsTheCSRProduct:
         D = _reference_csr(g.n, g.h, 1, periodic=True)
         eye = sparse.identity(g.n, format="csr")
         F = np.random.default_rng(3).standard_normal((g.npoints, 2))
-        for G, ref in zip(eg.gradient_matrices(g), (sparse.kron(D, eye),
+        for G, ref in zip(gradient_matrices(g), (sparse.kron(D, eye),
                                                     sparse.kron(eye, D))):
             np.testing.assert_array_equal(G @ F, ref.tocsr() @ F)
             np.testing.assert_array_equal(G @ F[:, 0], ref.tocsr() @ F[:, 0])
@@ -154,7 +156,7 @@ class TestStencilIsTheCSRProduct:
         # Stencil; the reference is monotone_stencil's CSR of the same rows
         tg = eg.PeriodicGrid(field.dim, 12)
         N = tg.npoints
-        A = eg.assemble_torus_diffusion(field, tg)
+        A = assemble_torus_diffusion(field, tg)
         ref = monotone_stencil(field.sample(tg.points())[0],
                                np.zeros((N, tg.dim)), np.zeros(N),
                                (tg.h,) * tg.dim, tg.shape, np.arange(N),
@@ -226,13 +228,13 @@ class TestMonotoneStencil:
         # same h, every interior Dirichlet row is the torus row at that node
         n, dim = 16, field.dim
         tg = eg.PeriodicGrid(dim, n)
-        A = eg.assemble_torus_diffusion(field, tg)
+        A = assemble_torus_diffusion(field, tg)
         A = A.matrix if dim == 1 else A  # 1D: the CSR of its bands
         g = eg.DomainGrid.unit(dim, n)
         N = int(np.prod(g.shape))
         op = assemble_linear(g, field.sample(g.points())[0],
                              np.zeros((N, dim)), np.zeros(N))
-        full = sparse.hstack([op.matrix, op.boundary]).tocsr()
+        full = sparse.hstack(csr_blocks(op)).tocsr()
         nodes = np.concatenate([g.interior_index(), g.boundary_index()])
         for r, node in enumerate(g.interior_index()):
             center = np.array(np.unravel_index(node, g.shape))

@@ -19,9 +19,11 @@ from ergodica.torus import (
     assemble_torus_diffusion,
     cell_factor,
     factor_cell,
+    gradient_matrices,
     policy_iteration,
     select_rows,
 )
+from referees import csr, csr_blocks
 
 
 def harmonic_mean(a, lo=0.0, hi=1.0):
@@ -196,7 +198,7 @@ class TestFactoredOperator:
         # The same matrix in either sparse format goes to SuperLU instead.
         spec = build_problem("sin-abc")["spec"]
         L = eg.assemble_oscillatory(spec, 1 / 8, eg.DomainGrid.unit(1, 384))
-        M = L.matrix.asformat(fmt)
+        M = csr(L).asformat(fmt)
         n = M.shape[0]
         B = np.random.default_rng(5).standard_normal((n, 5))
         before = [band.copy() for band in L.bands]
@@ -474,17 +476,16 @@ class TestNonlinearCell:
         for M in ([[1.0]], [[-1.0]]):
             with pytest.raises(eg.InputError, match="control 1 has a drift"):
                 eg.solve_nonlinear_cell(bs, M, eg.PeriodicGrid(1, 64))
-        with pytest.raises(eg.InputError, match="control 1"):
-            eg.effective_bellman_1d(bs, eg.PeriodicGrid(1, 64))
 
     @pytest.mark.parametrize("n", [16384, 65536])
     def test_fine_cells_settle(self, n):
         # the Bellman residual is round-off in ||A|| max|chi|, ||A|| ~ n^2:
         # 2.4e-9 at 16 384 cells, above an absolute 2.5e-10, once refused
-        eff, cells = eg.effective_bellman_1d(build_problem("bellman-2ctl-1d")["spec"],
-                                             eg.PeriodicGrid(1, n))
-        assert cells[1][0].gamma == pytest.approx(1.2634753589, abs=1e-9)
-        assert cells[-1][0].gamma == pytest.approx(-0.8357248147, abs=1e-9)
+        spec = build_problem("bellman-2ctl-1d")["spec"]
+        gamma = {s: eg.solve_nonlinear_cell(spec, [[s]], eg.PeriodicGrid(1, n))[0]
+                 .gamma for s in (1.0, -1.0)}
+        assert gamma[1.0] == pytest.approx(1.2634753589, abs=1e-9)
+        assert gamma[-1.0] == pytest.approx(-0.8357248147, abs=1e-9)
 
     def test_2d_cell_of_separable_controls(self, monkeypatch):
         # separable controls give flat Stencil operators, whose frozen rows
@@ -566,7 +567,7 @@ class TestPolicyIteration:
                                       0.5, 1.5),
             ])
             ops = eg.bellman_operators(spec, 1 / 4, eg.DomainGrid.unit(1, 16))
-            blocks = [[op.matrix for op in ops], [op.boundary for op in ops]]
+            blocks = [[csr_blocks(op)[k] for op in ops] for k in (0, 1)]
             policy = np.array([0, 2] * 7 + [2])
         for mats in blocks:
             frozen = select_rows(mats, policy)
@@ -641,7 +642,7 @@ class TestGrids:
 
     def test_gradient_matrices_accuracy(self):
         g = eg.PeriodicGrid(2, 64)
-        D = eg.gradient_matrices(g)
+        D = gradient_matrices(g)
         pts = g.points()
         f = np.sin(2 * np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1])
         d0 = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1])
