@@ -5,9 +5,12 @@ form (`ToeplitzPair`, `effective_eigenpair`) unless a_bar has a cross term.
 The linear solver runs inverse power iteration on B = s*I - L_h (a
 nonsingular M-matrix after the properness shift s), whose inverse is
 entrywise nonnegative, so the iterates stay positive and the Collatz-
-Wielandt ratios bracket the Perron value of the factored, rounded B at
-every step, not yet that of L_h's exact stencil (ROADMAP item 1). Bellman
-problems wrap the linear solver in Howard policy iteration.
+Wielandt ratios bracket the Perron value of B as stored at every step:
+its cyclic-reduction factor (`torus.FactoredOperator`) adds no cancelling
+term, so each solve is accurate componentwise. Storing B rounds its
+diagonal s - diag(L_h) once, so the bracket is not yet one for L_h's exact
+stencil. Bellman problems wrap the linear solver in Howard policy
+iteration.
 
 A 2D operator whose samples separate by axis (sep-2d, a 2D effective one)
 is a Kronecker sum of two 1D ones, whose Perron roots and brackets add.
@@ -76,12 +79,12 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
 
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
     `tol`, within MAX_POWER_ITER iterations; lambda is the bracket midpoint.
-    B = s*I - L_h, from `shifted_m_matrix`, is factored once (LAPACK's
-    tridiagonal LU of B's bands in 1D, SuperLU with the minimum-degree
-    ordering on B^T + B in 2D) and every iteration is one pair of triangular
-    solves against it. It starts from `x0`, a GridFunction on op.grid or a
-    vector on the interior nodes (default ones); s and B do not depend on
-    it, so it moves lambda only inside the certified bracket.
+    B = s*I - L_h, from `shifted_m_matrix`, is factored once (cyclic
+    reduction of B's bands in 1D, SuperLU with the minimum-degree ordering
+    on B^T + B in 2D) and every iteration is one solve against it. It
+    starts from `x0`, a GridFunction on op.grid or a vector on the interior
+    nodes (default ones); s and B do not depend on it, so it moves lambda
+    only inside the certified bracket.
     """
     n = len(op.grid.interior_index())
     v = np.ones(n) if x0 is None else _start_vector(x0, op.grid, n)
@@ -270,12 +273,14 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
 
     2D samples whose `axis_samples` separate give L_1 (x) I + I (x) L_2:
     each axis is solved with tol/2, op is None and the pair a
-    `KroneckerPair`. Anything else is assembled and solved from the start
-    vector `x0` (see `principal_eigenpair`), which may be a function that
-    returns it: only this path calls it. The axis solves ignore x0 and
-    start from ones: seeding them with the rank-one factors of the
-    homogenized eigenfunction raised the sep-2d sweep's iterations from 104
-    to 110.
+    `KroneckerPair`. Two axes with the same bounds, n and samples (an
+    isotropic field: c sits on axis 0, so c != 0 keeps them apart) are one
+    problem, solved once and used twice. Anything else is assembled and
+    solved from the start vector `x0` (see `principal_eigenpair`), which
+    may be a function that returns it: only this path calls it. The axis
+    solves ignore x0 and start from ones: seeding them with the rank-one
+    factors of the homogenized eigenfunction raised the sep-2d sweep's
+    iterations from 104 to 110.
     """
     axes = axis_samples(grid, avals, bvals, cvals, at) if grid.dim == 2 \
         else None
@@ -285,6 +290,10 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
         return principal_eigenpair(op, tol=tol, x0=x0), op
     solved = []
     for k, samples in enumerate(axes):
+        if k and grid.bounds[1] == grid.bounds[0] and grid.n[1] == grid.n[0] \
+                and all(map(np.array_equal, samples, axes[0])):
+            solved.append(solved[0])  # the same axis problem, bit for bit
+            break
         op = assemble_linear(DomainGrid(1, (grid.bounds[k],), (grid.n[k],)),
                              *samples)
         pair = principal_eigenpair(op, tol=tol / 2)

@@ -4,6 +4,8 @@ None of these is called by `src/`: each rebuilds, from a representation the
 package no longer keeps or by a different method, what a test checks.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from scipy import sparse
 
@@ -92,3 +94,35 @@ def gth_eigenvalue(lower, upper, c, sections=64):
         if new == (lo, hi):
             return lo
         lo, hi = new
+
+
+def thomas_solve(lower, diag, upper, rhs):
+    """The solution of the tridiagonal system with row-aligned bands
+    (lower[0] and upper[-1] outside the matrix) by the Thomas recurrence in
+    long double, rounded to double at the end."""
+    ld = np.longdouble
+    lower, diag, upper, g = (np.array(v, dtype=ld)
+                             for v in (lower, diag, upper, rhs))
+    n = len(diag)
+    sup = np.zeros(n, dtype=ld)
+    for i in range(n):
+        pivot = diag[i] - (lower[i] * sup[i - 1] if i else 0)
+        sup[i] = upper[i] / pivot if i < n - 1 else 0
+        g[i] = (g[i] - (lower[i] * g[i - 1] if i else 0)) / pivot
+    for i in range(n - 2, -1, -1):
+        g[i] -= sup[i] * g[i + 1]
+    return g.astype(float)
+
+
+def stored_row_sums(shift, lower, diag, upper):
+    """The c of `gth_eigenvalue` for L = shift I - B, B the stored bands
+    (-lower, diag, -upper): c_i = shift - diag_i + lower_i + upper_i, summed
+    exactly in rationals and rounded once to long double."""
+    def long_double(exact):  # two doubles carry its first 106 bits
+        hi = float(exact)
+        return np.longdouble(hi) + np.longdouble(float(exact - Fraction(hi)))
+
+    s = Fraction(float(shift))
+    return np.array([long_double(s - Fraction(float(d)) + Fraction(float(l))
+                                 + Fraction(float(u)))
+                     for l, d, u in zip(lower, diag, upper)])

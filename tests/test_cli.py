@@ -182,15 +182,15 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("problem, mode, meas, rows_per_eps", [
         ("sin-abc", "linear", ALL_MEASUREMENTS, 1),
-        ("sep-2d", "linear", ("lambda_rate", "eigfun_rate", "z_rate"), 2),
+        ("sep-2d", "linear", ("lambda_rate", "eigfun_rate", "z_rate"), 1),
         ("bellman-2ctl-1d", "bellman", ("lambda_rate", "residual_slope"), None),
     ])
     def test_no_effective_eigensolve(self, monkeypatch, problem, mode, meas,
                                      rows_per_eps):
         # the effective pair is a closed form: every inverse iteration is
         # some row's (its operator oscillates), one per 1D row and one per
-        # axis of a separable 2D row, and every eigenproblem Howard loop is
-        # a Bellman row's
+        # distinct axis of a separable 2D row (sep-2d's two axes are one
+        # problem), and every eigenproblem Howard loop is a Bellman row's
         import ergodica.cli as cli_mod
         import ergodica.eigen as eigen_mod
         solved, howard = [], []
@@ -326,9 +326,10 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("problem, starts", [
         ("sin-abc", [True, True]),
-        # both row eigenpairs are two axis solves each; the effective pair
-        # is a closed form, solved by neither
-        ("sep-2d", [False] * 4),
+        # both row eigenpairs are one axis solve each, since the two axes
+        # of sep-2d are one problem; the effective pair is a closed form,
+        # solved by neither
+        ("sep-2d", [False] * 2),
     ], ids=["sin-abc", "sep-2d"])
     def test_linear_rows_start_from_effective_eigenfunction(
             self, monkeypatch, problem, starts):

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import ergodica as eg
 from ergodica.cli import build_problem
-from ergodica.domain import assemble_linear, effective_samples, fast_coordinates
+from ergodica.domain import (assemble_linear, effective_samples, fast_coordinates,
+                             properness_shift, shifted_m_matrix)
 from ergodica.eigen import _freeze_policy, axis_samples, linear_eigenpair
 from referees import (collatz_wielandt, csr, csr_blocks, gth_eigenvalue,
-                      oscillatory_samples)
+                      oscillatory_samples, stored_row_sums)
 
 
 def linear_op(field, grid):
@@ -460,6 +461,42 @@ def test_separable_oscillatory_row_is_a_kronecker_sum():
         direct, abs=16 * np.finfo(float).eps * norm)
 
 
+def test_equal_axes_are_solved_once(monkeypatch):
+    """An isotropic separable row (sep-2d) is one axis problem twice: it is
+    factored and iterated once, and its pair is bit for bit the Kronecker
+    sum of the two axis solves. A c, which sits on axis 0 only, keeps the
+    axes apart."""
+    import ergodica.eigen as eigen_mod
+    spec = build_problem("sep-2d")["spec"]
+    grid = eg.DomainGrid.unit(2, 64)
+    samples = oscillatory_samples(spec, 1 / 4, grid)
+    factors, real_factor = [], eigen_mod.FactoredOperator
+
+    def counting(matrix):
+        factors.append(len(matrix[1]))
+        return real_factor(matrix)
+
+    monkeypatch.setattr(eigen_mod, "FactoredOperator", counting)
+    pair, op = linear_eigenpair(grid, *samples, tol=1e-9)
+    assert op is None and factors == [63]
+    axis = eg.DomainGrid.unit(1, 64)
+    solved = []
+    for samples_k in axis_samples(grid, *samples):
+        axis_op = assemble_linear(axis, *samples_k)
+        axis_pair = eg.principal_eigenpair(axis_op, tol=1e-9 / 2)
+        v = axis_pair.phi.values[1:-1]
+        solved.append((axis_pair, axis_op.matvec(v) + axis_pair.lam * v))
+    ref = eigen_mod.KroneckerPair(grid, solved)
+    for key in ("lam", "cw_lower", "cw_upper", "iterations", "residual",
+                "bracket_history"):
+        assert getattr(pair, key) == getattr(ref, key), key
+    np.testing.assert_array_equal(pair.phi.values, ref.phi.values)
+    factors.clear()
+    a, b, c = samples
+    linear_eigenpair(grid, a, b, c + 0.25, tol=1e-9)
+    assert factors == [63, 63]
+
+
 def _y2(pts):
     return np.sin(2 * np.pi * pts[:, 1])
 
@@ -620,6 +657,20 @@ def m_minus(spec, n_torus):
     coefficient."""
     return -eg.solve_nonlinear_cell(spec, [[-1.0]],
                                     eg.PeriodicGrid(1, n_torus))[0].gamma
+
+
+def test_bracket_holds_the_perron_value_of_the_stored_matrix():
+    # the bracket certifies the matrix the solver factors, B = s I - L_h as
+    # stored: sin-abc, eps = 1/16, 4 096 cells, tol 1e-11 (LAPACK's gttrf
+    # gave [8.4763762679422, 8.4763762679522] around 8.4763762678969)
+    spec = build_problem("sin-abc")["spec"]
+    op = eg.assemble_oscillatory(spec, 1 / 16, eg.DomainGrid.unit(1, 4096))
+    s = properness_shift(op)
+    (lower, diag, upper), ok, _ = shifted_m_matrix(op, s)
+    ref = gth_eigenvalue(-lower, -upper,
+                         stored_row_sums(s, -lower, diag, -upper))
+    pair = eg.principal_eigenpair(op, tol=1e-11)
+    assert ok and pair.cw_lower <= ref <= pair.cw_upper
 
 
 def axis_referee(a, b, c, n):

@@ -1,7 +1,7 @@
 """What `import ergodica` and the 1D and separable 2D paths load.
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported scipy.sparse for its own reference matrices.
+since imported scipy for its own reference matrices.
 """
 
 import json
@@ -17,9 +17,9 @@ PRELUDE = textwrap.dedent("""\
     import ergodica as eg
     from ergodica.cli import main
 
-    def sparse_loaded():
+    def scipy_loaded(package="scipy"):
         return sorted(m for m in sys.modules
-                      if m == "scipy.sparse" or m.startswith("scipy.sparse."))
+                      if m == package or m.startswith(package + "."))
 
     def cli(*args, config):
         with tempfile.TemporaryDirectory() as tmp:
@@ -40,13 +40,15 @@ def run_script(body):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_1d_and_separable_paths_load_no_scipy_sparse():
+def test_1d_and_separable_paths_load_no_scipy():
     # small sweeps shaped like the three benchmark workloads, the eigen and
     # effective commands on 1D and separable 2D configs, and eigen on the
-    # 1D Bellman configs: each step records whatever scipy.sparse modules
-    # it left loaded
+    # 1D Bellman configs: each step records whatever scipy modules it left
+    # loaded. Band matrices are factored by numpy alone. The sep-2d sweep
+    # measures lambda_rate only: its eigfun_rate and z_rate rows still
+    # assemble the 2D operator as CSR.
     loaded = run_script("""
-        steps = {"import ergodica": sparse_loaded()}
+        steps = {"import ergodica": scipy_loaded()}
         sweeps = {
             "sin-abc sweep": dict(problem="sin-abc", measurements=(
                 "lambda_rate", "eigfun_rate", "z_rate", "v_norm",
@@ -61,7 +63,7 @@ def test_1d_and_separable_paths_load_no_scipy_sparse():
             rep = eg.run_sweep(eg.SweepConfig(
                 eps_list=[1 / 4, 1 / 8], q=16, n_torus=32, timing=False, **kw))
             assert rep.failures == [] and len(rep.rows) == 2, rep.failures
-            steps[name] = sparse_loaded()
+            steps[name] = scipy_loaded()
         linear = (["effective"], ["eigen"], ["eigen", "--effective"])
         for problem, mode, commands in (("sin-abc", "linear", linear),
                                         ("sep-2d", "linear", linear),
@@ -71,7 +73,7 @@ def test_1d_and_separable_paths_load_no_scipy_sparse():
                       "q": 16, "n_torus": 32}
             for args in commands:
                 cli(*args, config=config)
-                steps[f"{' '.join(args)} {problem}"] = sparse_loaded()
+                steps[f"{' '.join(args)} {problem}"] = scipy_loaded()
         print(json.dumps(steps))
     """)
     assert len(loaded) == 12
@@ -83,13 +85,13 @@ def test_cross_term_2d_loads_scipy_sparse_on_demand():
     # factor: both still work, and they import scipy.sparse when called
     out = run_script("""
         import numpy as np
-        before = sparse_loaded()
+        before = scipy_loaded()
         grid = eg.DomainGrid.unit(2, 16)
         N = int(np.prod(grid.shape))
         a = np.broadcast_to([[1.0, 0.3], [0.3, 0.8]], (N, 2, 2))
         op = eg.assemble_linear(grid, a, np.zeros((N, 2)), np.full(N, 0.5))
         pair = eg.principal_eigenpair(op, tol=1e-10)
-        print(json.dumps({"before": before, "after": sparse_loaded(),
+        print(json.dumps({"before": before, "after": scipy_loaded("scipy.sparse"),
                           "bracket": [pair.cw_lower, pair.lam, pair.cw_upper],
                           "nnz": int(op.matrix.nnz)}))
     """)

@@ -23,7 +23,8 @@ from ergodica.torus import (
     policy_iteration,
     select_rows,
 )
-from referees import csr, csr_blocks
+from ergodica.domain import properness_shift, shifted_m_matrix
+from referees import csr, csr_blocks, thomas_solve
 
 
 def harmonic_mean(a, lo=0.0, hi=1.0):
@@ -217,7 +218,7 @@ class TestFactoredOperator:
             assert np.max(np.abs(X - X_ref)) <= 1e-9 * np.max(np.abs(X_ref))
 
     def test_singular_tridiagonal_raises_solver_error(self, splu_calls):
-        # a zero column leaves an exactly zero pivot under partial pivoting
+        # a zero column: the eliminated row 2 has a zero pivot
         lower, diag, upper = np.full(6, -1.0), np.full(6, 2.0), np.full(6, -1.0)
         lower[3] = diag[2] = upper[1] = 0.0  # column 2
         with pytest.raises(eg.SolverError,
@@ -232,6 +233,59 @@ class TestFactoredOperator:
         with pytest.raises(eg.SolverError,
                            match="tridiagonal LU solve produced nonfinite"):
             lu.solve(rhs)
+
+    def test_band_solve_is_componentwise_accurate(self):
+        # B = sI - L_h as stored, for the sin-abc row at eps = 1/16 on 4 096
+        # cells: each component of B^-1 v, v > 0, is within 64 ceil(log2 n) u
+        # of a long-double Thomas referee (cyclic reduction on the row sums:
+        # 6.3e-15; LAPACK's gttrs: 6.9e-12)
+        spec = build_problem("sin-abc")["spec"]
+        op = eg.assemble_oscillatory(spec, 1 / 16, eg.DomainGrid.unit(1, 4096))
+        B, ok, _ = shifted_m_matrix(op, properness_shift(op))
+        v = np.random.default_rng(7).uniform(0.5, 1.5, len(B[1]))
+        x = FactoredOperator(B).solve(v)
+        ref = thomas_solve(*B, v)
+        bound = 64 * np.ceil(np.log2(len(v))) * np.finfo(float).eps / 2
+        assert ok and np.max(np.abs(x - ref) / ref) <= bound
+
+    @pytest.mark.parametrize("flaw", ["lower", "upper", "nan", "pivot"])
+    def test_bands_that_are_not_an_m_matrix_raise(self, splu_calls, flaw):
+        # an off-diagonal entry of the diagonal's sign, or a Laplacian
+        # shifted below its smallest eigenvalue, whose reduced pivots are
+        # not all positive: either sign of the bands is refused
+        lower, diag, upper = np.full(7, -1.0), np.full(7, 2.5), np.full(7, -1.0)
+        if flaw == "lower":
+            lower[4] = 0.5
+        elif flaw == "upper":
+            upper[2] = 0.5
+        elif flaw == "nan":
+            lower[3] = np.nan
+        else:
+            diag[:] = 1.5  # smallest eigenvalue 1.5 - 2 cos(pi / 8) < 0
+        for sign in (1.0, -1.0):
+            with pytest.raises(eg.SolverError,
+                               match="tridiagonal LU factorization failed"):
+                FactoredOperator((sign * lower, sign * diag, sign * upper))
+        assert splu_calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 383, 4096])
+    def test_band_block_solve_equals_column_solves(self, n):
+        # an (n, k) block solves to its column solves, bit for bit, and each
+        # solve returns a new array although the factor keeps work arrays
+        rng = np.random.default_rng(n)
+        lo, up = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        diag = lo + up + rng.uniform(0.01, 1.0, n)
+        lu = FactoredOperator((-lo, diag, -up))
+        B = rng.standard_normal((n, 4))
+        X = lu.solve(B)
+        columns = [lu.solve(B[:, j]) for j in range(4)]
+        assert X.shape == (n, 4)
+        for j, x in enumerate(columns):
+            np.testing.assert_array_equal(X[:, j], x)
+        assert not np.shares_memory(columns[0], columns[1])
+        np.testing.assert_array_equal(lu.solve(B[:, 0]), columns[0])
+        M = np.diag(diag) - np.diag(lo[1:], -1) - np.diag(up[:-1], 1)
+        assert np.max(np.abs(M @ X - B)) <= 1e-13 * np.max(np.abs(B))
 
     def test_periodic_and_augmented_matrices_use_superlu(self, splu_calls):
         grid = eg.PeriodicGrid(1, 64)
