@@ -172,6 +172,8 @@ class SweepConfig:
             raise ConfigError("mode must be 'linear' or 'bellman'")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
+        if not isinstance(self.out, str):
+            raise ConfigError("out must be a directory path (a string)")
         if not isinstance(self.timing, bool):
             raise ConfigError("timing must be true or false")
         if not isinstance(self.measurements, (list, tuple)) or \

@@ -1,29 +1,27 @@
 """Dirichlet discretization of oscillatory, effective and Bellman operators
-on an interval or rectangle, as monotone operators: bands in 1D, CSR in 2D.
+on an interval or rectangle, as monotone operators.
 
 Grid functions live on the full node set (boundary included); operators act
-on interior unknowns, with the boundary coupling kept as a separate block so
-inhomogeneous Dirichlet data can be moved to the right-hand side. The
-weights come from `stencils.stencil_weights`, which the torus cell matrices
-use too. A 1D operator is its three bands, aligned by row: its products,
-B = s*I - L_h, its M-matrix test, its tridiagonal factorization and the
-frozen policies of `eigen` read only the bands, and it has no CSR matrix.
-2D operators are CSR.
-Oscillatory coefficients, and in 1D the weights, are formed once per
-distinct fast coordinate y = x/eps mod 1 (`fast_coordinates`) and
-gathered to the nodes.
+on interior unknowns. An operator is the row-aligned weights of
+`stencils.stencil_weights` at the interior nodes (`stencils.Weights`), the
+same stored form as the torus cell operators, in 1D and 2D alike: its
+products, B = s*I - L_h with its M-matrix verdict, its factor and the
+frozen policies of `eigen` all read the weights, and a coupling to a
+boundary node enters only `apply`, so inhomogeneous Dirichlet data move
+to the right-hand side. Oscillatory coefficients and their weights are
+formed once per distinct fast coordinate y = x/eps mod 1
+(`fast_coordinates`) and gathered to the nodes.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
 from .errors import InputError
-from .stencils import BandOperator, monotone_stencil, stencil_weights
+from .stencils import Weights, flat_rows, stencil_weights
 from .torus import FactoredOperator, GridFunction, PeriodicGrid
 
 
@@ -127,53 +125,50 @@ class DomainGrid:
         return np.outer(ws[0], ws[1])
 
 
-class DiscreteOperator:
-    """Interior operator L_h with its boundary coupling.
+class DiscreteOperator(Weights):
+    """Interior operator L_h with its boundary coupling: the weights of
+    `stencil_weights` at the interior nodes, one row per node, on the
+    interior grid of `grid`.
 
-    Sign convention: (matrix @ phi_interior + boundary @ phi_boundary)
-    approximates  a D^2 phi + b . D phi + c phi  at interior nodes.
-
-    A 1D operator is its `bands` (else None), the stencil weights (lower,
-    diag, upper) aligned by row: row i of L_h is lower[i] phi_{i-1} +
-    diag[i] phi_i + upper[i] phi_{i+1} over the full node set, so lower[0]
-    and upper[-1] are the two boundary couplings. Its CSR `matrix` and
-    `boundary` are None.
+    Sign convention: `apply(phi)` approximates  a D^2 phi + b . D phi + c phi
+    at interior nodes; `op @ v` is the same with zero boundary values,
+    each row summed in ascending column (`stencils.Stencil`).
     """
 
-    def __init__(self, matrix, boundary, grid: DomainGrid, c_max: float = 0.0,
-                 bands: Optional[tuple] = None):
-        self.matrix, self.boundary = matrix, boundary
-        self.grid, self.c_max, self.bands = grid, c_max, bands
+    def __init__(self, neighbours, diag, grid: DomainGrid, c_max: float = 0.0):
+        super().__init__(neighbours, diag, [n - 1 for n in grid.n], wrap=False)
+        self.grid, self.c_max = grid, c_max
 
-    @classmethod
-    def from_bands(cls, grid: DomainGrid, bands, c_max: float):
-        return cls(None, None, grid, c_max, tuple(bands))
-
-    _stencil = cached_property(lambda self: BandOperator(self.bands, wrap=False))
-
-    def matvec(self, v):
-        """L_h v for a vector v on the interior nodes (zero boundary data);
-        with bands, in the order of the CSR product (`stencils.Stencil`)."""
-        return (self.matrix if self.bands is None else self._stencil) @ v
+    @cached_property
+    def _boundary(self):
+        """(rows, boundary nodes, weights) of each block of couplings to the
+        boundary, in ascending offset, which is ascending node in a row."""
+        out = []
+        for offset, w, s, block in self.blocks():
+            if s is None:
+                rows = flat_rows(block, self.shape)
+                out.append((rows, flat_rows([slice(b.start + 1 + o, b.stop + 1 + o)
+                                             for b, o in zip(block, offset)],
+                                            self.grid.shape), w[rows]))
+        return out
 
     def apply(self, phi: GridFunction):
-        """Operator value at interior nodes, honoring the boundary values of phi."""
-        vals = self.matvec(phi.flat[self.grid.interior_index()])
-        if self.bands is None:
-            return vals + self.boundary @ phi.flat[self.grid.boundary_index()]
-        vals[0] += self.bands[0][0] * phi.flat[0]
-        vals[-1] += self.bands[2][-1] * phi.flat[-1]
-        return vals
+        """Operator value at interior nodes, honoring the boundary values of
+        phi: the interior sum, plus the boundary terms summed on their own."""
+        vals = self @ phi.flat[self.grid.interior_index()]
+        outside = np.zeros(len(vals))
+        for rows, nodes, w in self._boundary:
+            outside[rows] += w * phi.flat[nodes]
+        return vals + outside
 
 
 def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
                     at=None) -> DiscreteOperator:
-    """Monotone assembly (`stencils.stencil_weights`) of the interior rows,
-    boundary columns split off, from coefficient samples at every node, or
-    at the rows that `at` (from `fast_coordinates`) gathers to the nodes.
-    In 1D the weights are formed per sample and gathered into the bands; in
-    2D the samples are gathered and the rows of `stencils.monotone_stencil`
-    sliced into the two blocks. c_max is the largest c at an interior node."""
+    """Monotone assembly (`stencils.stencil_weights`) of the interior rows
+    from coefficient samples at every node, or at the rows that `at` (from
+    `fast_coordinates`) gathers to the nodes: the weights are formed per
+    sample and gathered to the interior nodes. c_max is the largest c at
+    an interior node."""
     d = grid.dim
     interior = grid.interior_index()
     avals = np.asarray(avals, dtype=float).reshape(-1, d, d)
@@ -188,16 +183,10 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
         nodes = np.zeros(len(cvals), dtype=np.intp)  # named by AssemblyError
         nodes[at] = interior
         rows_of = lambda s: np.take(s, at, axis=0)
-    c_max = float(rows_of(cvals).max())
-    if d == 1:
-        neighbours, diag = stencil_weights(avals, bvals, cvals, grid.h,
-                                           grid.shape, nodes, wrap=False)
-        return DiscreteOperator.from_bands(grid, map(rows_of, (
-            neighbours[(-1,)], diag, neighbours[(1,)])), c_max)
-    rows = monotone_stencil(*map(rows_of, (avals, bvals, cvals)), grid.h,
-                            grid.shape, interior, wrap=False)
-    return DiscreteOperator(rows[:, interior].tocsr(),
-                            rows[:, grid.boundary_index()].tocsr(), grid, c_max)
+    neighbours, diag = stencil_weights(avals, bvals, cvals, grid.h, grid.shape,
+                                       nodes, wrap=False)
+    return DiscreteOperator({o: rows_of(w) for o, w in neighbours.items()},
+                            rows_of(diag), grid, float(rows_of(cvals).max()))
 
 
 def _axis_steps(grid: DomainGrid, eps: float):
@@ -292,58 +281,37 @@ def bellman_operators(spec: BellmanSpec, eps: float, grid: DomainGrid,
 
 
 def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
-    """(B, ok, info): B = shift*I - L_h and whether it is an M-matrix
+    """(B, ok, info): B = shift*I - L_h as weights, which
+    `torus.FactoredOperator` factors, and whether it is an M-matrix
     candidate (diagonal > 0, off-diagonal <= tol, row excess
-    B_ii - sum_{j != i} |B_ij| > -tol), read from B's arrays without
-    building another sparse matrix. info carries the worst off-diagonal
-    entry of B with its (row, col), the minimal diagonal and the minimal
-    row excess. The eigensolver runs this test on the matrix it factors.
-
-    With bands, B is the band triple (-lower, shift - diag, -upper), which
-    FactoredOperator takes as it is; its first and last entries, outside B,
-    are left out of the test. Otherwise B is built from L_h's CSR arrays,
-    entry for entry `sparse.identity(n) * shift - op.matrix`.
+    B_ii - sum_{j != i} |B_ij| > -tol), read off B's weights inside the
+    grid, with no sparse matrix built. Only nonzero weights count as
+    entries of B, which keeps no zeros in its CSR either; the couplings to
+    boundary nodes lie outside B. info carries the worst off-diagonal entry
+    of B with its (row, col), first in row-major order among equals, the
+    minimal diagonal and the minimal row excess. The eigensolver runs this
+    test on the matrix it factors.
     """
-    if op.bands is not None:
-        lower, diag, upper = op.bands
-        B = (-lower, shift - diag, -upper)
-        excess = np.abs(B[0])  # row i: (|B_i,i-1| + |B_i,i+1|), CSR's order
-        excess[0] = 0.0
-        excess[:-1] += np.abs(B[2][:-1])
-        np.subtract(B[1], excess, out=excess)
-        # the largest stored (nonzero) off-diagonal, first in CSR order
-        worst, at = (0.0, 0), None
-        for side, band in enumerate((B[0][1:], B[2][:-1])):
-            if band.any():
-                vals = band if band.max() else np.where(band != 0, band, -np.inf)
-                j = int(np.argmax(vals))
-                key = (float(vals[j]), side - 2 * j)  # ties: the earlier entry
-                if at is None or key > worst:
-                    worst, at = key, (j + 1 - side, j + side)
-        return B, *_m_matrix_verdict(B[1], worst[0], at, excess, tol)
-    B = -op.matrix.tocsr()
-    B.sum_duplicates()
-    diag = B.diagonal() + shift
-    B.setdiag(diag)
-    B.eliminate_zeros()
-    rows = np.repeat(np.arange(len(diag)), np.diff(B.indptr))
-    off = B.indices != rows
-    k = int(np.argmax(np.where(off, B.data, -np.inf))) if off.any() else None
-    worst = 0.0 if k is None else float(B.data[k])
-    at = None if k is None else (int(rows[k]), int(B.indices[k]))
-    w = np.where(off, B.data, 0.0)
-    excess = diag - np.bincount(rows, np.abs(w, out=w), len(diag))
-    return B, *_m_matrix_verdict(diag, worst, at, excess, tol)
-
-
-def _m_matrix_verdict(diag, worst_off, at, excess, tol):
-    """(ok, info) of `shifted_m_matrix`: worst_off is B's largest stored
-    off-diagonal entry (0.0 when there is none), at its (row, col)."""
-    ok = bool(diag.min() > 0 and worst_off <= tol and excess.min() > -tol)
-    return ok, {
-        "worst_offdiag": worst_off,
+    B = Weights({o: -w for o, w in op.neighbours.items()}, shift - op.diag,
+                op.shape, op.wrap, zeros=False)
+    offdiag = np.zeros(len(B.diag))  # sum_{j != i} |B_ij|, in column order
+    worst, at = (0.0,), None
+    for s, r0, r1, w in B.stencil.diags:
+        if s == 0:
+            continue
+        offdiag[r0:r1] += np.abs(w)
+        if w.any():
+            vals = w if w.max() else np.where(w != 0, w, -np.inf)
+            j = int(np.argmax(vals))
+            key = (float(vals[j]), -(r0 + j), -s)  # ties: the earlier entry
+            if at is None or key > worst:
+                worst, at = key, (r0 + j, r0 + j + s)
+    excess = np.subtract(B.diag, offdiag, out=offdiag)
+    ok = bool(B.diag.min() > 0 and worst[0] <= tol and excess.min() > -tol)
+    return B, ok, {
+        "worst_offdiag": worst[0],
         "worst_offdiag_at": at,
-        "min_diag": float(diag.min()),
+        "min_diag": float(B.diag.min()),
         "min_row_excess": float(excess.min()),
     }
 
@@ -366,5 +334,5 @@ def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None) -> GridFunc
     if boundary_values is not None:
         data = op.grid.embed(0.0, np.asarray(boundary_values, dtype=float))
         rhs = rhs - op.apply(GridFunction(op.grid, data))
-    sol = FactoredOperator(op.matrix if op.bands is None else op.bands).solve(rhs)
+    sol = FactoredOperator(op).solve(rhs)
     return GridFunction(op.grid, op.grid.embed(sol, boundary_values))

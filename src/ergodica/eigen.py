@@ -10,7 +10,10 @@ its cyclic-reduction factor (`torus.FactoredOperator`) adds no cancelling
 term, so each solve is accurate componentwise. Storing B rounds its
 diagonal s - diag(L_h) once, so the bracket is not yet one for L_h's exact
 stencil. Bellman problems wrap the linear solver in Howard policy
-iteration.
+iteration. An operator is its row-aligned weights in 1D and 2D alike
+(`domain.DiscreteOperator`): B, the residual and a frozen policy are
+formed from them the same way, and only the factor tells a tridiagonal B
+(cyclic reduction) from a 2D one (SuperLU of its CSR).
 
 A 2D operator whose samples separate by axis (sep-2d, a 2D effective one)
 is a Kronecker sum of two 1D ones, whose Perron roots and brackets add.
@@ -33,9 +36,9 @@ from .domain import (
 )
 from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
-from .stencils import separable_by_axis, stencil_weights
+from .stencils import select_weights, separable_by_axis, stencil_weights
 from .torus import (FactoredOperator, GridFunction, improve_policy,
-                    policy_iteration, select_bands, select_rows)
+                    policy_iteration)
 
 MAX_POWER_ITER = 500
 MAX_HOWARD_OUTER = 60
@@ -79,12 +82,12 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
 
     Stops when the Collatz-Wielandt bracket around lambda is narrower than
     `tol`, within MAX_POWER_ITER iterations; lambda is the bracket midpoint.
-    B = s*I - L_h, from `shifted_m_matrix`, is factored once (cyclic
-    reduction of B's bands in 1D, SuperLU with the minimum-degree ordering
-    on B^T + B in 2D) and every iteration is one solve against it. It
-    starts from `x0`, a GridFunction on op.grid or a vector on the interior
-    nodes (default ones); s and B do not depend on it, so it moves lambda
-    only inside the certified bracket.
+    B = s*I - L_h, the weights from `shifted_m_matrix`, is factored once
+    (`torus.FactoredOperator`: cyclic reduction when B is tridiagonal,
+    SuperLU of its CSR otherwise) and every iteration is one solve against
+    it. It starts from `x0`, a GridFunction on op.grid or a vector on the
+    interior nodes (default ones); s and B do not depend on it, so it moves
+    lambda only inside the certified bracket.
     """
     n = len(op.grid.interior_index())
     v = np.ones(n) if x0 is None else _start_vector(x0, op.grid, n)
@@ -118,7 +121,7 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
             f"{MAX_POWER_ITER} iterations (bracket [{lower:.12g}, {upper:.12g}])"
         )
     lam = 0.5 * (lower + upper)
-    residual = float(np.max(np.abs(op.matvec(v) + lam * v)))
+    residual = float(np.max(np.abs(op @ v + lam * v)))
     phi = GridFunction(op.grid, op.grid.embed(v))
     return EigenPair(
         lam=float(lam), phi=phi, residual=residual,
@@ -298,7 +301,7 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
                              *samples)
         pair = principal_eigenpair(op, tol=tol / 2)
         v = pair.phi.values[1:-1]
-        solved.append((pair, op.matvec(v) + pair.lam * v))
+        solved.append((pair, op @ v + pair.lam * v))
     return KroneckerPair(grid, solved), None
 
 
@@ -324,7 +327,7 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     prev = None
 
     def values(vec):
-        return np.array([op.matvec(vec) for op in ops])
+        return np.array([op @ vec for op in ops])
 
     def evaluate(policy):
         nonlocal prev, start
@@ -346,11 +349,7 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
 
 
 def _freeze_policy(ops, policy, grid):
-    """The operator whose row i is row i of ops[policy[i]]: taken from the
-    stacked bands when the operators carry bands, else by `select_rows`."""
+    """The operator whose row i is row i of ops[policy[i]]
+    (`stencils.select_weights`), with the c_max of the controls in use."""
     c_max = max(ops[beta].c_max for beta in np.flatnonzero(np.bincount(policy)))
-    if all(op.bands is not None for op in ops):
-        return DiscreteOperator.from_bands(grid, select_bands(ops, policy), c_max)
-    return DiscreteOperator(select_rows([op.matrix for op in ops], policy),
-                            select_rows([op.boundary for op in ops], policy),
-                            grid, c_max)
+    return DiscreteOperator(*select_weights(ops, policy), grid, c_max)

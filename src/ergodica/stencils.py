@@ -1,16 +1,19 @@
-"""Finite-difference weights, the monotone stencil, and difference
-operators applied by slicing.
+"""Finite-difference weights, the one stored form of a monotone operator,
+and difference operators applied by slicing.
 
 `stencil_weights` is the one discretization of a D^2 + b . D + c: the torus
 cell operators (`torus`) and the Dirichlet operators (`domain`) share it.
-1D operators keep its weights as bands (`BandOperator`); `monotone_stencil`
-writes 2D ones as CSR. Difference operators are `Stencil`s applied by
-slicing, in numpy alone: circulant ones for the torus and banded ones for
-bounded intervals, where rows near the edge fall back to one-sided stencils
-of the same order. scipy.sparse is imported only when a CSR matrix is.
+Every operator, 1D or 2D, torus or Dirichlet, is kept as those weights,
+aligned by row (`Weights`); a frozen policy gathers them row by row
+(`select_weights`). Its products run on a `Stencil` that the weights are
+sliced into, in numpy alone, and its CSR is written only where SuperLU
+factors it, so scipy.sparse is imported there and nowhere else. The
+difference operators of the correctors are `Stencil`s too: circulant ones
+for the torus and banded ones for bounded intervals, where rows near the
+edge fall back to one-sided stencils of the same order.
 """
 
-import functools
+import itertools
 import math
 from functools import cached_property
 
@@ -119,34 +122,107 @@ def separable_by_axis(a, axis0=(), axis1=()):
         and all((x == x[:1]).all() for x in (a[..., 1, 1], *axis1))
 
 
-def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
-    """CSR rows (len(rows), prod(shape)) of  a D^2 + b . D + c  at the flat
-    node indices `rows`, with the weights of `stencil_weights` (same
-    arguments). Neighbours wrap around when `wrap` (torus) and must exist
-    otherwise.
+class Weights:
+    """A difference operator as its row-aligned weights (`stencil_weights`):
+    `neighbours` maps each neighbour offset, one int per axis, to its
+    weights (k,), and `diag` (k,) holds the centre weights. Row i sits at
+    node i of a grid of `shape`, row-major. A neighbour outside that grid
+    wraps around it when `wrap` (torus); otherwise it is a Dirichlet
+    boundary node, one node outside the grid, left out of `stencil` and
+    `csr`. Products run on `stencil`, which slices the weights; `csr`
+    writes them for a SuperLU factor, zero weights as entries if `zeros`.
     """
-    from scipy import sparse  # 2D only: 1D operators are bands
-    neighbours, diag = stencil_weights(avals, bvals, cvals, h, shape, rows, wrap)
-    mode = "wrap" if wrap else "raise"
-    index = np.unravel_index(rows, shape)
-    cols = [np.ravel_multi_index(tuple(i + o for i, o in zip(index, offset)),
-                                 shape, mode=mode) for offset in neighbours]
-    return sparse.csr_matrix(
-        (np.concatenate(list(neighbours.values()) + [diag]),
-         (np.tile(np.arange(len(rows)), len(cols) + 1),
-          np.concatenate(cols + [rows]))),
-        shape=(len(rows), int(np.prod(shape))),
-    )
+
+    def __init__(self, neighbours, diag, shape, wrap, zeros=True):
+        self.neighbours, self.diag = neighbours, diag
+        self.shape, self.wrap, self.zeros = tuple(shape), wrap, zeros
+
+    def blocks(self):
+        """(offset, weights, s, block) for each block of rows of each
+        offset, offsets ascending (ascending column within a row): the rows
+        in `block`, a slice per axis, reach their neighbour s flat nodes
+        away, wrapped on the torus, or outside the grid when s is None."""
+        strides = [math.prod(self.shape[k + 1:]) for k in range(len(self.shape))]
+        for offset in sorted(self.neighbours):
+            axes = [[(slice(max(0, -o), m - max(0, o)), 0)] + (
+                [(slice(0, -o), m) if o < 0 else (slice(m - o, m), -m)] if o else [])
+                for o, m in zip(offset, self.shape)]
+            for ranges in itertools.product(*axes):
+                block, jump = zip(*ranges)
+                s = sum((o + j) * k for o, j, k in zip(offset, jump, strides))
+                yield (offset, self.neighbours[offset],
+                       s if self.wrap or not any(jump) else None, block)
+
+    @cached_property
+    def stencil(self):
+        """The `Stencil` of the couplings inside the grid: a view of the
+        weights where the rows of a shift are one block over whole trailing
+        axes (every block in 1D), else the blocks of that shift in one
+        array of zeros."""
+        n, shifts = len(self.diag), {}
+        for _, w, s, block in self.blocks():
+            if s is not None:
+                shifts.setdefault(s, []).append((w, block))
+        diags = [(0, 0, n, self.diag)]
+        for s, parts in shifts.items():
+            (w, block), stride = parts[0], n // self.shape[0]
+            if len(parts) == 1 and block[1:] == tuple(
+                    slice(0, m) for m in self.shape[1:]):
+                r0, r1 = block[0].start * stride, block[0].stop * stride
+                diags.append((s, r0, r1, w[r0:r1]))
+                continue
+            full = np.zeros(self.shape)
+            for w, block in parts:
+                full[block] = w.reshape(self.shape)[block]
+            r0, r1 = max(0, -s), n - max(0, s)
+            diags.append((s, r0, r1, full.ravel()[r0:r1]))
+        return Stencil(n, diags)
+
+    def __matmul__(self, x):
+        return self.stencil @ x
+
+    def csr(self):
+        """The CSR matrix of the couplings inside the grid, for SuperLU."""
+        from scipy import sparse  # only where a SuperLU factor is made
+        n = len(self.diag)
+        parts = [(0, self.diag, np.arange(n))] + [
+            (s, w, flat_rows(block, self.shape)) for _, w, s, block in self.blocks()
+            if s is not None]
+        A = sparse.csr_matrix((np.concatenate([w[r] for _, w, r in parts]), (
+            np.concatenate([r for _, _, r in parts]),
+            np.concatenate([r + s for s, _, r in parts]))), shape=(n, n))
+        if not self.zeros:
+            A.eliminate_zeros()
+        return A
+
+
+def flat_rows(block, shape):
+    """The flat indices, ascending, of the nodes of a grid of `shape` in
+    `block`, a slice per axis."""
+    index = np.meshgrid(*(np.arange(b.start, b.stop) for b in block),
+                        indexing="ij")
+    return np.ravel_multi_index(index, shape).ravel()
+
+
+def select_weights(ops, policy):
+    """(neighbours, diag) of the frozen policy whose row i is row i of
+    ops[policy[i]]: each weight array gathered out of the stacked arrays of
+    the controls, a control that stores no such offset weighing 0 there."""
+    rows = np.arange(len(policy))
+    pick = lambda arrays: np.stack(arrays)[policy, rows]
+    zero = np.zeros(len(policy))
+    offsets = dict.fromkeys(o for op in ops for o in op.neighbours)
+    return ({o: pick([op.neighbours.get(o, zero) for op in ops]) for o in offsets},
+            pick([op.diag for op in ops]))
 
 
 class Stencil:
     """A sparse n x n operator applied by slicing: `diags` are (s, r0, r1, w),
     row i in [r0, r1) taking w x[i + s], w a scalar or one weight per row.
     Each row sums its terms in ascending s, which is ascending column, the
-    order of a CSR product: `D @ x` equals the product with `matrix` bit
-    for bit. x is a vector or an (n, k) block, or with `grid` a flat (N,) or
-    (N, k) function on that shape, which D differentiates along `axis`.
-    `matrix`, CSR, is written on first read."""
+    order of a CSR product, so `D @ x` equals the CSR product bit for bit.
+    x is a vector or an (n, k) block, or with `grid` a flat (N,) or (N, k)
+    function on that shape, which D differentiates along `axis`."""
 
     def __init__(self, n, diags, grid=None, axis=0):
         self.n, self.grid, self.axis = n, grid or (n,), axis
@@ -166,30 +242,6 @@ class Stencil:
     def __abs__(self):
         return Stencil(self.n, [(s, r0, r1, np.abs(w)) for s, r0, r1, w in
                                 self.diags], self.grid, self.axis)
-
-    @cached_property
-    def matrix(self):
-        from scipy import sparse
-        rows = [np.arange(r0, r1) for _, r0, r1, _ in self.diags]
-        vals = [np.broadcast_to(d[3], len(r)) for d, r in zip(self.diags, rows)]
-        cols = [r + d[0] for d, r in zip(self.diags, rows)]
-        eyes = [sparse.identity(k, format="csr") for k in self.grid]
-        eyes[self.axis] = sparse.csr_matrix((np.concatenate(vals), (
-            np.concatenate(rows), np.concatenate(cols))), shape=(self.n, self.n))
-        return functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), eyes)
-
-
-class BandOperator(Stencil):
-    """A 1D operator as its three `bands` (lower, diag, upper) aligned by
-    row: row i is lower[i] v[i-1] + diag[i] v[i] + upper[i] v[i+1], indices
-    mod n on the torus (`wrap`); else lower[0] and upper[-1] are left out."""
-
-    def __init__(self, bands, wrap=True):
-        self.bands = lower, diag, upper = tuple(bands)
-        n = len(diag)
-        super().__init__(n, [(-1, 1, n, lower[1:]), (0, 0, n, diag),
-                             (1, 0, n - 1, upper[:-1])] + wrap * [
-            (1 - n, n - 1, n, upper[-1:]), (n - 1, 0, 1, lower[:1])])
 
 
 def _diff_stencil(n, h, m, periodic):

@@ -17,23 +17,26 @@ the invariant measure mu ~ 1/a), axis by axis for 2D samples that separate
 (`KroneckerCellFactor`), else by SuperLU (`factor_cell`). The two closed
 forms also give gamma alone, `gamma(F)`, from mu without any corrector.
 
+A torus operator is its wrapped row-aligned weights (`stencils.Weights`),
+the stored form of every Dirichlet operator too (`domain`).
 `FactoredOperator` is the one LU factorization of the package: cyclic
-reduction in numpy (`_CyclicReduction`) for the bands of every 1D
-Dirichlet, frozen-policy, shifted eigen and separable-axis matrix, run on
-the off-diagonals and exact row sums of the bands as stored, so that no
-O(1/h^2) diagonal is rounded again; SuperLU for a sparse matrix (2D
-operators, augmented 2D torus matrices), whose minimum-degree ordering on
+reduction in numpy (`_CyclicReduction`) for the weights of a tridiagonal
+(1D Dirichlet) operator, be it oscillatory, a frozen policy, a shifted
+eigen matrix or a separable axis, run on the off-diagonals and exact row
+sums of the weights as stored, so that no O(1/h^2) diagonal is rounded
+again; SuperLU for the CSR written from any other weights (2D operators)
+or for the augmented 2D cell matrix, whose minimum-degree ordering on
 A^T + A roughly halves the fill of the default COLAMD ordering on the 2D
-grids here. A factor lives only as long as the function that solves with
-it. scipy is imported only where a CSR matrix or a SuperLU factor is made,
-never for 1D operators or separable 2D rows.
+grids here. A factor lives only as long as the function that
+solves with it. scipy is imported only where a SuperLU factor and its CSR
+are made, never for 1D operators or separable 2D rows.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
 problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`),
 and `improve_policy` its one switching rule, which also seeds the
-eigenproblem's first policy from a start vector; frozen-policy rows come
-from stacked bands in 1D (`select_bands`), CSR rows in 2D (`select_rows`).
-Each caller keeps its own check:
+eigenproblem's first policy from a start vector; a frozen policy gathers
+the controls' weights row by row (`stencils.select_weights`) in any
+dimension. Each caller keeps its own check:
 a Bellman residual below tolerance once the policy settles (cell), an
 eigenvalue that does not rise between sweeps (eigen).
 """
@@ -45,8 +48,8 @@ import numpy as np
 
 from .coeff import BellmanSpec, CoefficientField
 from .errors import InputError, IterationError, SolverError
-from .stencils import (BandOperator, Stencil, monotone_stencil,
-                       periodic_diff_matrix, separable_by_axis, stencil_weights)
+from .stencils import (Stencil, Weights, periodic_diff_matrix, select_weights,
+                       separable_by_axis, stencil_weights)
 
 # a control switch must gain more than this, relative to the largest value
 HOWARD_RTOL = 1e-11
@@ -54,28 +57,32 @@ MAX_CELL_SWEEPS = 100
 
 
 class FactoredOperator:
-    """LU factorization of a square matrix, reused for every solve.
+    """LU factorization of an operator, reused for every solve.
 
-    `matrix` is the three bands (lower, diag, upper) of a tridiagonal matrix,
-    aligned by row as `domain.DiscreteOperator.bands` (lower[0] and
-    upper[-1] lie outside the matrix and are ignored), or a sparse matrix.
-    Bands must be plus or minus a nonsingular M-matrix; they are left
-    unmodified and factored by `_CyclicReduction`. A sparse matrix goes to
-    SuperLU with the MMD_AT_PLUS_A ordering. Raises SolverError when the
-    factorization fails (bands: an off-diagonal entry of the diagonal's sign
-    or a reduced pivot that is not; sparse: an exactly singular matrix) or a
-    solve produces nonfinite values.
+    `op` is a `stencils.Weights` or a sparse matrix. The weights of a
+    tridiagonal matrix (a 1D Dirichlet operator: offsets -1 and 1, no wrap)
+    must be plus or minus a nonsingular M-matrix; they are left unmodified
+    and factored by `_CyclicReduction`, which ignores the boundary weights
+    lower[0] and upper[-1]. Any other weights are written as CSR
+    (`Weights.csr`) and, like a sparse matrix, go to SuperLU with the
+    MMD_AT_PLUS_A ordering. Raises SolverError when the factorization fails
+    (tridiagonal: an off-diagonal entry of the diagonal's sign or a reduced
+    pivot that is not; sparse: an exactly singular matrix) or a solve
+    produces nonfinite values.
     """
 
-    def __init__(self, matrix):
-        if isinstance(matrix, tuple):
-            self._lu = _CyclicReduction(*matrix)
-            return
+    def __init__(self, op):
+        if isinstance(op, Weights):
+            if not op.wrap and op.neighbours.keys() <= {(-1,), (1,)}:
+                self._lu = _CyclicReduction(op.neighbours[(-1,)], op.diag,
+                                            op.neighbours[(1,)])
+                return
+            op = op.csr()
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
         # the matrix goes in positionally: profilers that wrap splu read it
         try:
-            self._lu = splu(csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+            self._lu = splu(csc_matrix(op), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -328,46 +335,28 @@ class ErgodicSolution:
 
 
 def _diffusion_operator(avals, grid: PeriodicGrid):
-    """a(y) D^2 from samples at every node, picked as `cell_factor` picks
-    its factor: bands in 1D; B_0 (x) I + I (x) B_1, B_k the bands of axis k,
-    as one flat `Stencil` for 2D samples that separate (axis 1's diagonals
-    hold zeros where their band has no entry); else CSR."""
-    N, n = grid.npoints, grid.n
-    args = (avals, np.zeros((N, grid.dim)), np.zeros(N), (grid.h,) * grid.dim,
-            grid.shape, np.arange(N))
-    if grid.dim == 1:
-        neighbours, diag = stencil_weights(*args, wrap=True)
-        return BandOperator((neighbours[(-1,)], diag, neighbours[(1,)]))
-    a = avals.reshape(n, n, 2, 2)
-    if not separable_by_axis(a):
-        return monotone_stencil(*args, wrap=True)
-    diags = {}
-    for k, a_k in enumerate((a[:, 0, 0, 0], a[0, :, 1, 1])):
-        bands = _diffusion_operator(a_k.reshape(n, 1, 1), PeriodicGrid(1, n))
-        for s, r0, r1, w in bands.diags:
-            full = np.zeros(n)
-            full[r0:r1] = w
-            s, full = (s * n, np.repeat(full, n)) if k == 0 else (s, np.tile(full, n))
-            diags[s] = diags.get(s, 0.0) + full
-    return Stencil(N, [(s, max(0, -s), N - max(0, s), w[max(0, -s):N - max(0, s)])
-                       for s, w in diags.items()])
+    """a(y) D^2 from samples at every node: the wrapped weights of
+    `stencil_weights`, 2D ones with the diagonal neighbours stored."""
+    N = grid.npoints
+    return Weights(*stencil_weights(
+        avals, np.zeros((N, grid.dim)), np.zeros(N), (grid.h,) * grid.dim,
+        grid.shape, np.arange(N), wrap=True), grid.shape, wrap=True)
 
 
 def assemble_torus_diffusion(field: CoefficientField, grid: PeriodicGrid):
-    """Monotone operator for y -> a(y) D^2 with periodic wrap: bands,
-    a flat Kronecker sum or CSR (see `_diffusion_operator`)."""
+    """Monotone operator for y -> a(y) D^2 with periodic wrap, as weights."""
     if field.dim != grid.dim:
         raise InputError(f"field dim {field.dim} != grid dim {grid.dim}")
     return _diffusion_operator(field.sample(grid.points())[0], grid)
 
 
 def factor_cell(a_op):
-    """Factored augmented matrix [[A, -1], [m^T, 0]] of the cell problem."""
+    """Factored augmented matrix [[A, -1], [m^T, 0]] of the cell problem,
+    A the CSR of the weights a_op."""
     from scipy import sparse
-    a_op = a_op.matrix if isinstance(a_op, Stencil) else a_op
-    N = a_op.shape[0]
+    N = len(a_op.diag)
     aug = sparse.bmat(
-        [[a_op, -np.ones((N, 1))], [np.full((1, N), 1.0 / N), None]],
+        [[a_op.csr(), -np.ones((N, 1))], [np.full((1, N), 1.0 / N), None]],
         format="csc",
     )
     return FactoredOperator(aug)
@@ -482,7 +471,7 @@ def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
     F = np.asarray(f, dtype=float)
     block = F.ndim == 2 and F.shape[0] == grid.npoints
     F = F if block else F.reshape(-1, 1)
-    N = a_op.shape[0]
+    N = len(a_op.diag)
     if F.shape[0] != N:
         raise InputError("right-hand side size does not match the operator")
     rhs = np.vstack([-F, np.zeros((1, F.shape[1]))])
@@ -490,7 +479,7 @@ def solve_cell(a_op, f, grid: PeriodicGrid, lu=None):
     chis, gammas = sol[:N], sol[N]
     res = np.max(np.abs(a_op @ chis + F - gammas), axis=0)
     scale = 1.0 + np.max(np.abs(F), axis=0) + np.abs(gammas) + \
-        (abs(a_op) @ np.ones(N)).max() * np.max(np.abs(chis), axis=0)
+        (abs(a_op.stencil) @ np.ones(N)).max() * np.max(np.abs(chis), axis=0)
     bad = np.flatnonzero(res > 1e-7 * scale)
     if bad.size:
         j = int(bad[0])
@@ -511,23 +500,6 @@ def gradient_matrices(grid: PeriodicGrid):
     """4th-order centered first derivatives (`Stencil`s) per axis, on flat vectors."""
     D = periodic_diff_matrix(grid.n, grid.h, m=1)
     return [Stencil(grid.n, D.diags, grid.shape, axis) for axis in range(grid.dim)]
-
-
-def select_bands(ops, policy):
-    """Frozen-policy bands: row i of each band is row i of that band of
-    ops[policy[i]], taken out of the stacked bands of the controls."""
-    nodes = np.arange(len(policy))
-    return tuple(np.stack(band)[policy, nodes]
-                 for band in zip(*(op.bands for op in ops)))
-
-
-def select_rows(mats, policy):
-    """Frozen-policy CSR matrix whose row i is row i of mats[policy[i]],
-    indexed out of the stacked control matrices (2D)."""
-    from scipy import sparse
-    mats = [m.matrix if isinstance(m, Stencil) else m for m in mats]
-    n = mats[0].shape[0]
-    return sparse.vstack(mats, format="csr")[policy * n + np.arange(n)]
 
 
 def improve_policy(values, policy):
@@ -590,8 +562,7 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
     fs = np.einsum("knij,ji->kn", avals, M)  # (n_controls, N)
 
     def evaluate(policy):
-        A = BandOperator(select_bands(ops, policy)) if grid.dim == 1 \
-            else select_rows(ops, policy)
+        A = Weights(*select_weights(ops, policy), grid.shape, wrap=True)
         a = avals[policy, nodes].reshape(grid.shape + (grid.dim,) * 2)
         sol = solve_cell(A, fs[policy, nodes], grid, lu=cell_factor(a, A))
         values = np.array([op @ sol.chi.flat for op in ops]) + fs
@@ -599,7 +570,7 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
         return sol, values
 
     sol, policy = policy_iteration(evaluate, np.argmax(fs, axis=0), MAX_CELL_SWEEPS)
-    norm = max((abs(op) @ np.ones(grid.npoints)).max() for op in ops)
+    norm = max((abs(op.stencil) @ np.ones(grid.npoints)).max() for op in ops)
     bound = tol * (1.0 + np.max(np.abs(fs))) + \
         64 * np.finfo(float).eps * norm * np.max(np.abs(sol.chi.values))
     if sol.residual > bound:

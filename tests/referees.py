@@ -4,6 +4,7 @@ None of these is called by `src/`: each rebuilds, from a representation the
 package no longer keeps or by a different method, what a test checks.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -11,24 +12,73 @@ from scipy import sparse
 
 from ergodica.domain import fast_coordinates, node_index
 from ergodica.eigen import _start_vector
-from ergodica.stencils import BandOperator
+from ergodica.stencils import stencil_weights
+
+
+def weights_csr(neighbours, diag, shape, rows, wrap):
+    """CSR rows (len(rows), prod(shape)) of the weights (neighbours, diag)
+    at the flat node indices `rows` of a grid of `shape`, every stored
+    weight an entry, zeros too. Neighbours wrap around when `wrap` (torus)
+    and must exist otherwise: a column per node, found by
+    `ravel_multi_index`, and the entries ordered by scipy's COO to CSR."""
+    mode = "wrap" if wrap else "raise"
+    index = np.unravel_index(rows, shape)
+    cols = [np.ravel_multi_index(tuple(i + o for i, o in zip(index, offset)),
+                                 shape, mode=mode) for offset in neighbours]
+    return sparse.csr_matrix(
+        (np.concatenate(list(neighbours.values()) + [diag]),
+         (np.tile(np.arange(len(rows)), len(cols) + 1),
+          np.concatenate(cols + [rows]))),
+        shape=(len(rows), int(np.prod(shape))),
+    )
+
+
+def monotone_stencil(avals, bvals, cvals, h, shape, rows, wrap):
+    """CSR rows of  a D^2 + b . D + c  at the flat node indices `rows`, with
+    the weights of `stencil_weights` (same arguments), by `weights_csr`."""
+    return weights_csr(*stencil_weights(avals, bvals, cvals, h, shape, rows,
+                                        wrap), shape, rows, wrap)
 
 
 def csr_blocks(op):
-    """(matrix, boundary) of a `DiscreteOperator` as CSR: a 2D operator's
-    own blocks, a 1D one's written from its bands (lower[0] and upper[-1]
-    are the boundary block)."""
-    if op.bands is None:
-        return op.matrix, op.boundary
-    lower, _, upper = op.bands
-    n = len(lower)
-    return BandOperator(op.bands, wrap=False).matrix, sparse.csr_matrix(
-        ([lower[0], upper[-1]], ([0, n - 1], [0, 1])), shape=(n, 2))
+    """(matrix, boundary) of Dirichlet weights (a `DiscreteOperator`, or the
+    B of `shifted_m_matrix`) as CSR: the rows of `weights_csr` at the
+    interior nodes of the full grid, one node wider on every side, with the
+    interior and the boundary columns sliced apart."""
+    full = tuple(m + 2 for m in op.shape)
+    inner = np.zeros(full, dtype=bool)
+    inner[tuple(slice(1, -1) for _ in full)] = True
+    interior, boundary = np.flatnonzero(inner), np.flatnonzero(~inner)
+    rows = weights_csr(op.neighbours, op.diag, full, interior, wrap=False)
+    return rows[:, interior].tocsr(), rows[:, boundary].tocsr()
 
 
 def csr(op):
-    """The interior CSR matrix of a `DiscreteOperator` (`csr_blocks`)."""
+    """The CSR matrix of weights: a torus operator's by `weights_csr`,
+    the interior block of Dirichlet ones (`csr_blocks`)."""
+    if op.wrap:
+        return weights_csr(op.neighbours, op.diag, op.shape,
+                           np.arange(len(op.diag)), wrap=True)
     return csr_blocks(op)[0]
+
+
+def select_rows(mats, policy):
+    """Frozen-policy CSR matrix whose row i is row i of mats[policy[i]],
+    indexed out of the stacked control matrices."""
+    n = mats[0].shape[0]
+    return sparse.vstack(mats, format="csr")[policy * n + np.arange(n)]
+
+
+def stencil_matrix(D):
+    """The CSR matrix of a `stencils.Stencil`, its diagonals written entry
+    by entry, Kronecker-multiplied with identities along the other axes."""
+    rows = [np.arange(r0, r1) for _, r0, r1, _ in D.diags]
+    vals = [np.broadcast_to(d[3], len(r)) for d, r in zip(D.diags, rows)]
+    cols = [r + d[0] for d, r in zip(D.diags, rows)]
+    eyes = [sparse.identity(k, format="csr") for k in D.grid]
+    eyes[D.axis] = sparse.csr_matrix((np.concatenate(vals), (
+        np.concatenate(rows), np.concatenate(cols))), shape=(D.n, D.n))
+    return functools.reduce(lambda A, B: sparse.kron(A, B, format="csr"), eyes)
 
 
 def oscillatory_samples(spec, eps, grid):
@@ -48,14 +98,14 @@ def collatz_wielandt(op, phi):
     function on another grid is an InputError.
     """
     vec = _start_vector(phi, op.grid, len(op.grid.interior_index()), "phi")
-    ratios = -op.matvec(vec) / vec
+    ratios = -(op @ vec) / vec
     return float(ratios.min()), float(ratios.max())
 
 
 def gth_eigenvalue(lower, upper, c, sections=64):
     """lambda of L phi = -lambda phi for the 1D Dirichlet operator whose
     row i takes lower[i] phi_{i-1} + (c[i] - lower[i] - upper[i]) phi_i +
-    upper[i] phi_{i+1}, weights aligned as `DiscreteOperator.bands` (lower[0]
+    upper[i] phi_{i+1}, weights aligned by row as `stencil_weights` (lower[0]
     and upper[-1] reach the boundary), in long double.
 
     B = -L_h in triplet form (Alfa-Xue-Ye 2002): off-diagonal sizes l_i,

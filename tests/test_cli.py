@@ -213,7 +213,7 @@ class TestRunSweep:
             problem=problem, mode=mode, eps_list=eps_list, q=16, n_torus=32,
             measurements=meas, timing=False))
         assert rep.failures == [] and len(rep.rows) == 3
-        assert all(np.ptp(op.bands[1]) > 0 for op in solved)
+        assert all(np.ptp(op.diag) > 0 for op in solved)
         if mode == "bellman":
             assert len(howard) == len(eps_list) <= len(solved)
         else:
@@ -827,9 +827,12 @@ class TestCli:
          "measurements": ["lambda_rate", "eigfun_rate", "z_rate"]},
         {"problem": "pucci-1d", "mode": "bellman",
          "measurements": ["lambda_rate", "v_norm"]},
+        # an out that is no path is refused before --out overrides it
+        {"out": 5},
+        {"out": None},
     ], ids=["eps_list-scalar", "q-string", "n_torus-2", "params-typo",
             "seed-removed", "sep-2d-v-residual", "bellman-eigfun-z",
-            "bellman-v"])
+            "bellman-v", "out-number", "out-null"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, overrides):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

@@ -4,6 +4,7 @@ import pytest
 import ergodica as eg
 from ergodica.cli import build_problem
 from ergodica.domain import node_index, torus_nodes
+from referees import stencil_matrix
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,8 @@ class TestSecondCorrector:
         chi = cs.chi[(0, 0)].chi.flat
         eta = cs.eta[0].chi.flat
         nu = cs.nu.chi.flat
-        D2 = gradient_matrices(tg)[0].matrix @ gradient_matrices(tg)[0].matrix
+        D2 = stencil_matrix(gradient_matrices(tg)[0]) @ \
+            stencil_matrix(gradient_matrices(tg)[0])
         u2 = bundle.d2[(0, 0)].values[:-1]
         u1 = bundle.d1[(0,)].values[:-1]
         u0 = pair.phi.values[:-1]

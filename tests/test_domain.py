@@ -7,9 +7,9 @@ import ergodica as eg
 from ergodica.cli import build_problem
 from ergodica.domain import assemble_linear, properness_shift, shifted_m_matrix
 from ergodica.eigen import _freeze_policy
-from ergodica.stencils import monotone_stencil
-from ergodica.torus import improve_policy, select_rows
-from referees import collatz_wielandt, csr, csr_blocks, oscillatory_samples
+from ergodica.torus import improve_policy
+from referees import (collatz_wielandt, csr, csr_blocks, monotone_stencil,
+                      oscillatory_samples, select_rows)
 
 
 def linear_op(field, grid):
@@ -64,7 +64,8 @@ class TestAssembly:
         _, ok, info = shifted_m_matrix(op, properness_shift(op))
         assert ok, info
 
-    # ids as "<defect>-<problem>-<dim>"; the band defect exists in 1D only
+    # ids as "<defect>-<problem>-<dim>": a negative off-diagonal weight
+    # planted at entry (3, 4), or in 1D at (4, 3) of the lower band
     @pytest.mark.parametrize("defect,problem,dim", [
         (None, "sin-abc", 1), ("negative_offdiag", "sin-abc", 1),
         ("negative_band", "sin-abc", 1), (None, "sep-2d", 2),
@@ -74,33 +75,26 @@ class TestAssembly:
         spec = build_problem(problem)["spec"]
         g = eg.DomainGrid.unit(dim, 64 if dim == 1 else 24)
         op = eg.assemble_oscillatory(spec, 1 / 8, g)
-        assert (op.bands is None) == (dim == 2)
         s = properness_shift(op)
-        if defect == "negative_offdiag":
-            # a hand-built CSR operator, without bands
-            matrix = csr(op).tolil()
-            matrix[3, 4] = -1.0
-            op = eg.DiscreteOperator(matrix.tocsr(), csr_blocks(op)[1], g)
-        elif defect == "negative_band":
-            # the same entry, planted in the bands of a band-carrying operator
-            lower, diag, upper = op.bands
-            upper = upper.copy()
-            upper[3] = -1.0
-            op = eg.DiscreteOperator.from_bands(g, (lower, diag, upper), 0.0)
+        if defect is not None:
+            offset, row = ((1,) * dim, 3) if defect == "negative_offdiag" \
+                else ((-1,), 4)
+            offset = offset if dim == 1 else (0, 1)
+            weights = dict(op.neighbours)
+            weights[offset] = weights[offset].copy()
+            weights[offset][row] = -1.0
+            op = eg.DiscreteOperator(weights, op.diag, g)
         B, ok, info = shifted_m_matrix(op, s)
         # the reference: the shifted matrix and the test through sparse
-        # matrix arithmetic
+        # matrix arithmetic on the referee's CSR; B's own CSR, its weights
+        # and the boundary couplings it leaves out
         M = (sparse.identity(csr(op).shape[0]) * s - csr(op)).tocsr()
-        if op.bands is None:
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(B, name), getattr(M, name))
-        else:
-            lower, diag, upper = B
-            assert np.array_equal(lower[1:], M.diagonal(-1))
-            assert np.array_equal(diag, M.diagonal(0))
-            assert np.array_equal(upper[:-1], M.diagonal(1))
-            assert (lower[0], upper[-1]) == (-csr_blocks(op)[1][0, 0],
-                                            -csr_blocks(op)[1][-1, 1])
+        M.eliminate_zeros()
+        assert_same_csr(csr(B), M)
+        assert_same_csr(B.csr(), M)
+        np.testing.assert_array_equal(B.diag, s - op.diag)
+        np.testing.assert_array_equal(csr_blocks(B)[1].toarray(),
+                                      -csr_blocks(op)[1].toarray())
         diag = M.diagonal()
         off = M - sparse.diags(diag)
         k = int(np.argmax(off.data))
@@ -130,7 +124,7 @@ class TestAssembly:
         # drift points to gets a/h^2 + |b|/h, the other a/h^2, and L 1 = c
         g = eg.DomainGrid.unit(1, 16)
         op = linear_op(eg.constant_field(1, 0.01, b0=[b0], c0=0.3), g)
-        lower, _, upper = op.bands
+        lower, upper = op.neighbours[(-1,)], op.neighbours[(1,)]
         ahead, behind = (upper, lower) if b0 > 0 else (lower, upper)
         assert np.allclose(ahead, 0.01 * 16 ** 2 + 5.0 * 16, rtol=1e-14)
         assert np.allclose(behind, 0.01 * 16 ** 2, rtol=1e-14)
@@ -182,8 +176,13 @@ def assert_same_csr(A, B):
         assert np.array_equal(getattr(A, name), getattr(B, name)), name
 
 
+def weight_arrays(op):
+    """An operator's weight arrays, offsets in ascending order, then diag."""
+    return [op.neighbours[o] for o in sorted(op.neighbours)] + [op.diag]
+
+
 def assert_bands_are_the_diagonals(op):
-    lower, diag, upper = op.bands
+    lower, diag, upper = op.neighbours[(-1,)], op.diag, op.neighbours[(1,)]
     n = len(diag)
     assert np.array_equal(lower[1:], csr(op).diagonal(-1))
     assert np.array_equal(diag, csr(op).diagonal(0))
@@ -199,9 +198,18 @@ BELLMAN_3CTL = eg.BellmanSpec([
 ])
 
 
+BELLMAN_2D = eg.BellmanSpec([
+    eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5), 0.5, 1.5),
+    eg.LinearOperatorSpec(eg.constant_field(2, [[1.0, 0.3], [0.3, 0.8]],
+                                            b0=[0.5, -0.2]), 0.5, 1.5, c1=0.5),
+    eg.LinearOperatorSpec(eg.constant_field(2, 1.2, c0=0.3), 0.5, 1.5, c1=0.3),
+])
+
+
 class TestBands:
-    """A 1D operator's CSR blocks are written from its bands; they must be
-    the generic path's, array for array."""
+    """A 1D operator's weights are its three bands; the referee's CSR
+    blocks written from them must be the generic path's, array for
+    array."""
 
     @pytest.mark.parametrize("case", ["sin-abc", "upwind"])
     def test_band_assembly_matches_the_generic_path(self, case):
@@ -231,6 +239,37 @@ class TestBands:
             assert_same_csr(got, ref)
         assert_bands_are_the_diagonals(frozen)
         assert frozen.c_max == max(ops[0].c_max, ops[2].c_max)
+
+    def test_2d_frozen_policy_matches_select_rows(self):
+        # three 2D controls, the second with a cross term: a frozen row is
+        # its control's row, interior and boundary couplings alike, with 0
+        # at the diagonal neighbours that the other two do not store
+        g = eg.DomainGrid.unit(2, 8)
+        ops = eg.bellman_operators(BELLMAN_2D, 1 / 2, g)
+        assert [len(op.neighbours) for op in ops] == [4, 8, 4]
+        rng = np.random.default_rng(4)
+        policy = rng.integers(0, 3, len(g.interior_index()))
+        frozen = _freeze_policy(ops, policy, g)
+        refs = [select_rows([csr_blocks(op)[k] for op in ops], policy)
+                for k in (0, 1)]
+        for got, ref in zip(csr_blocks(frozen), refs):
+            got.eliminate_zeros()
+            ref.eliminate_zeros()
+            assert_same_csr(got, ref)
+        matrix, boundary = refs
+        phi = eg.GridFunction(g, rng.standard_normal(g.shape))
+        v = phi.flat[g.interior_index()]
+        np.testing.assert_array_equal(frozen @ v, matrix @ v)
+        np.testing.assert_array_equal(
+            frozen.apply(phi), matrix @ v + boundary @ phi.flat[g.boundary_index()])
+        assert frozen.c_max == max(op.c_max for op in ops)
+        # what SuperLU factors: B's CSR holds the selected rows' entries
+        s = properness_shift(frozen)
+        B, ok, _ = shifted_m_matrix(frozen, s)
+        M = (sparse.identity(len(v)) * s - matrix).tocsr()
+        M.eliminate_zeros()
+        assert ok
+        assert_same_csr(B.csr(), M)
 
     def test_negative_coefficient_raises(self):
         g = eg.DomainGrid.unit(1, 16)
@@ -330,7 +369,8 @@ class TestFastSampling:
                              samples):
             np.testing.assert_array_equal(got, want)
         op = eg.assemble_oscillatory(self.SIN_ABC, 1 / m, grid)
-        for got, want in zip(op.bands, ref.bands):
+        for got, want in zip(weight_arrays(op), weight_arrays(ref),
+                             strict=True):
             np.testing.assert_array_equal(got, want)
         assert op.c_max == ref.c_max
 
@@ -352,7 +392,8 @@ class TestFastSampling:
         grid = eg.DomainGrid.unit(1, 112)
         _, ref = node_by_node(self.SIN_ABC, 1 / 6, grid)
         op = eg.assemble_oscillatory(self.SIN_ABC, 1 / 6, grid)
-        for got, want in zip(op.bands, ref.bands):
+        for got, want in zip(weight_arrays(op), weight_arrays(ref),
+                             strict=True):
             ulp = np.spacing(np.abs(want).max())
             assert np.abs(got - want).max() <= 16 * ulp
 
@@ -381,7 +422,8 @@ class TestFastSampling:
 
 
 class TestBandProducts:
-    """A 1D operator's products run on its bands, summed in CSR order."""
+    """A 1D operator's products run on its bands, summed in CSR order, and
+    its `stencils.Stencil` is views of them."""
 
     @given(n=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -392,14 +434,16 @@ class TestBandProducts:
 
         grid = eg.DomainGrid.unit(1, n)
         lower, diag, upper = (scale(n - 1) for _ in range(3))
-        op = eg.DiscreteOperator.from_bands(grid, (lower, diag, upper), 0.0)
+        op = eg.DiscreteOperator({(-1,): lower, (1,): upper}, diag, grid)
+        assert all(np.shares_memory(w, band) for (_, _, _, w), band in
+                   zip(op.stencil.diags, (lower, diag, upper)))
         matrix = sparse.diags([lower[1:], diag, upper[:-1]], [-1, 0, 1],
                               format="csr")
         boundary = sparse.csr_matrix(
             ([lower[0], upper[-1]], ([0, n - 2], [0, 1])), shape=(n - 1, 2))
         phi = eg.GridFunction(grid, scale(n + 1))
         v, b = phi.values[1:-1], phi.values[[0, -1]]
-        np.testing.assert_array_equal(op.matvec(v), matrix @ v)
+        np.testing.assert_array_equal(op @ v, matrix @ v)
         np.testing.assert_array_equal(op.apply(phi), matrix @ v + boundary @ b)
         # the CSR blocks built on first read are the same matrices
         assert_same_csr(csr(op), matrix)
@@ -464,15 +508,13 @@ class TestCrossTermOperators:
          q=16, n_torus=32, measurements=["lambda_rate", "residual_slope"]),
 ], ids=["sin-abc", "bellman-2ctl-1d"])
 def test_1d_sweeps_build_no_csr_operator(monkeypatch, config):
-    # the bands serve every product, factor and frozen policy of a 1D row:
-    # no Stencil is written as CSR and no operator assembled as CSR rows
-    import ergodica.domain as domain_mod
+    # the weights serve every product, factor and frozen policy of a 1D
+    # row: no operator, torus or Dirichlet, is written as CSR
     import ergodica.stencils as stencils_mod
 
     def written(*args, **kwargs):
         raise AssertionError("a 1D sweep built a CSR matrix")
 
-    monkeypatch.setattr(stencils_mod.Stencil, "matrix", property(written))
-    monkeypatch.setattr(domain_mod, "monotone_stencil", written)
+    monkeypatch.setattr(stencils_mod.Weights, "csr", written)
     report = eg.run_sweep(eg.SweepConfig(timing=False, **config))
     assert report.failures == [] and len(report.rows) == 3

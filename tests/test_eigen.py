@@ -11,7 +11,7 @@ from ergodica.cli import build_problem
 from ergodica.domain import (assemble_linear, effective_samples, fast_coordinates,
                              properness_shift, shifted_m_matrix)
 from ergodica.eigen import _freeze_policy, axis_samples, linear_eigenpair
-from referees import (collatz_wielandt, csr, csr_blocks, gth_eigenvalue,
+from referees import (collatz_wielandt, csr, gth_eigenvalue,
                       oscillatory_samples, stored_row_sums)
 
 
@@ -106,13 +106,16 @@ class TestLinearEigen:
         cvals[N // 2] = 5.0  # the centre node, interior in 1D and 2D
         op = assemble_linear(g, np.broadcast_to(np.eye(dim), (N, dim, dim)),
                              np.zeros((N, dim)), cvals)
-        matrix, c_max = csr(op).tolil(), op.c_max
+        weights, c_max = dict(op.neighbours), op.c_max
         if defect == "c_max_understated":
             # shift 1 against c = 5: the centre row excess of B is 1 - 5 < 0
             c_max = 0.0
         else:
-            matrix[0, 1] = -1.0  # interior nodes 0 and 1 are neighbours
-        bad = eg.DiscreteOperator(matrix.tocsr(), csr_blocks(op)[1], g, c_max)
+            # entry (0, 1): interior nodes 0 and 1 are neighbours
+            step = (1,) if dim == 1 else (0, 1)
+            weights[step] = weights[step].copy()
+            weights[step][0] = -1.0
+        bad = eg.DiscreteOperator(weights, op.diag, g, c_max)
         with pytest.raises(eg.SolverError, match="not monotone"):
             eg.principal_eigenpair(bad)
 
@@ -473,7 +476,7 @@ def test_equal_axes_are_solved_once(monkeypatch):
     factors, real_factor = [], eigen_mod.FactoredOperator
 
     def counting(matrix):
-        factors.append(len(matrix[1]))
+        factors.append(len(matrix.diag))
         return real_factor(matrix)
 
     monkeypatch.setattr(eigen_mod, "FactoredOperator", counting)
@@ -485,7 +488,7 @@ def test_equal_axes_are_solved_once(monkeypatch):
         axis_op = assemble_linear(axis, *samples_k)
         axis_pair = eg.principal_eigenpair(axis_op, tol=1e-9 / 2)
         v = axis_pair.phi.values[1:-1]
-        solved.append((axis_pair, axis_op.matvec(v) + axis_pair.lam * v))
+        solved.append((axis_pair, axis_op @ v + axis_pair.lam * v))
     ref = eigen_mod.KroneckerPair(grid, solved)
     for key in ("lam", "cw_lower", "cw_upper", "iterations", "residual",
                 "bracket_history"):
@@ -666,7 +669,8 @@ def test_bracket_holds_the_perron_value_of_the_stored_matrix():
     spec = build_problem("sin-abc")["spec"]
     op = eg.assemble_oscillatory(spec, 1 / 16, eg.DomainGrid.unit(1, 4096))
     s = properness_shift(op)
-    (lower, diag, upper), ok, _ = shifted_m_matrix(op, s)
+    B, ok, _ = shifted_m_matrix(op, s)
+    lower, diag, upper = B.neighbours[(-1,)], B.diag, B.neighbours[(1,)]
     ref = gth_eigenvalue(-lower, -upper,
                          stored_row_sums(s, -lower, diag, -upper))
     pair = eg.principal_eigenpair(op, tol=1e-11)

@@ -81,23 +81,40 @@ def test_1d_and_separable_paths_load_no_scipy():
 
 
 def test_cross_term_2d_loads_scipy_sparse_on_demand():
-    # a 2D operator with a cross term is CSR and its eigensolve a SuperLU
-    # factor: both still work, and they import scipy.sparse when called
+    # a 2D operator with a cross term is its weights, like any other: it is
+    # assembled, applied, given its shifted verdict and frozen into a
+    # policy with numpy alone; only the eigensolve's SuperLU factor writes
+    # CSR and imports scipy.sparse
     out = run_script("""
         import numpy as np
+        from ergodica.domain import properness_shift, shifted_m_matrix
+        from ergodica.eigen import _freeze_policy
         before = scipy_loaded()
         grid = eg.DomainGrid.unit(2, 16)
         N = int(np.prod(grid.shape))
         a = np.broadcast_to([[1.0, 0.3], [0.3, 0.8]], (N, 2, 2))
         op = eg.assemble_linear(grid, a, np.zeros((N, 2)), np.full(N, 0.5))
+        values = op.apply(eg.GridFunction(grid, np.ones(grid.shape)))
+        _, ok, _ = shifted_m_matrix(op, properness_shift(op))
+        laplacian = eg.assemble_linear(grid, np.broadcast_to(np.eye(2), (N, 2, 2)),
+                                       np.zeros((N, 2)), np.zeros(N))
+        policy = np.arange(len(values)) % 2
+        frozen = _freeze_policy([op, laplacian], policy, grid)
+        _, frozen_ok, _ = shifted_m_matrix(frozen, properness_shift(frozen))
+        frozen @ values
+        assembled = scipy_loaded()
         pair = eg.principal_eigenpair(op, tol=1e-10)
-        print(json.dumps({"before": before, "after": scipy_loaded("scipy.sparse"),
+        print(json.dumps({"before": before, "assembled": assembled,
+                          "after": scipy_loaded("scipy.sparse"),
+                          "ok": [ok, frozen_ok],
                           "bracket": [pair.cw_lower, pair.lam, pair.cw_upper],
-                          "nnz": int(op.matrix.nnz)}))
+                          "diagonal": [float(op.neighbours[o].min())
+                                       for o in ((1, 1), (-1, -1))]}))
     """)
-    assert out["before"] == []
+    assert out["before"] == [] and out["assembled"] == []
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(out["after"])
+    assert out["ok"] == [True, True]
     lower, lam, upper = out["bracket"]
     assert lower <= lam <= upper and upper - lower <= 1e-10
-    # the 7-point cross stencil: more than the 5 entries of a separable row
-    assert out["nnz"] > 5 * 15 ** 2
+    # the 7-point cross stencil: a12 > 0 couples the (1, 1) diagonal
+    assert min(out["diagonal"]) > 0

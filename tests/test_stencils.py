@@ -12,11 +12,11 @@ from ergodica.torus import assemble_torus_diffusion, gradient_matrices
 from ergodica.stencils import (
     bounded_diff_matrix,
     fd_weights,
-    monotone_stencil,
     periodic_diff_matrix,
     separable_by_axis,
+    stencil_weights,
 )
-from referees import csr_blocks
+from referees import csr, csr_blocks, monotone_stencil, stencil_matrix
 
 
 class TestFdWeights:
@@ -132,7 +132,7 @@ class TestStencilIsTheCSRProduct:
         rng = np.random.default_rng(n + 10 * m)
         for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             np.testing.assert_array_equal(D @ x, ref @ x)
-        got = D.matrix
+        got = stencil_matrix(D)
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
@@ -149,11 +149,13 @@ class TestStencilIsTheCSRProduct:
             np.testing.assert_array_equal(G @ F[:, 0], ref.tocsr() @ F[:, 0])
 
     @pytest.mark.parametrize("field", [
-        eg.sin_field_1d(delta=0.5), eg.separable_sin_field_2d(delta=0.5)],
-        ids=["bands-1d", "separable-2d"])
+        eg.sin_field_1d(delta=0.5), eg.separable_sin_field_2d(delta=0.5),
+        eg.constant_field(2, [[1.0, -0.4], [-0.4, 0.7]])],
+        ids=["bands-1d", "separable-2d", "cross-2d"])
     def test_torus_operators(self, field):
-        # 1D torus operators are bands and separable 2D ones a flat
-        # Stencil; the reference is monotone_stencil's CSR of the same rows
+        # the Stencil sliced out of the wrapped weights, 1D or 2D, with or
+        # without a cross term; the reference is the referee's CSR of the
+        # same rows, which the package's own CSR must equal array for array
         tg = eg.PeriodicGrid(field.dim, 12)
         N = tg.npoints
         A = assemble_torus_diffusion(field, tg)
@@ -164,8 +166,10 @@ class TestStencilIsTheCSRProduct:
         rng = np.random.default_rng(5)
         for x in (rng.standard_normal(N), rng.standard_normal((N, 3))):
             np.testing.assert_array_equal(A @ x, ref @ x)
-        np.testing.assert_array_equal((A.matrix - ref).toarray(), 0.0)
-        np.testing.assert_array_equal(abs(A) @ np.ones(N),
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(A.csr(), name),
+                                          getattr(ref, name))
+        np.testing.assert_array_equal(abs(A.stencil) @ np.ones(N),
                                       abs(ref) @ np.ones(N))
 
 
@@ -228,8 +232,7 @@ class TestMonotoneStencil:
         # same h, every interior Dirichlet row is the torus row at that node
         n, dim = 16, field.dim
         tg = eg.PeriodicGrid(dim, n)
-        A = assemble_torus_diffusion(field, tg)
-        A = A.matrix if dim == 1 else A  # 1D: the CSR of its bands
+        A = csr(assemble_torus_diffusion(field, tg))
         g = eg.DomainGrid.unit(dim, n)
         N = int(np.prod(g.shape))
         op = assemble_linear(g, field.sample(g.points())[0],
@@ -248,24 +251,22 @@ class TestMonotoneStencil:
     def test_pattern_rule_2d(self):
         # the torus keeps the diagonal neighbours as explicit zeros when
         # a12 = 0; the Dirichlet operator stores only the 5-point stencil
-        # (these samples separate, so the torus operator itself is a
-        # Stencil; the CSR rows of monotone_stencil are the reference)
         field = eg.separable_sin_field_2d(delta=0.5)
         tg = eg.PeriodicGrid(2, 16)
-        N = tg.npoints
-        A = monotone_stencil(field.sample(tg.points())[0], np.zeros((N, 2)),
-                             np.zeros(N), (tg.h,) * 2, tg.shape, np.arange(N),
-                             wrap=True)
-        assert np.all(np.diff(A.indptr) == 9)
+        A = assemble_torus_diffusion(field, tg)
+        assert len(A.neighbours) == 8
+        assert np.all(np.diff(A.csr().indptr) == 9)
         spec = eg.LinearOperatorSpec(field, 0.5, 1.5)
         op = eg.assemble_oscillatory(spec, 0.25, eg.DomainGrid.unit(2, 16))
-        per_row = np.diff(op.matrix.indptr) + np.diff(op.boundary.indptr)
+        assert sorted(op.neighbours) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+        matrix, boundary = csr_blocks(op)
+        per_row = np.diff(matrix.indptr) + np.diff(boundary.indptr)
         assert np.all(per_row == 5)
 
     def test_negative_diffusion_rejected_on_torus(self):
         # the off-diagonal check covers wrapped rows too
         n = 8
         with pytest.raises(eg.AssemblyError, match="negative off-diagonal"):
-            monotone_stencil(np.full((n, 1, 1), -1.0), np.zeros((n, 1)),
-                             np.zeros(n), (1.0 / n,), (n,), np.arange(n),
-                             wrap=True)
+            stencil_weights(np.full((n, 1, 1), -1.0), np.zeros((n, 1)),
+                            np.zeros(n), (1.0 / n,), (n,), np.arange(n),
+                            wrap=True)

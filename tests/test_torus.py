@@ -21,10 +21,15 @@ from ergodica.torus import (
     factor_cell,
     gradient_matrices,
     policy_iteration,
-    select_rows,
 )
 from ergodica.domain import properness_shift, shifted_m_matrix
-from referees import csr, csr_blocks, thomas_solve
+from ergodica.stencils import Weights, select_weights
+from referees import csr, csr_blocks, select_rows, thomas_solve
+
+
+def bands(lower, diag, upper):
+    """The weights of the tridiagonal matrix with row-aligned bands."""
+    return Weights({(-1,): lower, (1,): upper}, diag, (len(diag),), wrap=False)
 
 
 def harmonic_mean(a, lo=0.0, hi=1.0):
@@ -90,7 +95,7 @@ class TestCellSolve1D:
         A = assemble_torus_diffusion(field, grid)
         f = field.a(grid.points())[:, 0, 0]
         sol = eg.solve_cell(A, f, grid=grid)
-        left = null_space(A.matrix.toarray().T)
+        left = null_space(csr(A).toarray().T)
         assert left.shape[1] == 1
         m = left[:, 0]
         gamma_oracle = (m @ f) / m.sum()
@@ -161,7 +166,7 @@ class TestFactoredOperator:
         rng = np.random.default_rng(3)
         field = eg.separable_sin_field_2d(delta=0.5)
         grid = eg.PeriodicGrid(2, 16)
-        A = assemble_torus_diffusion(field, grid).matrix
+        A = csr(assemble_torus_diffusion(field, grid))
         # nonsymmetric and nonsingular: shift the torus operator, add drift
         M = sparse.identity(grid.npoints) - A + sparse.random(
             grid.npoints, grid.npoints, density=0.01, random_state=rng)
@@ -194,7 +199,7 @@ class TestFactoredOperator:
     @pytest.mark.parametrize("fmt", ["csr", "csc"])
     def test_tridiagonal_matches_superlu(self, splu_calls, fmt):
         # 1D oscillatory Dirichlet operator with drift: tridiagonal,
-        # nonsymmetric; its row-aligned bands hand lower[0] and upper[-1],
+        # nonsymmetric; its row-aligned weights hand lower[0] and upper[-1],
         # the boundary couplings, over too, and FactoredOperator drops them.
         # The same matrix in either sparse format goes to SuperLU instead.
         spec = build_problem("sin-abc")["spec"]
@@ -202,10 +207,11 @@ class TestFactoredOperator:
         M = csr(L).asformat(fmt)
         n = M.shape[0]
         B = np.random.default_rng(5).standard_normal((n, 5))
-        before = [band.copy() for band in L.bands]
-        lu = FactoredOperator(L.bands)
+        weights = [L.neighbours[(-1,)], L.diag, L.neighbours[(1,)]]
+        before = [w.copy() for w in weights]
+        lu = FactoredOperator(L)
         assert splu_calls == []
-        assert all(map(np.array_equal, L.bands, before))
+        assert all(map(np.array_equal, weights, before))
         ref = FactoredOperator(M)
         assert splu_calls == [(n, n)]
         norm = abs(M).sum(axis=1).max()
@@ -223,11 +229,12 @@ class TestFactoredOperator:
         lower[3] = diag[2] = upper[1] = 0.0  # column 2
         with pytest.raises(eg.SolverError,
                            match="tridiagonal LU factorization failed"):
-            FactoredOperator((lower, diag, upper))
+            FactoredOperator(bands(lower, diag, upper))
         assert splu_calls == []
 
     def test_nonfinite_tridiagonal_solve_names_tridiagonal_lu(self):
-        lu = FactoredOperator((np.full(6, -1.0), np.full(6, 2.0), np.full(6, -1.0)))
+        lu = FactoredOperator(bands(np.full(6, -1.0), np.full(6, 2.0),
+                                    np.full(6, -1.0)))
         rhs = np.zeros(6)
         rhs[2] = np.nan
         with pytest.raises(eg.SolverError,
@@ -242,9 +249,9 @@ class TestFactoredOperator:
         spec = build_problem("sin-abc")["spec"]
         op = eg.assemble_oscillatory(spec, 1 / 16, eg.DomainGrid.unit(1, 4096))
         B, ok, _ = shifted_m_matrix(op, properness_shift(op))
-        v = np.random.default_rng(7).uniform(0.5, 1.5, len(B[1]))
+        v = np.random.default_rng(7).uniform(0.5, 1.5, len(B.diag))
         x = FactoredOperator(B).solve(v)
-        ref = thomas_solve(*B, v)
+        ref = thomas_solve(B.neighbours[(-1,)], B.diag, B.neighbours[(1,)], v)
         bound = 64 * np.ceil(np.log2(len(v))) * np.finfo(float).eps / 2
         assert ok and np.max(np.abs(x - ref) / ref) <= bound
 
@@ -265,7 +272,8 @@ class TestFactoredOperator:
         for sign in (1.0, -1.0):
             with pytest.raises(eg.SolverError,
                                match="tridiagonal LU factorization failed"):
-                FactoredOperator((sign * lower, sign * diag, sign * upper))
+                FactoredOperator(bands(sign * lower, sign * diag,
+                                       sign * upper))
         assert splu_calls == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 383, 4096])
@@ -275,7 +283,7 @@ class TestFactoredOperator:
         rng = np.random.default_rng(n)
         lo, up = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
         diag = lo + up + rng.uniform(0.01, 1.0, n)
-        lu = FactoredOperator((-lo, diag, -up))
+        lu = FactoredOperator(bands(-lo, diag, -up))
         B = rng.standard_normal((n, 4))
         X = lu.solve(B)
         columns = [lu.solve(B[:, j]) for j in range(4)]
@@ -288,13 +296,50 @@ class TestFactoredOperator:
         assert np.max(np.abs(M @ X - B)) <= 1e-13 * np.max(np.abs(B))
 
     def test_periodic_and_augmented_matrices_use_superlu(self, splu_calls):
+        # wrapped weights are not tridiagonal: I - A goes to SuperLU
         grid = eg.PeriodicGrid(1, 64)
         A = assemble_torus_diffusion(eg.sin_field_1d(delta=0.5), grid)
         b = np.ones(grid.npoints)
-        x = FactoredOperator(sparse.identity(grid.npoints) - A.matrix).solve(b)
+        shifted = Weights({o: -w for o, w in A.neighbours.items()},
+                          1.0 - A.diag, A.shape, wrap=True)
+        x = FactoredOperator(shifted).solve(b)
         assert np.max(np.abs(x - A @ x - b)) < 1e-10
         factor_cell(A)
         assert splu_calls == [(64, 64), (65, 65)]
+
+    def test_superlu_gets_the_referee_csr(self, monkeypatch):
+        # what SuperLU factors, array for array: the shifted 2D eigen matrix
+        # (its nonzero entries), a 2D pivot operator L_eps (every stored
+        # weight, the zero diagonal neighbours of the cross term included)
+        # and the augmented matrix of a non-separable cell, each written by
+        # the referee from the same weights
+        seen, real = [], spla.splu
+
+        def recorded(matrix, *args, **kwargs):
+            seen.append(matrix)
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recorded)
+        field = eg.constant_field(2, [[1.0, 0.3], [0.3, 0.8]], b0=[0.5, -0.2])
+        g = eg.DomainGrid.unit(2, 12)
+        op = eg.assemble_linear(g, *field.sample(g.points()))
+        eg.principal_eigenpair(op)
+        eg.dirichlet_solve(op, -np.ones(len(g.interior_index())))
+        tg = eg.PeriodicGrid(2, 8)
+        A = assemble_torus_diffusion(field, tg)
+        factor_cell(A)
+        s = properness_shift(op)
+        B = (sparse.identity(csr(op).shape[0]) * s - csr(op)).tocsr()
+        B.eliminate_zeros()
+        N = tg.npoints
+        aug = sparse.bmat([[csr(A), -np.ones((N, 1))],
+                           [np.full((1, N), 1.0 / N), None]])
+        assert np.any(csr(op).data == 0) and np.any(csr(A).data == 0)
+        for got, want in zip(seen, (B, csr(op), aug), strict=True):
+            want = sparse.csc_matrix(want)
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
 
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
     def test_gamma_is_invariant_measure_average(self, dim, n):
@@ -310,7 +355,7 @@ class TestFactoredOperator:
         else:
             mu = np.outer(1 / a[:, 0, 0, 0], 1 / a[0, :, 1, 1]).ravel()
         mu /= mu.sum()
-        M = A.matrix  # CSR of the bands, or of the separable 2D stencil
+        M = csr(A)
         assert np.max(np.abs(M.T @ mu)) < 1e-10 * np.max(np.abs(M))
         F = np.random.default_rng(7).standard_normal((grid.npoints, 4))
         for lu in (cell_factor(a, A), factor_cell(A)):
@@ -542,8 +587,8 @@ class TestNonlinearCell:
         assert gamma[-1.0] == pytest.approx(-0.8357248147, abs=1e-9)
 
     def test_2d_cell_of_separable_controls(self, monkeypatch):
-        # separable controls give flat Stencil operators, whose frozen rows
-        # are CSR rows; the reference assembles every control as CSR
+        # separable controls, frozen by their weights and factored in
+        # closed form; the reference factors every frozen cell by SuperLU
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.separable_sin_field_2d(delta=0.5), 0.5, 1.5),
             eg.LinearOperatorSpec(eg.constant_field(2, np.diag([1.2, 0.9])),
@@ -605,11 +650,22 @@ class TestPolicyIteration:
 
     @pytest.mark.parametrize("case", ["random", "dirichlet"])
     def test_select_rows(self, case):
+        # the weights that `select_weights` gathers, written as CSR by the
+        # referee, hold row i of the CSR of ops[policy[i]]: its nonzero
+        # entries, in order (a control without an offset weighs 0 there)
         if case == "random":
+            # two controls on a 4 x 4 torus, the second with the diagonal
+            # neighbours and the first without
             rng = np.random.default_rng(3)
-            blocks = [[sparse.random(3, 3, density=1.0, random_state=rng,
-                                     format="csr") for _ in range(2)]]
-            policy = np.array([1, 0, 1])
+            axis = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+            ops = [Weights({o: rng.uniform(0.5, 1.0, 16) for o in offsets},
+                           rng.uniform(-8.0, -4.0, 16), (4, 4), wrap=True)
+                   for offsets in (axis, axis + [(1, 1), (-1, -1), (1, -1),
+                                                 (-1, 1)])]
+            policy = rng.integers(0, 2, 16)
+            blocks = [[csr(op) for op in ops]]
+            frozen = [csr(Weights(*select_weights(ops, policy), (4, 4),
+                                  wrap=True))]
         else:
             # the interior and boundary blocks of three Dirichlet controls;
             # the policy never picks control 1
@@ -620,23 +676,28 @@ class TestPolicyIteration:
                 eg.LinearOperatorSpec(eg.constant_field(1, 0.8, b0=-2.0),
                                       0.5, 1.5),
             ])
-            ops = eg.bellman_operators(spec, 1 / 4, eg.DomainGrid.unit(1, 16))
-            blocks = [[csr_blocks(op)[k] for op in ops] for k in (0, 1)]
+            grid = eg.DomainGrid.unit(1, 16)
+            ops = eg.bellman_operators(spec, 1 / 4, grid)
             policy = np.array([0, 2] * 7 + [2])
-        for mats in blocks:
-            frozen = select_rows(mats, policy)
-            # the reference, row by row: the stored entries of row i of
-            # mats[policy[i]], in order
+            blocks = [[csr_blocks(op)[k] for op in ops] for k in (0, 1)]
+            frozen = csr_blocks(eg.DiscreteOperator(
+                *select_weights(ops, policy), grid))
+        for mats, got in zip(blocks, frozen, strict=True):
+            got.eliminate_zeros()
             data, indices, counts = [], [], [0]
             for i, beta in enumerate(policy):
                 m = mats[beta]
                 row = slice(m.indptr[i], m.indptr[i + 1])
-                data.append(m.data[row])
-                indices.append(m.indices[row])
-                counts.append(row.stop - row.start)
-            assert np.array_equal(frozen.data, np.concatenate(data))
-            assert np.array_equal(frozen.indices, np.concatenate(indices))
-            assert np.array_equal(frozen.indptr, np.cumsum(counts))
+                stored = m.data[row] != 0
+                data.append(m.data[row][stored])
+                indices.append(m.indices[row][stored])
+                counts.append(stored.sum())
+            assert np.array_equal(got.data, np.concatenate(data))
+            assert np.array_equal(got.indices, np.concatenate(indices))
+            assert np.array_equal(got.indptr, np.cumsum(counts))
+            ref = select_rows(mats, policy)
+            ref.eliminate_zeros()
+            assert (got != ref).nnz == 0
 
 
 class TestKroneckerCellFactor:
