@@ -193,8 +193,8 @@ def slow_corrector(eff: EffectiveLinear, correctors: CorrectorSet,
     and only read.
     """
     u = u_pair.phi
-    bundle = DerivativeBundle(u, *({(0,) * m: u_pair.derivative(m)}
-                                   for m in (1, 2, 3)), 3)
+    du = u_pair.derivatives(1, 2, 3)
+    bundle = DerivativeBundle(u, *({(0,) * m: du[m - 1]} for m in (1, 2, 3)), 3)
     psi1 = solve_psi1(eff, bundle, u.grid, op)
     return bundle, psi1, derivative_bundle(psi1, 2), correctors
 

@@ -294,18 +294,25 @@ def shifted_m_matrix(op: DiscreteOperator, shift: float, tol=1e-9):
     """
     B = Weights({o: -w for o, w in op.neighbours.items()}, shift - op.diag,
                 op.shape, op.wrap, zeros=False)
-    offdiag = np.zeros(len(B.diag))  # sum_{j != i} |B_ij|, in column order
+    offdiag = None  # sum_{j != i} |B_ij|, in column order
     worst, at = (0.0,), None
     for s, r0, r1, w in B.stencil.diags:
         if s == 0:
             continue
-        offdiag[r0:r1] += np.abs(w)
+        if offdiag is None:  # the first offset's |w|; rows it misses get 0
+            offdiag = np.empty(len(B.diag))
+            np.abs(w, out=offdiag[r0:r1])
+            offdiag[:r0] = offdiag[r1:] = 0.0
+        else:
+            offdiag[r0:r1] += np.abs(w)
         if w.any():
             vals = w if w.max() else np.where(w != 0, w, -np.inf)
             j = int(np.argmax(vals))
             key = (float(vals[j]), -(r0 + j), -s)  # ties: the earlier entry
             if at is None or key > worst:
                 worst, at = key, (r0 + j, r0 + j + s)
+    if offdiag is None:  # B has no off-diagonal weights
+        offdiag = np.zeros(len(B.diag))
     excess = np.subtract(B.diag, offdiag, out=offdiag)
     ok = bool(B.diag.min() > 0 and worst[0] <= tol and excess.min() > -tol)
     return B, ok, {

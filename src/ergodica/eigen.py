@@ -9,11 +9,16 @@ Wielandt ratios bracket the Perron value of B as stored at every step:
 its cyclic-reduction factor (`torus.FactoredOperator`) adds no cancelling
 term, so each solve is accurate componentwise. Storing B rounds its
 diagonal s - diag(L_h) once, so the bracket is not yet one for L_h's exact
-stencil. Bellman problems wrap the linear solver in Howard policy
-iteration. An operator is its row-aligned weights in 1D and 2D alike
-(`domain.DiscreteOperator`): B, the residual and a frozen policy are
-formed from them the same way, and only the factor tells a tridiagonal B
-(cyclic reduction) from a 2D one (SuperLU of its CSR).
+stencil. A seeded band solve (a sweep's 1D rows and Howard evaluations)
+replaces every other iterate by Aitken's delta^2 extrapolation, which
+keeps the bracket a certificate since any positive iterate gives one; the
+plain steps between jumps measure its ratio and stop it when a jump widens
+the bracket. Unseeded and SuperLU solves iterate plainly. Bellman
+problems wrap the linear solver in Howard policy iteration. An operator
+is its row-aligned weights in 1D and 2D alike (`domain.DiscreteOperator`):
+B, the residual and a frozen policy are formed from them the same way,
+and only the factor tells a tridiagonal B (cyclic reduction) from a 2D
+one (SuperLU of its CSR).
 
 A 2D operator whose samples separate by axis (sep-2d, a 2D effective one)
 is a Kronecker sum of two 1D ones, whose Perron roots and brackets add.
@@ -88,6 +93,17 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
     it. It starts from `x0`, a GridFunction on op.grid or a vector on the
     interior nodes (default ones); s and B do not depend on it, so it moves
     lambda only inside the certified bracket.
+
+    A seeded band solve (`x0` given, B tridiagonal) takes Aitken's delta^2
+    step (Aitken 1926) after two plain ones: the next iterate is x ~ w -
+    q v / (s + lambda_mid), v the step's input, w = B^{-1} v, q the ratio of
+    the last two bracket widths and lambda_mid the bracket's midpoint, which
+    removes the error along the second eigenvector. Any positive iterate
+    gives a valid bracket, so the certificate stands: x is taken only when
+    it is positive (else w is), a plain step follows every jump and
+    measures q afresh, and a jump that widens the bracket ends the jumps of
+    that solve. Unseeded and SuperLU solves iterate plainly. The pair's
+    `residual` is formed when first read.
     """
     n = len(op.grid.interior_index())
     v = np.ones(n) if x0 is None else _start_vector(x0, op.grid, n)
@@ -99,35 +115,59 @@ def principal_eigenpair(op: DiscreteOperator, tol=1e-9, x0=None) -> EigenPair:
     del shifted  # the power loop needs only the factor
     v /= v.max()
 
-    history = []
-    lower = upper = None
+    r, history = np.empty(n), []
+    extrapolate, jumped = x0 is not None and lu.tridiagonal, False
     for it in range(1, MAX_POWER_ITER + 1):
         w = lu.solve(v)
-        if w.min() <= 0:
+        np.divide(w, v, out=r)  # v > 0, so r has the signs of w
+        r_min, r_max = r.min(), r.max()
+        if r_min <= 0:
             raise SolverError(
                 "inverse power iterate lost positivity; monotonicity failure"
             )
-        r = w / v
-        # Perron value of B^{-1} lies in [r.min(), r.max()]; map to lambda
-        lower = 1.0 / r.max() - s
-        upper = 1.0 / r.min() - s
+        # Perron value of B^{-1} lies in [r_min, r_max]; map to lambda
+        lower = 1.0 / r_max - s
+        upper = 1.0 / r_min - s
         history.append(upper - lower)
-        v = w / w.max()
         if upper - lower <= tol:
             break
+        if jumped:  # a plain step, whose bracket judges the jump
+            extrapolate, jumped = history[-1] <= history[-2], False
+        elif extrapolate and it >= 2:
+            # x = w - q v / (s + lambda_mid), formed in v
+            q = history[-1] / history[-2]
+            np.multiply(v, q / (s + 0.5 * (lower + upper)), out=v)
+            np.subtract(w, v, out=v)
+            jumped = v.min() > 0
+        if not jumped:
+            v = w
+        v /= v.max()
     else:
         raise IterationError(
             f"power iteration: bracket width {upper - lower:.3e} > tol after "
             f"{MAX_POWER_ITER} iterations (bracket [{lower:.12g}, {upper:.12g}])"
         )
-    lam = 0.5 * (lower + upper)
-    residual = float(np.max(np.abs(op @ v + lam * v)))
-    phi = GridFunction(op.grid, op.grid.embed(v))
-    return EigenPair(
-        lam=float(lam), phi=phi, residual=residual,
-        cw_lower=float(lower), cw_upper=float(upper),
-        iterations=it, bracket_history=history,
-    )
+    w /= w.max()
+    return PowerPair(op, w, lower, upper, it, history)
+
+
+class PowerPair(EigenPair):
+    """The EigenPair of inverse iteration on `op`, from its last iterate v
+    (interior, sup-normalized) and lam, the midpoint of the certified
+    [cw_lower, cw_upper]. residual = max |L v + lam v| on the interior is
+    formed when first read, from the operator the pair keeps."""
+
+    def __init__(self, op, v, lower, upper, iterations, history):
+        self._op = op
+        self.lam = float(0.5 * (lower + upper))
+        self.cw_lower, self.cw_upper = float(lower), float(upper)
+        self.phi = GridFunction(op.grid, op.grid.embed(v))
+        self.iterations, self.bracket_history = iterations, history
+
+    @cached_property
+    def residual(self):
+        v = self.phi.flat[self.phi.grid.interior_index()]
+        return float(np.max(np.abs(self._op @ v + self.lam * v)))
 
 
 class KroneckerPair(EigenPair):
@@ -171,11 +211,12 @@ class ToeplitzPair(EigenPair):
     O(1/h^2) cancellation, and phi_j ~ (l/u)^(j/2) sin(j pi / n), the nodes
     of u(x) = C e^(kappa x) sin(pi x / L), kappa = ln(l/u) / 2h, x from the
     left end, formed in log space and sup-normalized; both ends are 0 and
-    `derivative(m)` is u^(m) there. iterations is 0 and [cw_lower,
-    cw_upper] = lam -+ 16 eps (|c| + t_1 + t_2), a bound on the rounding of
-    the formula, not a Collatz-Wielandt bracket. `weights` are (l, diag, u)
-    from `stencil_weights`; r = L phi + lam phi, with that diag, on the
-    interior (`row_residual`) gives `residual`."""
+    `derivative(m)` is u^(m) there (`derivatives` forms several orders
+    from one evaluation of sin, cos and the scale). iterations is 0 and
+    [cw_lower, cw_upper] = lam -+ 16 eps (|c| + t_1 + t_2), a bound on the
+    rounding of the formula, not a Collatz-Wielandt bracket. `weights` are
+    (l, diag, u) from `stencil_weights`; r = L phi + lam phi, with that
+    diag, on the interior (`row_residual`) gives `residual`."""
 
     def __init__(self, grid: DomainGrid, weights, c):
         lower, diag, upper = self._weights = weights
@@ -185,7 +226,7 @@ class ToeplitzPair(EigenPair):
         lam, width = -c + t1 + t2, 16 * np.finfo(float).eps * (abs(c) + t1 + t2)
         self._half_log = 0.5 * np.log1p((lower - upper) / upper)  # ln(l/u) / 2
         self._kappa, self._omega = self._half_log / h, np.pi / (n * h)
-        phi = self._profile(n, 0)
+        phi, = self._profiles(n, (0,))
         self._norm = phi.max()
         phi /= self._norm
         super().__init__(lam=float(lam), phi=GridFunction(grid, phi), residual=0.0,
@@ -193,22 +234,30 @@ class ToeplitzPair(EigenPair):
                          iterations=0)
         self.residual = float(np.max(np.abs(self.row_residual())))
 
-    def _profile(self, n, m):
+    def _profiles(self, n, orders):
         """e^(kappa x) Im((kappa + i omega)^m e^(i omega x)) at the n + 1
-        nodes, scaled in log space so that max phi is about 1."""
+        nodes for each m of `orders`, scaled in log space so that max phi is
+        about 1, from one evaluation of sin, cos and the scale."""
         j = np.arange(n + 1)
         k = np.minimum(j, n - j) * (np.pi / n)  # sin(j pi / n) exact at the ends
         sin, cos = np.sin(k), np.where(2 * j <= n, 1, -1) * np.cos(k)
         scale = np.exp(j * self._half_log - np.max(
             j[1:-1] * self._half_log + np.log(sin[1:-1])))
-        p = complex(self._kappa, self._omega) ** m
-        return scale * (p.real * sin + p.imag * cos)
+        return [scale * (p.real * sin + p.imag * cos) for p in
+                (complex(self._kappa, self._omega) ** m for m in orders)]
+
+    def derivatives(self, *orders):
+        """u^(m) at the nodes for each m of `orders`, omega = pi / L;
+        derivatives(0) is [phi], bit for bit. Formed when called, all from
+        one evaluation of sin, cos and the scale: the pair keeps phi alone."""
+        profiles = self._profiles(self.phi.grid.n[0], orders)
+        for p in profiles:
+            p /= self._norm
+        return [GridFunction(self.phi.grid, p) for p in profiles]
 
     def derivative(self, m):
-        """u^(m) at the nodes, omega = pi / L; derivative(0) is phi, bit
-        for bit. Formed when called: the pair keeps phi alone."""
-        grid = self.phi.grid
-        return GridFunction(grid, self._profile(grid.n[0], m) / self._norm)
+        """u^(m) at the nodes: `derivatives(m)`'s one function."""
+        return self.derivatives(m)[0]
 
     def row_residual(self):
         """L phi + lam phi on the interior, with the row's own diagonal."""

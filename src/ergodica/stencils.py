@@ -220,7 +220,8 @@ class Stencil:
     """A sparse n x n operator applied by slicing: `diags` are (s, r0, r1, w),
     row i in [r0, r1) taking w x[i + s], w a scalar or one weight per row.
     Each row sums its terms in ascending s, which is ascending column, the
-    order of a CSR product, so `D @ x` equals the CSR product bit for bit.
+    order of a CSR product, so `D @ x` equals the CSR product bit for bit,
+    signed zeros included.
     x is a vector or an (n, k) block, or with `grid` a flat (N,) or (N, k)
     function on that shape, which D differentiates along `axis`."""
 
@@ -232,11 +233,18 @@ class Stencil:
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
         y = np.moveaxis(x.reshape(self.grid + x.shape[1:]), self.axis, 0)
-        out = np.zeros(y.shape)
-        for s, r0, r1, w in self.diags:
+        out = np.empty(y.shape) if self.diags else np.zeros(y.shape)
+        for k, (s, r0, r1, w) in enumerate(self.diags):
             if np.ndim(w):
                 w = w.reshape(-1, *(1,) * (y.ndim - 1))
-            out[r0:r1] += w * y[r0 + s:r1 + s]
+            if k:
+                out[r0:r1] += w * y[r0 + s:r1 + s]
+            else:  # the first term of its rows; the other rows start at 0
+                np.multiply(w, y[r0 + s:r1 + s], out=out[r0:r1])
+                out[:r0] = out[r1:] = 0.0
+        # CSR adds the first term to +0.0, which turns -0.0 into +0.0 and
+        # leaves every other sum as it is: one pass does the same at the end
+        out += 0.0
         return np.moveaxis(out, 0, self.axis).reshape(x.shape)
 
     def __abs__(self):

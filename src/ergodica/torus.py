@@ -86,12 +86,16 @@ class FactoredOperator:
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
+    @property
+    def tridiagonal(self):
+        """Whether the factor is `_CyclicReduction`'s, not SuperLU's."""
+        return isinstance(self._lu, _CyclicReduction)
+
     def solve(self, B):
         """Solve  M X = B  for a vector or an (n, k) block B."""
         X = self._lu.solve(np.asarray(B, dtype=float))
         if not np.all(np.isfinite(X)):
-            kind = "tridiagonal" if isinstance(self._lu, _CyclicReduction) \
-                else "sparse"
+            kind = "tridiagonal" if self.tridiagonal else "sparse"
             raise SolverError(f"{kind} LU solve produced nonfinite values")
         return X
 

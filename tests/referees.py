@@ -10,9 +10,11 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from ergodica.domain import fast_coordinates, node_index
+from ergodica.domain import (fast_coordinates, node_index, properness_shift,
+                             shifted_m_matrix)
 from ergodica.eigen import _start_vector
 from ergodica.stencils import stencil_weights
+from ergodica.torus import FactoredOperator
 
 
 def weights_csr(neighbours, diag, shape, rows, wrap):
@@ -176,3 +178,25 @@ def stored_row_sums(shift, lower, diag, upper):
     return np.array([long_double(s - Fraction(float(d)) + Fraction(float(l))
                                  + Fraction(float(u)))
                      for l, d, u in zip(lower, diag, upper)])
+
+
+def plain_inverse_iteration(op, tol=1e-9, x0=None):
+    """(lam, lower, upper, phi on the interior, iterations, widths) of
+    inverse power iteration with no extrapolation, as `principal_eigenpair`
+    ran it before it extrapolated seeded band solves: v <- B^{-1} v / max,
+    the bracket [1/max r - s, 1/min r - s] of r = B^{-1} v / v each step."""
+    n = len(op.grid.interior_index())
+    v = np.ones(n) if x0 is None else _start_vector(x0, op.grid, n)
+    s = properness_shift(op)
+    lu = FactoredOperator(shifted_m_matrix(op, s)[0])
+    v = v / v.max()
+    widths = []
+    for it in range(1, 501):
+        w = lu.solve(v)
+        r = w / v
+        lower, upper = 1.0 / r.max() - s, 1.0 / r.min() - s
+        widths.append(upper - lower)
+        v = w / w.max()
+        if upper - lower <= tol:
+            return 0.5 * (lower + upper), lower, upper, v, it, widths
+    raise AssertionError("the plain iteration did not converge")

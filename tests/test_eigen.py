@@ -11,8 +11,10 @@ from ergodica.cli import build_problem
 from ergodica.domain import (assemble_linear, effective_samples, fast_coordinates,
                              properness_shift, shifted_m_matrix)
 from ergodica.eigen import _freeze_policy, axis_samples, linear_eigenpair
+from ergodica.torus import FactoredOperator
 from referees import (collatz_wielandt, csr, gth_eigenvalue,
-                      oscillatory_samples, stored_row_sums)
+                      oscillatory_samples, plain_inverse_iteration,
+                      stored_row_sums)
 
 
 def linear_op(field, grid):
@@ -687,6 +689,123 @@ def test_row_eigensolve_narrows_below_the_old_roundoff_floor():
     assert pair.cw_upper - pair.cw_lower <= 1e-12 and pair.iterations <= 30
 
 
+class SolveSpy:
+    """Records the right-hand side of every `FactoredOperator.solve` that
+    `eigen` makes; `steps()` names each step's input 'p' when it is the
+    previous solve's result over its max (a plain step), 'j' otherwise (an
+    extrapolated one); the first input is 's'."""
+
+    def __init__(self, monkeypatch):
+        import ergodica.eigen as eigen_mod
+        self.log, spy = [], self
+
+        class Factor(FactoredOperator):
+            def solve(self, B):
+                X = super().solve(B)
+                spy.log.append((B.copy(), X.copy()))
+                return X
+
+        monkeypatch.setattr(eigen_mod, "FactoredOperator", Factor)
+
+    def steps(self):
+        kinds = "s"
+        for (_, prev), (rhs, _) in zip(self.log, self.log[1:]):
+            kinds += "p" if np.array_equal(rhs, prev / prev.max()) else "j"
+        return kinds
+
+
+def sin_abc_row(eps, n, seeded):
+    """The sin-abc row operator at eps on n cells, with the start vector of
+    a sweep's row: u, or max(u + v_eps, u/2) when `seeded`."""
+    import ergodica.cli as cli_mod
+    spec = build_problem("sin-abc")["spec"]
+    grid = eg.DomainGrid.unit(1, n)
+    config = eg.SweepConfig(problem="sin-abc", eps_list=[eps], n_torus=512)
+    op = eg.assemble_oscillatory(spec, eps, grid)
+    pair, slow = cli_mod._linear_effective(spec, grid, config,
+                                           [eps] if seeded else None)
+    u = pair.phi.values
+    if not seeded:
+        return op, grid.restrict(u)
+    exp, _ = eg.linear_expansion(pair, slow, eps, op)
+    return op, grid.restrict(np.maximum(u + exp.v_eps.values, u / 2))
+
+
+class TestAitkenExtrapolation:
+    def test_accelerated_bracket_holds_the_stored_matrix_referee(self, monkeypatch):
+        # sin-abc at eps = 1/16 on 16 384 cells, seeded with u + v_eps as a
+        # sweep row is: the extrapolated iterates still bracket the Perron
+        # value of the stored B, in fewer solves than plain iteration
+        op, start = sin_abc_row(1 / 16, 16384, seeded=True)
+        spy = SolveSpy(monkeypatch)
+        pair = eg.principal_eigenpair(op, tol=1e-9, x0=start)
+        s = properness_shift(op)
+        B, _, _ = shifted_m_matrix(op, s)
+        lower, diag, upper = B.neighbours[(-1,)], B.diag, B.neighbours[(1,)]
+        ref = gth_eigenvalue(-lower, -upper,
+                             stored_row_sums(s, -lower, diag, -upper))
+        assert pair.cw_lower <= ref <= pair.cw_upper
+        assert pair.cw_upper - pair.cw_lower <= 1e-9
+        assert "j" in spy.steps()
+        assert pair.iterations < plain_inverse_iteration(op, 1e-9, start)[4]
+
+    def test_lambda_only_and_v_norm_rows_overlap(self):
+        # a row's bracket certifies its stored B whatever the start: the
+        # lambda-only row (from u) and the v_norm row (from u + v_eps) of
+        # sin-abc on 65 536 cells give overlapping brackets
+        rows = []
+        for meas in (("lambda_rate",), ("lambda_rate", "v_norm")):
+            rep = eg.run_sweep(eg.SweepConfig(
+                problem="sin-abc", eps_list=[1 / 8, 1 / 16], q=4096,
+                n_torus=512, measurements=meas, timing=False))
+            assert rep.failures == []
+            rows.append(rep.rows)
+        for lam_only, v_norm in zip(*rows, strict=True):
+            assert max(lam_only["cw_lower"], v_norm["cw_lower"]) <= \
+                min(lam_only["cw_upper"], v_norm["cw_upper"]), (lam_only, v_norm)
+
+    @pytest.mark.parametrize("case", ["unseeded-1d", "unseeded-2d", "seeded-2d"])
+    def test_plain_solves_are_the_plain_iteration(self, monkeypatch, case):
+        # unseeded solves, and every SuperLU one, never extrapolate: the
+        # pair is the plain iteration's, bit for bit, residual included
+        if case == "unseeded-1d":
+            g = eg.DomainGrid.unit(1, 512)
+            op, x0 = linear_op(eg.sin_field_1d(delta=0.5, b_amp=0.5), g), None
+        else:
+            g = eg.DomainGrid.unit(2, 24)
+            op = linear_op(eg.constant_field(2, [[1.0, -0.4], [-0.4, 0.7]]), g)
+            x0 = None if case == "unseeded-2d" else \
+                1.0 + np.arange(len(g.interior_index())) % 3
+        spy = SolveSpy(monkeypatch)
+        pair = eg.principal_eigenpair(op, tol=1e-10, x0=x0)
+        lam, lower, upper, v, its, widths = plain_inverse_iteration(op, 1e-10, x0)
+        assert "j" not in spy.steps()
+        assert (pair.lam, pair.cw_lower, pair.cw_upper, pair.iterations) == \
+            (lam, lower, upper, its)
+        assert pair.bracket_history == widths
+        assert pair.phi.flat[g.interior_index()].tobytes() == v.tobytes()
+        assert pair.residual == float(np.max(np.abs(op @ v + lam * v)))
+
+    def test_widening_jump_ends_the_extrapolation(self, monkeypatch):
+        # a start that is 1e-6 on the left half of the interval: the jump
+        # after the 10th solve widens the bracket, and every later step is
+        # plain; the solve still converges to the plain iteration's bracket
+        g = eg.DomainGrid.unit(1, 128)
+        op = linear_op(eg.constant_field(1, 1.0, c0=-100.0), g)
+        x = g.points()[g.interior_index(), 0]
+        start = np.where(x < 0.5, 1e-6, np.sin(np.pi * x))
+        spy = SolveSpy(monkeypatch)
+        pair = eg.principal_eigenpair(op, tol=1e-9, x0=start)
+        steps, widths = spy.steps(), pair.bracket_history
+        wider = [k for k in range(1, len(steps))
+                 if steps[k] == "j" and widths[k] > widths[k - 1]]
+        assert wider and "j" not in steps[wider[0] + 1:]
+        assert steps[wider[0] + 1:].count("p") >= 10
+        assert widths[-1] <= 1e-9
+        _, lower, upper, _, _, _ = plain_inverse_iteration(op, 1e-9, start)
+        assert max(lower, pair.cw_lower) <= min(upper, pair.cw_upper)
+
+
 def axis_referee(a, b, c, n):
     """`gth_eigenvalue` of the 1D effective row (a, b, c) on n cells of
     [0, 1], from the weights of `stencil_weights`."""
@@ -771,6 +890,18 @@ class TestClosedFormEffective:
             got = pair.derivative(m).values
             np.testing.assert_allclose(got, scale * want, rtol=0,
                                        atol=1e-9 * np.max(np.abs(want)))
+
+    def test_derivatives_at_once_are_the_single_ones(self):
+        # derivatives(1, 2, 3), as slow_corrector takes them, forms all three
+        # from one sin, cos and scale: the same bits as derivative(m) each
+        eff = eg.EffectiveLinear(np.array([[0.8]]), np.array([0.7]), 0.3)
+        pair = eg.effective_eigenpair(eff, eg.DomainGrid.unit(1, 1000))
+        together = pair.derivatives(0, 1, 2, 3)
+        assert together[0].values.tobytes() == pair.phi.values.tobytes()
+        for m, du in enumerate(together):
+            assert du.values.tobytes() == pair.derivative(m).values.tobytes()
+        assert [d.values.tobytes() for d in pair.derivatives(3, 1)] == \
+            [together[3].values.tobytes(), together[1].values.tobytes()]
 
     def test_cross_term_keeps_the_eigensolve(self, monkeypatch):
         # a_bar with a cross term does not separate: the assembled

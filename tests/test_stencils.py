@@ -172,6 +172,34 @@ class TestStencilIsTheCSRProduct:
         np.testing.assert_array_equal(abs(A.stencil) @ np.ones(N),
                                       abs(ref) @ np.ones(N))
 
+    @pytest.mark.parametrize("make", ["difference", "dirichlet-1d", "torus-2d"])
+    def test_signed_zeros_are_the_csr_ones(self, make):
+        # a product writes its first diagonal's terms into the output and
+        # adds the rest; CSR adds every term to +0.0, so a row whose terms
+        # are all zeros, some of them -0.0, reads +0.0 in both, byte for byte
+        if make == "difference":
+            n = 40
+            D, ref = bounded_diff_matrix(n, 1.0 / n, 2), \
+                _reference_csr(n, 1.0 / n, 2, periodic=False)
+        elif make == "dirichlet-1d":
+            g = eg.DomainGrid.unit(1, 41)
+            D = assemble_linear(g, *eg.sin_field_1d(delta=0.5).sample(g.points()))
+            ref, n = csr(D), 40
+        else:
+            tg = eg.PeriodicGrid(2, 8)
+            D = assemble_torus_diffusion(eg.separable_sin_field_2d(delta=0.5), tg)
+            ref, n = csr(D), tg.npoints
+        rng = np.random.default_rng(3)
+        x = np.where(rng.uniform(size=n) < 0.7, -0.0, 0.0)
+        x[rng.integers(n, size=3)] = rng.standard_normal(3)
+        # -0.0 next to +0.0: on the rows of a +0.0 node every term is -0.0
+        shape = tg.shape if make == "torus-2d" else (n,)
+        board = np.where(np.indices(shape).sum(axis=0) % 2, -0.0, 0.0).ravel()
+        for arg in (x, np.stack([x, -x, board, -board], axis=1)):
+            got, want = D @ arg, ref @ arg
+            assert not np.signbit(want[want == 0]).any()
+            assert (got == 0).sum() > 0 and got.tobytes() == want.tobytes()
+
 
 def test_import_loads_no_ndimage_or_special():
     # every ergodica invocation pays for what `import ergodica` loads
