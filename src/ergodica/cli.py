@@ -357,7 +357,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                    iterations=pair.iterations)
         if needs_pivot:
             u = eff_pair.phi
-            w = pivot_problem(spec, eps, grid, u, lam_bar, op=op)
+            w = pivot_problem(op, u, lam_bar)
             t_eps, z = align_eigenfunctions(w, pair)
             row["t_eps"] = t_eps
             diff = (1 + t_eps) * pair.phi.values - u.values

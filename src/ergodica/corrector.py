@@ -4,9 +4,10 @@ the pivot problem, eigenfunction alignment, and the nonlinear expansion.
 Torus profiles are read along the diagonal y = x/eps at the torus node of
 each distinct fast coordinate, on a grid that holds them (`trace_grid`),
 and scattered back to the nodes. The derivatives of the effective
-eigenfunction u are exact (`eigen.ToeplitzPair.derivative`); other
+eigenfunction u are exact (`eigen.ToeplitzPair.derivatives`); other
 x-derivatives use 4th-order stencils. The boundary correctors vanish
-(`full_corrector`), so none is solved for.
+(`full_corrector`), so none is solved for, and u + v^eps and w^eps are 0
+on the boundary: the operators act on their interior values alone.
 
 Both expansions split into an eps-independent part, built once per sweep and
 only read by the rows, and a per-eps evaluation: `slow_corrector` (derivatives
@@ -17,15 +18,13 @@ term.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from .coeff import LinearOperatorSpec
 from .domain import (
     DiscreteOperator,
     DomainGrid,
-    assemble_oscillatory,
     dirichlet_solve,
     fast_coordinates,
     node_index,
@@ -206,8 +205,9 @@ def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
     `slow` is `slow_corrector(eff, correctors, u_pair.phi, L_bar)` and `op`
     is L^eps on the grid of u; `fast` is `fast_coordinates(grid, eps)`,
     computed here when not given. Returns the ExpansionResult and the
-    residual L^eps(u + v^eps) + lambda_bar u at the interior nodes; neither
-    needs the eigenpair of L^eps, and nothing is solved.
+    residual L^eps(u + v^eps) + lambda_bar u at the interior nodes, where
+    u + v^eps is 0 on the boundary; neither needs the eigenpair of L^eps,
+    and nothing is solved.
     """
     bundle, psi1, psi1_bundle, cells = slow
     grid = psi1.grid
@@ -215,9 +215,8 @@ def linear_expansion(u_pair: EigenPair, slow, eps: float, op: DiscreteOperator,
     w2 = second_corrector(cells, bundle, eps, fast=fast)
     w3 = third_corrector(cells, bundle, psi1_bundle, eps, fast=fast)
     exp = full_corrector(psi1, w2, w3, eps)
-    u = u_pair.phi
-    corrected = GridFunction(grid, u.values + exp.v_eps.values)
-    return exp, op.apply(corrected) + u_pair.lam * grid.restrict(u.values)
+    u = grid.restrict(u_pair.phi.values)
+    return exp, op @ (u + grid.restrict(exp.v_eps.values)) + u_pair.lam * u
 
 
 def core_residual(grid: DomainGrid, res):
@@ -227,14 +226,12 @@ def core_residual(grid: DomainGrid, res):
     return float(np.max(np.abs(res)[(x >= 0.1) & (x <= 0.9)]))
 
 
-def pivot_problem(spec: LinearOperatorSpec, eps: float, grid: DomainGrid,
-                  u: GridFunction, lambda_bar: float,
-                  op: Optional[DiscreteOperator] = None) -> GridFunction:
+def pivot_problem(op: DiscreteOperator, u: GridFunction,
+                  lambda_bar: float) -> GridFunction:
     """Solve the auxiliary problem L^eps w^eps = -lambda_bar * u, w^eps = 0 on
-    the boundary; w^eps is the pivot between u^eps and u. `op` is L^eps,
-    assembled here when not given."""
-    op = op or assemble_oscillatory(spec, eps, grid)
-    return dirichlet_solve(op, -lambda_bar * grid.restrict(u.values))
+    the boundary, with `op` = L^eps on the grid of u; w^eps is the pivot
+    between u^eps and u."""
+    return dirichlet_solve(op, -lambda_bar * op.grid.restrict(u.values))
 
 
 def align_eigenfunctions(w_eps: GridFunction, u_eps: EigenPair):
@@ -283,7 +280,7 @@ def prepare_expansion(u_pair: ToeplitzPair, cell: ErgodicSolution,
     grid = u.grid
     if grid.dim != 1:
         raise InputError("the nonlinear expansion is implemented in 1D only")
-    abs_hessian = np.abs(u_pair.derivative(2).flat)
+    abs_hessian = np.abs(u_pair.derivatives(2)[0].flat)
     interior = grid.interior_index()
     w2F_residual = float(np.max(np.abs(
         abs_hessian[interior] * cell.gamma + u_pair.lam * u.flat[interior])))
@@ -296,7 +293,8 @@ def nonlinear_expansion(u_pair: EigenPair, eps: float,
 
     Returns (w^eps = u + eps^2 w_2-trace, report), with the residual of the
     Bellman operator at w^eps against -lambda_bar u; w_1 = 0
-    (`prepare_expansion`).
+    (`prepare_expansion`). w^eps is 0 on the boundary, where u is and
+    chi_- reads its anchor y = 0.
 
     Only the w_2 trace x -> |u''(x)| chi_-(x/eps), w^eps and the Bellman
     operator applied to it depend on eps; the rest is `prepared`, built by
@@ -313,8 +311,9 @@ def nonlinear_expansion(u_pair: EigenPair, eps: float,
     w_eps = GridFunction(grid, u.values + eps ** 2 * w2)
 
     # the Bellman operator at the interior nodes: the nodewise max of ops
-    bell = np.max([op.apply(w_eps) for op in ops], axis=0)
-    res = bell + u_pair.lam * u.flat[grid.interior_index()]
+    interior = grid.interior_index()
+    bell = np.max([op @ w_eps.flat[interior] for op in ops], axis=0)
+    res = bell + u_pair.lam * u.flat[interior]
     report = {
         "w2F_residual": prepared.w2F_residual,
         "expansion_residual_sup": float(np.max(np.abs(res))),

@@ -1,16 +1,16 @@
 """Dirichlet discretization of oscillatory, effective and Bellman operators
 on an interval or rectangle, as monotone operators.
 
-Grid functions live on the full node set (boundary included); operators act
-on interior unknowns. An operator is the row-aligned weights of
+Grid functions live on the full node set; every one that an operator acts
+on or solves for is 0 on the boundary, so operators take and give interior
+values only. An operator is the row-aligned weights of
 `stencils.stencil_weights` at the interior nodes (`stencils.Weights`), the
 same stored form as the torus cell operators, in 1D and 2D alike: its
 products, B = s*I - L_h with its M-matrix verdict, its factor and the
 frozen policies of `eigen` all read the weights, and a coupling to a
-boundary node enters only `apply`, so inhomogeneous Dirichlet data move
-to the right-hand side. Oscillatory coefficients and their weights are
-formed once per distinct fast coordinate y = x/eps mod 1
-(`fast_coordinates`) and gathered to the nodes.
+boundary node multiplies a 0 and is never read. Oscillatory coefficients
+and their weights are formed once per distinct fast coordinate
+y = x/eps mod 1 (`fast_coordinates`) and gathered to the nodes.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ import numpy as np
 from .coeff import BellmanSpec, LinearOperatorSpec
 from .effective import EffectiveLinear
 from .errors import InputError
-from .stencils import Weights, flat_rows, stencil_weights
+from .stencils import Weights, stencil_weights
 from .torus import FactoredOperator, GridFunction, PeriodicGrid
 
 
@@ -105,12 +105,10 @@ class DomainGrid:
         """Full-node array -> flat interior vector."""
         return np.asarray(values).ravel()[self.interior_index()]
 
-    def embed(self, interior, boundary=None):
-        """Flat interior vector -> full-node array (boundary defaults to 0)."""
+    def embed(self, interior):
+        """Flat interior vector -> full-node array, 0 on the boundary."""
         full = np.zeros(np.prod(self.shape))
         full[self.interior_index()] = interior
-        if boundary is not None:
-            full[self.boundary_index()] = boundary
         return full.reshape(self.shape)
 
     def inner_weights(self):
@@ -126,40 +124,17 @@ class DomainGrid:
 
 
 class DiscreteOperator(Weights):
-    """Interior operator L_h with its boundary coupling: the weights of
-    `stencil_weights` at the interior nodes, one row per node, on the
-    interior grid of `grid`.
+    """Interior operator L_h: the weights of `stencil_weights` at the
+    interior nodes, one row per node, on the interior grid of `grid`.
 
-    Sign convention: `apply(phi)` approximates  a D^2 phi + b . D phi + c phi
-    at interior nodes; `op @ v` is the same with zero boundary values,
-    each row summed in ascending column (`stencils.Stencil`).
+    Sign convention: `op @ v` approximates  a D^2 phi + b . D phi + c phi
+    at the interior nodes, for the phi with interior values v and 0 on the
+    boundary, each row summed in ascending column (`stencils.Stencil`).
     """
 
     def __init__(self, neighbours, diag, grid: DomainGrid, c_max: float = 0.0):
         super().__init__(neighbours, diag, [n - 1 for n in grid.n], wrap=False)
         self.grid, self.c_max = grid, c_max
-
-    @cached_property
-    def _boundary(self):
-        """(rows, boundary nodes, weights) of each block of couplings to the
-        boundary, in ascending offset, which is ascending node in a row."""
-        out = []
-        for offset, w, s, block in self.blocks():
-            if s is None:
-                rows = flat_rows(block, self.shape)
-                out.append((rows, flat_rows([slice(b.start + 1 + o, b.stop + 1 + o)
-                                             for b, o in zip(block, offset)],
-                                            self.grid.shape), w[rows]))
-        return out
-
-    def apply(self, phi: GridFunction):
-        """Operator value at interior nodes, honoring the boundary values of
-        phi: the interior sum, plus the boundary terms summed on their own."""
-        vals = self @ phi.flat[self.grid.interior_index()]
-        outside = np.zeros(len(vals))
-        for rows, nodes, w in self._boundary:
-            outside[rows] += w * phi.flat[nodes]
-        return vals + outside
 
 
 def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
@@ -328,18 +303,8 @@ def properness_shift(op: DiscreteOperator) -> float:
     return max(0.0, op.c_max) + 1.0
 
 
-def dirichlet_solve(op: DiscreteOperator, rhs, boundary_values=None) -> GridFunction:
-    """Solve  L_h u = rhs  at interior nodes with the given Dirichlet data.
-
-    `rhs` is a flat interior vector or full-node array; boundary data (full
-    boundary-node vector) defaults to zero, and moves to the right-hand side
-    through `op.apply`.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape == op.grid.shape:
-        rhs = op.grid.restrict(rhs)
-    if boundary_values is not None:
-        data = op.grid.embed(0.0, np.asarray(boundary_values, dtype=float))
-        rhs = rhs - op.apply(GridFunction(op.grid, data))
-    sol = FactoredOperator(op).solve(rhs)
-    return GridFunction(op.grid, op.grid.embed(sol, boundary_values))
+def dirichlet_solve(op: DiscreteOperator, rhs) -> GridFunction:
+    """Solve  L_h u = rhs  at the interior nodes, u = 0 on the boundary;
+    `rhs` is a flat interior vector."""
+    sol = FactoredOperator(op).solve(np.asarray(rhs, dtype=float))
+    return GridFunction(op.grid, op.grid.embed(sol))

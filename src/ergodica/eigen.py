@@ -211,8 +211,8 @@ class ToeplitzPair(EigenPair):
     O(1/h^2) cancellation, and phi_j ~ (l/u)^(j/2) sin(j pi / n), the nodes
     of u(x) = C e^(kappa x) sin(pi x / L), kappa = ln(l/u) / 2h, x from the
     left end, formed in log space and sup-normalized; both ends are 0 and
-    `derivative(m)` is u^(m) there (`derivatives` forms several orders
-    from one evaluation of sin, cos and the scale). iterations is 0 and
+    `derivatives(m, ...)` gives u^(m) at the nodes, several orders from one
+    evaluation of sin, cos and the scale. iterations is 0 and
     [cw_lower, cw_upper] = lam -+ 16 eps (|c| + t_1 + t_2), a bound on the
     rounding of the formula, not a Collatz-Wielandt bracket. `weights` are
     (l, diag, u) from `stencil_weights`; r = L phi + lam phi, with that
@@ -254,10 +254,6 @@ class ToeplitzPair(EigenPair):
         for p in profiles:
             p /= self._norm
         return [GridFunction(self.phi.grid, p) for p in profiles]
-
-    def derivative(self, m):
-        """u^(m) at the nodes: `derivatives(m)`'s one function."""
-        return self.derivatives(m)[0]
 
     def row_residual(self):
         """L phi + lam phi on the interior, with the row's own diagonal."""

@@ -4,7 +4,9 @@ and difference operators applied by slicing.
 `stencil_weights` is the one discretization of a D^2 + b . D + c: the torus
 cell operators (`torus`) and the Dirichlet operators (`domain`) share it.
 Every operator, 1D or 2D, torus or Dirichlet, is kept as those weights,
-aligned by row (`Weights`); a frozen policy gathers them row by row
+aligned by row (`Weights`); a Dirichlet operator acts on functions that
+carry 0 on the boundary, so its couplings to boundary nodes are stored
+but never read. A frozen policy gathers them row by row
 (`select_weights`). Its products run on a `Stencil` that the weights are
 sliced into, in numpy alone, and its CSR is written only where SuperLU
 factors it, so scipy.sparse is imported there and nowhere else. The
@@ -128,9 +130,10 @@ class Weights:
     weights (k,), and `diag` (k,) holds the centre weights. Row i sits at
     node i of a grid of `shape`, row-major. A neighbour outside that grid
     wraps around it when `wrap` (torus); otherwise it is a Dirichlet
-    boundary node, one node outside the grid, left out of `stencil` and
-    `csr`. Products run on `stencil`, which slices the weights; `csr`
-    writes them for a SuperLU factor, zero weights as entries if `zeros`.
+    boundary node, one node outside the grid, which carries 0, and its
+    weight is left out of `stencil` and `csr`. Products run on `stencil`,
+    which slices the weights; `csr` writes them for a SuperLU factor, zero
+    weights as entries if `zeros`.
     """
 
     def __init__(self, neighbours, diag, shape, wrap, zeros=True):
@@ -138,20 +141,20 @@ class Weights:
         self.shape, self.wrap, self.zeros = tuple(shape), wrap, zeros
 
     def blocks(self):
-        """(offset, weights, s, block) for each block of rows of each
-        offset, offsets ascending (ascending column within a row): the rows
-        in `block`, a slice per axis, reach their neighbour s flat nodes
-        away, wrapped on the torus, or outside the grid when s is None."""
+        """(weights, s, block) for each block of rows of each offset,
+        offsets ascending (ascending column within a row): the rows in
+        `block`, a slice per axis, reach their neighbour s flat nodes away,
+        wrapped on the torus; on a Dirichlet grid only the rows whose
+        neighbour lies inside the grid."""
         strides = [math.prod(self.shape[k + 1:]) for k in range(len(self.shape))]
         for offset in sorted(self.neighbours):
             axes = [[(slice(max(0, -o), m - max(0, o)), 0)] + (
-                [(slice(0, -o), m) if o < 0 else (slice(m - o, m), -m)] if o else [])
-                for o, m in zip(offset, self.shape)]
+                [(slice(0, -o), m) if o < 0 else (slice(m - o, m), -m)]
+                if o and self.wrap else []) for o, m in zip(offset, self.shape)]
             for ranges in itertools.product(*axes):
                 block, jump = zip(*ranges)
                 s = sum((o + j) * k for o, j, k in zip(offset, jump, strides))
-                yield (offset, self.neighbours[offset],
-                       s if self.wrap or not any(jump) else None, block)
+                yield self.neighbours[offset], s, block
 
     @cached_property
     def stencil(self):
@@ -160,9 +163,8 @@ class Weights:
         axes (every block in 1D), else the blocks of that shift in one
         array of zeros."""
         n, shifts = len(self.diag), {}
-        for _, w, s, block in self.blocks():
-            if s is not None:
-                shifts.setdefault(s, []).append((w, block))
+        for w, s, block in self.blocks():
+            shifts.setdefault(s, []).append((w, block))
         diags = [(0, 0, n, self.diag)]
         for s, parts in shifts.items():
             (w, block), stride = parts[0], n // self.shape[0]
@@ -186,8 +188,7 @@ class Weights:
         from scipy import sparse  # only where a SuperLU factor is made
         n = len(self.diag)
         parts = [(0, self.diag, np.arange(n))] + [
-            (s, w, flat_rows(block, self.shape)) for _, w, s, block in self.blocks()
-            if s is not None]
+            (s, w, flat_rows(block, self.shape)) for w, s, block in self.blocks()]
         A = sparse.csr_matrix((np.concatenate([w[r] for _, w, r in parts]), (
             np.concatenate([r for _, _, r in parts]),
             np.concatenate([r + s for s, _, r in parts]))), shape=(n, n))

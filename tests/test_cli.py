@@ -445,7 +445,8 @@ class TestRunSweep:
             eps = row["eps"]
             pair, _ = cli_mod.linear_eigenpair(
                 grid, *oscillatory_samples(spec, eps, grid))
-            w = eg.pivot_problem(spec, eps, grid, u, rep.lambda_bar)
+            w = eg.pivot_problem(eg.assemble_oscillatory(spec, eps, grid), u,
+                                 rep.lambda_bar)
             t_eps, z = eg.align_eigenfunctions(w, pair)
             diff = (1 + t_eps) * pair.phi.values - u.values
             assert row["lambda_eps"] == pair.lam and row["t_eps"] == t_eps

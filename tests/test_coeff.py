@@ -6,26 +6,28 @@ from ergodica.cli import build_problem
 
 
 def apply_bellman(spec, eps, grid, phi):
-    """The Bellman operator at phi: the nodewise max over the controls'
-    frozen operators, as `corrector.nonlinear_expansion` takes it."""
+    """The Bellman operator at the interior nodes at phi, a full-node array
+    that is 0 on the boundary: the nodewise max over the controls' frozen
+    operators, as `corrector.nonlinear_expansion` takes it."""
     ops = eg.bellman_operators(spec, eps, grid)
-    return eg.GridFunction(grid, grid.embed(np.max([op.apply(phi) for op in ops],
-                                                   axis=0)))
+    return np.max([op @ grid.restrict(phi) for op in ops], axis=0)
 
 
 class TestBellman:
     def test_direct_max(self):
-        # L 1 = c for each control, so the Bellman operator at phi = 1 is the
-        # max over controls {0.3, -0.1}, and 1-homogeneity forces F(0) = 0
+        # L 1 = c for each control: its rows, boundary weights included, sum
+        # to c, so the Bellman operator at phi = 1 is the max over controls
+        # {0.3, -0.1}, and 1-homogeneity forces F(0) = 0
         spec = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.constant_field(1, 1.0, c0=0.3), 1, 1, c1=0.3),
             eg.LinearOperatorSpec(eg.constant_field(1, 1.0, c0=-0.1), 1, 1, c1=0.1),
         ])
         g = eg.DomainGrid.unit(1, 16)
-        one = apply_bellman(spec, 1.0, g, eg.GridFunction(g, np.ones(g.shape)))
-        assert np.allclose(g.restrict(one.values), 0.3, rtol=0, atol=1e-12)
-        zero = apply_bellman(spec, 1.0, g, eg.GridFunction(g, np.zeros(g.shape)))
-        assert np.all(zero.values == 0.0)
+        one = np.max([sum(op.neighbours.values()) + op.diag
+                      for op in eg.bellman_operators(spec, 1.0, g)], axis=0)
+        assert np.allclose(one, 0.3, rtol=0, atol=1e-12)
+        zero = apply_bellman(spec, 1.0, g, np.zeros(g.shape))
+        assert np.all(zero == 0.0)
 
     def test_singleton_matches_linear(self):
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.4, b_amp=0.2,
@@ -33,34 +35,33 @@ class TestBellman:
                                      0.6, 1.4, c1=0.2)
         g = eg.DomainGrid.unit(1, 32)
         x = g.points()[:, 0]
-        phi = eg.GridFunction(g, np.sin(np.pi * x) + x)
+        phi = np.sin(np.pi * x) + x * (1 - x)
         out = apply_bellman(eg.BellmanSpec([spec]), 0.25, g, phi)
-        linear = eg.assemble_oscillatory(spec, 0.25, g).apply(phi)
-        assert np.array_equal(g.restrict(out.values), linear)
+        linear = eg.assemble_oscillatory(spec, 0.25, g) @ g.restrict(phi)
+        assert np.array_equal(out, linear)
 
     def test_pucci_as_two_control_bellman(self):
-        # second differences are exact on m x^2 / 2, so each constant control
-        # kappa gives kappa m and the Bellman max is M^+(m) = max(lambda m, Lambda m)
+        # second differences are exact on m (x^2 - x) / 2, which is 0 on the
+        # boundary, so each constant control kappa gives kappa m and the
+        # Bellman max is M^+(m) = max(lambda m, Lambda m)
         bspec = eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0))
         g = eg.DomainGrid.unit(1, 16)
         x = g.points()[:, 0]
         for m in (-3.0, -2.0, -0.5, 0.0, 0.7, 3.0):
-            phi = eg.GridFunction(g, 0.5 * m * x ** 2)
-            vals = g.restrict(apply_bellman(bspec, 1.0, g, phi).values)
+            vals = apply_bellman(bspec, 1.0, g, 0.5 * m * (x ** 2 - x))
             assert np.allclose(vals, max(m, 2.0 * m), rtol=0, atol=1e-9)
 
 
 class TestPucci:
     def test_known_values_1d(self):
         # M^+(m) for lambda = 1, Lambda = 2, read off the two-control Bellman
-        # form on the quadratic m x^2 / 2; M^-(m) = -M^+(-m) by duality
+        # form on the quadratic m (x^2 - x) / 2; M^-(m) = -M^+(-m) by duality
         bspec = eg.pucci_controls_1d(eg.PucciSpec(1.0, 2.0))
         g = eg.DomainGrid.unit(1, 16)
         x = g.points()[:, 0]
 
         def m_plus(m):
-            phi = eg.GridFunction(g, 0.5 * m * x ** 2)
-            vals = g.restrict(apply_bellman(bspec, 1.0, g, phi).values)
+            vals = apply_bellman(bspec, 1.0, g, 0.5 * m * (x ** 2 - x))
             assert np.ptp(vals) < 1e-9
             return vals[0]
 

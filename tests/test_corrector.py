@@ -346,6 +346,30 @@ class TestBoundaryTraces:
         assert np.max(np.abs(exp.w2_trace.values)) > 1e-3
         assert np.all(exp.v_eps.flat[bidx] == 0.0)
 
+    @pytest.mark.parametrize("n_cells, ms", [
+        (1024, (8,)),
+        (112, (6, 7)),  # the coprime grid: 6 does not divide 112
+    ])
+    def test_bellman_w_eps_vanishes_on_the_boundary(self, n_cells, ms):
+        # the Bellman twin: the operators act on the interior values of
+        # w^eps = u + eps^2 |u''| chi_-(x/eps) alone, which is exact because
+        # u is 0 at both ends and chi_-, solved on the rows' trace grid,
+        # reads its anchor y = 0 there
+        bs = build_problem("bellman-2ctl-1d")["spec"]
+        grid = eg.DomainGrid.unit(1, n_cells)
+        eps_list = [1 / m for m in ms]
+        cell, pair = bellman_effective(bs, grid, eg.PeriodicGrid(1, 64))
+        trace_cell = eg.solve_nonlinear_cell(
+            bs, [[-1.0]], eg.trace_grid(grid, eps_list))[0]
+        prepared = eg.prepare_expansion(pair, cell, trace_cell)
+        bidx = grid.boundary_index()
+        for eps in eps_list:
+            w_eps, rep = eg.nonlinear_expansion(
+                pair, eps, prepared, eg.bellman_operators(bs, eps, grid))
+            assert np.all(w_eps.flat[bidx] == 0.0)
+            assert np.all(rep["w2_trace"].flat[bidx] == 0.0)
+            assert np.max(np.abs(rep["w2_trace"].values)) > 1e-3
+
 
 class TestFullCorrector:
     def test_formula(self):
@@ -368,13 +392,15 @@ class TestFullCorrector:
 class TestPivotAndAlignment:
     def test_constant_coefficients_pivot_is_u(self, const_1d):
         spec, cs, eff, grid, eff_op, pair = const_1d
-        w = eg.pivot_problem(spec, 1 / 8, grid, pair.phi, pair.lam)
+        op = eg.assemble_oscillatory(spec, 1 / 8, grid)
+        w = eg.pivot_problem(op, pair.phi, pair.lam)
         assert np.max(np.abs(w.values - pair.phi.values)) < 1e-9
 
     def test_zero_input_guard(self, linear_1d):
         spec, cs, eff, grid, eff_op, pair = linear_1d
         zero = eg.GridFunction(grid, np.zeros(grid.shape))
-        w = eg.pivot_problem(spec, 1 / 8, grid, zero, pair.lam)
+        w = eg.pivot_problem(eg.assemble_oscillatory(spec, 1 / 8, grid), zero,
+                             pair.lam)
         assert np.max(np.abs(w.values)) < 1e-13
 
     def test_alignment_identities(self, linear_1d):
@@ -392,7 +418,7 @@ class TestPivotAndAlignment:
         eps = 1 / 8
         op = eg.assemble_oscillatory(spec, eps, grid)
         u_eps = eg.principal_eigenpair(op, tol=1e-10)
-        w = eg.pivot_problem(spec, eps, grid, pair.phi, pair.lam, op=op)
+        w = eg.pivot_problem(op, pair.phi, pair.lam)
         t, z = eg.align_eigenfunctions(w, u_eps)
         inner = np.sum(grid.inner_weights() * z.values * u_eps.phi.values)
         assert abs(inner) < 1e-12

@@ -121,15 +121,17 @@ class TestAssembly:
     @pytest.mark.parametrize("b0", [5.0, -5.0])
     def test_upwind_rows_are_consistent(self, b0):
         # h|b| = 0.3125 >= 2a upwinds in either direction: the neighbour the
-        # drift points to gets a/h^2 + |b|/h, the other a/h^2, and L 1 = c
+        # drift points to gets a/h^2 + |b|/h, the other a/h^2, and L 1 = c:
+        # each row sums to c over its interior and boundary CSR blocks
         g = eg.DomainGrid.unit(1, 16)
         op = linear_op(eg.constant_field(1, 0.01, b0=[b0], c0=0.3), g)
         lower, upper = op.neighbours[(-1,)], op.neighbours[(1,)]
         ahead, behind = (upper, lower) if b0 > 0 else (lower, upper)
         assert np.allclose(ahead, 0.01 * 16 ** 2 + 5.0 * 16, rtol=1e-14)
         assert np.allclose(behind, 0.01 * 16 ** 2, rtol=1e-14)
-        ones = eg.GridFunction(g, np.ones(g.shape))
-        assert np.allclose(op.apply(ones), 0.3, rtol=0, atol=1e-12)
+        matrix, boundary = csr_blocks(op)
+        assert np.allclose(matrix.sum(axis=1).A1 + boundary.sum(axis=1).A1,
+                           0.3, rtol=0, atol=1e-12)
 
     def test_cross_term_guard(self):
         bad = eg.constant_field(2, np.array([[1.0, 1.2], [1.2, 1.0]]))
@@ -141,10 +143,9 @@ class TestAssembly:
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5)
         g = eg.DomainGrid.unit(1, 64)
         op = eg.assemble_oscillatory(spec, 0.25, g)
-        # apply to a quadratic: L u = a(x/eps) * 2 exactly (interior)
+        # apply to a quadratic, 0 on the boundary: L u = -2 a(x/eps) exactly
         x = g.points()[:, 0]
-        u = eg.GridFunction(g, x * (1 - x))
-        res = op.apply(u)
+        res = op @ g.restrict(x * (1 - x))
         a_at = 1 + 0.5 * np.sin(2 * np.pi * (g.interior_points()[:, 0] / 0.25))
         assert np.max(np.abs(res + 2 * a_at)) < 1e-9
 
@@ -156,8 +157,7 @@ class TestAssembly:
         g = eg.DomainGrid.unit(1, 32)
         op = eg.assemble_effective(eff, g)
         x = g.points()[:, 0]
-        u = eg.GridFunction(g, x * (1 - x))
-        assert np.max(np.abs(op.apply(u) + 4.0)) < 1e-10
+        assert np.max(np.abs(op @ g.restrict(x * (1 - x)) + 4.0)) < 1e-10
 
 
 def generic_blocks(grid, avals, bvals, cvals):
@@ -256,12 +256,9 @@ class TestBands:
             got.eliminate_zeros()
             ref.eliminate_zeros()
             assert_same_csr(got, ref)
-        matrix, boundary = refs
-        phi = eg.GridFunction(g, rng.standard_normal(g.shape))
-        v = phi.flat[g.interior_index()]
+        matrix = refs[0]
+        v = rng.standard_normal(len(g.interior_index()))
         np.testing.assert_array_equal(frozen @ v, matrix @ v)
-        np.testing.assert_array_equal(
-            frozen.apply(phi), matrix @ v + boundary @ phi.flat[g.boundary_index()])
         assert frozen.c_max == max(op.c_max for op in ops)
         # what SuperLU factors: B's CSR holds the selected rows' entries
         s = properness_shift(frozen)
@@ -293,16 +290,6 @@ class TestDirichletSolve:
         u = eg.dirichlet_solve(op, -np.ones(len(g.interior_index())))
         x = g.points()[:, 0]
         assert np.max(np.abs(u.values - 0.5 * x * (1 - x))) < 1e-10
-
-    def test_boundary_data_constant_extension(self):
-        # c = 0, zero rhs, boundary value kappa -> solution identically kappa
-        g = eg.DomainGrid.unit(1, 64)
-        op = linear_op(eg.constant_field(1, 1.3, b0=[0.7]), g)
-        kappa = 2.5
-        nb = len(g.boundary_index())
-        u = eg.dirichlet_solve(op, np.zeros(len(g.interior_index())),
-                               boundary_values=np.full(nb, kappa))
-        assert np.max(np.abs(u.values - kappa)) < 1e-11
 
     def test_maximum_principle(self):
         # rhs <= 0 and boundary 0 with c <= 0 implies u >= 0
@@ -336,14 +323,13 @@ class TestBellmanApply:
         g = eg.DomainGrid.unit(1, 32)
         x = g.points()[:, 0]
         # the max flips where u'' changes sign
-        u = eg.GridFunction(g, np.sin(2 * np.pi * x))
+        u = g.restrict(np.sin(2 * np.pi * x))
         ops = eg.bellman_operators(bs, 1.0, g)
-        vals = np.maximum(ops[0].apply(u), ops[1].apply(u))
-        values = np.array([op.apply(u) for op in ops])
+        vals = np.maximum(ops[0] @ u, ops[1] @ u)
+        values = np.array([op @ u for op in ops])
         policy = improve_policy(values, np.zeros(len(vals), dtype=int))[1]
         assert set(policy) == {0, 1}
-        np.testing.assert_array_equal(_freeze_policy(ops, policy, g).apply(u),
-                                      vals)
+        np.testing.assert_array_equal(_freeze_policy(ops, policy, g) @ u, vals)
 
 
 def node_by_node(spec, eps, grid):
@@ -427,7 +413,7 @@ class TestBandProducts:
 
     @given(n=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_matvec_and_apply_match_csr_bit_for_bit(self, n, seed):
+    def test_matvec_and_boundary_block_match_csr_bit_for_bit(self, n, seed):
         rng = np.random.default_rng(seed)
         def scale(size):  # values over 16 decades, both signs
             return rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
@@ -441,11 +427,9 @@ class TestBandProducts:
                               format="csr")
         boundary = sparse.csr_matrix(
             ([lower[0], upper[-1]], ([0, n - 2], [0, 1])), shape=(n - 1, 2))
-        phi = eg.GridFunction(grid, scale(n + 1))
-        v, b = phi.values[1:-1], phi.values[[0, -1]]
+        v = scale(n - 1)
         np.testing.assert_array_equal(op @ v, matrix @ v)
-        np.testing.assert_array_equal(op.apply(phi), matrix @ v + boundary @ b)
-        # the CSR blocks built on first read are the same matrices
+        # the referee's CSR blocks of the stored weights are the same matrices
         assert_same_csr(csr(op), matrix)
         np.testing.assert_array_equal(csr_blocks(op)[1].toarray(), boundary.toarray())
 

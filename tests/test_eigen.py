@@ -868,12 +868,12 @@ class TestClosedFormEffective:
             assert abs(pair.lam - vals[k].real) <= 1e-12 * norm
 
     def test_derivatives_are_exact(self):
-        # u(x) = C e^(kappa x) sin(pi x): derivative(0) is phi bit for bit,
+        # u(x) = C e^(kappa x) sin(pi x): derivatives(0) is phi bit for bit,
         # the others agree with u's derivatives written out by hand
         eff = eg.EffectiveLinear(np.array([[0.8]]), np.array([0.7]), 0.3)
         grid = eg.DomainGrid.unit(1, 256)
         pair = eg.effective_eigenpair(eff, grid)
-        np.testing.assert_array_equal(pair.derivative(0).values,
+        np.testing.assert_array_equal(pair.derivatives(0)[0].values,
                                       pair.phi.values)
         lower = 0.8 * 256 ** 2 - 0.7 * 256 / 2
         upper = 0.8 * 256 ** 2 + 0.7 * 256 / 2
@@ -887,19 +887,19 @@ class TestClosedFormEffective:
                  e * ((kappa ** 3 - 3 * kappa * w ** 2) * s
                       + (3 * kappa ** 2 * w - w ** 3) * c)]
         for m, want in enumerate(exact):
-            got = pair.derivative(m).values
+            got = pair.derivatives(m)[0].values
             np.testing.assert_allclose(got, scale * want, rtol=0,
                                        atol=1e-9 * np.max(np.abs(want)))
 
     def test_derivatives_at_once_are_the_single_ones(self):
         # derivatives(1, 2, 3), as slow_corrector takes them, forms all three
-        # from one sin, cos and scale: the same bits as derivative(m) each
+        # from one sin, cos and scale: the same bits as derivatives(m) each
         eff = eg.EffectiveLinear(np.array([[0.8]]), np.array([0.7]), 0.3)
         pair = eg.effective_eigenpair(eff, eg.DomainGrid.unit(1, 1000))
         together = pair.derivatives(0, 1, 2, 3)
         assert together[0].values.tobytes() == pair.phi.values.tobytes()
         for m, du in enumerate(together):
-            assert du.values.tobytes() == pair.derivative(m).values.tobytes()
+            assert du.values.tobytes() == pair.derivatives(m)[0].values.tobytes()
         assert [d.values.tobytes() for d in pair.derivatives(3, 1)] == \
             [together[3].values.tobytes(), together[1].values.tobytes()]
 

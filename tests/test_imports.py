@@ -94,7 +94,7 @@ def test_cross_term_2d_loads_scipy_sparse_on_demand():
         N = int(np.prod(grid.shape))
         a = np.broadcast_to([[1.0, 0.3], [0.3, 0.8]], (N, 2, 2))
         op = eg.assemble_linear(grid, a, np.zeros((N, 2)), np.full(N, 0.5))
-        values = op.apply(eg.GridFunction(grid, np.ones(grid.shape)))
+        values = op @ np.ones(len(grid.interior_index()))
         _, ok, _ = shifted_m_matrix(op, properness_shift(op))
         laplacian = eg.assemble_linear(grid, np.broadcast_to(np.eye(2), (N, 2, 2)),
                                        np.zeros((N, 2)), np.zeros(N))
@@ -118,3 +118,40 @@ def test_cross_term_2d_loads_scipy_sparse_on_demand():
     assert lower <= lam <= upper and upper - lower <= 1e-10
     # the 7-point cross stencil: a12 > 0 couples the (1, 1) diagonal
     assert min(out["diagonal"]) > 0
+
+
+def readme_api_table():
+    """{module: names} of README's "Python API" table."""
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = [n.strip().strip("`")
+                                          for n in cells[1].split(",")]
+    return table
+
+
+def test_readme_api_table_is_the_package_namespace():
+    # every name of the table is ergodica's, defined in the module of its
+    # row, and every public name of ergodica but its submodules is listed
+    import importlib
+    import types
+
+    import ergodica
+
+    table = readme_api_table()
+    assert {"coeff", "domain", "eigen", "corrector", "cli"} <= set(table)
+    listed = set()
+    for module, names in table.items():
+        mod = importlib.import_module(f"ergodica.{module}")
+        for name in names:
+            assert getattr(ergodica, name) is getattr(mod, name), name
+            assert getattr(mod, name).__module__ == mod.__name__, name
+            listed.add(name)
+    public = {name for name, value in vars(ergodica).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == listed
