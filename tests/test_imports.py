@@ -1,14 +1,19 @@
-"""What `import ergodica` and the 1D and separable 2D paths load.
+"""What `import ergodica` and the 1D and separable 2D paths load, and the
+names `ergodica` exports.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported scipy for its own reference matrices.
+Each load check runs in a fresh interpreter, since this test process has
+long since imported scipy for its own reference matrices.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import types
+
+import ergodica
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -137,11 +142,6 @@ def readme_api_table():
 def test_readme_api_table_is_the_package_namespace():
     # every name of the table is ergodica's, defined in the module of its
     # row, and every public name of ergodica but its submodules is listed
-    import importlib
-    import types
-
-    import ergodica
-
     table = readme_api_table()
     assert {"coeff", "domain", "eigen", "corrector", "cli"} <= set(table)
     listed = set()
