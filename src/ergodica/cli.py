@@ -30,12 +30,12 @@ from .corrector import (
 from .domain import (DomainGrid, assemble_effective, assemble_linear,
                      assemble_oscillatory, bellman_operators, fast_coordinates,
                      trace_grid)
-from .effective import (EffectiveLinear, build_corrector_set, effective_linear,
+from .effective import (build_corrector_set, effective_linear,
                         first_order_effective)
 from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
                     principal_eigenpair_bellman)
 from .errors import ConfigError, ErgodicaError, SolverError
-from .torus import GridFunction, PeriodicGrid, solve_nonlinear_cell
+from .torus import GridFunction, PeriodicGrid, solve_concave_cell
 
 ALL_MEASUREMENTS = ("lambda_rate", "eigfun_rate", "z_rate", "v_norm",
                     "residual_slope")
@@ -278,9 +278,9 @@ def _linear_effective(spec, grid, config, eps_list=None):
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run the full per-epsilon study described by the configuration.
 
-    lambda_bar comes from the n_torus cells (for Bellman sweeps the M = -1
-    cell alone, see `effective`), the effective eigenpair from
-    `effective_eigenpair`. The expansion of a 1D sweep
+    lambda_bar comes from the n_torus cells, the effective eigenpair from
+    `effective_eigenpair`; a Bellman sweep is the linear one of its
+    `BellmanSpec.envelope` a_min D^2 (no Howard). The expansion of a 1D sweep
     with `v_norm` or `residual_slope` reads cells solved on the `trace_grid`
     of its rows. Every row reports its eigensolve's bracket and iterations. The
     homogenized eigenfunction u is read only where it is used: by 1D and
@@ -300,23 +300,19 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         raise ConfigError(f"{dim}D {config.mode} sweeps do not measure "
                           f"{sorted(unsupported)}")
 
-    if config.mode == "linear":
-        expand = bool(meas & {"v_norm", "residual_slope"})
-        eff_pair, slow = _linear_effective(
-            spec, grid, config, config.eps_list if expand else None)
-    else:
-        concave = np.array([[-1.0]])
-        cell = solve_nonlinear_cell(spec, concave, PeriodicGrid(1, config.n_torus))[0]
-        eff_pair = effective_eigenpair(EffectiveLinear(
-            np.array([[-cell.gamma]]), np.zeros(1), 0.0), grid)
+    if config.mode == "bellman":  # only the residual reads the controls
+        spec = spec.envelope()
+    expand = config.mode == "linear" and bool(meas & {"v_norm", "residual_slope"})
+    eff_pair, slow = _linear_effective(
+        spec, grid, config, config.eps_list if expand else None)
     lam_bar = eff_pair.lam
 
     # the eps-independent part of the Bellman expansion; rows only read it
     prepared = None
     if config.mode == "bellman" and "residual_slope" in meas:
-        trace_cell = solve_nonlinear_cell(
-            spec, concave, trace_grid(grid, config.eps_list))[0]
-        prepared = prepare_expansion(eff_pair, cell, trace_cell)
+        prepared = prepare_expansion(eff_pair, *(
+            solve_concave_cell(spec, cells) for cells in
+            (PeriodicGrid(1, config.n_torus), trace_grid(grid, config.eps_list))))
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
@@ -325,7 +321,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         # a row's operators and expansion share one fast-coordinate index
         fast = fast_coordinates(grid, eps)
         # (lambda_eps, phi_eps) -> (lambda_bar, u): u starts the eigensolve well
-        if config.mode == "linear" and dim == 1:
+        if dim == 1:
             op = assemble_oscillatory(spec, eps, grid, fast)
             start = u = eff_pair.phi
             if slow is not None:
@@ -338,7 +334,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                                                  u.values / 2))
                 del exp, res  # peak RSS of sin-abc-1d 90.7 -> 87.5 MB
             pair = principal_eigenpair(op, tol=config.tol, x0=start)
-        elif config.mode == "linear":
+        else:
             # a separable 2D L_eps is formed only if the row solves with it
             rows, at = fast
             samples = spec.field.sample(rows)
@@ -346,11 +342,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                                         x0=lambda: eff_pair.phi, at=at)
             if op is None and needs_pivot:
                 op = assemble_linear(grid, *samples, at)
-        else:
-            # the frozen operators serve the eigensolve and the expansion
-            ops = bellman_operators(spec, eps, grid, fast)
-            pair, _ = principal_eigenpair_bellman(spec, eps, grid, tol=config.tol,
-                                                  ops=ops, x0=eff_pair.phi)
         row["lambda_eps"] = pair.lam
         row["abs_err_lambda"] = abs(pair.lam - lam_bar)
         row.update(cw_lower=pair.cw_lower, cw_upper=pair.cw_upper,
@@ -367,6 +358,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["z_norm"] = float(np.max(np.abs(z.values)))
             row["w_minus_u"] = float(np.max(np.abs(w.values - u.values)))
         if prepared is not None:
+            ops = bellman_operators(problem["spec"], eps, grid, fast)
             _, rep = nonlinear_expansion(eff_pair, eps, prepared, ops, fast)
             row["residual"] = rep["expansion_residual_interior"]
             row["w2F_residual"] = rep["w2F_residual"]

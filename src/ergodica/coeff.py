@@ -7,12 +7,12 @@ torus); `cli.build_problem` names the problems assembled from them, and
 `check_structure` verifies a spec's declared constants on samples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 # slack on a declared structure bound, relative to 1 + |bound|
 _STRUCTURE_TOL = 1e-10
@@ -102,6 +102,24 @@ class BellmanSpec:
     @property
     def Lambda_ell(self):
         return max(ctl.Lambda_ell for ctl in self.controls)
+
+    def diffusions(self, points):
+        """a_beta at `points`, (controls, m, d, d); cells take Tr(a D^2) only."""
+        samples = [ctl.field.sample(points) for ctl in self.controls]
+        for k, (_, b, c) in enumerate(samples):
+            if b.any() or c.any():
+                raise InputError(f"control {k} has a drift or zeroth-order term; "
+                                 "Bellman cells take controls Tr(a D^2) only")
+        return np.array([a for a, _, _ in samples])
+
+    def envelope(self):
+        """1D a_min D^2, a_min = min_beta a_beta: the spec wherever D^2 < 0,
+        as on a positive eigenfunction and in the M = -1 cell (`cli.run_sweep`)."""
+        if self.dim != 1:
+            raise InputError("the envelope of Bellman controls is 1D only")
+        field = replace(constant_field(1, 1.0),
+                        a=lambda pts: self.diffusions(pts).min(axis=0))
+        return LinearOperatorSpec(field, self.lambda_ell, self.Lambda_ell)
 
 
 def check_structure(spec, points):

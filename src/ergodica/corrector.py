@@ -267,8 +267,8 @@ def prepare_expansion(u_pair: ToeplitzPair, cell: ErgodicSolution,
     """Everything in the 1D Bellman expansion around u_pair, the effective
     eigenpair of m_minus D^2, that does not depend on eps: u'' < 0, so by
     1-homogeneity w_2(x, y) = |u''(x)| chi_-(y), chi_- from the M = -1 cell
-    on the rows' `domain.trace_grid` (`trace_cell`); `cell`, on n_torus,
-    gives w2F_residual = max ||u''| gamma + lambda_bar u| on the interior.
+    (`torus.solve_concave_cell`) on the rows' `trace_grid` (`trace_cell`);
+    `cell`, on n_torus, gives w2F_residual = max ||u''| gamma + lambda_bar u|.
 
     There is no first-order term: the data Psi_1 of w_1 averages
     2 a_pol d_x d_y w_2 against the invariant measure mu ~ 1/a_pol of the

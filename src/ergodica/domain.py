@@ -149,6 +149,11 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
     avals = np.asarray(avals, dtype=float).reshape(-1, d, d)
     bvals = np.asarray(bvals, dtype=float).reshape(-1, d)
     cvals = np.asarray(cvals, dtype=float).reshape(-1)
+    need = np.prod(grid.shape) if at is None else node_index(at).max() + 1
+    if not len(avals) == len(bvals) == len(cvals) == need:
+        raise InputError(f"{need} samples needed on a grid of shape {grid.shape}"
+                         f"; got {len(avals)} of a, {len(bvals)} of b and "
+                         f"{len(cvals)} of c")
     if at is None:  # the interior samples are the rows, in order
         avals, bvals, cvals = (np.take(s, interior, axis=0)
                                for s in (avals, bvals, cvals))

@@ -12,9 +12,9 @@ constants of `build_corrector_set` and `effective_linear`.
 
 The homogenized Bellman map F_bar(M) is the ergodic constant of
 `torus.solve_nonlinear_cell` at M, convex and positively 1-homogeneous. A
-1D Bellman sweep reads only m_minus = -F_bar(-1): with pure second-order
-controls a positive eigenfunction is strictly concave, so its effective
-operator is m_minus D^2 (`cli.run_sweep`).
+1D Bellman sweep is linear: with pure second-order controls a positive
+eigenfunction is strictly concave, so it is the sweep of the envelope
+a_min D^2, whose a_bar is m_minus = -F_bar(-1) (`cli.run_sweep`).
 """
 
 from dataclasses import dataclass

@@ -268,6 +268,9 @@ def effective_eigenpair(eff: EffectiveLinear, grid: DomainGrid, tol=1e-9):
     `KroneckerPair` of one per axis for a diagonal a_bar in 2D (c_bar on
     axis 0, as `axis_samples`). An a_bar with a cross term goes to
     `linear_eigenpair` at `tol`, the one effective eigensolve left."""
+    if eff.a_bar.shape != (grid.dim,) * 2 or np.shape(eff.b_bar) != (grid.dim,):
+        raise InputError(f"a_bar of shape {eff.a_bar.shape} and b_bar of shape "
+                         f"{np.shape(eff.b_bar)} on a {grid.dim}D grid")
     if grid.dim == 2 and (eff.a_bar[0, 1] or eff.a_bar[1, 0]):
         samples, at = effective_samples(eff, grid)
         return linear_eigenpair(grid, *samples, tol=tol, at=at)[0]
@@ -359,8 +362,8 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
     the policy is stationary (at most MAX_HOWARD_OUTER sweeps). Eigenvalues
     never rise (the optimal one is the minimum over frozen policies). The
     first policy is control 0, improved once by `improve_policy` against
-    the start vector `x0` when one is given (see `principal_eigenpair`; a
-    sweep passes the homogenized eigenfunction). The first eigensolve starts
+    the start vector `x0` when one is given (see `principal_eigenpair`; the
+    homogenized eigenfunction is a good one). The first eigensolve starts
     from x0 (or ones), each later one from the previous eigenfunction. The
     pair's `iterations` add up the inverse-power iterations of all of them.
     """

@@ -32,13 +32,14 @@ solves with it. scipy is imported only where a SuperLU factor and its CSR
 are made, never for 1D operators or separable 2D rows.
 
 `policy_iteration` is the package's one Howard loop, for the Bellman cell
-problem and the Bellman eigenproblem (`eigen.principal_eigenpair_bellman`),
-and `improve_policy` its one switching rule, which also seeds the
+problem and eigenproblem (`eigen.principal_eigenpair_bellman`) of the API
+and `ergodica eigen`; a sweep's 1D cells are linear (`solve_concave_cell`).
+`improve_policy` is its one switching rule, which also seeds the
 eigenproblem's first policy from a start vector; a frozen policy gathers
 the controls' weights row by row (`stencils.select_weights`) in any
-dimension. Each caller keeps its own check:
-a Bellman residual below tolerance once the policy settles (cell), an
-eigenvalue that does not rise between sweeps (eigen).
+dimension. Each caller keeps its own check: a Bellman residual below
+tolerance once the policy settles (cell), an eigenvalue that does not rise
+between sweeps (eigen).
 """
 
 from dataclasses import dataclass
@@ -92,8 +93,12 @@ class FactoredOperator:
         return isinstance(self._lu, _CyclicReduction)
 
     def solve(self, B):
-        """Solve  M X = B  for a vector or an (n, k) block B."""
-        X = self._lu.solve(np.asarray(B, dtype=float))
+        """Solve  M X = B  for a vector or an (n, k) block B of n rows."""
+        B, n = np.asarray(B, dtype=float), self._lu.shape[0]
+        if B.shape[:1] != (n,):
+            raise InputError(f"right-hand side of shape {B.shape} for a "
+                             f"matrix of order {n}")
+        X = self._lu.solve(B)
         if not np.all(np.isfinite(X)):
             kind = "tridiagonal" if self.tridiagonal else "sparse"
             raise SolverError(f"{kind} LU solve produced nonfinite values")
@@ -203,7 +208,7 @@ class _CyclicReduction:
                 f"row {self._row(bad, halves)} is zero, nonfinite or not of "
                 "the diagonal's sign (the bands are not +-a nonsingular "
                 "M-matrix)")
-        self._n, self._plans = n, {}
+        self._n, self._plans, self.shape = n, {}, (n, n)
 
     @staticmethod
     def _row(k, halves):
@@ -248,9 +253,6 @@ class _CyclicReduction:
         return plan
 
     def solve(self, B):
-        if B.shape[:1] != (self._n,):
-            raise InputError(f"right-hand side of shape {B.shape} for a "
-                             f"matrix of order {self._n}")
         plan = self._plan(B.shape)
         X = np.empty(B.shape)
         mul, add = np.multiply, np.add
@@ -554,14 +556,8 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
     """
     M = np.asarray(M, dtype=float).reshape(spec.dim, spec.dim)
     M = 0.5 * (M + M.T)
-    pts = grid.points()
     nodes = np.arange(grid.npoints)
-    samples = [ctl.field.sample(pts) for ctl in spec.controls]
-    for k, (_, b, c) in enumerate(samples):
-        if b.any() or c.any():
-            raise InputError(f"control {k} has a drift or zeroth-order term; "
-                             "Bellman cells take controls Tr(a D^2) only")
-    avals = np.array([a for a, _, _ in samples])
+    avals = spec.diffusions(grid.points())
     ops = [_diffusion_operator(a, grid) for a in avals]
     fs = np.einsum("knij,ji->kn", avals, M)  # (n_controls, N)
 
@@ -583,3 +579,11 @@ def solve_nonlinear_cell(spec: BellmanSpec, M, grid: PeriodicGrid, tol=1e-10):
             f"above {bound:.3e}; gamma={sol.gamma:.12g}"
         )
     return sol, policy
+
+
+def solve_concave_cell(envelope, grid: PeriodicGrid):
+    """The M = -1 cell of a 1D `BellmanSpec.envelope()` a_min D^2: Howard's
+    cell `solve_nonlinear_cell` at its optimal policy argmin a, bit for bit."""
+    a = envelope.field.sample(grid.points())[0]
+    return solve_cell(_diffusion_operator(a, grid), -a[:, 0, 0], grid,
+                      lu=CellFactor1D(a[:, 0, 0]))

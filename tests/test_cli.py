@@ -156,41 +156,49 @@ class TestRunSweep:
             assert abs(row["lambda_eps"] - ref) <= cfg.tol + rounding
 
     def test_bellman_cell_solves_do_not_grow_with_eps(self, monkeypatch):
-        # the M = -1 cell alone serves the effective operator (n_torus =
-        # 32), and once more the expansion, on the trace grid of the rows
-        # (n = 128 and 512 cells): a sweep solves one or two, however many
-        # rows, and never the M = +1 cell
+        # lambda_bar is the envelope a_min D^2's first-order a_bar on the
+        # n_torus = 32 cells; the expansion alone solves the M = -1 cell, on
+        # n_torus and on the trace grid of the rows (n = 128 and 512 cells),
+        # each the linear cell of a_min: however many rows, one effective
+        # stage and two cells or none
         import ergodica.cli as cli_mod
-        real = cli_mod.solve_nonlinear_cell
-        calls = []
+        real_cell, real_eff = cli_mod.solve_concave_cell, \
+            cli_mod.first_order_effective
+        calls, effective = [], []
 
-        def counted(spec, M, grid, *args, **kwargs):
-            calls.append((np.asarray(M).item(), grid.n))
-            return real(spec, M, grid, *args, **kwargs)
+        def counted(envelope, grid):
+            calls.append((-1.0, grid.n))
+            return real_cell(envelope, grid)
 
-        monkeypatch.setattr(cli_mod, "solve_nonlinear_cell", counted)
+        def counted_eff(spec, grid):
+            effective.append(grid.n)
+            return real_eff(spec, grid)
+
+        monkeypatch.setattr(cli_mod, "solve_concave_cell", counted)
+        monkeypatch.setattr(cli_mod, "first_order_effective", counted_eff)
         for (eps_list, n_t), (meas, cells) in itertools.product(
                 (([1 / 4, 1 / 8], 32), ([1 / 4, 1 / 8, 1 / 16, 1 / 32], 128)),
-                ((("residual_slope",), 2), (("lambda_rate",), 1))):
-            calls.clear()
+                ((("residual_slope",), 2), (("lambda_rate",), 0))):
+            calls.clear(), effective.clear()
             cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
                                  eps_list=eps_list, q=16, n_torus=32,
                                  measurements=meas)
             rep = eg.run_sweep(cfg)
             assert len(rep.rows) == len(eps_list)
             assert calls == [(-1.0, 32), (-1.0, n_t)][:cells]
+            assert effective == [32]
 
     @pytest.mark.parametrize("problem, mode, meas, rows_per_eps", [
         ("sin-abc", "linear", ALL_MEASUREMENTS, 1),
         ("sep-2d", "linear", ("lambda_rate", "eigfun_rate", "z_rate"), 1),
-        ("bellman-2ctl-1d", "bellman", ("lambda_rate", "residual_slope"), None),
+        ("bellman-2ctl-1d", "bellman", ("lambda_rate", "residual_slope"), 1),
     ])
     def test_no_effective_eigensolve(self, monkeypatch, problem, mode, meas,
                                      rows_per_eps):
         # the effective pair is a closed form: every inverse iteration is
-        # some row's (its operator oscillates), one per 1D row and one per
-        # distinct axis of a separable 2D row (sep-2d's two axes are one
-        # problem), and every eigenproblem Howard loop is a Bellman row's
+        # some row's (its operator oscillates), one per 1D row (a Bellman
+        # row's is its envelope's) and one per distinct axis of a separable
+        # 2D row (sep-2d's two axes are one problem); no row runs Howard
         import ergodica.cli as cli_mod
         import ergodica.eigen as eigen_mod
         solved, howard = [], []
@@ -214,33 +222,45 @@ class TestRunSweep:
             measurements=meas, timing=False))
         assert rep.failures == [] and len(rep.rows) == 3
         assert all(np.ptp(op.diag) > 0 for op in solved)
-        if mode == "bellman":
-            assert len(howard) == len(eps_list) <= len(solved)
-        else:
-            assert howard == [] and len(solved) == rows_per_eps * len(eps_list)
+        assert howard == [] and len(solved) == rows_per_eps * len(eps_list)
 
     def test_bellman_residual_ignores_the_last_digits_of_m_minus(
             self, monkeypatch):
         # the bellman-1d grid (n = 16 384) at eps = 1/8: a 2e-14 change of
         # gamma_- moved the residual at its 1e-4 digit when u came from an
         # eigensolve differentiated by 4th-order stencils (1/h^2 times the
-        # noise of u); with the closed form it moves u not at all
+        # noise of u); with the closed form it moves u not at all. gamma_- is
+        # -a_bar of the envelope's first-order effective stage, and again
+        # the gamma of the M = -1 cells of the expansion: all carry the shift
+        import dataclasses
         import ergodica.cli as cli_mod
-        real = cli_mod.solve_nonlinear_cell
+        real_cell, real_eff = cli_mod.solve_concave_cell, \
+            cli_mod.first_order_effective
         cfg = eg.SweepConfig(problem="bellman-2ctl-1d", mode="bellman",
                              eps_list=[1 / 8, 1 / 256], q=64, n_torus=512,
                              measurements=("residual_slope",), timing=False)
-        residual = []
+        out, shifted = [], []
         for shift in (0.0, 2e-14):
-            def shifted(*args, **kwargs):
-                cell, policy = real(*args, **kwargs)
+            def shifted_cell(*args, **kwargs):
+                cell = real_cell(*args, **kwargs)
                 cell.gamma += shift
-                return cell, policy
+                shifted.append(("cell", shift))
+                return cell
 
-            monkeypatch.setattr(cli_mod, "solve_nonlinear_cell", shifted)
+            def shifted_eff(*args, **kwargs):
+                eff = real_eff(*args, **kwargs)
+                shifted.append(("a_bar", shift))
+                return dataclasses.replace(eff, a_bar=eff.a_bar - shift)
+
+            monkeypatch.setattr(cli_mod, "solve_concave_cell", shifted_cell)
+            monkeypatch.setattr(cli_mod, "first_order_effective", shifted_eff)
             rep = eg.run_sweep(cfg)
             assert rep.failures == []
-            residual.append(rep.rows[0]["residual"])
+            out.append((rep.rows[0]["residual"], rep.lambda_bar))
+        residual, lam = zip(*out)
+        assert lam[1] != lam[0]  # the shift reaches m_minus and u
+        assert shifted == [(kind, shift) for shift in (0.0, 2e-14)
+                           for kind in ("a_bar", "cell", "cell")]
         assert residual[0] > 0.1
         assert abs(residual[1] - residual[0]) <= 1e-9 * residual[0]
 
@@ -263,29 +283,20 @@ class TestRunSweep:
         assert abs(core[1] - core[0]) <= 0.2 * core[0]
 
     def test_bellman_rows_make_one_eigensolve(self, monkeypatch):
-        # each row starts Howard at the policy that is optimal against the
-        # homogenized eigenfunction, which on bellman-2ctl-1d is the row's
-        # own optimal policy: one frozen-policy eigensolve per row
+        # each row solves the envelope's linear eigenproblem once, started
+        # from the homogenized eigenfunction
         import ergodica.cli as cli_mod
-        import ergodica.eigen as eigen_mod
-        real_eig = eigen_mod.principal_eigenpair
-        real_bellman = cli_mod.principal_eigenpair_bellman
-        solves, calls = [], []
+        real_eig = cli_mod.principal_eigenpair
+        calls = []
 
         def eig(op, **kwargs):
-            solves.append(op)
-            return real_eig(op, **kwargs)
-
-        def bellman(*args, **kwargs):
-            solves.clear()
-            out = real_bellman(*args, **kwargs)
-            calls.append((kwargs.get("x0"), out[0], len(solves)))
-            return out
+            pair = real_eig(op, **kwargs)
+            calls.append((kwargs.get("x0"), op, pair))
+            return pair
 
         effective = []
         real_effective = cli_mod.effective_eigenpair
-        monkeypatch.setattr(eigen_mod, "principal_eigenpair", eig)
-        monkeypatch.setattr(cli_mod, "principal_eigenpair_bellman", bellman)
+        monkeypatch.setattr(cli_mod, "principal_eigenpair", eig)
         monkeypatch.setattr(cli_mod, "effective_eigenpair",
                             lambda *a, **k: effective.append(
                                 real_effective(*a, **k)) or effective[-1])
@@ -294,7 +305,46 @@ class TestRunSweep:
                              timing=False)
         rep = eg.run_sweep(cfg)
         assert rep.failures == [] and len(calls) == 3 and len(effective) == 1
-        assert all(x0 is effective[0].phi and n == 1 for x0, _, n in calls)
+        assert all(x0 is effective[0].phi for x0, _, _ in calls)
+        envelope = build_problem("bellman-2ctl-1d")["spec"].envelope()
+        grid = eg.DomainGrid.unit(1, rep.grid["n_cells"])
+        for row, (_, op, pair) in zip(rep.rows, calls, strict=True):
+            ref = eg.assemble_oscillatory(envelope, row["eps"], grid)
+            assert op.diag.tobytes() == ref.diag.tobytes()
+            assert row["lambda_eps"] == pair.lam
+
+    @pytest.mark.parametrize("meas", [("lambda_rate",),
+                                      ("lambda_rate", "residual_slope")])
+    def test_bellman_sweep_runs_no_howard(self, monkeypatch, meas):
+        # a 1D Bellman sweep is the linear sweep of its envelope a_min D^2:
+        # no nonlinear cell, no Howard loop and no Bellman eigensolve, one
+        # eigensolve per row; only the residual assembles the controls
+        import ergodica.cli as cli_mod
+        import ergodica.eigen as eigen_mod
+        import ergodica.torus as torus_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Bellman sweep ran Howard")
+
+        for module, name in ((torus_mod, "solve_nonlinear_cell"),
+                             (torus_mod, "policy_iteration"),
+                             (eigen_mod, "policy_iteration"),
+                             (cli_mod, "principal_eigenpair_bellman")):
+            monkeypatch.setattr(module, name, forbidden)
+        solves, built = [], []
+        real_eig, real_ops = cli_mod.principal_eigenpair, \
+            cli_mod.bellman_operators
+        monkeypatch.setattr(cli_mod, "principal_eigenpair",
+                            lambda op, **k: solves.append(op) or real_eig(op, **k))
+        monkeypatch.setattr(cli_mod, "bellman_operators",
+                            lambda *a: built.append(a) or real_ops(*a))
+        eps_list = [1 / 4, 1 / 8, 1 / 16]
+        rep = eg.run_sweep(eg.SweepConfig(
+            problem="bellman-2ctl-1d", mode="bellman", eps_list=eps_list, q=16,
+            n_torus=32, measurements=meas, timing=False))
+        assert rep.failures == [] and len(rep.rows) == 3
+        assert len(solves) == len(eps_list)
+        assert len(built) == (len(eps_list) if "residual_slope" in meas else 0)
 
     def test_linear_rows_start_from_the_expansion(self, monkeypatch):
         # a 1D row that computes v_eps starts inverse iteration from

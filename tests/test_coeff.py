@@ -29,6 +29,13 @@ class TestBellman:
         zero = apply_bellman(spec, 1.0, g, np.zeros(g.shape))
         assert np.all(zero == 0.0)
 
+    def test_envelope_is_1d_only(self):
+        # the nodewise min of 2D matrices is no envelope of the controls
+        spec = eg.BellmanSpec([eg.LinearOperatorSpec(eg.constant_field(2, 1.0),
+                                                     1, 1)])
+        with pytest.raises(eg.InputError, match="1D only"):
+            spec.envelope()
+
     def test_singleton_matches_linear(self):
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.4, b_amp=0.2,
                                                      c0=0.1, c_amp=0.1),

@@ -139,6 +139,25 @@ class TestAssembly:
         with pytest.raises(eg.AssemblyError):
             linear_op(bad, g)
 
+    @pytest.mark.parametrize("counts", [(5, 5, 5), (10, 10, 10), (9, 9, 5)])
+    def test_sample_count_must_match_the_grid(self, counts):
+        # 5 samples on the 9 nodes of DomainGrid.unit(1, 8) raised IndexError
+        # from the gather to the interior nodes
+        g = eg.DomainGrid.unit(1, 8)
+        na, nb, nc = counts
+        with pytest.raises(eg.InputError, match=f"9 samples needed on a grid "
+                           rf"of shape \(9,\); got {na} of a, {nb} of b"):
+            assemble_linear(g, np.ones(na), np.zeros(nb), np.zeros(nc))
+
+    def test_sample_count_must_match_the_fast_rows(self):
+        # eps = 1/4 on 64 cells: `at` gathers 16 distinct rows to the nodes
+        g = eg.DomainGrid.unit(1, 64)
+        rows, at = eg.fast_coordinates(g, 1 / 4)
+        a, b, c = eg.sin_field_1d().sample(rows)
+        assert len(rows) == 16
+        with pytest.raises(eg.InputError, match="16 samples needed"):
+            assemble_linear(g, a[:8], b[:8], c[:8], at)
+
     def test_oscillatory_samples_rescaled_coefficients(self):
         spec = eg.LinearOperatorSpec(eg.sin_field_1d(delta=0.5), 0.5, 1.5)
         g = eg.DomainGrid.unit(1, 64)
@@ -309,6 +328,18 @@ class TestDirichletSolve:
         u1 = eg.dirichlet_solve(op, -np.ones(ni))
         u2 = eg.dirichlet_solve(op, -2 * np.ones(ni))
         assert np.all(u2.values >= u1.values - 1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_full_node_rhs_is_an_input_error(self, dim):
+        # the right-hand side is interior only; a full-node one is refused
+        # on the band path (1D) and on the SuperLU path (2D), where it raised
+        # scipy's bare "ValueError: b is of incompatible size"
+        g = eg.DomainGrid.unit(dim, 8)
+        op = linear_op(eg.constant_field(dim, 1.0), g)
+        with pytest.raises(eg.InputError, match=rf"shape \({9 ** dim},\) for "
+                           f"a matrix of order {7 ** dim}"):
+            eg.dirichlet_solve(op, np.ones(9 ** dim))
+        assert eg.dirichlet_solve(op, -np.ones(7 ** dim)).values.min() >= 0
 
 
 class TestBellmanApply:

@@ -11,7 +11,8 @@ from ergodica.cli import build_problem
 from ergodica.domain import (assemble_linear, effective_samples, fast_coordinates,
                              properness_shift, shifted_m_matrix)
 from ergodica.eigen import _freeze_policy, axis_samples, linear_eigenpair
-from ergodica.torus import FactoredOperator
+from ergodica.torus import (CellFactor1D, FactoredOperator,
+                            assemble_torus_diffusion)
 from referees import (collatz_wielandt, csr, gth_eigenvalue,
                       oscillatory_samples, plain_inverse_iteration,
                       stored_row_sums)
@@ -903,6 +904,15 @@ class TestClosedFormEffective:
         assert [d.values.tobytes() for d in pair.derivatives(3, 1)] == \
             [together[3].values.tobytes(), together[1].values.tobytes()]
 
+    @pytest.mark.parametrize("dim, d, db", [(1, 2, 2), (2, 1, 1), (1, 1, 2)])
+    def test_a_bar_of_another_dimension_is_an_input_error(self, dim, d, db):
+        # a 2x2 a_bar on a 1D grid returned the pair of a_bar[0, 0], lambda
+        # 9.7434, and a 1x1 one on a 2D grid raised IndexError
+        eff = eg.EffectiveLinear(np.eye(d), np.zeros(db), 0.0)
+        with pytest.raises(eg.InputError, match=rf"a_bar of shape \({d}, {d}\)"
+                           rf" and b_bar of shape \({db},\) on a {dim}D grid"):
+            eg.effective_eigenpair(eff, eg.DomainGrid.unit(dim, 8))
+
     def test_cross_term_keeps_the_eigensolve(self, monkeypatch):
         # a_bar with a cross term does not separate: the assembled
         # eigensolve, the one effective eigensolve left
@@ -971,3 +981,39 @@ class TestBellmanIsLinearOfAmin:
             rep["w2_trace"].values, w2.values, rtol=0,
             atol=8 * np.finfo(float).eps * np.max(np.abs(w2.values)))
         assert np.max(np.abs(w2.values)) > 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.3, 2.0), st.floats(0.0, 0.9),
+                              st.floats(0.0, 1.0)), min_size=2, max_size=3))
+    def test_random_controls_are_their_envelope(self, params):
+        # controls a_k(y) = m (1 + r sin(2 pi (y + p))), positive and pure
+        # second order: Howard's M = -1 cell is the closed-form cell of
+        # a_min with the policy argmin a, bit for bit, and the Bellman
+        # eigenvalue lies in the bracket of the envelope's eigensolve
+        def control(m, r, p):
+            a = lambda pts: (m * (1 + r * np.sin(2 * np.pi * (pts[:, 0] + p)))
+                             )[:, None, None]
+            field = eg.CoefficientField(1, a, lambda pts: np.zeros((len(pts), 1)),
+                                        lambda pts: np.zeros(len(pts)))
+            return eg.LinearOperatorSpec(field, m * (1 - r), m * (1 + r))
+
+        spec = eg.BellmanSpec([control(*ps) for ps in params])
+        torus = eg.PeriodicGrid(1, 32)
+        a = np.array([ctl.field.a(torus.points())[:, 0, 0]
+                      for ctl in spec.controls])
+        envelope = spec.envelope()
+        np.testing.assert_array_equal(
+            envelope.field.a(torus.points())[:, 0, 0], a.min(axis=0))
+        a_min = min_control_spec(spec)
+        ref = eg.solve_cell(assemble_torus_diffusion(a_min.field, torus),
+                            -a.min(axis=0), torus,
+                            lu=CellFactor1D(a.min(axis=0)))
+        cell, policy = eg.solve_nonlinear_cell(spec, [[-1.0]], torus)
+        np.testing.assert_array_equal(policy, np.argmin(a, axis=0))
+        assert cell.gamma == ref.gamma
+        assert cell.chi.values.tobytes() == ref.chi.values.tobytes()
+
+        grid, eps = eg.DomainGrid.unit(1, 64), 1 / 4
+        linear = eg.principal_eigenpair(eg.assemble_oscillatory(envelope, eps, grid))
+        bellman, _ = eg.principal_eigenpair_bellman(spec, eps, grid, tol=1e-12)
+        assert linear.cw_lower <= bellman.lam <= linear.cw_upper

@@ -575,6 +575,9 @@ class TestNonlinearCell:
         for M in ([[1.0]], [[-1.0]]):
             with pytest.raises(eg.InputError, match="control 1 has a drift"):
                 eg.solve_nonlinear_cell(bs, M, eg.PeriodicGrid(1, 64))
+        # the sweep's envelope cell reads the same check
+        with pytest.raises(eg.InputError, match="control 1 has a drift"):
+            torus_mod.solve_concave_cell(bs.envelope(), eg.PeriodicGrid(1, 64))
 
     @pytest.mark.parametrize("n", [16384, 65536])
     def test_fine_cells_settle(self, n):
