@@ -47,9 +47,9 @@ prepared = eg.prepare_expansion(eff_pair, cells[-1.0], trace_cell)
 print(f"\n{'eps':>8} {'lambda_eps':>14} {'|err|':>10} {'residual':>10}")
 for m in ms:
     eps = 1 / m
-    ops = eg.bellman_operators(bs, eps, grid)
-    pair, _ = eg.principal_eigenpair_bellman(bs, eps, grid, ops=ops)
-    _, rep = eg.nonlinear_expansion(eff_pair, eps, prepared, ops)
+    pair, _ = eg.principal_eigenpair_bellman(bs, eps, grid)
+    _, rep = eg.nonlinear_expansion(eff_pair, eps, prepared,
+                                    eg.bellman_operators(bs, eps, grid))
     print(f"{eps:8.5f} {pair.lam:14.9f} "
           f"{abs(pair.lam - eff_pair.lam):10.2e} "
           f"{rep['expansion_residual_interior']:10.2e}")

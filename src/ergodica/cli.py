@@ -32,8 +32,7 @@ from .domain import (DomainGrid, assemble_effective, assemble_linear,
                      trace_grid)
 from .effective import (build_corrector_set, effective_linear,
                         first_order_effective)
-from .eigen import (effective_eigenpair, linear_eigenpair, principal_eigenpair,
-                    principal_eigenpair_bellman)
+from .eigen import effective_eigenpair, linear_eigenpair, principal_eigenpair
 from .errors import ConfigError, ErgodicaError, SolverError
 from .torus import GridFunction, PeriodicGrid, solve_concave_cell
 
@@ -275,23 +274,23 @@ def _linear_effective(spec, grid, config, eps_list=None):
                                 assemble_effective(eff, grid))
 
 
-def run_sweep(config: SweepConfig) -> SweepReport:
-    """Run the full per-epsilon study described by the configuration.
+def _sweep_stage(config: SweepConfig, eps_list):
+    """The eps-independent stage of a sweep whose trace grid holds
+    `eps_list`: (grid, effective pair, row), row(eps) -> (row dict, pair)
+    solving the sweep's row at eps. `run_sweep` and `ergodica eigen` share it.
 
     lambda_bar comes from the n_torus cells, the effective eigenpair from
     `effective_eigenpair`; a Bellman sweep is the linear one of its
     `BellmanSpec.envelope` a_min D^2 (no Howard). The expansion of a 1D sweep
     with `v_norm` or `residual_slope` reads cells solved on the `trace_grid`
-    of its rows. Every row reports its eigensolve's bracket and iterations. The
-    homogenized eigenfunction u is read only where it is used: by 1D and
-    Bellman rows, the pivot columns, and a 2D row that is not separable,
-    whose eigensolve starts from it.
+    of `eps_list`. The homogenized eigenfunction u is read only where it is
+    used: by 1D and Bellman rows, the pivot columns, and a 2D row that is not
+    separable, whose eigensolve starts from it.
     """
     problem = config_problem(config)
     dim = problem["dim"]
     spec = problem["spec"]
-    n_cells = config.q * max(config.denominators())
-    grid = DomainGrid.unit(dim, n_cells)
+    grid = DomainGrid.unit(dim, config.q * max(config.denominators()))
     meas = set(config.measurements)
     if config.mode == "bellman" and dim != 1:
         raise ConfigError("bellman sweeps are supported in 1D only")
@@ -303,8 +302,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if config.mode == "bellman":  # only the residual reads the controls
         spec = spec.envelope()
     expand = config.mode == "linear" and bool(meas & {"v_norm", "residual_slope"})
-    eff_pair, slow = _linear_effective(
-        spec, grid, config, config.eps_list if expand else None)
+    eff_pair, slow = _linear_effective(spec, grid, config,
+                                       eps_list if expand else None)
     lam_bar = eff_pair.lam
 
     # the eps-independent part of the Bellman expansion; rows only read it
@@ -312,7 +311,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     if config.mode == "bellman" and "residual_slope" in meas:
         prepared = prepare_expansion(eff_pair, *(
             solve_concave_cell(spec, cells) for cells in
-            (PeriodicGrid(1, config.n_torus), trace_grid(grid, config.eps_list))))
+            (PeriodicGrid(1, config.n_torus), trace_grid(grid, eps_list))))
     needs_pivot = config.mode == "linear" and bool(meas & {"eigfun_rate", "z_rate"})
 
     def one_row(eps):
@@ -364,18 +363,29 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             row["w2F_residual"] = rep["w2F_residual"]
         if config.timing:
             row["seconds"] = time.perf_counter() - t0
-        return row
+        return row, pair
 
+    return grid, eff_pair, one_row
+
+
+def run_sweep(config: SweepConfig) -> SweepReport:
+    """Run the full per-epsilon study described by the configuration: the
+    `_sweep_stage` of its eps_list, one row per eps and the rate fits. Every
+    row reports its eigensolve's bracket and iterations; a row that raises
+    an ErgodicaError is recorded as a failure.
+    """
+    grid, eff_pair, one_row = _sweep_stage(config, config.eps_list)
     rows, failures = [], []
     for eps in config.eps_list:
         try:
-            rows.append(one_row(eps))
+            rows.append(one_row(eps)[0])  # the pair is freed before the next row
         except ErgodicaError as exc:
             failures.append({"eps": eps, "reason": str(exc)})
 
+    meas = set(config.measurements)
     report = SweepReport(
-        problem=config.problem, mode=config.mode, lambda_bar=lam_bar,
-        grid={"dim": dim, "n_cells": n_cells, "n_torus": config.n_torus,
+        problem=config.problem, mode=config.mode, lambda_bar=eff_pair.lam,
+        grid={"dim": grid.dim, "n_cells": grid.n[0], "n_torus": config.n_torus,
               "q": config.q},
         measurements=config.measurements, rows=rows, fits={}, failures=failures,
     )
@@ -470,21 +480,18 @@ def _cmd_effective(config, args):
 def _cmd_eigen(config, args):
     if args.out:
         _make_dir(args.out)  # before the eigensolve, not after it
-    problem = config_problem(config)
-    grid = DomainGrid.unit(problem["dim"], config.q * max(config.denominators()))
     if args.effective:
+        problem = config_problem(config)
         if problem["mode"] != "linear":
             raise ConfigError("--effective applies to linear problems")
+        grid = DomainGrid.unit(problem["dim"],
+                               config.q * max(config.denominators()))
         pair, _ = _linear_effective(problem["spec"], grid, config)
     else:
+        # the sweep's row at eps; the trace grid also holds an eps off eps_list
         eps = args.eps if args.eps is not None else config.eps_list[0]
-        if problem["mode"] == "linear":
-            rows, at = fast_coordinates(grid, eps)
-            pair, _ = linear_eigenpair(grid, *problem["spec"].field.sample(rows),
-                                       tol=config.tol, at=at)
-        else:
-            pair, _ = principal_eigenpair_bellman(problem["spec"], eps, grid,
-                                                  tol=config.tol)
+        _, _, row = _sweep_stage(config, [*config.eps_list, eps])
+        _, pair = row(eps)
     print(json.dumps({
         "lambda": pair.lam,
         "cw_lower": pair.cw_lower,

@@ -143,17 +143,19 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
     from coefficient samples at every node, or at the rows that `at` (from
     `fast_coordinates`) gathers to the nodes: the weights are formed per
     sample and gathered to the interior nodes. c_max is the largest c at
-    an interior node."""
+    an interior node. A sample count that does not match, or a nonfinite
+    sample that the rows read, is an InputError."""
     d = grid.dim
     interior = grid.interior_index()
-    avals = np.asarray(avals, dtype=float).reshape(-1, d, d)
-    bvals = np.asarray(bvals, dtype=float).reshape(-1, d)
-    cvals = np.asarray(cvals, dtype=float).reshape(-1)
+    avals, bvals, cvals = (np.asarray(s, dtype=float)
+                           for s in (avals, bvals, cvals))
     need = np.prod(grid.shape) if at is None else node_index(at).max() + 1
-    if not len(avals) == len(bvals) == len(cvals) == need:
+    if not avals.size / d ** 2 == bvals.size / d == cvals.size == need:
         raise InputError(f"{need} samples needed on a grid of shape {grid.shape}"
-                         f"; got {len(avals)} of a, {len(bvals)} of b and "
-                         f"{len(cvals)} of c")
+                         f"; got {avals.size / d ** 2:g} of a, {bvals.size / d:g} "
+                         f"of b and {cvals.size} of c")
+    avals, bvals = avals.reshape(-1, d, d), bvals.reshape(-1, d)
+    cvals = cvals.reshape(-1)
     if at is None:  # the interior samples are the rows, in order
         avals, bvals, cvals = (np.take(s, interior, axis=0)
                                for s in (avals, bvals, cvals))
@@ -163,6 +165,14 @@ def assemble_linear(grid: DomainGrid, avals, bvals, cvals,
         nodes = np.zeros(len(cvals), dtype=np.intp)  # named by AssemblyError
         nodes[at] = interior
         rows_of = lambda s: np.take(s, at, axis=0)
+    # the sums are nonfinite when a sample is (or when they overflow)
+    if not np.isfinite(avals.sum() + bvals.sum() + cvals.sum()):
+        for name, s in (("a", avals), ("b", bvals), ("c", cvals)):
+            bad = np.flatnonzero(~np.isfinite(s.reshape(len(s), -1)).all(axis=1))
+            if len(bad):
+                node = tuple(map(int, np.unravel_index(nodes[bad[0]], grid.shape)))
+                raise InputError(f"coefficient {name} is not finite at node "
+                                 f"{node}: {s[bad[0]].tolist()}")
     neighbours, diag = stencil_weights(avals, bvals, cvals, grid.h, grid.shape,
                                        nodes, wrap=False)
     return DiscreteOperator({o: rows_of(w) for o, w in neighbours.items()},

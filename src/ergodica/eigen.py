@@ -42,8 +42,7 @@ from .domain import (
 from .effective import EffectiveLinear
 from .errors import InputError, IterationError, SolverError
 from .stencils import select_weights, separable_by_axis, stencil_weights
-from .torus import (FactoredOperator, GridFunction, improve_policy,
-                    policy_iteration)
+from .torus import FactoredOperator, GridFunction, policy_iteration
 
 MAX_POWER_ITER = 500
 MAX_HOWARD_OUTER = 60
@@ -354,28 +353,20 @@ def linear_eigenpair(grid: DomainGrid, avals, bvals, cvals, tol=1e-9,
 
 
 def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
-                                tol=1e-9, ops=None, x0=None):
+                                tol=1e-9):
     """Principal eigenpair of the sup-form Bellman operator, plus its policy.
 
     Howard outer loop: solve the frozen-policy eigenpair, re-select the
     nodewise argmax control against the current eigenfunction, repeat until
     the policy is stationary (at most MAX_HOWARD_OUTER sweeps). Eigenvalues
     never rise (the optimal one is the minimum over frozen policies). The
-    first policy is control 0, improved once by `improve_policy` against
-    the start vector `x0` when one is given (see `principal_eigenpair`; the
-    homogenized eigenfunction is a good one). The first eigensolve starts
-    from x0 (or ones), each later one from the previous eigenfunction. The
-    pair's `iterations` add up the inverse-power iterations of all of them.
+    first policy is control 0 and its eigensolve starts from ones, each later
+    one from the previous eigenfunction. The pair's `iterations` add up the
+    inverse-power iterations of all of them.
     """
-    if ops is None:
-        ops = bellman_operators(spec, eps, grid)
+    ops = bellman_operators(spec, eps, grid)
     interior = grid.interior_index()
-    n = len(interior)
-    start = None if x0 is None else _start_vector(x0, grid, n)
-    prev = None
-
-    def values(vec):
-        return np.array([op @ vec for op in ops])
+    prev = start = None
 
     def evaluate(policy):
         nonlocal prev, start
@@ -388,12 +379,10 @@ def principal_eigenpair_bellman(spec: BellmanSpec, eps, grid: DomainGrid,
             )
         pair.iterations += 0 if prev is None else prev.iterations
         prev, start = pair, pair.phi.flat[interior]
-        return pair, values(start)
+        return pair, np.array([op @ start for op in ops])
 
-    policy = np.zeros(n, dtype=int)
-    if start is not None:
-        policy = improve_policy(values(start), policy)[1]
-    return policy_iteration(evaluate, policy, MAX_HOWARD_OUTER)
+    return policy_iteration(evaluate, np.zeros(len(interior), dtype=int),
+                            MAX_HOWARD_OUTER)
 
 
 def _freeze_policy(ops, policy, grid):

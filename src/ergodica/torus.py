@@ -31,15 +31,14 @@ grids here. A factor lives only as long as the function that
 solves with it. scipy is imported only where a SuperLU factor and its CSR
 are made, never for 1D operators or separable 2D rows.
 
-`policy_iteration` is the package's one Howard loop, for the Bellman cell
-problem and eigenproblem (`eigen.principal_eigenpair_bellman`) of the API
-and `ergodica eigen`; a sweep's 1D cells are linear (`solve_concave_cell`).
-`improve_policy` is its one switching rule, which also seeds the
-eigenproblem's first policy from a start vector; a frozen policy gathers
-the controls' weights row by row (`stencils.select_weights`) in any
-dimension. Each caller keeps its own check: a Bellman residual below
-tolerance once the policy settles (cell), an eigenvalue that does not rise
-between sweeps (eigen).
+`policy_iteration` is the package's one Howard loop and switching rule,
+for the Bellman cell problem and eigenproblem
+(`eigen.principal_eigenpair_bellman`) of the Python API; the 1D cells and
+rows of `ergodica sweep` and `eigen` are linear (`solve_concave_cell`). A
+frozen policy gathers the controls' weights row by row
+(`stencils.select_weights`) in any dimension. Each caller keeps its own
+check: a Bellman residual below tolerance once the policy settles (cell),
+an eigenvalue that does not rise between sweeps (eigen).
 """
 
 from dataclasses import dataclass
@@ -508,36 +507,27 @@ def gradient_matrices(grid: PeriodicGrid):
     return [Stencil(grid.n, D.diags, grid.shape, axis) for axis in range(grid.dim)]
 
 
-def improve_policy(values, policy):
-    """(improved, new policy): one Howard improvement step of `policy`
-    against values[beta, i], control beta's value at node i. A node switches
-    to its best control only when it beats the incumbent by more than
-    HOWARD_RTOL * (1 + max|best|), so ties keep the incumbent."""
-    best = values.max(axis=0)
-    improved = best - values[policy, np.arange(len(policy))] > \
-        HOWARD_RTOL * (1.0 + np.max(np.abs(best)))
-    if not improved.any():  # argmax over the controls is the costly part
-        return improved, policy
-    return improved, np.where(improved, np.argmax(values, axis=0), policy)
-
-
 def policy_iteration(evaluate, policy, max_iter):
     """Howard policy iteration on a nodewise control field.
 
     `evaluate(policy)` solves the problem frozen at `policy` and returns
     (result, values), values[beta, i] being control beta's value at node i
-    at that solution; `improve_policy` switches the nodes. Returns
-    (result, policy) once no node switches; raises IterationError when a
-    policy repeats (a cycle) or `max_iter` evaluations do not settle.
+    at that solution. A node switches to its best control only when it
+    beats the incumbent by more than HOWARD_RTOL * (1 + max|best|), so ties
+    keep the incumbent. Returns (result, policy) once no node switches;
+    raises IterationError when a policy repeats (a cycle) or `max_iter`
+    evaluations do not settle.
     """
     seen = set()
     for sweep in range(max_iter):
         result, values = evaluate(policy)
-        improved, new_policy = improve_policy(values, policy)
-        if not improved.any():
+        best = values.max(axis=0)
+        improved = best - values[policy, np.arange(len(policy))] > \
+            HOWARD_RTOL * (1.0 + np.max(np.abs(best)))
+        if not improved.any():  # argmax over the controls is the costly part
             return result, policy
         seen.add(policy.tobytes())
-        policy = new_policy
+        policy = np.where(improved, np.argmax(values, axis=0), policy)
         if policy.tobytes() in seen:
             raise IterationError(f"policy cycle at sweep {sweep}: "
                                  f"{int(improved.sum())} switches repeat a policy")

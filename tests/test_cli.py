@@ -328,8 +328,7 @@ class TestRunSweep:
 
         for module, name in ((torus_mod, "solve_nonlinear_cell"),
                              (torus_mod, "policy_iteration"),
-                             (eigen_mod, "policy_iteration"),
-                             (cli_mod, "principal_eigenpair_bellman")):
+                             (eigen_mod, "policy_iteration")):
             monkeypatch.setattr(module, name, forbidden)
         solves, built = [], []
         real_eig, real_ops = cli_mod.principal_eigenpair, \
@@ -771,6 +770,90 @@ class TestCli:
                                               abs=1e-2)
         assert out["cw_lower"] <= out["lambda"] <= out["cw_upper"]
         assert os.path.exists(os.path.join(out_dir, "phi.csv"))
+
+    @pytest.mark.parametrize("problem, mode, meas", [
+        ("sin-abc", "linear", ["lambda_rate"]),
+        ("sin-abc", "linear", ["lambda_rate", "eigfun_rate", "v_norm"]),
+        ("sep-2d", "linear", ["lambda_rate", "eigfun_rate", "z_rate"]),
+        ("pucci-1d", "bellman", ["lambda_rate", "residual_slope"]),
+        ("bellman-2ctl-1d", "bellman", ["lambda_rate"]),
+    ], ids=["sin-abc", "sin-abc-v_norm", "sep-2d", "pucci-1d",
+            "bellman-2ctl-1d"])
+    def test_eigen_eps_prints_the_sweep_row(self, tmp_path, capsys, problem,
+                                            mode, meas):
+        # one path per quantity: `eigen --eps` solves the sweep's row, with
+        # its start vector (u + v_eps under v_norm) and, for a Bellman
+        # problem, on the envelope a_min D^2
+        raw = {"problem": problem, "mode": mode,
+               "eps_list": [0.25, 0.125, 0.0625], "q": 16, "n_torus": 32,
+               "measurements": meas, "timing": False}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["eigen", "--config", str(path), "--eps", "0.125"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        row, = [r for r in eg.run_sweep(eg.SweepConfig(**raw)).rows
+                if r["eps"] == 0.125]
+        assert (out["lambda"], out["cw_lower"], out["cw_upper"],
+                out["iterations"]) == (row["lambda_eps"], row["cw_lower"],
+                                       row["cw_upper"], row["iterations"])
+
+    @pytest.mark.parametrize("problem, mode, meas", [
+        ("sin-abc", "linear", ["v_norm", "residual_slope"]),
+        ("bellman-2ctl-1d", "bellman", ["residual_slope"]),
+    ], ids=["sin-abc", "bellman-2ctl-1d"])
+    def test_eigen_eps_outside_eps_list(self, tmp_path, capsys, monkeypatch,
+                                        problem, mode, meas):
+        # eps = 1/6 is no eps of [1/4, 1/8]: the row's cells are solved on
+        # a trace grid that holds its fast coordinates too
+        import ergodica.cli as cli_mod
+        real, held = cli_mod.trace_grid, []
+        monkeypatch.setattr(cli_mod, "trace_grid", lambda grid, eps_list: (
+            held.append(list(eps_list)) or real(grid, eps_list)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": problem, "mode": mode, "eps_list": [0.25, 0.125],
+            "q": 16, "n_torus": 32, "measurements": meas}))
+        assert main(["eigen", "--config", str(path),
+                     "--eps", str(1 / 6)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cw_lower"] <= out["lambda"] <= out["cw_upper"]
+        assert out["cw_upper"] - out["cw_lower"] <= 1e-9
+        assert held and all(1 / 6 in eps_list for eps_list in held)
+
+    def test_eigen_refuses_what_sweep_refuses(self, tmp_path, capsys):
+        # a 2D sweep does not measure v_norm; neither does its row in `eigen`
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "sep-2d", "eps_list": [0.25, 0.125], "q": 16,
+            "n_torus": 32, "measurements": ["lambda_rate", "v_norm"]}))
+        for argv in (["sweep", "--out", str(tmp_path / "out")],
+                     ["eigen", "--eps", "0.125"]):
+            assert main(argv + ["--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: 2D linear sweeps do not measure ['v_norm']\n")
+
+    def test_bellman_eigen_runs_no_howard(self, tmp_path, capsys,
+                                          monkeypatch):
+        # `eigen` on a Bellman config is the sweep's envelope row: Howard is
+        # reached only through the Python API
+        import ergodica.eigen as eigen_mod
+        import ergodica.torus as torus_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Bellman eigen ran Howard")
+
+        for module, name in ((torus_mod, "solve_nonlinear_cell"),
+                             (torus_mod, "policy_iteration"),
+                             (eigen_mod, "policy_iteration")):
+            monkeypatch.setattr(module, name, forbidden)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": "bellman-2ctl-1d", "mode": "bellman",
+            "eps_list": [0.25, 0.125], "q": 16, "n_torus": 32,
+            "measurements": ["lambda_rate", "residual_slope"]}))
+        assert main(["eigen", "--config", str(path), "--eps", "0.125"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cw_lower"] <= out["lambda"] <= out["cw_upper"]
 
     def test_corrector_command(self, cfg_path, capsys, tmp_path):
         out_dir = str(tmp_path / "corr")

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,6 @@ import ergodica as eg
 from ergodica.cli import build_problem
 from ergodica.domain import assemble_linear, properness_shift, shifted_m_matrix
 from ergodica.eigen import _freeze_policy
-from ergodica.torus import improve_policy
 from referees import (collatz_wielandt, csr, csr_blocks, monotone_stencil,
                       oscillatory_samples, select_rows)
 
@@ -148,6 +150,46 @@ class TestAssembly:
         with pytest.raises(eg.InputError, match=f"9 samples needed on a grid "
                            rf"of shape \(9,\); got {na} of a, {nb} of b"):
             assemble_linear(g, np.ones(na), np.zeros(nb), np.zeros(nc))
+
+    def test_partial_matrix_samples_are_an_input_error(self):
+        # 101 a-values are not whole 2x2 matrices: numpy's reshape used to
+        # raise a bare ValueError ("cannot reshape array of size 101")
+        g = eg.DomainGrid.unit(2, 4)
+        with pytest.raises(eg.InputError, match=r"25 samples needed on a grid "
+                           r"of shape \(5, 5\); got 25.25 of a, 25 of b"):
+            assemble_linear(g, np.ones(101), np.zeros(50), np.zeros(25))
+        with pytest.raises(eg.InputError, match="got 25 of a, 25.5 of b"):
+            assemble_linear(g, np.ones(100), np.zeros(51), np.zeros(25))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nonfinite_coefficient_is_named(self, dim, name, value):
+        # a NaN c used to reach the caller as "not monotone under shift 1"
+        # with min_diag nan, and a NaN a also warned from shifted_m_matrix
+        g = eg.DomainGrid.unit(dim, 8)
+        samples = dict(zip("abc", (np.array(s) for s in
+                                   eg.constant_field(dim, 1.0).sample(g.points()))))
+        node = (3,) if dim == 1 else (3, 5)
+        samples[name][np.ravel_multi_index(node, g.shape)] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(eg.InputError, match=rf"coefficient {name} is not "
+                               rf"finite at node \({', '.join(map(str, node))},?\)"):
+                assemble_linear(g, *samples.values())
+
+    def test_nonfinite_fast_row_is_named_at_a_node_of_its_row(self):
+        # the check reads the distinct rows of `at`, and names an interior
+        # node that gathers the bad one
+        g = eg.DomainGrid.unit(1, 64)
+        rows, at = eg.fast_coordinates(g, 1 / 4)
+        a, b, c = (np.array(s) for s in eg.sin_field_1d().sample(rows))
+        c[5] = np.nan
+        with pytest.raises(eg.InputError, match="coefficient c is not finite") \
+                as info:
+            assemble_linear(g, a, b, c, at)
+        node = int(re.search(r"at node \((\d+),\)", str(info.value)).group(1))
+        assert 0 < node < 64 and at[node] == 5
 
     def test_sample_count_must_match_the_fast_rows(self):
         # eps = 1/4 on 64 cells: `at` gathers 16 distinct rows to the nodes
@@ -344,9 +386,9 @@ class TestDirichletSolve:
 
 class TestBellmanApply:
     def test_apply_is_nodewise_max(self):
-        # the operator frozen at the policy that is optimal against u (where
-        # a row's Howard loop starts) applies as the nodewise max of the
-        # frozen operators, the Bellman operator of nonlinear_expansion
+        # the operator frozen at the policy that is optimal against u
+        # applies as the nodewise max of the frozen operators, the Bellman
+        # operator of nonlinear_expansion
         bs = eg.BellmanSpec([
             eg.LinearOperatorSpec(eg.constant_field(1, 1.0), 1, 2),
             eg.LinearOperatorSpec(eg.constant_field(1, 2.0), 1, 2),
@@ -357,8 +399,7 @@ class TestBellmanApply:
         u = g.restrict(np.sin(2 * np.pi * x))
         ops = eg.bellman_operators(bs, 1.0, g)
         vals = np.maximum(ops[0] @ u, ops[1] @ u)
-        values = np.array([op @ u for op in ops])
-        policy = improve_policy(values, np.zeros(len(vals), dtype=int))[1]
+        policy = np.argmax([op @ u for op in ops], axis=0)
         assert set(policy) == {0, 1}
         np.testing.assert_array_equal(_freeze_policy(ops, policy, g) @ u, vals)
 

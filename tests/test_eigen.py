@@ -143,8 +143,6 @@ class TestLinearEigen:
         solves = (
             lambda: eg.principal_eigenpair(op, x0=x0),
             lambda: linear_eigenpair(g, *samples, x0=x0),
-            lambda: eg.principal_eigenpair_bellman(eg.BellmanSpec([spec]), 0.5,
-                                                   g, x0=x0),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -252,35 +250,24 @@ class TestBellmanEigen:
     @pytest.mark.parametrize("eps", [1 / 4, 1 / 8, 1 / 16])
     @pytest.mark.parametrize("n", [128, 512])
     @pytest.mark.parametrize("problem", ["bellman-2ctl-1d", "pucci-1d"])
-    def test_seeded_matches_cold(self, monkeypatch, effective_bellman_u,
-                                 problem, n, eps):
-        # seeded with the effective eigenfunction, Howard starts at the
-        # optimal policy: one frozen-policy eigensolve, the same policy and
-        # the same eigenvalue as the cold start from control 0 (optimal
-        # from the start on pucci-1d, whose control 0 is a = lambda)
-        cold_solves = {"bellman-2ctl-1d": 2, "pucci-1d": 1}[problem]
+    def test_cold_start_settles_at_the_envelope_policy(self, monkeypatch,
+                                                       problem, n, eps):
+        # Howard starts at control 0 and settles where phi'' < 0 puts it,
+        # at argmin_beta a_beta on every interior node: two frozen-policy
+        # eigensolves on bellman-2ctl-1d, one on pucci-1d (control 0 is
+        # a = lambda, optimal from the start)
         import ergodica.eigen as eigen_mod
-        spec, u = effective_bellman_u(problem, n)
         real = eigen_mod.principal_eigenpair
         calls = []
-
-        def counted(op, **kwargs):
-            calls.append(op)
-            return real(op, **kwargs)
-
-        monkeypatch.setattr(eigen_mod, "principal_eigenpair", counted)
-        g, tol = eg.DomainGrid.unit(1, n), 1e-9
-        cold, cold_policy = eg.principal_eigenpair_bellman(spec, eps, g, tol=tol)
-        n_cold = len(calls)
-        calls.clear()
-        seeded, policy = eg.principal_eigenpair_bellman(spec, eps, g, tol=tol,
-                                                        x0=u)
-        assert (n_cold, len(calls)) == (cold_solves, 1)
-        np.testing.assert_array_equal(policy, cold_policy)
-        assert seeded.cw_lower <= cold.cw_upper
-        assert cold.cw_lower <= seeded.cw_upper
-        assert abs(seeded.lam - cold.lam) <= 10 * tol
-
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair",
+                            lambda op, **k: calls.append(op) or real(op, **k))
+        spec = build_problem(problem)["spec"]
+        g = eg.DomainGrid.unit(1, n)
+        _, policy = eg.principal_eigenpair_bellman(spec, eps, g, tol=1e-9)
+        assert len(calls) == {"bellman-2ctl-1d": 2, "pucci-1d": 1}[problem]
+        y = (g.interior_points() / eps) % 1.0
+        a = np.array([ctl.field.a(y)[:, 0, 0] for ctl in spec.controls])
+        np.testing.assert_array_equal(policy, np.argmin(a, axis=0))
 
     def test_iterations_add_up_over_howard_sweeps(self, monkeypatch):
         # a cold bellman-2ctl-1d solve makes two frozen-policy eigensolves;
@@ -300,23 +287,6 @@ class TestBellmanEigen:
             spec, 1 / 4, eg.DomainGrid.unit(1, 128), tol=1e-9)
         assert len(counts) == 2 and min(counts) > 0
         assert pair.iterations == sum(counts)
-
-
-@pytest.fixture(scope="module")
-def effective_bellman_u():
-    """(problem, n) -> (the catalog problem's BellmanSpec, its effective
-    eigenfunction on [0, 1] with n cells), each computed once."""
-    cache = {}
-
-    def get(problem, n):
-        if (problem, n) not in cache:
-            spec = build_problem(problem)["spec"]
-            cell = eg.solve_nonlinear_cell(spec, [[-1.0]], eg.PeriodicGrid(1, 64))[0]
-            eff = eg.EffectiveLinear(np.array([[-cell.gamma]]), np.zeros(1), 0.0)
-            pair = eg.effective_eigenpair(eff, eg.DomainGrid.unit(1, n))
-            cache[problem, n] = spec, pair.phi
-        return cache[problem, n]
-    return get
 
 
 def _roundoff_tol(op, tol):
