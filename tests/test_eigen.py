@@ -269,6 +269,35 @@ class TestBellmanEigen:
         a = np.array([ctl.field.a(y)[:, 0, 0] for ctl in spec.controls])
         np.testing.assert_array_equal(policy, np.argmin(a, axis=0))
 
+    @pytest.mark.parametrize("eps", [1 / 4, 1 / 8, 1 / 16])
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("problem", ["bellman-2ctl-1d"])
+    def test_seeded_matches_cold(self, monkeypatch, problem, n, eps):
+        # Howard's second eigensolve starts from the first eigenfunction;
+        # a cold solve of the same frozen policy from ones gives the same
+        # eigenvalue and an overlapping Collatz-Wielandt bracket (pucci-1d
+        # makes one cold eigensolve only, nothing seeded to compare)
+        import ergodica.eigen as eigen_mod
+        real = eigen_mod.principal_eigenpair
+        calls = []
+
+        def recorded(op, **kwargs):
+            pair = real(op, **kwargs)
+            calls.append((op, kwargs, pair.lam, pair.cw_lower, pair.cw_upper))
+            return pair
+
+        monkeypatch.setattr(eigen_mod, "principal_eigenpair", recorded)
+        spec, tol = build_problem(problem)["spec"], 1e-9
+        bellman, _ = eg.principal_eigenpair_bellman(
+            spec, eps, eg.DomainGrid.unit(1, n), tol=tol)
+        assert len(calls) == 2
+        assert calls[0][1]["x0"] is None and calls[1][1]["x0"] is not None
+        op, _, lam, lower, upper = calls[1]
+        cold = real(op, tol=tol)
+        assert bellman.lam == lam
+        assert lower <= cold.cw_upper and cold.cw_lower <= upper
+        assert abs(lam - cold.lam) <= 10 * tol
+
     def test_iterations_add_up_over_howard_sweeps(self, monkeypatch):
         # a cold bellman-2ctl-1d solve makes two frozen-policy eigensolves;
         # the pair reports the inverse-power iterations of both
