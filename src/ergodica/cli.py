@@ -274,10 +274,12 @@ def _linear_effective(spec, grid, config, eps_list=None):
                                 assemble_effective(eff, grid))
 
 
-def _sweep_stage(config: SweepConfig, eps_list):
+def _sweep_stage(config: SweepConfig, eps_list, pair_only=False):
     """The eps-independent stage of a sweep whose trace grid holds
     `eps_list`: (grid, effective pair, row), row(eps) -> (row dict, pair)
-    solving the sweep's row at eps. `run_sweep` and `ergodica eigen` share it.
+    solving the sweep's row at eps. `run_sweep` and `ergodica eigen` share it;
+    `pair_only` (eigen) keeps of the checked measurements only those that set
+    the start vector: a linear sweep's `v_norm` and `residual_slope`.
 
     lambda_bar comes from the n_torus cells, the effective eigenpair from
     `effective_eigenpair`; a Bellman sweep is the linear one of its
@@ -298,6 +300,8 @@ def _sweep_stage(config: SweepConfig, eps_list):
     if unsupported:
         raise ConfigError(f"{dim}D {config.mode} sweeps do not measure "
                           f"{sorted(unsupported)}")
+    if pair_only:
+        meas &= {"v_norm", "residual_slope"} if config.mode == "linear" else set()
 
     if config.mode == "bellman":  # only the residual reads the controls
         spec = spec.envelope()
@@ -490,7 +494,7 @@ def _cmd_eigen(config, args):
     else:
         # the sweep's row at eps; the trace grid also holds an eps off eps_list
         eps = args.eps if args.eps is not None else config.eps_list[0]
-        _, _, row = _sweep_stage(config, [*config.eps_list, eps])
+        _, _, row = _sweep_stage(config, [*config.eps_list, eps], pair_only=True)
         _, pair = row(eps)
     print(json.dumps({
         "lambda": pair.lam,

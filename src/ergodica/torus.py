@@ -125,10 +125,13 @@ class _CyclicReduction:
     exact (Sterbenz) whenever rho is small against c, so the factor is the
     one of the matrix as stored, with no O(1/h^2) diagonal rounded again.
 
-    A factor allocates its coefficients and one work array, which holds the
-    levels while it factors and a solve's levels afterwards; a solve
-    allocates only its result. The back substitution computes -X, which
-    the last step negates.
+    A factor allocates one block: its coefficients (5n doubles) and a work
+    array (3n), which holds the levels while it factors and a solve's
+    levels afterwards; a solve allocates only its result. Freeing the first
+    (mmapped) block lifts glibc's trim threshold to twice its size, 8 MB at
+    n = 65 535: above the 6.6 MB a sin-abc row frees at the heap top, which
+    was trimmed and re-faulted every row under the 5 MB that two arrays
+    gave. The back substitution computes -X, which the last step negates.
     """
 
     def __init__(self, lower, diag, upper):
@@ -149,8 +152,9 @@ class _CyclicReduction:
             halves.append((m - m // 2, m // 2))
             m //= 2
         # -1/b of every eliminated row and of the last one, then alpha,
-        # beta, P = -a_e/b_e and Q = -c_e/b_e level by level
-        C = np.empty(n + sum(2 * E + 2 * K - 2 for E, K in halves))
+        # beta, P = -a_e/b_e and Q = -c_e/b_e level by level, then the work
+        ncoef = n + sum(2 * E + 2 * K - 2 for E, K in halves)
+        C = np.empty(ncoef + n + 4 * (n // 2))
         self._levels, at = [], n
         rh_at = 0
         for E, K in halves:
@@ -162,7 +166,7 @@ class _CyclicReduction:
             rh_at += E
         self._last = C[n - 1:n]
         # rho, then the levels 2, 4, ...; the levels 1, 3, ... after it
-        self._work = work = np.empty(n + 4 * (n // 2))
+        self._work = work = C[ncoef:]
         rho = work[:n]
         np.add(diag, lower, out=rho)
         if n > 1:

@@ -779,20 +779,31 @@ class TestCli:
         ("bellman-2ctl-1d", "bellman", ["lambda_rate"]),
     ], ids=["sin-abc", "sin-abc-v_norm", "sep-2d", "pucci-1d",
             "bellman-2ctl-1d"])
-    def test_eigen_eps_prints_the_sweep_row(self, tmp_path, capsys, problem,
-                                            mode, meas):
+    def test_eigen_eps_prints_the_sweep_row(self, tmp_path, capsys,
+                                            monkeypatch, problem, mode, meas):
         # one path per quantity: `eigen --eps` solves the sweep's row, with
         # its start vector (u + v_eps under v_norm) and, for a Bellman
-        # problem, on the envelope a_min D^2
+        # problem, on the envelope a_min D^2; it skips the pivot problem and
+        # the Bellman expansion, which cannot move the pair
+        import ergodica.cli as cli_mod
+        calls = []
+        for name in ("pivot_problem", "bellman_operators"):
+            real = getattr(cli_mod, name)
+            monkeypatch.setattr(cli_mod, name, lambda *a, _real=real, **k: (
+                calls.append(_real) or _real(*a, **k)))
         raw = {"problem": problem, "mode": mode,
                "eps_list": [0.25, 0.125, 0.0625], "q": 16, "n_torus": 32,
                "measurements": meas, "timing": False}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert main(["eigen", "--config", str(path), "--eps", "0.125"]) == 0
+        assert calls == []
         out = json.loads(capsys.readouterr().out)
         row, = [r for r in eg.run_sweep(eg.SweepConfig(**raw)).rows
                 if r["eps"] == 0.125]
+        # the sweep's rows do run them
+        assert bool(calls) == bool(
+            {"eigfun_rate", "z_rate", "residual_slope"} & set(meas))
         assert (out["lambda"], out["cw_lower"], out["cw_upper"],
                 out["iterations"]) == (row["lambda_eps"], row["cw_lower"],
                                        row["cw_upper"], row["iterations"])
@@ -804,7 +815,8 @@ class TestCli:
     def test_eigen_eps_outside_eps_list(self, tmp_path, capsys, monkeypatch,
                                         problem, mode, meas):
         # eps = 1/6 is no eps of [1/4, 1/8]: the row's cells are solved on
-        # a trace grid that holds its fast coordinates too
+        # a trace grid that holds its fast coordinates too; a Bellman row's
+        # pair reads no cell (its expansion is not run), so it builds none
         import ergodica.cli as cli_mod
         real, held = cli_mod.trace_grid, []
         monkeypatch.setattr(cli_mod, "trace_grid", lambda grid, eps_list: (
@@ -818,19 +830,27 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["cw_lower"] <= out["lambda"] <= out["cw_upper"]
         assert out["cw_upper"] - out["cw_lower"] <= 1e-9
-        assert held and all(1 / 6 in eps_list for eps_list in held)
+        if mode == "bellman":
+            assert held == []
+        else:
+            assert held and all(1 / 6 in eps_list for eps_list in held)
 
     def test_eigen_refuses_what_sweep_refuses(self, tmp_path, capsys):
-        # a 2D sweep does not measure v_norm; neither does its row in `eigen`
+        # a 2D sweep does not measure v_norm, a Bellman sweep eigfun_rate;
+        # neither does their row in `eigen`, which measures neither anyway
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({
-            "problem": "sep-2d", "eps_list": [0.25, 0.125], "q": 16,
-            "n_torus": 32, "measurements": ["lambda_rate", "v_norm"]}))
-        for argv in (["sweep", "--out", str(tmp_path / "out")],
-                     ["eigen", "--eps", "0.125"]):
-            assert main(argv + ["--config", str(path)]) == 2
-            assert capsys.readouterr().err == (
-                "config error: 2D linear sweeps do not measure ['v_norm']\n")
+        for raw, err in (
+                ({"problem": "sep-2d", "measurements": ["lambda_rate", "v_norm"]},
+                 "2D linear sweeps do not measure ['v_norm']"),
+                ({"problem": "pucci-1d", "mode": "bellman",
+                  "measurements": ["lambda_rate", "eigfun_rate"]},
+                 "1D bellman sweeps do not measure ['eigfun_rate']")):
+            path.write_text(json.dumps({"eps_list": [0.25, 0.125], "q": 16,
+                                        "n_torus": 32, **raw}))
+            for argv in (["sweep", "--out", str(tmp_path / "out")],
+                         ["eigen", "--eps", "0.125"]):
+                assert main(argv + ["--config", str(path)]) == 2
+                assert capsys.readouterr().err == f"config error: {err}\n"
 
     def test_bellman_eigen_runs_no_howard(self, tmp_path, capsys,
                                           monkeypatch):

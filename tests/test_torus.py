@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -294,6 +296,39 @@ class TestFactoredOperator:
         np.testing.assert_array_equal(lu.solve(B[:, 0]), columns[0])
         M = np.diag(diag) - np.diag(lo[1:], -1) - np.diag(up[:-1], 1)
         assert np.max(np.abs(M @ X - B)) <= 1e-13 * np.max(np.abs(B))
+
+    def test_band_factor_is_one_allocation(self):
+        # a factor's coefficients and work array are one block, and a
+        # vector solve allocates only its result: no other array of 128 KiB
+        # or more is live at the end or, by the traced peak, along the way
+        n = 65_535
+        rng = np.random.default_rng(3)
+        lo, up = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        op = bands(-lo, lo + up + rng.uniform(0.01, 1.0, n), -up)
+        v = rng.uniform(0.5, 1.5, n)
+
+        def large_allocations(fn):
+            tracemalloc.start()
+            try:
+                out = fn()
+                snap = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            big = [t.size for t in snap.traces if t.size >= 128 * 1024]
+            assert len(big) == 1 and peak < big[0] + 128 * 1024, (big, peak)
+            return out, big[0]
+
+        lu, size = large_allocations(lambda: FactoredOperator(op))
+        f = lu._lu
+        block = f._work.base
+        assert block.nbytes == size
+        views = [f._last, f._work,
+                 *(a for level in f._levels for a in level if a.size)]
+        assert all(np.shares_memory(a, block) for a in views)
+        x, size = large_allocations(lambda: lu.solve(v))
+        assert size == x.nbytes
 
     def test_periodic_and_augmented_matrices_use_superlu(self, splu_calls):
         # wrapped weights are not tridiagonal: I - A goes to SuperLU
